@@ -367,8 +367,8 @@ def cmd_diverge(args) -> int:
     schedule = [int(s) for s in args.schedule.split(",")]
     report = divergence_diagnostic(law, schedule, seed=seed, tol=args.tol)
     rows = _Rows(seed)
-    for n, value in report.running_means:
-        rows.add("running_weighted_mean", param=n, value=value, method="exact-rb")
+    for (n, value), (_, se) in zip(report.running_means, report.running_ses):
+        rows.add("running_weighted_mean", param=n, value=value, std_error=se, method="exact-rb")
     rows.add("hill_index", value=report.hill_index, n=report.n_env, method="hill-top1pct")
     for t, value in report.lemma_points:
         rows.add("t_times_survival", param=t, value=value, n=report.n_env, method="empirical")
@@ -388,7 +388,7 @@ def _finish(args, rows: _Rows, **config) -> int:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "wall_time_s": time.time() - args._t0,
+        "wall_time_s": time.perf_counter() - args._t0,
         "nonconverged": rows.nonconverged,
     }
     _write_outputs(args.out, rows, manifest)
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -213,8 +213,8 @@ def kappa_root(
     root exists iff the moment climbs back through 1 (it always does when
     rho exceeds 1 with positive probability and the moment stays finite
     long enough).  The bracket expands geometrically up to ``bracket_cap``;
-    bisection then drives |E[rho^kappa] - 1| below ``tol`` and the bracket
-    width below 1e-13.
+    bisection (the helper shared with ``ladder.gamma_root``) then drives
+    |E[rho^kappa] - 1| below ``tol`` and the bracket width below 1e-14.
 
     There is no root when rho_0 <= 1 almost surely; None is also returned
     if the bracket cap is exhausted before the moment crosses 1.
@@ -223,34 +223,39 @@ def kappa_root(
     if not drift < 0.0:
         raise ValueError(f"kappa_root needs E[log rho] < 0, got {drift}")
 
-    def f(u: float) -> float:
-        return moment_rho(law, u) - 1.0
+    root = _positive_root(lambda u: moment_rho(law, u) - 1.0, tol, bracket_cap)
+    if root is None or abs(moment_rho(law, root) - 1.0) > tol:
+        return None
+    return root
 
+
+def _positive_root(f, tol: float, bracket_cap: float) -> Optional[float]:
+    """Positive root of f(u) = M(u) - 1 for a moment function M with
+    M(0) = 1 and M'(0) < 0, or None if f stays <= tol up to ``bracket_cap``.
+
+    The bracket [0, 1] doubles until f exceeds tol (+inf counts); bisection
+    then runs until the bracket is narrower than 1e-14 and |f| <= tol at
+    its midpoint, or for 400 halvings.  The caller checks the root.
+    """
     lo, hi = 0.0, None
     u = 1.0
     while u <= bracket_cap:
-        fu = f(u)
-        if fu > tol:  # includes +inf
+        if f(u) > tol:
             hi = u
             break
         lo = u
         u *= 2.0
     if hi is None:
         return None
-
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm > 0.0:
+        if f(mid) > 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-13 and abs(f(0.5 * (lo + hi))) <= tol:
+        if hi - lo < 1e-14 and abs(f(0.5 * (lo + hi))) <= tol:
             break
-    root = 0.5 * (lo + hi)
-    if abs(f(root)) > tol:
-        return None
-    return root
+    return 0.5 * (lo + hi)
 
 
 def _speed_from_moments(m_rho: float, m_inv: float) -> float:

@@ -103,11 +103,8 @@ class PairTally:
 
 
 def merge_ratio(tallies: list[PairTally]) -> tuple[int, float, float]:
-    """Ratio-of-means mean(y)/mean(x) with delta-method standard error.
-
-    The numerator and denominator share samples, so the covariance term is
-    kept: Var(r) ~ (S_yy - 2 r S_xy + r^2 S_xx) / (n xbar^2).
-    """
+    """(n, mean(y)/mean(x), delta-method SE) merged exactly from per-worker
+    pair tallies; see ``ratio_of_means``."""
     n = sum(t.n for t in tallies)
     if n == 0:
         raise ValueError("cannot merge empty tallies")
@@ -116,13 +113,25 @@ def merge_ratio(tallies: list[PairTally]) -> tuple[int, float, float]:
     sxx = math.fsum(t.sum_xx for t in tallies)
     syy = math.fsum(t.sum_yy for t in tallies)
     sxy = math.fsum(t.sum_xy for t in tallies)
+    ratio, se = ratio_of_means(n, sx, sy, sxx, syy, sxy)
+    return n, ratio, se
+
+
+def ratio_of_means(
+    n: int, sx: float, sy: float, sxx: float, syy: float, sxy: float
+) -> tuple[float, float]:
+    """(mean(y)/mean(x), delta-method SE) from the n-sample sums of x, y,
+    x^2, y^2 and xy; the SE is 0 for a single sample.
+
+    The numerator and denominator share samples, so the covariance term is
+    kept: Var(r) ~ (S_yy - 2 r S_xy + r^2 S_xx) / (n xbar^2).
+    """
     xbar = sx / n
-    ybar = sy / n
-    ratio = ybar / xbar
+    ratio = (sy / n) / xbar
     if n == 1:
-        return n, ratio, 0.0
+        return ratio, 0.0
     var_y = max(0.0, (syy - sy * sy / n) / (n - 1))
     var_x = max(0.0, (sxx - sx * sx / n) / (n - 1))
     cov = (sxy - sx * sy / n) / (n - 1)
     var_r = max(0.0, var_y - 2.0 * ratio * cov + ratio * ratio * var_x)
-    return n, ratio, math.sqrt(var_r / n) / abs(xbar)
+    return ratio, math.sqrt(var_r / n) / abs(xbar)

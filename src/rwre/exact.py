@@ -23,8 +23,10 @@ for x >= 1, under which the conditional return-time expectation becomes
     E^1[T_0 | T_0 < inf] = 1 + 2 sum_n Pi_{1,n} (1+R_{n+1}) R_{n+1} / ((1+R_1) R_1).
 
 Pi values range over hundreds of orders of magnitude on long windows, so
-all internals run in log space (log-sum-exp for the R sums); truncated
-series report an explicit heuristic geometric remainder.
+all internals run in log space (log-sum-exp for the R sums).  Truncated
+series are scanned by one routine, ``_scan_series``, whose sums are exactly
+rounded (``math.fsum``), and report an explicit heuristic geometric
+remainder.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import logsumexp
 
-from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites
+from .env import (
+    EnvLaw,
+    EnvWindow,
+    _speed_from_moments,
+    mean_log_rho,
+    moment_rho,
+    omega_at_sites,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_HORIZON = 1_000_000
@@ -108,28 +117,6 @@ def _source(env_or_law: EnvSource) -> tuple[EnvLaw, int, Optional[EnvWindow]]:
     return law, seed, None
 
 
-class _Neumaier:
-    """Compensated scalar accumulator for sums of many positive terms."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float):
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
-
-
 def _scan_series(
     chunks: Iterator[np.ndarray],
     tol: float,
@@ -139,9 +126,14 @@ def _scan_series(
     """Accumulate positive terms until ``run`` consecutive terms fall below
     tol * (running sum), or the horizon/chunk supply is exhausted.
 
+    The returned sum is exactly rounded: one ``math.fsum`` over every term
+    used.  The running sum of the stopping rule merges each finished chunk
+    into the previous total with ``math.fsum``.
+
     Returns (sum, last_term, terms_used, converged).
     """
-    acc = _Neumaier()
+    kept: list[np.ndarray] = []
+    total = 0.0
     used = 0
     run_carry = 0
     last = math.nan
@@ -150,7 +142,7 @@ def _scan_series(
             terms = terms[: horizon - used]
             if len(terms) == 0:
                 break
-        cs = acc.value + np.cumsum(terms)
+        cs = total + np.cumsum(terms)
         quiet = terms < tol * cs
         pos = np.arange(len(terms))
         last_noisy = np.maximum.accumulate(np.where(~quiet, pos, -1))
@@ -158,60 +150,48 @@ def _scan_series(
         hits = np.nonzero(runlen >= run)[0]
         if hits.size:
             stop = int(hits[0])
-            for t in terms[: stop + 1]:
-                acc.add(float(t))
-            used += stop + 1
-            return acc.value, float(terms[stop]), used, True
-        for t in terms:
-            acc.add(float(t))
+            kept.append(terms[: stop + 1])
+            return _fsum(kept), float(terms[stop]), used + stop + 1, True
+        kept.append(terms)
+        total = math.fsum([total, *terms.tolist()])
         used += len(terms)
-        run_carry = int(runlen[-1]) if len(terms) else run_carry
-        last = float(terms[-1]) if len(terms) else last
+        run_carry = int(runlen[-1])
+        last = float(terms[-1])
         if used >= horizon:
             break
-    return acc.value, last, used, False
+    return _fsum(kept), last, used, False
 
 
-def _rho_chunks_ascending(law, seed, start, window, chunk):
-    """log-term chunks for sum_{k>=start} Pi_{start,k}, extending rightward."""
+def _fsum(chunks: list[np.ndarray]) -> float:
+    return math.fsum(np.concatenate(chunks).tolist()) if chunks else 0.0
+
+
+def _log_pi_chunks(law, seed, start, window, step, sign):
+    """Chunks of terms exp(sign * log Pi) over the sites start, start+step, ...
+
+    (step, sign) = (+1, +1) gives Pi_{start,k} for sum_{k>=start},
+    (+1, -1) their inverses Pi_{start,k}^{-1}, and (-1, +1) the terms
+    Pi_{i,start} of sum_{i<=start}.  A window ends the supply at its edge in
+    the walking direction; without one the keyed site generator extends the
+    environment as far as the consumer reads.
+    """
     lp = 0.0
     k = start
     while True:
+        stop = k + step * (_CHUNK - 1)
         if window is not None:
-            if k > window.hi:
+            if (k > window.hi) if step > 0 else (k < window.lo):
                 return
-            stop = min(window.hi, k + chunk - 1)
-            rho = window.rho_slice(k, stop)
+            stop = min(stop, window.hi) if step > 0 else max(stop, window.lo)
+            rho = window.rho_slice(min(k, stop), max(k, stop))[::step]
         else:
-            stop = k + chunk - 1
-            om = omega_at_sites(law, seed, np.arange(k, stop + 1, dtype=np.int64))
+            om = omega_at_sites(law, seed, np.arange(k, stop + step, step, dtype=np.int64))
             rho = (1.0 - om) / om
-        lt = lp + np.cumsum(np.log(rho))
+        lt = lp + sign * np.cumsum(np.log(rho))
         lp = float(lt[-1])
         with np.errstate(over="ignore"):
             yield np.exp(lt)
-        k = stop + 1
-
-
-def _rho_chunks_descending(law, seed, start, window, chunk):
-    """log-term chunks for sum_{i<=start} Pi_{i,start}, extending leftward."""
-    lp = 0.0
-    k = start
-    while True:
-        if window is not None:
-            if k < window.lo:
-                return
-            stop = max(window.lo, k - chunk + 1)
-            rho = window.rho_slice(stop, k)[::-1]
-        else:
-            stop = k - chunk + 1
-            om = omega_at_sites(law, seed, np.arange(k, stop - 1, -1, dtype=np.int64))
-            rho = (1.0 - om) / om
-        lt = lp + np.cumsum(np.log(rho))
-        lp = float(lt[-1])
-        with np.errstate(over="ignore"):
-            yield np.exp(lt)
-        k = stop - 1
+        k = stop + step
 
 
 def cascade(env: EnvWindow, i: int, j: int) -> tuple[float, float]:
@@ -243,7 +223,7 @@ def r_tail(
     if not drift < 0.0:
         raise ValueError(f"r_tail needs a right-transient law, E[log rho] = {drift}")
     total, last, used, ok = _scan_series(
-        _rho_chunks_ascending(law, seed, i, None, _CHUNK), tol, run, horizon
+        _log_pi_chunks(law, seed, i, None, 1, 1.0), tol, run, horizon
     )
     r_geom = math.exp(drift / 2.0)
     bound = last * r_geom / (1.0 - r_geom) if math.isfinite(last) else math.inf
@@ -300,9 +280,9 @@ def expected_hit(
         if divergent:
             return SeriesValue(value=math.inf, remainder_bound=0.0, terms_used=0, converged=False)
     if direction == "right":
-        it = _rho_chunks_descending(law, seed, x, window, _CHUNK)
+        it = _log_pi_chunks(law, seed, x, window, -1, 1.0)
     else:
-        it = _rho_chunks_ascending_inverse(law, seed, x, window, _CHUNK)
+        it = _log_pi_chunks(law, seed, x, window, 1, -1.0)
     total, last, used, ok = _scan_series(it, tol, run, horizon)
     r_geom = math.exp(-abs(drift) / 2.0)
     if math.isfinite(last) and r_geom < 1.0:
@@ -310,27 +290,6 @@ def expected_hit(
     else:
         bound = math.inf
     return SeriesValue(value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=used, converged=ok)
-
-
-def _rho_chunks_ascending_inverse(law, seed, start, window, chunk):
-    """log-term chunks for sum_{i>=start} Pi_{start,i}^{-1}, rightward."""
-    lp = 0.0
-    k = start
-    while True:
-        if window is not None:
-            if k > window.hi:
-                return
-            stop = min(window.hi, k + chunk - 1)
-            rho = window.rho_slice(k, stop)
-        else:
-            stop = k + chunk - 1
-            om = omega_at_sites(law, seed, np.arange(k, stop + 1, dtype=np.int64))
-            rho = (1.0 - om) / om
-        lt = lp - np.cumsum(np.log(rho))
-        lp = float(lt[-1])
-        with np.errstate(over="ignore"):
-            yield np.exp(lt)
-        k = stop + 1
 
 
 def _sweep_log_r(
@@ -483,16 +442,8 @@ def speed_and_et1(law: EnvLaw) -> tuple[float, float]:
     if not math.isfinite(drift):
         raise ValueError("speed_and_et1 needs finite E[log rho]")
     m_rho = moment_rho(law, 1.0)
-    m_inv = moment_rho(law, -1.0)
-    if m_rho < 1.0:
-        speed = (1.0 - m_rho) / (1.0 + m_rho)
-        e_t1 = (1.0 + m_rho) / (1.0 - m_rho)
-    elif m_inv < 1.0:
-        speed = -(1.0 - m_inv) / (1.0 + m_inv)
-        e_t1 = math.inf
-    else:
-        speed = 0.0
-        e_t1 = math.inf
+    speed = _speed_from_moments(m_rho, moment_rho(law, -1.0))
+    e_t1 = (1.0 + m_rho) / (1.0 - m_rho) if m_rho < 1.0 else math.inf
     return speed, e_t1
 
 

@@ -14,8 +14,12 @@ converge to a constant (a renewal-theory age limit), which
 ``overshoot_constant`` probes empirically.  ``phi_estimate`` targets
 phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
-Lattice laws are simulated in exact integer units so that skip-free
-importance weights are bit-identical across paths.
+All level-crossing simulations (the importance and naive ``sup_tail``
+estimators and ``overshoot_constant``) run on one lockstep first-exit
+kernel, ``_first_exit``; ``phi_estimate`` keeps its own loop because it
+accumulates e^{-S_n} along the path.  Lattice laws are simulated in exact
+integer units so that skip-free importance weights are bit-identical across
+paths.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .env import EnvLaw
+from .env import EnvLaw, _positive_root
 from .estimate import Estimate, Tally, merge_mean
 from .rng import shard_sizes, worker_streams
 
@@ -154,28 +158,9 @@ def gamma_root(step: StepLaw, tol: float = 1e-12, bracket_cap: float = 64.0) -> 
     if not any(v > 0 for v in step.values):
         raise ValueError("gamma_root: no positive support, the moment never returns to 1")
 
-    def f(u: float) -> float:
-        return step.mgf(u) - 1.0
-
-    lo, hi = 0.0, None
-    u = 1.0
-    while u <= bracket_cap:
-        if f(u) > tol:
-            hi = u
-            break
-        lo = u
-        u *= 2.0
-    if hi is None:
+    gamma = _positive_root(lambda u: step.mgf(u) - 1.0, tol, bracket_cap)
+    if gamma is None:
         raise RuntimeError(f"gamma_root: no crossing of 1 below bracket cap {bracket_cap}")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 and abs(f(0.5 * (lo + hi))) <= tol:
-            break
-    gamma = 0.5 * (lo + hi)
     if not step.mgf(gamma / 2.0) < 1.0:
         raise ArithmeticError("convexity check E[e^{(gamma/2) xi}] < 1 failed")
     return gamma
@@ -206,64 +191,37 @@ def _unit_level(t: float, a: float) -> int:
     return math.ceil(t / a - 1e-9)
 
 
-def _sim_crossing_up(
+def _first_exit(
     cumw: np.ndarray,
     incs: np.ndarray,
-    level,
+    up,
+    down,
     n: int,
     rng: np.random.Generator,
     integer_units: bool,
-):
-    """Walk n paths to the first time S >= level; returns (S_tau, tau)."""
-    dtype = np.int64 if integer_units else np.float64
-    s_final = np.empty(n, dtype=dtype)
-    tau_final = np.empty(n, dtype=np.int64)
-    s = np.zeros(n, dtype=dtype)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk n paths until S >= up or S <= down; returns (S at exit, exit time).
+
+    down = -inf walks every path to its first crossing of ``up``.
+    """
+    s = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
     tau = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    guard = 0
-    while alive.size:
-        u = rng.random(alive.size)
-        s[alive] += incs[np.searchsorted(cumw, u)]
-        tau[alive] += 1
-        done = s[alive] >= level
-        idx = alive[done]
-        s_final[idx] = s[idx]
-        tau_final[idx] = tau[idx]
-        alive = alive[~done]
-        guard += int(done.size)
+    live = s.copy()  # positions of the paths still inside, in path order
+    idx = np.arange(n)
+    steps = guard = 0
+    while idx.size:
+        live += incs[np.searchsorted(cumw, rng.random(idx.size))]
+        steps += 1
+        guard += idx.size
+        done = (live >= up) | (live <= down)
+        out = idx[done]
+        s[out] = live[done]
+        tau[out] = steps
+        keep = ~done
+        idx, live = idx[keep], live[keep]
         if guard > _STEP_GUARD:
-            raise RuntimeError("crossing simulation exceeded the step budget")
-    return s_final, tau_final
-
-
-def _sim_two_sided(
-    cumw: np.ndarray,
-    incs: np.ndarray,
-    up_level,
-    down_level,
-    n: int,
-    rng: np.random.Generator,
-    integer_units: bool,
-) -> np.ndarray:
-    """Walk n paths until S >= up_level (hit=1) or S <= down_level (hit=0)."""
-    dtype = np.int64 if integer_units else np.float64
-    hit = np.zeros(n, dtype=np.float64)
-    s = np.zeros(n, dtype=dtype)
-    alive = np.arange(n)
-    guard = 0
-    while alive.size:
-        u = rng.random(alive.size)
-        s[alive] += incs[np.searchsorted(cumw, u)]
-        sa = s[alive]
-        up = sa >= up_level
-        down = sa <= down_level
-        hit[alive[up]] = 1.0
-        alive = alive[~(up | down)]
-        guard += int(sa.size)
-        if guard > _STEP_GUARD:
-            raise RuntimeError("two-sided simulation exceeded the step budget")
-    return hit
+            raise RuntimeError("first-exit simulation exceeded the step budget")
+    return s, tau
 
 
 def sup_tail(
@@ -304,7 +262,7 @@ def sup_tail(
         for rng, n_w in zip(streams, sizes):
             if n_w == 0:
                 continue
-            s_tau, _ = _sim_crossing_up(cumw, incs, level, n_w, rng, lattice)
+            s_tau, _ = _first_exit(cumw, incs, level, -math.inf, n_w, rng, lattice)
             s_real = s_tau * step.lattice if lattice else s_tau
             weights = np.exp(-gamma * s_real)
             tl = Tally.of(weights)
@@ -335,8 +293,8 @@ def sup_tail(
         for rng, n_w in zip(streams, sizes):
             if n_w == 0:
                 continue
-            hits = _sim_two_sided(cumw, incs, up, down, n_w, rng, lattice)
-            tallies.append(Tally.of(hits))
+            s_exit, _ = _first_exit(cumw, incs, up, down, n_w, rng, lattice)
+            tallies.append(Tally.of(s_exit >= up))
         n_tot, mean, se, _, _ = merge_mean(tallies)
         return Estimate(
             value=mean,
@@ -414,7 +372,7 @@ def overshoot_constant(
         for rng, n_w in zip(streams, sizes):
             if n_w == 0:
                 continue
-            s_tau, tau = _sim_crossing_up(cumw, incs, k, n_w, rng, True)
+            s_tau, tau = _first_exit(cumw, incs, k, -math.inf, n_w, rng, True)
             w_tallies.append(Tally.of(np.exp(-gamma * (s_tau * a))))
             if k == ks[-1]:
                 s_tallies.append(Tally.of(s_tau * a))

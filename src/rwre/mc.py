@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites, sample_window
-from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio
+from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
 from .exact import (
     ConvergenceError,
     conditioned_env,
@@ -44,6 +44,7 @@ CENSORED = "censored"
 
 DEFAULT_ESCAPE_EPS = 1e-9
 _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
+_HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
 
 
 @dataclass(frozen=True)
@@ -449,7 +450,15 @@ def divergence_diagnostic(
     from .env import kappa_root  # local import to keep module load light
 
     schedule = tuple(sorted(int(s) for s in schedule))
+    if not schedule or schedule[0] < 1:
+        raise ValueError("divergence_diagnostic needs positive schedule points")
     n_env = schedule[-1]
+    if n_env <= _HILL_TOP:
+        raise ValueError(
+            f"divergence_diagnostic needs at least {_HILL_TOP + 1} environments "
+            f"(the Hill estimate uses the top {_HILL_TOP} and one more), "
+            f"the schedule ends at {n_env}"
+        )
     ys = np.empty(n_env)
     ws = np.empty(n_env)
     r1s = np.empty(n_env)
@@ -474,30 +483,15 @@ def divergence_diagnostic(
     ys, ws, r1s = ys[:kept], ws[:kept], r1s[:kept]
 
     wy = ws * ys
-    cum_wy = np.cumsum(wy)
-    cum_w = np.cumsum(ws)
-    cum_ww = np.cumsum(ws * ws)
-    cum_wywy = np.cumsum(wy * wy)
-    cum_wwy = np.cumsum(ws * wy)
-    running = []
-    running_ses = []
+    sums = [np.cumsum(v) for v in (ws, wy, ws * ws, wy * wy, ws * wy)]
+    running, running_ses = [], []
     for s in schedule:
         m = min(s, kept)
-        xbar, ybar = cum_w[m - 1] / m, cum_wy[m - 1] / m
-        ratio = ybar / xbar
-        running.append((s, float(ratio)))
-        if m > 1:
-            var_x = max(0.0, (cum_ww[m - 1] - m * xbar * xbar) / (m - 1))
-            var_y = max(0.0, (cum_wywy[m - 1] - m * ybar * ybar) / (m - 1))
-            cov = (cum_wwy[m - 1] - m * xbar * ybar) / (m - 1)
-            var_r = max(0.0, var_y - 2.0 * ratio * cov + ratio * ratio * var_x)
-            running_ses.append((s, float(math.sqrt(var_r / m) / xbar)))
-        else:
-            running_ses.append((s, 0.0))
-    running = tuple(running)
-    running_ses = tuple(running_ses)
+        ratio, se = ratio_of_means(m, *(float(c[m - 1]) for c in sums))
+        running.append((s, ratio))
+        running_ses.append((s, se))
 
-    k = max(10, int(math.ceil(0.01 * kept)))
+    k = max(_HILL_TOP, int(math.ceil(0.01 * kept)))
     top = np.sort(ys)[::-1]
     hill_gamma = float(np.mean(np.log(top[:k] / top[k])))
     hill_index = 1.0 / hill_gamma if hill_gamma > 0 else math.inf
@@ -517,8 +511,8 @@ def divergence_diagnostic(
 
     return DivergenceReport(
         schedule=schedule,
-        running_means=running,
-        running_ses=running_ses,
+        running_means=tuple(running),
+        running_ses=tuple(running_ses),
         hill_index=hill_index,
         lemma_points=lemma_points,
         lemma_min=lemma_min,

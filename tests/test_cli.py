@@ -173,3 +173,32 @@ class TestManifestAndDeterminism:
         assert manifest["config"]["workers"] == 3
         assert set(manifest["versions"]) == {"rwre", "numpy", "scipy", "python"}
         assert manifest["wall_time_s"] >= 0.0
+
+
+class TestDivergeCommand:
+    def test_too_few_environments_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "dv")
+        code = main(["diverge", "--law", format_law(FIX_C), "--schedule", "10",
+                     "--seed", "1", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 11 environments" in err
+        assert main(["diverge", "--law", format_law(FIX_C), "--schedule", "0,100",
+                     "--seed", "1", "--out", out]) == 1
+        assert "positive schedule points" in capsys.readouterr().err
+
+    def test_running_standard_errors_written(self, tmp_path):
+        out = str(tmp_path / "dv")
+        code = main(["diverge", "--law", "discrete:0.5@0.8,0.5@0.6", "--schedule", "50,200",
+                     "--seed", "2", "--tol", "1e-8", "--out", out])
+        assert code == 0
+        rows = read_csv(out + ".csv")
+        assert [r["quantity"] for r in rows] == [
+            "running_weighted_mean", "running_weighted_mean", "hill_index",
+            "t_times_survival", "t_times_survival", "t_times_survival",
+            "lemma_min", "regression_index", "kappa",
+        ]
+        for row in rows[:2]:
+            se = float(row["std_error"])
+            assert math.isfinite(se) and se > 0.0
+        assert all(r["std_error"] == "" for r in rows[2:])

@@ -16,8 +16,10 @@ phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
 All level-crossing simulations (the importance and naive ``sup_tail``
 estimators and ``overshoot_constant``) run on one lockstep first-exit
-kernel, ``_first_exit``; ``phi_estimate`` keeps its own loop because it
-accumulates e^{-S_n} along the path.  Lattice laws are simulated in exact
+kernel, ``_first_exit``.  ``phi_estimate`` keeps its own loop because it
+accumulates e^{-S_n} along the path, but in the same compact form: the live
+partial sums sit in one array in path order, beside the indices of their
+paths.  Lattice laws are simulated in exact
 integer units so that skip-free importance weights are bit-identical across
 paths.
 """
@@ -431,21 +433,16 @@ def phi_estimate(
     for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(n, workers)):
         if n_w == 0:
             continue
-        dtype = np.int64 if lattice else np.float64
-        s = np.zeros(n_w, dtype=dtype)
         f = np.ones(n_w)
-        alive = np.arange(n_w)
+        idx = np.arange(n_w)
+        live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
         guard = 0
-        while alive.size:
-            u = rng.random(alive.size)
-            s[alive] += incs[np.searchsorted(cumw, u)]
-            sa = s[alive]
-            cont = sa > down
-            keep = alive[cont]
-            s_real = s[keep] * step.lattice if lattice else s[keep]
-            f[keep] += np.exp(-s_real)
-            alive = keep
-            guard += int(sa.size)
+        while idx.size:
+            live += incs[np.searchsorted(cumw, rng.random(idx.size))]
+            guard += idx.size
+            keep = live > down
+            idx, live = idx[keep], live[keep]
+            f[idx] += np.exp(-(live * step.lattice if lattice else live))
             if guard > _STEP_GUARD:
                 raise RuntimeError("phi simulation exceeded the step budget")
         tallies.append(Tally.of(f))

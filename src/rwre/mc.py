@@ -10,6 +10,13 @@ environment (Rao-Blackwellization): in the weakly transient regime the
 walk-level variance is infinite and environment-level statistics are the
 meaningful ones.
 
+Every walk steps in one lockstep kernel, ``_walk``: paths live on a flat
+site array and step k draws one uniform per live path, in path order.
+``simulate_until`` and ``sample_first_return`` are its n = 1 wrappers (a
+scalar draw and a length-1 draw give the same uniform), and
+``_first_return_batch``, ``conditioned_sampler`` and ``speed_estimate`` call
+it with many paths.
+
 Escape certification: a right-transient walk at the right window edge M
 returns to the origin with exactly P^M(T_0 < inf) =
 Pi_{0,M-1} R_M / (R_{0,M-1} + Pi_{0,M-1} R_M); windows are grown until
@@ -73,6 +80,56 @@ class ReturnOutcome:
             raise ValueError(f"unknown status {self.status!r}")
 
 
+def _walk(
+    omega: np.ndarray,
+    starts,
+    stop: Optional[np.ndarray],
+    cap: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step independent paths on a flat site array until a stop site or ``cap``.
+
+    Positions are indices into ``omega``.  The live paths are kept in a
+    compact array in path order, and step k draws one uniform per live path
+    in that order; a lone path thus draws one uniform per step, exactly as a
+    scalar loop over ``rng.random()`` would.  Returns
+    (final index, steps taken, stopped); a path that starts on a stop site
+    takes 0 steps, one that runs out of steps reports ``cap``.  Stepping off
+    the array raises: sizing it is the caller's job.
+    """
+    pos = np.array(starts, dtype=np.int64)
+    steps = np.full(pos.size, cap, dtype=np.int64)
+    size = omega.size
+    stopped = np.zeros(pos.size, dtype=bool) if stop is None else stop[pos]
+    steps[stopped] = 0
+    idx = np.flatnonzero(~stopped)
+    live = pos[idx]
+    # Steps are +-1, so no path can leave the array before the edge distance
+    # measured at the last range check is used up.
+    slack = int(min(live.min() + 1, size - live.max())) if live.size else 0
+    for step in range(1, cap + 1):
+        if not idx.size:
+            break
+        live += np.where(rng.random(idx.size) < omega[live], 1, -1)
+        slack -= 1
+        if slack <= 0:
+            lo, hi = int(live.min()), int(live.max())
+            if lo < 0 or hi >= size:
+                raise RuntimeError("walk left the realized window; size it larger")
+            slack = min(lo + 1, size - hi)
+        if stop is not None:
+            done = stop[live]
+            if np.count_nonzero(done):
+                out = idx[done]
+                pos[out] = live[done]
+                steps[out] = step
+                stopped[out] = True
+                keep = ~done
+                idx, live = idx[keep], live[keep]
+    pos[idx] = live
+    return pos, steps, stopped
+
+
 def simulate_until(
     env: EnvWindow,
     start: int,
@@ -91,56 +148,12 @@ def simulate_until(
     for t in targets:
         if not env.lo <= t <= env.hi:
             raise IndexError("target outside window")
-    pos = start
-    if pos in targets:
-        return pos, 0
-    omega = env.omega
-    lo, hi = env.lo, env.hi
-    for step in range(1, cap + 1):
-        if pos < lo or pos > hi:
-            raise RuntimeError(f"walked off the realized window at {pos}")
-        pos += 1 if stream.random() < omega[pos - lo] else -1
-        if pos in targets:
-            return pos, step
-    return None, cap
-
-
-def _walk_batch(
-    env: EnvWindow,
-    starts: np.ndarray,
-    target_mask: np.ndarray,
-    cap: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step many independent paths on one window until targets or cap.
-
-    Returns (end_sites, steps); end_site = -2**62 marks a censored path.
-    All paths step in lockstep, so the k-th uniform vector drives step k.
-    """
-    lo, hi = env.lo, env.hi
-    omega = env.omega
-    pos = np.array(starts, dtype=np.int64, copy=True)
-    n = pos.size
-    end = np.full(n, -(2**62), dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    alive = np.nonzero(~target_mask[pos - lo])[0]
-    end[target_mask[pos - lo]] = pos[target_mask[pos - lo]]
-    for step in range(1, cap + 1):
-        if not alive.size:
-            break
-        u = rng.random(alive.size)
-        w = omega[pos[alive] - lo]
-        pos[alive] += np.where(u < w, 1, -1)
-        pa = pos[alive]
-        if np.any((pa < lo) | (pa > hi)):
-            raise RuntimeError("batch walk left the realized window; size it larger")
-        done = target_mask[pa - lo]
-        idx = alive[done]
-        end[idx] = pos[idx]
-        steps[idx] = step
-        alive = alive[~done]
-    steps[alive] = cap
-    return end, steps
+    stop = np.zeros(env.omega.size, dtype=bool)
+    stop[[t - env.lo for t in targets]] = True
+    pos, steps, stopped = _walk(env.omega, [start - env.lo], stop, cap, stream)
+    if not stopped[0]:
+        return None, cap
+    return int(pos[0]) + env.lo, int(steps[0])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -213,20 +226,13 @@ def sample_first_return(
         raise ValueError(
             f"window too small: escape bound {bound:.3e} > escape_eps {escape_eps:.3e}"
         )
-    omega0 = env.omega_at(0)
-    first = 1 if stream.random() < omega0 else -1
-    pos = first
-    lo, hi = env.lo, env.hi
-    omega = env.omega
-    for step in range(2, cap + 1):
-        if pos <= lo:
-            raise RuntimeError("walk reached the left guard edge; enlarge the window")
-        pos += 1 if stream.random() < omega[pos - lo] else -1
-        if pos == 0:
-            return ReturnOutcome(status=RETURNED, first_step=first, steps=step)
-        if pos == hi:
-            return ReturnOutcome(status=ESCAPED, first_step=first, certified_bound=bound)
-    return ReturnOutcome(status=CENSORED, first_step=first, cap=cap)
+    status, steps, first = _first_return_batch(env, 1, cap, stream)
+    first_step = int(first[0])
+    if status[0] == 0:
+        return ReturnOutcome(status=RETURNED, first_step=first_step, steps=int(steps[0]))
+    if status[0] == 1:
+        return ReturnOutcome(status=ESCAPED, first_step=first_step, certified_bound=bound)
+    return ReturnOutcome(status=CENSORED, first_step=first_step, cap=cap)
 
 
 def first_return_window(
@@ -247,13 +253,13 @@ def _first_return_batch(
     """n first-return attempts: (status codes 0=ret/1=esc/2=cens, steps, first)."""
     omega0 = env.omega_at(0)
     first = np.where(rng.random(n) < omega0, 1, -1).astype(np.int64)
-    mask = np.zeros(env.hi - env.lo + 1, dtype=bool)
-    mask[0 - env.lo] = True
-    mask[env.hi - env.lo] = True
-    end, steps = _walk_batch(env, first, mask, cap - 1, rng)
+    origin, edge = -env.lo, env.hi - env.lo
+    stop = np.zeros(env.omega.size, dtype=bool)
+    stop[[origin, edge]] = True
+    end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, rng)
     status = np.full(n, 2, dtype=np.int8)
-    status[end == 0] = 0
-    status[end == env.hi] = 1
+    status[end == origin] = 0
+    status[end == edge] = 1
     return status, steps + 1, first
 
 
@@ -293,10 +299,10 @@ def conditioned_sampler(
     else:
         raise ValueError("mode must be 'h_transform' or 'rejection'")
 
-    mask = np.zeros(window.hi + 1, dtype=bool)
-    mask[0] = True
-    if mode == "rejection":
-        mask[window.hi] = True
+    # Reaching hi stops a path in both modes: a rejection-mode escape, an
+    # h-transform window that was too small.
+    stop = np.zeros(window.omega.size, dtype=bool)
+    stop[[0, window.hi]] = True
 
     out: list[np.ndarray] = []
     for widx, (rng, quota) in enumerate(zip(worker_streams(seed, workers), shard_sizes(n, workers))):
@@ -304,9 +310,8 @@ def conditioned_sampler(
         have = 0
         while have < quota:
             batch = quota - have if mode == "h_transform" else max(64, 2 * (quota - have))
-            starts = np.ones(batch, dtype=np.int64)
-            end, steps = _walk_batch(window, starts, mask, cap, rng)
-            if np.any(end == -(2**62)):
+            end, steps, stopped = _walk(window.omega, np.ones(batch, dtype=np.int64), stop, cap, rng)
+            if not stopped.all():
                 raise RuntimeError(f"worker {widx}: path cap {cap} exhausted")
             if mode == "h_transform":
                 if np.any(end != 0):
@@ -541,6 +546,7 @@ def speed_estimate(
     """
     window_len = 2 * horizon + 1
     sub = max(1, min(reps, (1 << 23) // window_len))
+    sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
     tallies = []
     rep0 = 0
     for w, (rng, n_w) in enumerate(zip(worker_streams(seed, workers), shard_sizes(reps, workers))):
@@ -548,19 +554,15 @@ def speed_estimate(
         finals = np.empty(n_w, dtype=np.float64)
         while done < n_w:
             b = min(sub, n_w - done)
-            omegas = np.empty((b, window_len))
+            # one flat array of b windows; path i starts at the centre of row i
+            # and cannot leave its row in ``horizon`` steps
+            omega = np.empty(b * window_len)
             for i in range(b):
                 env_seed = substream_seed(seed, 11, rep0 + done + i)
-                omegas[i] = omega_at_sites(
-                    law, env_seed, np.arange(-horizon, horizon + 1, dtype=np.int64)
-                )
-            pos = np.zeros(b, dtype=np.int64)
-            rows = np.arange(b)
-            for _ in range(horizon):
-                u = rng.random(b)
-                step_right = u < omegas[rows, pos + horizon]
-                pos += np.where(step_right, 1, -1)
-            finals[done : done + b] = pos / horizon
+                omega[i * window_len : (i + 1) * window_len] = omega_at_sites(law, env_seed, sites)
+            starts = np.arange(b, dtype=np.int64) * window_len + horizon
+            end, _, _ = _walk(omega, starts, None, horizon, rng)
+            finals[done : done + b] = (end - starts) / horizon
             done += b
         tallies.append(Tally.of(finals))
         rep0 += n_w

@@ -1,5 +1,7 @@
 """Pins for the shared numeric kernels: the truncated-series scan, the
-moment-root bisection, and the ladder first-exit walk.
+moment-root bisection, the ladder first-exit walk and phi loop, and the
+``mc`` lockstep walk behind ``simulate_until``, ``sample_first_return``,
+``conditioned_sampler`` and ``speed_estimate``.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -9,20 +11,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwre import (
+    EnvLaw,
     StepLaw,
+    conditioned_sampler,
+    first_return_window,
     gamma_root,
     kappa_root,
     overshoot_constant,
+    phi_estimate,
     r_tail,
+    sample_first_return,
+    sample_window,
+    simulate_until,
+    speed_estimate,
     step_from_env,
     sup_tail,
 )
 from rwre.env import omega_at_sites
 from rwre.ladder import WaldCheck
+from rwre.rng import worker_streams
 
-from laws import FIX_A, FIX_C, FIX_E, FIX_F
+from laws import CONST_7, FIX_A, FIX_C, FIX_E, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
@@ -69,3 +81,87 @@ def test_overshoot_wald_golden():
         (0.9999999999999999, 0.0),
         (1.0, 0.0),
     ]
+
+
+def stream(seed):
+    return worker_streams(seed, 1)[0]
+
+
+def test_simulate_until_golden():
+    w = sample_window(FIX_C, 3, -12, 12)
+    rng = stream(12)
+    assert [simulate_until(w, 0, {-6, 7}, 60, rng) for _ in range(12)] == [
+        (None, 60), (None, 60), (7, 23), (7, 31), (-6, 52), (-6, 54),
+        (-6, 12), (None, 60), (None, 60), (None, 60), (7, 59), (-6, 24),
+    ]
+
+
+def test_sample_first_return_golden():
+    win = first_return_window(CONST_7, 4, 1e-6)
+    rng = stream(13)
+    outs = [sample_first_return(win, cap, 1e-6, rng) for cap in (100, 30) * 8]
+    assert [(o.status[0], o.first_step, o.steps or o.cap) for o in outs] == [
+        ("r", -1, 8), ("r", -1, 6), ("r", -1, 2), ("r", 1, 10), ("e", 1, None), ("c", 1, 30),
+        ("e", 1, None), ("c", 1, 30), ("r", -1, 2), ("r", 1, 2), ("e", 1, None), ("r", 1, 2),
+        ("r", 1, 4), ("r", 1, 6), ("r", 1, 2), ("r", 1, 2),
+    ]
+    assert outs[4].certified_bound == 1.677810355594698e-12
+
+
+def test_conditioned_sampler_golden():
+    h = conditioned_sampler((FIX_C, 101), "h_transform", n=16, seed=5, workers=2)
+    r = conditioned_sampler((FIX_C, 101), "rejection", n=16, seed=5, workers=2)
+    assert h.tolist() == [1, 1, 1, 7, 3, 3, 7, 69, 1, 11, 1, 1, 1, 1, 9, 7]
+    assert r.tolist() == [1, 1, 77, 3, 11, 1, 449, 1, 1, 1, 1, 1, 1, 5, 1571, 13]
+
+
+def test_speed_estimate_golden():
+    est = speed_estimate(FIX_A, horizon=400, reps=7, seed=3, workers=2)
+    assert (est.value, est.std_error, est.n) == (0.38642857142857145, 0.015572957548350284, 7)
+
+
+def test_phi_estimate_golden():
+    lat = phi_estimate(step_from_env(FIX_F), 2.0, 2000, seed=6, workers=2)
+    flt = phi_estimate(GENERAL, 2.0, 2000, seed=6, workers=2)
+    assert (lat.value, lat.std_error, lat.n) == (8.687383758544922, 0.1264812029054743, 2000)
+    assert (flt.value, flt.std_error, flt.n) == (9.400229009996876, 0.13281044947521936, 2000)
+
+
+def _scalar_walk(env, start, targets, cap, rng):
+    """One path, one uniform per step: the reference for ``simulate_until``."""
+    pos = start
+    if pos in targets:
+        return pos, 0
+    for step in range(1, cap + 1):
+        pos += 1 if rng.random() < env.omega[pos - env.lo] else -1
+        if not env.lo <= pos <= env.hi:
+            raise RuntimeError("walked off the window")
+        if pos in targets:
+            return pos, step
+    return None, cap
+
+
+@st.composite
+def _walk_cases(draw):
+    lo = draw(st.integers(-8, 0))
+    hi = draw(st.integers(lo, lo + 12))
+    sites = st.integers(lo, hi)
+    law = draw(st.sampled_from([FIX_A, FIX_C, EnvLaw.constant(0.3), EnvLaw.constant(0.9)]))
+    env = sample_window(law, draw(st.integers(0, 50)), lo, hi)
+    targets = draw(st.sets(sites, max_size=3))
+    return env, draw(sites), targets, draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_walk_cases())
+def test_simulate_until_matches_scalar_loop(case):
+    env, start, targets, cap, seed = case
+    ref_rng, rng = stream(seed), stream(seed)
+    try:
+        expected = _scalar_walk(env, start, targets, cap, ref_rng)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            simulate_until(env, start, targets, cap, rng)
+        return
+    assert simulate_until(env, start, targets, cap, rng) == expected
+    assert rng.random() == ref_rng.random()  # one uniform per step, no more

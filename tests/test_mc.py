@@ -19,6 +19,7 @@ from rwre import (
     simulate_until,
     speed_estimate,
 )
+from rwre import mc
 from rwre.rng import worker_streams
 
 from laws import CONST_7, CONST_9, FIX_A, FIX_C
@@ -58,6 +59,12 @@ class TestSimulateUntil:
         w = sample_window(EnvLaw.constant(0.999), 0, -2, 3)
         with pytest.raises(RuntimeError):
             simulate_until(w, 0, {-2}, 10000, stream(4))
+
+    def test_walks_off_window_on_last_step_raises(self):
+        # the only step leaves the window (p = 0.999 at the right edge)
+        w = sample_window(EnvLaw.constant(0.999), 0, -2, 3)
+        with pytest.raises(RuntimeError):
+            simulate_until(w, 3, {-2}, 1, stream(4))
 
 
 class TestReturnOutcome:
@@ -142,6 +149,14 @@ class TestConditionedSampler:
         a = conditioned_sampler((FIX_C, 101), "h_transform", n=500, seed=5, workers=2)
         b = conditioned_sampler((FIX_C, 101), "h_transform", n=500, seed=5, workers=2)
         assert np.array_equal(a, b)
+
+    def test_h_transform_window_edge_raises(self, monkeypatch):
+        real = mc.conditioned_env
+        monkeypatch.setattr(
+            mc, "conditioned_env", lambda law, seed, hi, tol: real(law, seed, 2, tol=tol)
+        )
+        with pytest.raises(RuntimeError, match="reached the window edge; enlarge hi"):
+            conditioned_sampler((CONST_7, 3), "h_transform", n=200, seed=21)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

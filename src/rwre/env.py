@@ -85,6 +85,14 @@ class EnvLaw:
             return [(w, (1.0 - o) / o) for w, o in zip(self.weights, self.omegas)]
         raise ValueError("rho_support is only defined for finite-support laws")
 
+    def omega_levels(self) -> Optional[np.ndarray]:
+        """Sorted distinct omega values of a finite-support law; None for a continuous one."""
+        if self.kind == _KIND_CONSTANT:
+            return np.array([self.p])
+        if self.kind == _KIND_DISCRETE:
+            return np.unique(np.asarray(self.omegas, dtype=np.float64))
+        return None
+
     def mirror(self) -> "EnvLaw":
         """Law of 1 - omega_0; swaps the roles of rho and 1/rho."""
         if self.kind == _KIND_CONSTANT:

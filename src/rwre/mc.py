@@ -12,10 +12,16 @@ meaningful ones.
 
 Every walk steps in one lockstep kernel, ``_walk``: paths live on a flat
 site array and step k draws one uniform per live path, in path order.
-``simulate_until`` and ``sample_first_return`` are its n = 1 wrappers (a
-scalar draw and a length-1 draw give the same uniform), and
-``_first_return_batch``, ``conditioned_sampler`` and ``speed_estimate`` call
-it with many paths.
+Worker shards are stream shards: each worker's generator drives its own
+consecutive block of paths, and all blocks are walked in one lockstep, each
+shard drawing for its own live paths in order, so the result equals
+separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
+are its n = 1 wrappers (a scalar draw and a length-1 draw give the same
+uniform), and ``_first_return_batch``, ``conditioned_sampler`` and
+``speed_estimate`` call it with many paths.  ``speed_estimate`` stores
+finite-support windows as level codes (indices into the sorted distinct
+omegas, one byte a site for up to 256 of them) and walks every worker's
+replicates in one batch when they fit its byte budget.
 
 Escape certification: a right-transient walk at the right window edge M
 returns to the origin with exactly P^M(T_0 < inf) =
@@ -52,6 +58,8 @@ CENSORED = "censored"
 DEFAULT_ESCAPE_EPS = 1e-9
 _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
 _HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
+_SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
+_DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 
 
 @dataclass(frozen=True)
@@ -81,36 +89,61 @@ class ReturnOutcome:
 
 
 def _walk(
-    omega: np.ndarray,
+    sites: np.ndarray,
     starts,
     stop: Optional[np.ndarray],
     cap: int,
-    rng: np.random.Generator,
+    shards: Sequence[tuple[np.random.Generator, int]],
+    levels: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step independent paths on a flat site array until a stop site or ``cap``.
 
-    Positions are indices into ``omega``.  The live paths are kept in a
-    compact array in path order, and step k draws one uniform per live path
-    in that order; a lone path thus draws one uniform per step, exactly as a
-    scalar loop over ``rng.random()`` would.  Returns
-    (final index, steps taken, stopped); a path that starts on a stop site
-    takes 0 steps, one that runs out of steps reports ``cap``.  Stepping off
-    the array raises: sizing it is the caller's job.
+    Positions are indices into ``sites``, which holds omega, or level codes
+    into ``levels`` (omega at index i is ``levels[sites[i]]``).  ``shards``
+    pairs each generator with the number of paths it drives: shard w owns
+    the w-th consecutive block of ``starts``.  The live paths are kept in a
+    compact array in path order, and at step k each shard draws one uniform
+    per live path of its own, in that order; a k-shard walk is therefore
+    bit-identical to k separate walks, and a lone path draws one uniform per
+    step, exactly as a scalar loop over ``rng.random()`` would.  Without
+    stop sites every path stays live, so each shard draws its uniforms for
+    many steps as one (steps, paths) block, which is the same stream.
+    Returns (final index, steps taken, stopped); a path that starts on a
+    stop site takes 0 steps, one that runs out of steps reports ``cap``.
+    Stepping off the array raises: sizing it is the caller's job.
     """
     pos = np.array(starts, dtype=np.int64)
+    ends = np.cumsum([n for _, n in shards])
+    if ends[-1] != pos.size:
+        raise ValueError("shard sizes must add up to the number of paths")
+    rngs = [r for r, _ in shards]
     steps = np.full(pos.size, cap, dtype=np.int64)
-    size = omega.size
+    size = sites.size
     stopped = np.zeros(pos.size, dtype=bool) if stop is None else stop[pos]
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
+    counts = np.diff(np.searchsorted(idx, ends), prepend=0)  # live paths per shard
+    lone = rngs[0] if len(rngs) == 1 else None
+    depth = max(1, _DRAW_BLOCK // max(1, idx.size)) if stop is None else 1
     # Steps are +-1, so no path can leave the array before the edge distance
     # measured at the last range check is used up.
     slack = int(min(live.min() + 1, size - live.max())) if live.size else 0
     for step in range(1, cap + 1):
         if not idx.size:
             break
-        live += np.where(rng.random(idx.size) < omega[live], 1, -1)
+        if stop is None:
+            row = (step - 1) % depth
+            if not row:
+                rows = min(depth, cap - step + 1)
+                block = np.hstack([r.random((rows, k)) for r, k in zip(rngs, counts)])
+            u = block[row]
+        elif lone is not None:  # one shard, as in every caller with stop sites
+            u = lone.random(idx.size)
+        else:
+            u = np.concatenate([r.random(k) for r, k in zip(rngs, counts)])
+        omega = sites[live] if levels is None else levels[sites[live]]
+        live += np.where(u < omega, 1, -1)
         slack -= 1
         if slack <= 0:
             lo, hi = int(live.min()), int(live.max())
@@ -126,6 +159,8 @@ def _walk(
                 stopped[out] = True
                 keep = ~done
                 idx, live = idx[keep], live[keep]
+                if lone is None:
+                    counts = np.diff(np.searchsorted(idx, ends), prepend=0)
     pos[idx] = live
     return pos, steps, stopped
 
@@ -150,7 +185,7 @@ def simulate_until(
             raise IndexError("target outside window")
     stop = np.zeros(env.omega.size, dtype=bool)
     stop[[t - env.lo for t in targets]] = True
-    pos, steps, stopped = _walk(env.omega, [start - env.lo], stop, cap, stream)
+    pos, steps, stopped = _walk(env.omega, [start - env.lo], stop, cap, [(stream, 1)])
     if not stopped[0]:
         return None, cap
     return int(pos[0]) + env.lo, int(steps[0])
@@ -256,7 +291,7 @@ def _first_return_batch(
     origin, edge = -env.lo, env.hi - env.lo
     stop = np.zeros(env.omega.size, dtype=bool)
     stop[[origin, edge]] = True
-    end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, rng)
+    end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, [(rng, n)])
     status = np.full(n, 2, dtype=np.int8)
     status[end == origin] = 0
     status[end == edge] = 1
@@ -310,7 +345,9 @@ def conditioned_sampler(
         have = 0
         while have < quota:
             batch = quota - have if mode == "h_transform" else max(64, 2 * (quota - have))
-            end, steps, stopped = _walk(window.omega, np.ones(batch, dtype=np.int64), stop, cap, rng)
+            end, steps, stopped = _walk(
+                window.omega, np.ones(batch, dtype=np.int64), stop, cap, [(rng, batch)]
+            )
             if not stopped.all():
                 raise RuntimeError(f"worker {widx}: path cap {cap} exhausted")
             if mode == "h_transform":
@@ -529,6 +566,56 @@ def divergence_diagnostic(
     )
 
 
+def _site_dtype(levels: Optional[np.ndarray]) -> np.dtype:
+    """float64 for omega itself, else the smallest unsigned dtype indexing ``levels``."""
+    return np.dtype(np.float64) if levels is None else np.min_scalar_type(levels.size - 1)
+
+
+def _site_rows(
+    law: EnvLaw, levels: Optional[np.ndarray], seeds: Sequence[int], sites: np.ndarray
+) -> np.ndarray:
+    """The windows of ``sites`` for each env seed, back to back in one flat array.
+
+    With ``levels`` (``law.omega_levels()``) each site is stored as the
+    index of its omega in ``levels``, so ``levels[flat]`` is bitwise what
+    ``omega_at_sites`` returns; a single level is a deterministic
+    environment and draws no site uniforms.  Without, the array holds omega.
+    """
+    flat = np.zeros(len(seeds) * sites.size, dtype=_site_dtype(levels))
+    if levels is not None and levels.size == 1:
+        return flat
+    for i, env_seed in enumerate(seeds):
+        omega = omega_at_sites(law, env_seed, sites)
+        row = flat[i * sites.size : (i + 1) * sites.size]
+        if levels is None:
+            row[:] = omega
+        else:
+            # levels are sorted and distinct: the index of omega is the number
+            # of levels above the first that it reaches; these m - 1 passes
+            # beat a per-site binary search up to about 150 levels
+            for level in levels[1:]:
+                row += omega >= level
+    return flat
+
+
+def _batches(ends: np.ndarray, rows: int):
+    """Consecutive replicate ranges [start, end) of at most ``rows`` replicates.
+
+    ``ends`` are the shard boundaries.  A range that contains a boundary is
+    cut back to the last one, so a shard is split only when it alone holds
+    more than ``rows`` replicates, and then into chunks of ``rows`` from its
+    start.
+    """
+    start, total = 0, int(ends[-1])
+    while start < total:
+        end = min(start + rows, total)
+        inside = ends[(ends > start) & (ends <= end)]
+        if inside.size:
+            end = int(inside[-1])
+        yield start, end
+        start = end
+
+
 def speed_estimate(
     law: EnvLaw,
     horizon: int,
@@ -538,33 +625,40 @@ def speed_estimate(
 ) -> Estimate:
     """Averaged-law speed: mean of X_horizon / horizon over fresh environments.
 
-    Each replicate draws its own environment on [-horizon, horizon] (the
-    walk cannot leave it in ``horizon`` steps).  Replicates are sharded
-    across worker streams and processed in memory-bounded sub-batches whose
-    sizes depend only on the parameters, so results are bit-identical for a
-    given (seed, workers).
+    Replicate i draws its own environment on [-horizon, horizon] (the walk
+    cannot leave it in ``horizon`` steps).  Finite-support environments are
+    stored as level codes (one byte a site for up to 256 distinct omegas),
+    continuous ones as float64 omega.  Worker shards are stream shards:
+    worker w's generator drives the w-th consecutive block of replicates,
+    and all shards of a batch are walked in one lockstep.  A batch holds as
+    many windows as a fixed byte budget allows -- every replicate at the
+    usual sizes -- and splits a shard only when the shard alone exceeds it.
+    Batch sizes depend only on the parameters, so results are bit-identical
+    for a given (seed, workers).
     """
+    if horizon < 1:
+        raise ValueError(f"speed_estimate needs horizon >= 1, got {horizon}")
+    if reps < 1:
+        raise ValueError(f"speed_estimate needs reps >= 1, got {reps}")
     window_len = 2 * horizon + 1
-    sub = max(1, min(reps, (1 << 23) // window_len))
+    levels = law.omega_levels()
+    rows = max(1, _SITE_BUDGET // (window_len * _site_dtype(levels).itemsize))
     sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
-    tallies = []
-    rep0 = 0
-    for w, (rng, n_w) in enumerate(zip(worker_streams(seed, workers), shard_sizes(reps, workers))):
-        done = 0
-        finals = np.empty(n_w, dtype=np.float64)
-        while done < n_w:
-            b = min(sub, n_w - done)
-            # one flat array of b windows; path i starts at the centre of row i
-            # and cannot leave its row in ``horizon`` steps
-            omega = np.empty(b * window_len)
-            for i in range(b):
-                env_seed = substream_seed(seed, 11, rep0 + done + i)
-                omega[i * window_len : (i + 1) * window_len] = omega_at_sites(law, env_seed, sites)
-            starts = np.arange(b, dtype=np.int64) * window_len + horizon
-            end, _, _ = _walk(omega, starts, None, horizon, rng)
-            finals[done : done + b] = (end - starts) / horizon
-            done += b
-        tallies.append(Tally.of(finals))
-        rep0 += n_w
+    rngs = worker_streams(seed, workers)
+    sizes = shard_sizes(reps, workers)
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    finals = np.empty(reps)
+    for start, end in _batches(ends, rows):
+        seeds = [substream_seed(seed, 11, rep) for rep in range(start, end)]
+        # path i starts at the centre of row i and cannot leave its row
+        starts = np.arange(end - start, dtype=np.int64) * window_len + horizon
+        in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
+        shards = list(zip(rngs, in_batch.tolist()))
+        pos, _, _ = _walk(
+            _site_rows(law, levels, seeds, sites), starts, None, horizon, shards, levels
+        )
+        finals[start:end] = (pos - starts) / horizon
+    tallies = [Tally.of(finals[b0:b1]) for b0, b1 in zip(begins, ends)]
     n_tot, mean, se, _, _ = merge_mean(tallies)
     return Estimate(value=mean, std_error=se, n=n_tot, method="speed-mc", seed=seed)

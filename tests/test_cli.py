@@ -127,6 +127,20 @@ class TestLadderCommand:
         assert float(row["std_error"]) == 0.0
 
 
+class TestSimulateCommand:
+    @pytest.mark.parametrize("flag,value", [
+        ("--horizon", "0"), ("--horizon", "-3"), ("--reps", "0"),
+    ])
+    def test_speed_rejects_nonpositive_sizes(self, tmp_path, capsys, flag, value):
+        args = ["simulate", "--law", "constant:0.7", "--speed", "--horizon", "100",
+                "--reps", "5", "--seed", "1", "--out", str(tmp_path / "s")]
+        args[args.index(flag) + 1] = value
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{flag[2:]} >= 1" in err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestManifestAndDeterminism:
     def test_csv_bytes_reproduce(self, tmp_path):
         args = ["simulate", "--law", "discrete:0.5@0.8,0.5@0.6", "--speed",

@@ -1,7 +1,8 @@
 """Pins for the shared numeric kernels: the truncated-series scan, the
 moment-root bisection, the ladder first-exit walk and phi loop, and the
 ``mc`` lockstep walk behind ``simulate_until``, ``sample_first_return``,
-``conditioned_sampler`` and ``speed_estimate``.
+``conditioned_sampler`` and ``speed_estimate``, with its worker shards and
+compact level-coded sites.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -30,11 +31,14 @@ from rwre import (
     step_from_env,
     sup_tail,
 )
+from rwre import env, mc
 from rwre.env import omega_at_sites
+from rwre.estimate import Tally, merge_mean
 from rwre.ladder import WaldCheck
-from rwre.rng import worker_streams
+from rwre.mc import _site_rows, _walk
+from rwre.rng import shard_sizes, substream_seed, worker_streams
 
-from laws import CONST_7, FIX_A, FIX_C, FIX_E, FIX_F
+from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
@@ -165,3 +169,103 @@ def test_simulate_until_matches_scalar_loop(case):
         return
     assert simulate_until(env, start, targets, cap, rng) == expected
     assert rng.random() == ref_rng.random()  # one uniform per step, no more
+
+
+@st.composite
+def _shard_cases(draw):
+    size = draw(st.integers(1, 24))
+    law = draw(st.sampled_from([FIX_A, FIX_C, EnvLaw.constant(0.3), EnvLaw.constant(0.9)]))
+    omega = sample_window(law, draw(st.integers(0, 50)), 0, size - 1).omega
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    starts = draw(st.lists(st.integers(0, size - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    stop = draw(st.none() | st.lists(st.booleans(), min_size=size, max_size=size))
+    stop = None if stop is None else np.array(stop)
+    cap, seed, coded = draw(st.integers(0, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
+    return law, omega, sizes, starts, stop, cap, seed, coded
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shard_cases())
+def test_shard_lockstep_equals_separate_walks(case):
+    law, omega, sizes, starts, stop, cap, seed, coded = case
+    rngs, refs = worker_streams(seed, len(sizes)), worker_streams(seed, len(sizes))
+    sites, levels = omega, None
+    if coded:
+        levels = law.omega_levels()
+        sites = np.searchsorted(levels, omega).astype(np.uint8)
+    # the reference draws per step: an all-False stop mask stops no path
+    ref_stop = np.zeros(omega.size, dtype=bool) if stop is None else stop
+    offsets = np.cumsum([0] + sizes)
+    parts, ref_raised = [], False
+    for rng, a, b in zip(refs, offsets[:-1], offsets[1:]):
+        try:
+            parts.append(_walk(omega, starts[a:b], ref_stop, cap, [(rng, b - a)]))
+        except RuntimeError:
+            ref_raised = True
+    if ref_raised:
+        with pytest.raises(RuntimeError):
+            _walk(sites, starts, stop, cap, list(zip(rngs, sizes)), levels)
+        return
+    got = _walk(sites, starts, stop, cap, list(zip(rngs, sizes)), levels)
+    for g, ref in zip(got, zip(*parts)):
+        assert np.array_equal(g, np.concatenate(ref))
+    assert [r.random() for r in rngs] == [r.random() for r in refs]
+
+
+MANY_LEVELS = EnvLaw.discrete([(1 / 300, (i + 0.5) / 300) for i in range(300)])
+REPEATED = EnvLaw.discrete([(0.25, 0.6), (0.25, 0.8), (0.5, 0.6)])
+
+
+@pytest.mark.parametrize("law,dtype", [
+    (FIX_A, np.uint8), (FIX_C, np.uint8), (FIX_F, np.uint8), (CONST_7, np.uint8),
+    (REPEATED, np.uint8), (MANY_LEVELS, np.uint16), (FIX_D, np.float64),
+], ids=["FIX-A", "FIX-C", "FIX-F", "CONST-0.7", "repeated", "300-levels", "beta"])
+def test_site_rows_round_trip_bitwise(law, dtype):
+    seeds, sites = [3, 9, 2**63 + 5], np.arange(-700, 701, dtype=np.int64)
+    levels = law.omega_levels()
+    rows = _site_rows(law, levels, seeds, sites)
+    assert rows.dtype == dtype
+    omega = rows if levels is None else levels[rows]
+    expected = np.concatenate([omega_at_sites(law, s, sites) for s in seeds])
+    assert omega.tobytes() == expected.tobytes()
+
+
+def test_single_level_draws_no_site_uniforms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a constant environment needs no site uniforms")
+
+    monkeypatch.setattr(env, "site_uniforms", refuse)
+    rows = _site_rows(CONST_7, CONST_7.omega_levels(), [1, 2], np.arange(-5, 6))
+    assert rows.dtype == np.uint8 and not rows.any()
+
+
+def _speed_per_worker(law, horizon, reps, seed, workers, sub):
+    """Each worker walks its own replicates alone, ``sub`` float64 windows at
+    a time: the reference for how ``speed_estimate`` batches its shards."""
+    sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
+    tallies, rep0 = [], 0
+    for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(reps, workers)):
+        finals = []
+        for done in range(0, n_w, sub):
+            b = min(sub, n_w - done)
+            omega = np.stack([omega_at_sites(law, substream_seed(seed, 11, rep0 + done + i), sites)
+                              for i in range(b)])
+            pos = np.full(b, horizon)
+            for _ in range(horizon):
+                pos += np.where(rng.random(b) < omega[np.arange(b), pos], 1, -1)
+            finals.extend((pos - horizon) / horizon)
+        tallies.append(Tally.of(np.array(finals)))
+        rep0 += n_w
+    return merge_mean(tallies)[:3]
+
+
+@pytest.mark.parametrize("law", [FIX_A, FIX_D], ids=["FIX-A", "beta"])
+@pytest.mark.parametrize("rows", [4, 10, 17, 64])
+def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
+    # 23 replicates on 3 workers (8, 8, 7): a budget of 4 windows splits every
+    # shard, 10 walks them one at a time, 17 two together, 64 all at once
+    horizon, itemsize = 300, mc._site_dtype(law.omega_levels()).itemsize
+    monkeypatch.setattr(mc, "_SITE_BUDGET", rows * (2 * horizon + 1) * itemsize)
+    est = speed_estimate(law, horizon=horizon, reps=23, seed=4, workers=3)
+    sub = min(rows, 8)
+    assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 23, 4, 3, sub)

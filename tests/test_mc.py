@@ -1,6 +1,7 @@
 """Walk stepping, first returns, conditioned samplers, MC estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from rwre import (
 from rwre import mc
 from rwre.rng import worker_streams
 
-from laws import CONST_7, CONST_9, FIX_A, FIX_C
+from laws import CONST_7, CONST_9, FIX_A, FIX_C, FIX_D
 
 KS_CRIT_1PCT = 1.628  # Smirnov large-sample coefficient at alpha = 0.01
 
@@ -226,3 +227,31 @@ class TestSpeedEstimate:
         a = speed_estimate(CONST_7, horizon=2000, reps=10, seed=5, workers=2)
         b = speed_estimate(CONST_7, horizon=2000, reps=10, seed=5, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"horizon": 0, "reps": 10}, "horizon"),
+        ({"horizon": -3, "reps": 10}, "horizon"),
+        ({"horizon": 100, "reps": 0}, "reps"),
+    ])
+    def test_rejects_nonpositive_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"needs {name} >= 1"):
+            speed_estimate(CONST_7, seed=1, **kwargs)
+
+    def test_beta_budgeted_batches(self, monkeypatch):
+        # float64 windows; a budget of 7 windows splits each worker's 30
+        # replicates into five batches
+        horizon = 4000
+        monkeypatch.setattr(mc, "_SITE_BUDGET", 7 * (2 * horizon + 1) * 8)
+        est = speed_estimate(FIX_D, horizon=horizon, reps=60, seed=13, workers=2)
+        assert est.n == 60
+        assert abs(est.value - 1.0 / 3.0) <= 3.0 * est.std_error  # E[rho] = 1/2
+
+    def test_compact_sites_bound_memory(self):
+        # 100 windows of 40001 sites: 4 MB as one-byte level codes, 32 MB as float64
+        tracemalloc.start()
+        try:
+            speed_estimate(FIX_A, horizon=20000, reps=100, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

@@ -16,7 +16,8 @@ Every run writes ``<out>.csv`` (one row per data point) and
 ``<out>.manifest.json`` (full config echo, versions, wall time).  Floats
 are serialized with repr, so configs and CSVs round-trip bit-identically.
 Exit codes: 0 success, 1 parse/usage error, 2 when more than
-``--max-nonconverged`` series reported converged == False.
+``--max-nonconverged`` series reported converged == False or a series the
+command needs raised ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import scipy
 from . import __version__
 from .env import EnvLaw, classify_regime, sample_window
 from .exact import (
+    ConvergenceError,
     SeriesValue,
     conditioned_env,
     conditioned_return_expectation,
@@ -482,12 +484,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         args._t0 = t0
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

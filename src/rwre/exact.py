@@ -26,7 +26,8 @@ Pi values range over hundreds of orders of magnitude on long windows, so
 all internals run in log space (log-sum-exp for the R sums).  Truncated
 series are scanned by one routine, ``_scan_series``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
-remainder.
+remainder.  One anchored sweep per environment (``_sweep_log_r``) supplies
+omega_0, R_1 and the conditional-return series to the averaged estimators.
 """
 
 from __future__ import annotations
@@ -298,8 +299,9 @@ def _sweep_log_r(
     n: int,
     tol: float,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray, SeriesValue]:
-    """One shared rightward pass: omega on [0, n] and log R_x for x in [1, n+1].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One shared rightward pass: omega on [0, n], cum[k] = log Pi_{1,k} for
+    k in [0, n], and log R_x for x in [1, n+1].
 
     A single tail evaluation anchors R_{n+1}; every other R_x combines the
     realized partial sums with the anchored remainder, so the whole family
@@ -318,7 +320,7 @@ def _sweep_log_r(
     log_r = np.empty(n + 1)
     log_r[:n] = np.logaddexp(suffix - cum[:n], cum[n] - cum[:n] + log_anchor)
     log_r[n] = log_anchor  # R_{n+1}
-    return om, log_r, anchor
+    return om, cum, log_r
 
 
 def conditioned_env(
@@ -338,37 +340,21 @@ def conditioned_env(
     """
     if hi < 1:
         raise ValueError("conditioned_env needs hi >= 1")
-    om, log_r, _ = _sweep_log_r(law, seed, hi, tol, horizon)
+    om, _, log_r = _sweep_log_r(law, seed, hi, tol, horizon)
     tilt = np.exp(log_r[1:] - np.logaddexp(0.0, log_r[1:]))  # R_{x+1}/(1+R_{x+1}), x=1..hi
     omega_tilde = om.copy()
     omega_tilde[1:] = om[1:] * tilt
     return EnvWindow(lo=0, hi=hi, omega=omega_tilde, law=law, seed=seed)
 
 
-def conditioned_return_expectation(
-    law: EnvLaw,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-    horizon: int = DEFAULT_HORIZON,
-    run: int = QUIET_RUN,
-) -> SeriesValue:
-    """E^1[T_0 | T_0 < inf] evaluated by its exact series,
-
-        1 + 2 sum_{n>=1} Pi_{1,n} (1+R_{n+1}) R_{n+1} / ((1+R_1) R_1),
-
-    with all R values from one shared anchored sweep.  The equivalent
-    conditioned-environment product path (rho~_x = (1+R_x)/R_{x+1}, whose
-    partial products telescope to the same terms) is evaluated alongside as
-    an internal consistency check of the floating-point algebra.
-    """
+def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
+    """(E^1[T_0 | T_0 < inf] series, omega_0, R_1), all from the final sweep."""
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError("conditioned_return_expectation needs a right-transient law")
     n = 256
     while True:
-        om, log_r, _ = _sweep_log_r(law, seed, n, tol, horizon)
-        rho = (1.0 - om[1:]) / om[1:]
-        cum = np.concatenate(([0.0], np.cumsum(np.log(rho))))
+        om, cum, log_r = _sweep_log_r(law, seed, n, tol, horizon)
         log_w = log_r + np.logaddexp(0.0, log_r)  # log[(1+R_x) R_x], x = 1..n+1
         log_terms = cum[1:] + log_w[1:] - log_w[0]  # n = 1..n
         with np.errstate(over="ignore"):
@@ -392,7 +378,27 @@ def conditioned_return_expectation(
 
     r_geom = math.exp(drift / 2.0)
     bound = 2.0 * last * r_geom / (1.0 - r_geom) if math.isfinite(last) else math.inf
-    return SeriesValue(value=value, remainder_bound=bound, terms_used=used, converged=ok)
+    series = SeriesValue(value=value, remainder_bound=bound, terms_used=used, converged=ok)
+    return series, float(om[0]), float(np.exp(log_r[0]))
+
+
+def conditioned_return_expectation(
+    law: EnvLaw,
+    seed: int,
+    tol: float = DEFAULT_TOL,
+    horizon: int = DEFAULT_HORIZON,
+    run: int = QUIET_RUN,
+) -> SeriesValue:
+    """E^1[T_0 | T_0 < inf] evaluated by its exact series,
+
+        1 + 2 sum_{n>=1} Pi_{1,n} (1+R_{n+1}) R_{n+1} / ((1+R_1) R_1),
+
+    with all R values from one shared anchored sweep.  The equivalent
+    conditioned-environment product path (rho~_x = (1+R_x)/R_{x+1}, whose
+    partial products telescope to the same terms) is evaluated alongside as
+    an internal consistency check of the floating-point algebra.
+    """
+    return _conditional_return(law, seed, tol, horizon, run)[0]
 
 
 def return_decomposition(
@@ -405,17 +411,16 @@ def return_decomposition(
 
     Purely quenched arithmetic: the left branch is E^{-1}[T_0] (a rightward
     hitting-time series), the right branch combines R_1 with the
-    conditional return expectation.  Raises ConvergenceError if any series
-    fails to converge.
+    conditional return expectation; one anchored sweep gives omega_0, R_1
+    and that series, so p_right_return = R_1/(1+R_1) uses the R_1 that
+    normalises it.  Raises ConvergenceError if any series fails to converge.
     """
     left = expected_hit((law, seed), -1, "right", tol=tol, horizon=horizon)
-    r1 = r_tail(law, seed, 1, tol=tol, horizon=horizon)
-    cond = conditioned_return_expectation(law, seed, tol=tol, horizon=horizon)
-    for name, sv in (("left-hit", left), ("R_1", r1), ("conditional-return", cond)):
+    cond, omega0, r1 = _conditional_return(law, seed, tol, horizon)
+    for name, sv in (("left-hit", left), ("conditional-return", cond)):
         if not sv.converged:
             raise ConvergenceError(f"{name} series did not converge")
-    omega0 = float(omega_at_sites(law, seed, np.asarray([0]))[0])
-    p_right_return = r1.value / (1.0 + r1.value)
+    p_right_return = r1 / (1.0 + r1)
     p_return = (1.0 - omega0) + omega0 * p_right_return
     e_return_indicator = (
         1.0 + (1.0 - omega0) * left.value + omega0 * p_right_return * cond.value

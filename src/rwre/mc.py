@@ -44,8 +44,9 @@ from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites, sa
 from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
 from .exact import (
     ConvergenceError,
+    _conditional_return,
     conditioned_env,
-    conditioned_return_expectation,
+    hitting_prob,
     r_tail,
     return_decomposition,
 )
@@ -229,16 +230,11 @@ def _right_escape_edge(law: EnvLaw, seed: int, escape_eps: float) -> tuple[int, 
 def _left_guard_edge(law: EnvLaw, seed: int, eps: float) -> int:
     """Depth L with P^{-1}(T_{-L} < T_0) <= eps, by doubling."""
     depth = 32
-    while True:
-        om = omega_at_sites(law, seed, np.arange(-depth, 0, dtype=np.int64))
-        cum = np.cumsum(np.log((1.0 - om) / om))  # over sites -depth..-1
-        # P^{-1}(T_{-L} < T_0) with a=-depth, x=-1, b=0: suffix block of cum
-        p_left = float(np.exp(logsumexp(cum[-1:]) - logsumexp(cum)))
-        if p_left <= eps:
-            return depth
+    while hitting_prob(sample_window(law, seed, -depth, -1), -1, -depth, 0)[0] > eps:
         depth *= 2
         if depth > 2**22:
             raise RuntimeError("left guard certification did not reach epsilon")
+    return depth
 
 
 def sample_first_return(
@@ -423,6 +419,8 @@ def estimate_return_conditional(
 
     if mode != "averaged":
         raise ValueError("mode must be 'quenched' or 'averaged'")
+    if n_env < 1:
+        raise ValueError(f"averaged mode needs n_env >= 1, got {n_env}")
 
     sizes = shard_sizes(n_env, workers)
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
@@ -479,15 +477,15 @@ def divergence_diagnostic(
 ) -> DivergenceReport:
     """Probe whether the averaged conditional return time is diverging.
 
-    Per sampled environment the exact quenched conditional return
-    expectation y = E^1[T_0 | T_0 < inf] and the return probability
-    w = R_1/(1+R_1) are computed (walk-level sampling has infinite variance
-    exactly where this diagnostic matters); the running w-weighted mean of
-    y is reported at each schedule point.  The same environments supply R_1
-    samples for a Hill tail-index estimate (top 1%, no bias correction), the
-    empirical floor min_t t * P(R_1 >= t) over t in {10, 100, 1000}, and a
-    log-log regression index compared against the moment-equation root
-    kappa.  All outputs are diagnostic.
+    Per sampled environment one anchored sweep gives the exact quenched
+    conditional return expectation y = E^1[T_0 | T_0 < inf] and the R_1 that
+    normalises it, whence the return probability w = R_1/(1+R_1) (walk-level
+    sampling has infinite variance exactly where this diagnostic matters);
+    the running w-weighted mean of y is reported at each schedule point.  The
+    top 1% of y gives a Hill tail-index estimate (no bias correction); the
+    R_1 samples give the empirical floor min_t t * P(R_1 >= t) over t in
+    {10, 100, 1000} and a log-log regression index compared against the
+    moment-equation root kappa.  All outputs are diagnostic.
     """
     from .env import kappa_root  # local import to keep module load light
 
@@ -509,15 +507,14 @@ def divergence_diagnostic(
     for j in range(n_env):
         env_seed = substream_seed(seed, 7, j)
         try:
-            r1 = r_tail(law, env_seed, 1, tol=tol)
-            cond = conditioned_return_expectation(law, env_seed, tol=tol)
-            if not (r1.converged and cond.converged):
+            cond, _, r1 = _conditional_return(law, env_seed, tol)
+            if not cond.converged:
                 raise ConvergenceError("series budget exhausted")
         except ConvergenceError:
             failures += 1
             continue
-        r1s[kept] = r1.value
-        ws[kept] = r1.value / (1.0 + r1.value)
+        r1s[kept] = r1
+        ws[kept] = r1 / (1.0 + r1)
         ys[kept] = cond.value
         kept += 1
     if failures > _FAIL_FRACTION * n_env:

@@ -104,6 +104,15 @@ class TestExactCommand:
         manifest = read_manifest(out + ".manifest.json")
         assert manifest["nonconverged"] == 1
 
+    def test_convergence_error_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "rd")
+        code = main(
+            ["exact", "--law", "constant:0.7", "--return-decomposition", "--seed", "5",
+             "--tol", "0", "--out", out]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_hitting_prob(self, tmp_path):
         out = str(tmp_path / "hp")
         assert main(
@@ -139,6 +148,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{flag[2:]} >= 1" in err
         assert not (tmp_path / "s.csv").exists()
+
+
+class TestReturnConditionalCommand:
+    @pytest.mark.parametrize("n_env", ["0", "-5"])
+    def test_averaged_rejects_nonpositive_n_env(self, tmp_path, capsys, n_env):
+        code = main(
+            ["simulate", "--law", "constant:0.7", "--return-conditional", "--mode", "averaged",
+             "--n-env", n_env, "--seed", "1", "--out", str(tmp_path / "a")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_env >= 1" in err
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestManifestAndDeterminism:

@@ -264,6 +264,16 @@ class TestReturnDecomposition:
         with pytest.raises((ConvergenceError, ValueError)):
             return_decomposition(EnvLaw.constant(0.5), 0)
 
+    def test_p_right_return_matches_tight_r1(self):
+        # A quiet-run R_1 scan at tol=1e-8 can stop before FIX-C's series
+        # climbs back (misses up to 7.6e-7 on these seeds); the sweep's
+        # anchored R_1 must not.
+        for k in range(200):
+            seed = substream_seed(3, 7, k)
+            p = return_decomposition(FIX_C, seed, tol=1e-8).p_right_return
+            r1 = r_tail(FIX_C, seed, 1, tol=1e-14).value
+            assert abs(p - r1 / (1.0 + r1)) <= 1e-9, k
+
 
 class TestSpeedAndEt1:
     def test_constant(self):

@@ -1,8 +1,9 @@
 """Pins for the shared numeric kernels: the truncated-series scan, the
-moment-root bisection, the ladder first-exit walk and phi loop, and the
-``mc`` lockstep walk behind ``simulate_until``, ``sample_first_return``,
-``conditioned_sampler`` and ``speed_estimate``, with its worker shards and
-compact level-coded sites.
+moment-root bisection, the anchored sweep behind ``conditioned_env`` and
+``conditioned_return_expectation``, the first-return window edges, the
+ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
+``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
+``speed_estimate``, with its worker shards and compact level-coded sites.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from rwre import (
     EnvLaw,
+    SeriesValue,
     StepLaw,
+    conditioned_env,
+    conditioned_return_expectation,
     conditioned_sampler,
     first_return_window,
     gamma_root,
@@ -129,6 +133,48 @@ def test_phi_estimate_golden():
     flt = phi_estimate(GENERAL, 2.0, 2000, seed=6, workers=2)
     assert (lat.value, lat.std_error, lat.n) == (8.687383758544922, 0.1264812029054743, 2000)
     assert (flt.value, flt.std_error, flt.n) == (9.400229009996876, 0.13281044947521936, 2000)
+
+
+@pytest.mark.parametrize("law,seed,tol,expected", [
+    (FIX_A, 0, 1e-10, SeriesValue(1.6221330723389742, 1.0691743568907673e-24, 62, True)),
+    (FIX_A, 7, 1e-10, SeriesValue(2.624082674339286, 7.5884317442216e-24, 60, True)),
+    (FIX_C, 0, 1e-10, SeriesValue(469.853314013797, 5.119599736870144e-10, 112, True)),
+    (FIX_C, 7, 1e-10, SeriesValue(27.659273277718455, 4.3771110211239247e-16, 104, True)),
+    (FIX_C, 15, 1e-14, SeriesValue(12.428247659131234, 2.114996298634565e-18, 263, True)),
+    (FIX_F, 0, 1e-10, SeriesValue(83.83886660637086, 1.40688087307519e-13, 90, True)),
+    (FIX_F, 7, 1e-10, SeriesValue(36.07053904676931, 3.7332159068304234e-14, 79, True)),
+    (FIX_D, 0, 1e-10, SeriesValue(5.1604310092249115, 1.294194652513965e-23, 51, True)),
+    (FIX_D, 7, 1e-10, SeriesValue(1.839252591005693, 7.348901060923102e-26, 48, True)),
+])
+def test_conditioned_return_expectation_golden(law, seed, tol, expected):
+    # FIX-C seed 15 at tol 1e-14 needs 263 terms, so the sweep doubles past 256.
+    assert conditioned_return_expectation(law, seed, tol=tol) == expected
+
+
+@pytest.mark.parametrize("law,expected", [
+    (FIX_A, [0.6, 0.1793429287732827, 0.3308908200573739, 0.4095131232236078,
+             0.39386215558975013]),
+    (FIX_C, [0.3333333333333333, 0.3289745048708287, 0.7466875636272972,
+             0.7061491778397351, 0.33257838003636186]),
+    (FIX_F, [0.3333333333333333, 0.3189261184707052, 0.7909651709106089,
+             0.7183358809300506, 0.33244645000671885]),
+    (FIX_D, [0.879600890957365, 0.3374899979675087, 0.2470151874039963,
+             0.2369373816344271, 0.1971279529017564]),
+], ids=["FIX-A", "FIX-C", "FIX-F", "FIX-D"])
+def test_conditioned_env_golden(law, expected):
+    env = conditioned_env(law, 3, 64)
+    assert [float(env.omega[x]) for x in (0, 1, 2, 17, 64)] == expected
+
+
+@pytest.mark.parametrize("law,seed,lo,hi", [
+    (FIX_A, 0, -32, 32), (FIX_A, 5, -32, 33),
+    (FIX_C, 0, -128, 95), (FIX_C, 4, -256, 62), (FIX_C, 6, -256, 135),
+    (FIX_F, 3, -32, 44), (FIX_F, 4, -128, 47), (FIX_F, 5, -64, 183),
+])
+def test_first_return_window_golden(law, seed, lo, hi):
+    # The left guard doubles past its 32-site start for FIX-C and FIX-F.
+    win = first_return_window(law, seed)
+    assert (win.lo, win.hi) == (lo, hi)
 
 
 def _scalar_walk(env, start, targets, cap, rng):

@@ -27,7 +27,7 @@ all internals run in log space (log-sum-exp for the R sums).  Truncated
 series are scanned by one routine, ``_scan_series``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
 remainder.  One anchored sweep per environment (``_sweep_log_r``) supplies
-omega_0, R_1 and the conditional-return series to the averaged estimators.
+omega_0, R_1, the conditional-return series and first-return escape bounds.
 """
 
 from __future__ import annotations
@@ -299,9 +299,9 @@ def _sweep_log_r(
     n: int,
     tol: float,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """One shared rightward pass: omega on [0, n], cum[k] = log Pi_{1,k} for
-    k in [0, n], and log R_x for x in [1, n+1].
+    k in [0, n], log R_x for x in [1, n+1], and whether the anchor converged.
 
     A single tail evaluation anchors R_{n+1}; every other R_x combines the
     realized partial sums with the anchored remainder, so the whole family
@@ -310,8 +310,6 @@ def _sweep_log_r(
         R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1}.
     """
     anchor = r_tail(law, seed, n + 1, tol=tol, horizon=horizon)
-    if not anchor.converged:
-        raise ConvergenceError(f"anchor tail sum at site {n + 1} did not converge")
     om = omega_at_sites(law, seed, np.arange(0, n + 1, dtype=np.int64))
     rho = (1.0 - om[1:]) / om[1:]
     cum = np.concatenate(([0.0], np.cumsum(np.log(rho))))  # cum[k] = log Pi_{1,k}
@@ -320,7 +318,27 @@ def _sweep_log_r(
     log_r = np.empty(n + 1)
     log_r[:n] = np.logaddexp(suffix - cum[:n], cum[n] - cum[:n] + log_anchor)
     log_r[n] = log_anchor  # R_{n+1}
-    return om, cum, log_r
+    return om, cum, log_r, anchor.converged
+
+
+def _log_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
+    """log P^M(T_0 < inf) = log[Pi_{1,M-1} R_M / (1 + R_1)] (rho_0 cancels) at
+    entry M-1 for M = 1..n+1, from one sweep anchored at n+1.  Exact up to the
+    anchor's truncation, which errs optimistic (a truncated tail underestimates
+    R_M, and P^M increases in R_M) and, the quiet-run stop being heuristic, can
+    exceed tol: 4.8e-9 relative at tol 1e-10 on a weakly transient fixture."""
+    _, cum, log_r, anchored = _sweep_log_r(law, seed, n, tol, DEFAULT_HORIZON)
+    if not anchored:
+        raise ConvergenceError(f"anchor tail sum at site {n + 1} did not converge")
+    return cum + log_r - np.logaddexp(0.0, log_r[0])
+
+
+def _log_guard_bounds(law, seed, depth):
+    """log P^{-1}(T_{-L} < T_0) = -log(1 + sum_{i=-L+1..-1} Pi_{i,-1}^{-1}) at
+    entry L-1 for L = 1..depth, by one prefix log-sum-exp leftward from -1."""
+    om = omega_at_sites(law, seed, np.arange(-1, -depth, -1, dtype=np.int64))
+    inv = -np.cumsum(np.log((1.0 - om) / om))  # inv[k] = log Pi_{-k-1,-1}^{-1}
+    return -np.logaddexp.accumulate(np.concatenate(([0.0], inv)))
 
 
 def conditioned_env(
@@ -340,7 +358,9 @@ def conditioned_env(
     """
     if hi < 1:
         raise ValueError("conditioned_env needs hi >= 1")
-    om, _, log_r = _sweep_log_r(law, seed, hi, tol, horizon)
+    om, _, log_r, anchored = _sweep_log_r(law, seed, hi, tol, horizon)
+    if not anchored:
+        raise ConvergenceError(f"anchor tail sum at site {hi + 1} did not converge")
     tilt = np.exp(log_r[1:] - np.logaddexp(0.0, log_r[1:]))  # R_{x+1}/(1+R_{x+1}), x=1..hi
     omega_tilde = om.copy()
     omega_tilde[1:] = om[1:] * tilt
@@ -354,15 +374,16 @@ def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
         raise ValueError("conditioned_return_expectation needs a right-transient law")
     n = 256
     while True:
-        om, cum, log_r = _sweep_log_r(law, seed, n, tol, horizon)
+        om, cum, log_r, anchored = _sweep_log_r(law, seed, n, tol, horizon)
         log_w = log_r + np.logaddexp(0.0, log_r)  # log[(1+R_x) R_x], x = 1..n+1
         log_terms = cum[1:] + log_w[1:] - log_w[0]  # n = 1..n
         with np.errstate(over="ignore"):
             terms = np.exp(log_terms)
         total, last, used, ok = _scan_series(iter([terms]), tol, run, horizon)
-        if ok or n >= horizon:
+        if ok or not anchored or n >= horizon:
             break
         n *= 2
+    ok = ok and anchored  # an unconverged anchor taints every R_x of the sweep
     value = 1.0 + 2.0 * total
 
     if ok:

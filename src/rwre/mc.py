@@ -24,10 +24,11 @@ omegas, one byte a site for up to 256 of them) and walks every worker's
 replicates in one batch when they fit its byte budget.
 
 Escape certification: a right-transient walk at the right window edge M
-returns to the origin with exactly P^M(T_0 < inf) =
-Pi_{0,M-1} R_M / (R_{0,M-1} + Pi_{0,M-1} R_M); windows are grown until
-that bound is below the requested epsilon, and the bound travels with the
-outcome instead of being silently dropped.
+returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1).
+One anchored sweep gives it for every M, and one leftward prefix sum gives
+the guard's P^{-1}(T_{-L} < T_0) for every depth L; windows take the least
+M >= 32 and depth 32 * 2^k below the requested epsilon, and the escape
+bound travels with the outcome instead of being silently dropped.
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites, sample_window
 from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
 from .exact import (
     ConvergenceError,
     _conditional_return,
+    _log_escape_bounds,
+    _log_guard_bounds,
     conditioned_env,
-    hitting_prob,
-    r_tail,
     return_decomposition,
 )
 from .rng import shard_sizes, substream_seed, worker_streams
@@ -192,49 +192,26 @@ def simulate_until(
     return int(pos[0]) + env.lo, int(steps[0])
 
 
-@functools.lru_cache(maxsize=4096)
+# Every sample_first_return call reads its window's certificate; the cache
+# keeps a 0.1-0.2 ms sweep out of each attempt (a hit costs about 0.5 us).
+@functools.lru_cache(maxsize=256)
 def _escape_bound(law: EnvLaw, seed: int, m: int) -> float:
-    """Exact quenched P^m(T_0 < inf) for a right-transient environment."""
-    om = omega_at_sites(law, seed, np.arange(0, m, dtype=np.int64))
-    cum = np.cumsum(np.log((1.0 - om) / om))  # cum[k] = log Pi_{0,k}
-    tail = r_tail(law, seed, m)
-    if not tail.converged:
-        raise ConvergenceError(f"tail sum at {m} did not converge")
-    log_num = cum[-1] + math.log(tail.value)
-    log_den = np.logaddexp(logsumexp(cum), log_num)
-    return float(np.exp(log_num - log_den))
+    """Quenched P^m(T_0 < inf), m >= 1, from the sweep anchored at m."""
+    return float(np.exp(_log_escape_bounds(law, seed, m - 1)[-1]))
 
 
-def _right_escape_edge(law: EnvLaw, seed: int, escape_eps: float) -> tuple[int, float]:
-    """Near-minimal M with P^M(T_0 < inf) <= escape_eps.
-
-    Doubles until certified, then bisects back: crossing a sub-ballistic
-    stretch is expensive, so the edge should not overshoot.
-    """
-    m = 32
-    while _escape_bound(law, seed, m) > escape_eps:
-        m *= 2
-        if m > 2**22:
-            raise RuntimeError("escape level certification did not reach epsilon")
-    lo = m // 2  # bound(lo) > eps (or lo is the floor)
-    hi = m
-    while hi - lo > 1 and lo >= 32:
-        mid = (lo + hi) // 2
-        if _escape_bound(law, seed, mid) <= escape_eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi, _escape_bound(law, seed, hi)
-
-
-def _left_guard_edge(law: EnvLaw, seed: int, eps: float) -> int:
-    """Depth L with P^{-1}(T_{-L} < T_0) <= eps, by doubling."""
-    depth = 32
-    while hitting_prob(sample_window(law, seed, -depth, -1), -1, -depth, 0)[0] > eps:
-        depth *= 2
-        if depth > 2**22:
-            raise RuntimeError("left guard certification did not reach epsilon")
-    return depth
+def _least_certified(log_bounds, law: EnvLaw, seed: int, eps: float) -> int:
+    """Least k >= 32 with bound(k) <= eps, where entry k-1 of
+    ``log_bounds(law, seed, n)`` is log bound(k), non-increasing in k; n
+    doubles until some k is certified.  An edge should not overshoot:
+    crossing a sub-ballistic stretch is expensive."""
+    n = 256
+    while n <= 2**22:
+        hits = np.flatnonzero(np.exp(log_bounds(law, seed, n)[31:]) <= eps)
+        if hits.size:
+            return int(hits[0]) + 32
+        n *= 2
+    raise RuntimeError("window edge certification did not reach epsilon")
 
 
 def sample_first_return(
@@ -245,13 +222,13 @@ def sample_first_return(
 ) -> ReturnOutcome:
     """One first-return attempt from the origin on a certified window.
 
-    The window's right edge M must already satisfy P^M(T_0 < inf) <=
-    escape_eps (checked exactly); reaching M is then reported as an escape
-    carrying that bound.  Step exhaustion is censored, never silently
-    retried.
+    The window must reach left of the origin, and its right edge M >= 1
+    must already satisfy P^M(T_0 < inf) <= escape_eps (checked on the sweep
+    anchored at M); reaching M is then reported as an escape carrying that
+    bound.  Step exhaustion is censored, never silently retried.
     """
-    if not env.lo < 0 <= env.hi:
-        raise ValueError("window must contain the origin and a negative guard region")
+    if not env.lo < 0 < env.hi:
+        raise ValueError("window must have a negative guard region and a positive escape edge")
     bound = _escape_bound(env.law, env.seed, env.hi)
     if bound > escape_eps:
         raise ValueError(
@@ -270,8 +247,9 @@ def first_return_window(
     law: EnvLaw, seed: int, escape_eps: float = DEFAULT_ESCAPE_EPS
 ) -> EnvWindow:
     """Realize a window sized for first-return sampling from the origin."""
-    m, _ = _right_escape_edge(law, seed, escape_eps)
-    depth = _left_guard_edge(law, seed, escape_eps)
+    m = _least_certified(_log_escape_bounds, law, seed, escape_eps)
+    least = _least_certified(_log_guard_bounds, law, seed, escape_eps)
+    depth = 32 << ((least - 1) // 32).bit_length()  # the least 32 * 2^k >= least
     return sample_window(law, seed, -depth, m)
 
 
@@ -325,7 +303,7 @@ def conditioned_sampler(
         hi = max(64, int((math.log(max(n, 2)) + 21.0) / -drift) + 32)
         window = conditioned_env(law, env_seed, hi, tol=tol)
     elif mode == "rejection":
-        m, _ = _right_escape_edge(law, env_seed, escape_eps)
+        m = _least_certified(_log_escape_bounds, law, env_seed, escape_eps)
         window = sample_window(law, env_seed, 0, m)
     else:
         raise ValueError("mode must be 'h_transform' or 'rejection'")

@@ -228,6 +228,15 @@ class TestConditionedReturnExpectation:
         with pytest.raises(ValueError):
             conditioned_return_expectation(EnvLaw.constant(0.5), 0)
 
+    def test_short_horizon_reports_nonconverged(self):
+        # 40 terms reach neither the series' stopping rule nor the anchor
+        # tail at site 257: budget exhaustion is reported, not raised.
+        sv = conditioned_return_expectation(FIX_C, 0, horizon=40)
+        assert not sv.converged
+        assert sv.terms_used == 40
+        with pytest.raises(ConvergenceError):
+            return_decomposition(FIX_C, 0, horizon=40)
+
 
 class TestReturnDecomposition:
     def test_constant_07(self):

@@ -7,6 +7,9 @@ ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
+The escape and guard bounds that size first-return windows are also pinned
+against the banded-LU ``absorption_oracle``, an independent solver, and the
+window edges are checked to be the least certified ones.
 """
 
 import math
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from rwre import (
     EnvLaw,
     SeriesValue,
+    absorption_oracle,
     StepLaw,
     conditioned_env,
     conditioned_return_expectation,
@@ -38,6 +42,7 @@ from rwre import (
 from rwre import env, mc
 from rwre.env import omega_at_sites
 from rwre.estimate import Tally, merge_mean
+from rwre.exact import _log_escape_bounds, _log_guard_bounds
 from rwre.ladder import WaldCheck
 from rwre.mc import _site_rows, _walk
 from rwre.rng import shard_sizes, substream_seed, worker_streams
@@ -175,6 +180,51 @@ def test_first_return_window_golden(law, seed, lo, hi):
     # The left guard doubles past its 32-site start for FIX-C and FIX-F.
     win = first_return_window(law, seed)
     assert (win.lo, win.hi) == (lo, hi)
+
+
+FIXTURES = pytest.mark.parametrize(
+    "law", [FIX_A, FIX_C, FIX_D, FIX_F], ids=["FIX-A", "FIX-C", "FIX-D", "FIX-F"]
+)
+
+
+def _escape_oracle(law, seed, m, far=800):
+    """P^m(T_0 < T_far): P^m(T_0 < inf) up to about P^far(T_0 < inf)."""
+    return absorption_oracle(sample_window(law, seed, 0, far), 0, far, m)[0]
+
+
+def _guard_oracle(law, seed, depth):
+    return absorption_oracle(sample_window(law, seed, -depth, 0), -depth, 0, -1)[0]
+
+
+@FIXTURES
+@pytest.mark.parametrize("seed", range(5))
+def test_escape_and_guard_bounds_match_oracle(law, seed):
+    # A tight anchor isolates the sweep's algebra from the tail truncation.
+    escape = np.exp(_log_escape_bounds(law, seed, 300, tol=1e-14))  # entry M-1
+    for m in (1, 2, 17, 32, 60, 150, 300):
+        ref = _escape_oracle(law, seed, m)
+        assert escape[m - 1] == pytest.approx(ref, rel=1e-9, abs=0.0)
+        # At the default tol the truncated anchor underestimates R_m, so the
+        # certificate can only err low (FIX-C seed 1, m = 300: by 4.8e-9).
+        assert mc._escape_bound(law, seed, m) <= ref * (1.0 + 1e-12)
+    guard = np.exp(_log_guard_bounds(law, seed, 300))  # entry L-1
+    for depth in (2, 5, 32, 64, 200, 300):
+        ref = _guard_oracle(law, seed, depth)
+        assert guard[depth - 1] == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@FIXTURES
+@pytest.mark.parametrize("seed", range(5))
+def test_window_edges_are_least_certified(law, seed):
+    for eps in (1e-6, 1e-9, 1e-12):
+        win = first_return_window(law, seed, eps)
+        m, depth = win.hi, -win.lo
+        assert mc._escape_bound(law, seed, m) <= eps
+        assert _escape_oracle(law, seed, m, m + 800) <= eps
+        assert m == 32 or _escape_oracle(law, seed, m - 1, m + 800) > eps
+        assert depth >= 32 and depth & (depth - 1) == 0
+        assert _guard_oracle(law, seed, depth) <= eps
+        assert depth == 32 or _guard_oracle(law, seed, depth // 2) > eps
 
 
 def _scalar_walk(env, start, targets, cap, rng):

@@ -114,9 +114,10 @@ class TestSampleFirstReturn:
         assert escaped.certified_bound <= 1e-12
 
     def test_window_too_small(self):
-        win = sample_window(CONST_7, 5, -20, 8)
-        with pytest.raises(ValueError):
-            sample_first_return(win, 100, 1e-12, stream(8))
+        # hi = 0 has no positive escape edge: P^0(T_0 < inf) = 1 certifies nothing.
+        for lo, hi in ((-20, 8), (-64, 0)):
+            with pytest.raises(ValueError):
+                sample_first_return(sample_window(CONST_7, 5, lo, hi), 100, 1e-12, stream(8))
 
 
 class TestConditionedSampler:

@@ -13,7 +13,8 @@ Step-law grammar for the ladder commands:
     logrho:discrete:...        log odds-ratio law of an environment law
 
 Every run writes ``<out>.csv`` (one row per data point) and
-``<out>.manifest.json`` (full config echo, versions, wall time).  Floats
+``<out>.manifest.json`` (full config echo, versions, wall time, estimator
+side information such as dropped-environment counts under ``extras``).  Floats
 are serialized with repr, so configs and CSVs round-trip bit-identically.
 Exit codes: 0 success, 1 parse/usage error, 2 when more than
 ``--max-nonconverged`` series reported converged == False or a series the
@@ -311,7 +312,7 @@ def cmd_simulate(args) -> int:
         rows.add_estimate("return_conditional", est, param=f"mode={args.mode}")
     else:
         raise CliError("simulate: choose --speed or --return-conditional")
-    return _finish(args, rows, law=format_law(law), seed=seed, workers=workers)
+    return _finish(args, rows, extras=est.extras, law=format_law(law), seed=seed, workers=workers)
 
 
 def cmd_conditioned(args) -> int:
@@ -377,10 +378,11 @@ def cmd_diverge(args) -> int:
     rows.add("lemma_min", value=report.lemma_min, n=report.n_env, method="empirical")
     rows.add("regression_index", value=report.regression_index, method="loglog-fit")
     rows.add("kappa", value=report.kappa, method="moment-root")
-    return _finish(args, rows, law=format_law(law), seed=seed, schedule=schedule)
+    extras = {"env_failures": report.env_failures}
+    return _finish(args, rows, extras=extras, law=format_law(law), seed=seed, schedule=schedule)
 
 
-def _finish(args, rows: _Rows, **config) -> int:
+def _finish(args, rows: _Rows, extras=None, **config) -> int:
     manifest = {
         "command": args.command,
         "config": {**_public_args(args), **config},
@@ -392,6 +394,7 @@ def _finish(args, rows: _Rows, **config) -> int:
         },
         "wall_time_s": time.perf_counter() - args._t0,
         "nonconverged": rows.nonconverged,
+        "extras": dict(extras or {}),
     }
     _write_outputs(args.out, rows, manifest)
     if rows.nonconverged > args.max_nonconverged:

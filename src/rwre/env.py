@@ -153,8 +153,9 @@ class RegimeReport:
     rho_log_rho_finite: Optional[bool]
 
 
-def omega_at_sites(law: EnvLaw, seed: int, sites) -> np.ndarray:
-    """Sample omega at arbitrary integer sites via the keyed site RNG."""
+def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
+    """Sample omega at arbitrary integer sites via the keyed site RNG; a
+    column of seeds gives one row per seed (see ``site_uniforms``)."""
     u = site_uniforms(seed, sites)
     if law.kind == _KIND_CONSTANT:
         return np.full_like(u, law.p)

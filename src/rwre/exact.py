@@ -24,17 +24,20 @@ for x >= 1, under which the conditional return-time expectation becomes
 
 Pi values range over hundreds of orders of magnitude on long windows, so
 all internals run in log space (log-sum-exp for the R sums).  Truncated
-series are scanned by one routine, ``_scan_series``, whose sums are exactly
+series are scanned by one routine, ``_scan_rows``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
-remainder.  One anchored sweep per environment (``_sweep_log_r``) supplies
+remainder.  One anchored sweep per environment (``_sweep_rows``) supplies
 omega_0, R_1, the conditional-return series and first-return escape bounds.
+Both run row-wise over a block of environment seeds (the keyed site
+generator draws a block at once): the averaged estimators pass blocks of
+environments, and scalar entry points are one-row calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -48,11 +51,13 @@ from .env import (
     moment_rho,
     omega_at_sites,
 )
+from .rng import MASK64
 
 DEFAULT_TOL = 1e-10
 DEFAULT_HORIZON = 1_000_000
 QUIET_RUN = 32  # consecutive sub-threshold terms required before stopping
 _CHUNK = 512
+_PEEK = 128  # leading terms of a chunk tried first; most series stop within them
 
 EnvSource = Union[EnvWindow, tuple[EnvLaw, int]]
 
@@ -65,11 +70,11 @@ class ConvergenceError(RuntimeError):
 class SeriesValue:
     """Truncated value of a non-negative series.
 
-    When ``converged`` the true series lies in
-    [value, value + remainder_bound]; the remainder bound is a heuristic
-    geometric extrapolation from the last term (decay rate exp(E[log rho]/2)),
-    not a certified constant.  ``converged`` is False only when the term or
-    window budget ran out before the stopping rule was met.
+    When ``converged`` the true series lies in [value, value + remainder_bound]
+    only heuristically: the bound extrapolates the last term geometrically
+    (rate exp(E[log rho]/2)), and on weakly transient laws the quiet-run stop
+    can end far short of it (see ``r_tail``).  ``converged`` is False only
+    when the term or window budget ran out before the stopping rule was met.
     """
 
     value: float
@@ -118,81 +123,98 @@ def _source(env_or_law: EnvSource) -> tuple[EnvLaw, int, Optional[EnvWindow]]:
     return law, seed, None
 
 
-def _scan_series(
-    chunks: Iterator[np.ndarray],
-    tol: float,
-    run: int,
-    horizon: int,
-) -> tuple[float, float, int, bool]:
-    """Accumulate positive terms until ``run`` consecutive terms fall below
-    tol * (running sum), or the horizon/chunk supply is exhausted.
+def _scan_rows(chunk, rows: int, tol: float, run: int, horizon: int):
+    """Quiet-run scan of ``rows`` positive series at once, one row each.
 
-    The returned sum is exactly rounded: one ``math.fsum`` over every term
-    used.  The running sum of the stopping rule merges each finished chunk
-    into the previous total with ``math.fsum``.
-
-    Returns (sum, last_term, terms_used, converged).
+    ``chunk(live, used, width)`` gives the next chunk of the rows ``live``
+    after ``used`` terms, as a 2-D block (its first ``width`` columns; all for
+    None), or None once the supply is exhausted.  A row stops once ``run``
+    consecutive terms fall below tol * (its running sum), or at the horizon
+    or supply's end; only running rows are extended, and the first chunk is
+    tried on its leading ``_PEEK`` terms before it is read whole.  A row's sum
+    is one ``math.fsum`` over its terms; its running sum merges chunks by fsum.
+    Returns per-row arrays (sum, last_term, terms_used, converged).
     """
-    kept: list[np.ndarray] = []
-    total = 0.0
-    used = 0
-    run_carry = 0
-    last = math.nan
-    for terms in chunks:
-        if used + len(terms) > horizon:
-            terms = terms[: horizon - used]
-            if len(terms) == 0:
-                break
-        cs = total + np.cumsum(terms)
-        quiet = terms < tol * cs
-        pos = np.arange(len(terms))
-        last_noisy = np.maximum.accumulate(np.where(~quiet, pos, -1))
-        runlen = np.where(last_noisy < 0, pos + 1 + run_carry, pos - last_noisy)
-        hits = np.nonzero(runlen >= run)[0]
-        if hits.size:
-            stop = int(hits[0])
-            kept.append(terms[: stop + 1])
-            return _fsum(kept), float(terms[stop]), used + stop + 1, True
-        kept.append(terms)
-        total = math.fsum([total, *terms.tolist()])
-        used += len(terms)
-        run_carry = int(runlen[-1])
-        last = float(terms[-1])
-        if used >= horizon:
+    last = np.full(rows, math.nan)
+    used = np.zeros(rows, dtype=np.int64)
+    ok = np.zeros(rows, dtype=bool)
+    total = np.zeros(rows)
+    carry = np.zeros(rows, dtype=np.int64)
+    kept: list[list[np.ndarray]] = [[] for _ in range(rows)]
+    live = np.arange(rows)
+    done = 0
+
+    def settle(terms):
+        """End the rows stopping in ``terms``; return the others' terms and runs."""
+        nonlocal live
+        cs = total[live, None] + np.cumsum(terms, axis=1)
+        pos = np.arange(terms.shape[1])
+        last_noisy = np.maximum.accumulate(np.where(terms < tol * cs, -1, pos), axis=1)
+        runlen = np.where(last_noisy < 0, pos + 1 + carry[live, None], pos - last_noisy)
+        hit = runlen >= run
+        stopped = hit.any(axis=1)
+        idx = np.flatnonzero(stopped)
+        first = hit[idx].argmax(axis=1)
+        ended = live[idx]
+        last[ended], used[ended], ok[ended] = terms[idx, first], done + first + 1, True
+        for i, r, s in zip(idx.tolist(), ended.tolist(), first.tolist()):
+            kept[r].append(terms[i, : s + 1])
+        live = live[~stopped]
+        return terms[~stopped], runlen[~stopped, -1]
+
+    while live.size and done < horizon:
+        terms = chunk(live, done, _PEEK if done == 0 else None)
+        if done == 0 and terms is not None and terms.shape[1] == _PEEK < horizon:
+            settle(terms)
+            terms = chunk(live, done, None) if live.size else None
+        if terms is None:
             break
-    return _fsum(kept), last, used, False
+        terms, runlen = settle(terms[:, : horizon - done])
+        for i, r in enumerate(live.tolist()):
+            kept[r].append(terms[i])
+            total[r] = math.fsum([total[r], *terms[i].tolist()])
+        last[live], carry[live] = terms[:, -1], runlen
+        done += terms.shape[1]
+        used[live] = done
+    sums = np.array([math.fsum(np.concatenate(p).tolist()) if p else 0.0 for p in kept])
+    return sums, last, used, ok
 
 
-def _fsum(chunks: list[np.ndarray]) -> float:
-    return math.fsum(np.concatenate(chunks).tolist()) if chunks else 0.0
+def _seed_rows(seeds) -> np.ndarray:
+    """Environment seeds as a uint64 array, one row of sites per seed."""
+    return np.array([s & MASK64 for s in seeds], dtype=np.uint64)
 
 
-def _log_pi_chunks(law, seed, start, window, step, sign):
-    """Chunks of terms exp(sign * log Pi) over the sites start, start+step, ...
+def _log_pi_rows(law, seeds, start, window, step, sign):
+    """``_scan_rows`` source of exp(sign * log Pi) over start, start+step, ...
 
     (step, sign) = (+1, +1) gives Pi_{start,k} for sum_{k>=start},
     (+1, -1) their inverses Pi_{start,k}^{-1}, and (-1, +1) the terms
-    Pi_{i,start} of sum_{i<=start}.  A window ends the supply at its edge in
-    the walking direction; without one the keyed site generator extends the
-    environment as far as the consumer reads.
+    Pi_{i,start} of sum_{i<=start}.  Each seed's row carries its log product
+    across ``_CHUNK``-site chunks.  A window (one row) ends the supply at its
+    edge; otherwise the keyed site generator extends each row as it is read.
     """
-    lp = 0.0
-    k = start
-    while True:
-        stop = k + step * (_CHUNK - 1)
+    lp = np.zeros(len(seeds))
+
+    def chunk(live, used, width):
+        k = start + step * used
+        stop = k + step * ((width or _CHUNK) - 1)
         if window is not None:
             if (k > window.hi) if step > 0 else (k < window.lo):
-                return
+                return None
             stop = min(stop, window.hi) if step > 0 else max(stop, window.lo)
-            rho = window.rho_slice(min(k, stop), max(k, stop))[::step]
+            rho = window.rho_slice(min(k, stop), max(k, stop))[None, ::step]
         else:
-            om = omega_at_sites(law, seed, np.arange(k, stop + step, step, dtype=np.int64))
+            sites = np.arange(k, stop + step, step, dtype=np.int64)
+            om = omega_at_sites(law, seeds[live, None], sites)
             rho = (1.0 - om) / om
-        lt = lp + sign * np.cumsum(np.log(rho))
-        lp = float(lt[-1])
+        lt = lp[live, None] + sign * np.cumsum(np.log(rho), axis=1)
+        if width is None:
+            lp[live] = lt[:, -1]
         with np.errstate(over="ignore"):
-            yield np.exp(lt)
-        k = stop + step
+            return np.exp(lt)
+
+    return chunk
 
 
 def cascade(env: EnvWindow, i: int, j: int) -> tuple[float, float]:
@@ -218,14 +240,15 @@ def r_tail(
 
     Stops once ``run`` consecutive terms fall below tol * (running sum);
     the remainder bound extrapolates the last term geometrically at rate
-    exp(E[log rho]/2) and is heuristic.
+    exp(E[log rho]/2) and is heuristic.  On weakly transient laws a quiet run
+    can precede a climb: for omega uniform on {3/4, 1/3}, seed 1, i = 301, tol
+    1e-10 stops 5.2e-9 relative short, about 300 times ``remainder_bound``.
     """
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError(f"r_tail needs a right-transient law, E[log rho] = {drift}")
-    total, last, used, ok = _scan_series(
-        _log_pi_chunks(law, seed, i, None, 1, 1.0), tol, run, horizon
-    )
+    chunks = _log_pi_rows(law, _seed_rows([seed]), i, None, 1, 1.0)
+    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, run, horizon))
     r_geom = math.exp(drift / 2.0)
     bound = last * r_geom / (1.0 - r_geom) if math.isfinite(last) else math.inf
     return SeriesValue(value=total, remainder_bound=bound, terms_used=used, converged=ok)
@@ -280,11 +303,9 @@ def expected_hit(
         divergent = not drift < 0.0 if direction == "right" else not drift > 0.0
         if divergent:
             return SeriesValue(value=math.inf, remainder_bound=0.0, terms_used=0, converged=False)
-    if direction == "right":
-        it = _log_pi_chunks(law, seed, x, window, -1, 1.0)
-    else:
-        it = _log_pi_chunks(law, seed, x, window, 1, -1.0)
-    total, last, used, ok = _scan_series(it, tol, run, horizon)
+    step, sign = (-1, 1.0) if direction == "right" else (1, -1.0)
+    chunks = _log_pi_rows(law, _seed_rows([seed]), x, window, step, sign)
+    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, run, horizon))
     r_geom = math.exp(-abs(drift) / 2.0)
     if math.isfinite(last) and r_geom < 1.0:
         bound = 2.0 * last * r_geom / (1.0 - r_geom)
@@ -293,32 +314,34 @@ def expected_hit(
     return SeriesValue(value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=used, converged=ok)
 
 
-def _sweep_log_r(
-    law: EnvLaw,
-    seed: int,
-    n: int,
-    tol: float,
-    horizon: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One shared rightward pass: omega on [0, n], cum[k] = log Pi_{1,k} for
-    k in [0, n], log R_x for x in [1, n+1], and whether the anchor converged.
+def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int):
+    """One shared rightward pass per environment seed, as row-wise 2-D arrays:
+    omega on [0, n], cum[k] = log Pi_{1,k} for k in [0, n], log R_x for x in
+    [1, n+1], and whether each row's anchor converged.
 
-    A single tail evaluation anchors R_{n+1}; every other R_x combines the
-    realized partial sums with the anchored remainder, so the whole family
-    is internally consistent:
+    A single tail evaluation per row anchors R_{n+1}; every other R_x combines
+    the realized partial sums with the anchored remainder, so each row's
+    family is internally consistent:
 
         R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1}.
     """
-    anchor = r_tail(law, seed, n + 1, tol=tol, horizon=horizon)
-    om = omega_at_sites(law, seed, np.arange(0, n + 1, dtype=np.int64))
-    rho = (1.0 - om[1:]) / om[1:]
-    cum = np.concatenate(([0.0], np.cumsum(np.log(rho))))  # cum[k] = log Pi_{1,k}
-    suffix = np.logaddexp.accumulate(cum[1:][::-1])[::-1]  # suffix[j] = lse cum[j+1..n]
-    log_anchor = math.log(anchor.value)
-    log_r = np.empty(n + 1)
-    log_r[:n] = np.logaddexp(suffix - cum[:n], cum[n] - cum[:n] + log_anchor)
-    log_r[n] = log_anchor  # R_{n+1}
-    return om, cum, log_r, anchor.converged
+    chunks = _log_pi_rows(law, seeds, n + 1, None, 1, 1.0)
+    anchor, _, _, anchored = _scan_rows(chunks, len(seeds), tol, QUIET_RUN, horizon)
+    om = omega_at_sites(law, seeds[:, None], np.arange(0, n + 1, dtype=np.int64))
+    rho = (1.0 - om[:, 1:]) / om[:, 1:]
+    cum = np.zeros((len(seeds), n + 1))
+    cum[:, 1:] = np.cumsum(np.log(rho), axis=1)  # cum[:, k] = log Pi_{1,k}
+    suffix = np.logaddexp.accumulate(cum[:, :0:-1], axis=1)[:, ::-1]  # lse cum[j+1..n]
+    log_anchor = np.array([math.log(v) for v in anchor.tolist()])[:, None]
+    log_r = np.empty((len(seeds), n + 1))
+    log_r[:, :n] = np.logaddexp(suffix - cum[:, :n], cum[:, n:] - cum[:, :n] + log_anchor)
+    log_r[:, n:] = log_anchor  # R_{n+1}
+    return om, cum, log_r, anchored
+
+
+def _sweep_log_r(law, seed, n, tol, horizon):
+    """``_sweep_rows`` for one environment: (omega, cum, log_r, anchored)."""
+    return tuple(a[0] for a in _sweep_rows(law, _seed_rows([seed]), n, tol, horizon))
 
 
 def _log_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
@@ -367,40 +390,62 @@ def conditioned_env(
     return EnvWindow(lo=0, hi=hi, omega=omega_tilde, law=law, seed=seed)
 
 
-def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
-    """(E^1[T_0 | T_0 < inf] series, omega_0, R_1), all from the final sweep."""
+def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
+    """Per seed, (E^1[T_0 | T_0 < inf] series, omega_0, R_1) from its final
+    sweep, or the ConvergenceError of its consistency check.  Rows not
+    converged in an n-site sweep (anchor converged, n < horizon) redo 2n."""
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError("conditioned_return_expectation needs a right-transient law")
-    n = 256
-    while True:
-        om, cum, log_r, anchored = _sweep_log_r(law, seed, n, tol, horizon)
-        log_w = log_r + np.logaddexp(0.0, log_r)  # log[(1+R_x) R_x], x = 1..n+1
-        log_terms = cum[1:] + log_w[1:] - log_w[0]  # n = 1..n
-        with np.errstate(over="ignore"):
-            terms = np.exp(log_terms)
-        total, last, used, ok = _scan_series(iter([terms]), tol, run, horizon)
-        if ok or not anchored or n >= horizon:
-            break
-        n *= 2
-    ok = ok and anchored  # an unconverged anchor taints every R_x of the sweep
-    value = 1.0 + 2.0 * total
-
-    if ok:
-        # Consistency check: same partial sum through the conditioned
-        # environment's inverse products.
-        m = used
-        log_rho_tilde = np.logaddexp(0.0, log_r[:m]) - log_r[1 : m + 1]
-        alt = math.fsum(np.exp(-np.cumsum(log_rho_tilde)).tolist())
-        if not math.isclose(alt, total, rel_tol=1e-6, abs_tol=1e-300):
-            raise ConvergenceError(
-                f"h-transform consistency check failed: {alt} vs {total}"
-            )
-
     r_geom = math.exp(drift / 2.0)
-    bound = 2.0 * last * r_geom / (1.0 - r_geom) if math.isfinite(last) else math.inf
-    series = SeriesValue(value=value, remainder_bound=bound, terms_used=used, converged=ok)
-    return series, float(om[0]), float(np.exp(log_r[0]))
+    seeds = _seed_rows(seeds)
+    out: list = [None] * len(seeds)
+    todo = np.arange(len(seeds))
+    n = 256
+    while todo.size:
+        om, cum, log_r, anchored = _sweep_rows(law, seeds[todo], n, tol, horizon)
+        log_1r = np.logaddexp(0.0, log_r)  # log(1+R_x), x = 1..n+1
+        log_w = log_r + log_1r  # log[(1+R_x) R_x]
+        with np.errstate(over="ignore"):
+            terms = np.exp(cum[:, 1:] + log_w[:, 1:] - log_w[:, :1])  # n = 1..n
+        sums, last, used, ok = _scan_rows(
+            lambda live, k, width: None if k else terms[live, :width], len(todo), tol, run, horizon
+        )
+        final = ok | ~anchored | (n >= horizon)
+        ok &= anchored  # an unconverged anchor taints every R_x of the sweep
+        # Consistency check: the same partial sums through the conditioned
+        # environment's inverse products.
+        with np.errstate(over="ignore"):
+            alt = np.exp(-np.cumsum(log_1r[:, :n] - log_r[:, 1:], axis=1))
+        r1 = np.exp(log_r[:, 0])
+        for i in np.flatnonzero(final).tolist():
+            total, tail, m = float(sums[i]), float(last[i]), int(used[i])
+            if ok[i]:
+                check = math.fsum(alt[i, :m].tolist())
+                if not math.isclose(check, total, rel_tol=1e-6, abs_tol=1e-300):
+                    out[todo[i]] = ConvergenceError(
+                        f"h-transform consistency check failed: {check} vs {total}"
+                    )
+                    continue
+            bound = 2.0 * tail * r_geom / (1.0 - r_geom) if math.isfinite(tail) else math.inf
+            series = SeriesValue(
+                value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=m, converged=bool(ok[i])
+            )
+            out[todo[i]] = (series, float(om[i, 0]), float(r1[i]))
+        todo = todo[~final]
+        n *= 2
+    return out
+
+
+def _one_row(out):
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
+
+
+def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
+    """(E^1[T_0 | T_0 < inf] series, omega_0, R_1), all from the final sweep."""
+    return _one_row(_conditional_rows(law, [seed], tol, horizon, run)[0])
 
 
 def conditioned_return_expectation(
@@ -422,6 +467,40 @@ def conditioned_return_expectation(
     return _conditional_return(law, seed, tol, horizon, run)[0]
 
 
+def _decompositions(law, seeds, tol, horizon=DEFAULT_HORIZON):
+    """Per environment seed, its ReturnDecomposition or the ConvergenceError
+    that stopped it; the left-hit series E^{-1}[T_0] of every seed is one
+    leftward ``_scan_rows`` block."""
+    conds = _conditional_rows(law, seeds, tol, horizon)
+    chunks = _log_pi_rows(law, _seed_rows(seeds), -1, None, -1, 1.0)
+    left, _, _, left_ok = _scan_rows(chunks, len(conds), tol, QUIET_RUN, horizon)
+    out = []
+    for cond, left_sum, left_converged in zip(conds, left.tolist(), left_ok.tolist()):
+        if isinstance(cond, ConvergenceError):
+            out.append(cond)
+            continue
+        cond, omega0, r1 = cond
+        if not (left_converged and cond.converged):
+            name = "conditional-return" if left_converged else "left-hit"
+            out.append(ConvergenceError(f"{name} series did not converge"))
+            continue
+        e_left_hit = 1.0 + 2.0 * left_sum
+        p_right_return = r1 / (1.0 + r1)
+        p_return = (1.0 - omega0) + omega0 * p_right_return
+        e_return_indicator = (
+            1.0 + (1.0 - omega0) * e_left_hit + omega0 * p_right_return * cond.value
+        )
+        out.append(ReturnDecomposition(
+            p_return=p_return,
+            e_return_indicator=e_return_indicator,
+            e_left_hit=e_left_hit,
+            p_right_return=p_right_return,
+            e_cond_right=cond.value,
+            e_return_given_return=e_return_indicator / p_return,
+        ))
+    return out
+
+
 def return_decomposition(
     law: EnvLaw,
     seed: int,
@@ -436,24 +515,7 @@ def return_decomposition(
     and that series, so p_right_return = R_1/(1+R_1) uses the R_1 that
     normalises it.  Raises ConvergenceError if any series fails to converge.
     """
-    left = expected_hit((law, seed), -1, "right", tol=tol, horizon=horizon)
-    cond, omega0, r1 = _conditional_return(law, seed, tol, horizon)
-    for name, sv in (("left-hit", left), ("conditional-return", cond)):
-        if not sv.converged:
-            raise ConvergenceError(f"{name} series did not converge")
-    p_right_return = r1 / (1.0 + r1)
-    p_return = (1.0 - omega0) + omega0 * p_right_return
-    e_return_indicator = (
-        1.0 + (1.0 - omega0) * left.value + omega0 * p_right_return * cond.value
-    )
-    return ReturnDecomposition(
-        p_return=p_return,
-        e_return_indicator=e_return_indicator,
-        e_left_hit=left.value,
-        p_right_return=p_right_return,
-        e_cond_right=cond.value,
-        e_return_given_return=e_return_indicator / p_return,
-    )
+    return _one_row(_decompositions(law, [seed], tol, horizon)[0])
 
 
 def speed_and_et1(law: EnvLaw) -> tuple[float, float]:

@@ -44,7 +44,8 @@ from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites, sa
 from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
 from .exact import (
     ConvergenceError,
-    _conditional_return,
+    _conditional_rows,
+    _decompositions,
     _log_escape_bounds,
     _log_guard_bounds,
     conditioned_env,
@@ -60,6 +61,8 @@ DEFAULT_ESCAPE_EPS = 1e-9
 _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
 _HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
 _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
+_ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of environments
+_ENV_ROW_BYTES = 25 << 10  # measured peak bytes of one environment's row in that work
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 
 
@@ -358,7 +361,10 @@ def estimate_return_conditional(
     P(r<inf), combined as a ratio of means with a delta-method standard
     error (numerator and denominator share environments).  When the law
     sits in the weakly transient regime (E[rho] >= 1) the finite-sample
-    value is still produced but flagged ``theory_infinite``.
+    value is still produced but flagged ``theory_infinite``.  Each worker
+    shard runs its environments in ``_ENV_BUDGET`` blocks through the row-wise
+    ``exact._decompositions``; a failed environment is dropped alone
+    (``extras["env_failures"]``).
     """
     flags: tuple[str, ...] = ()
     if moment_rho(law, 1.0) >= 1.0 - 1e-12:
@@ -406,15 +412,13 @@ def estimate_return_conditional(
     failures = 0
     for w in range(workers):
         xs, ys = [], []
-        for j in range(offsets[w], offsets[w + 1]):
-            env_seed = substream_seed(seed, 1, j)
-            try:
-                rd = return_decomposition(law, env_seed, tol=tol)
-            except ConvergenceError:
-                failures += 1
-                continue
-            xs.append(rd.p_return)
-            ys.append(rd.e_return_indicator)
+        for block in _env_blocks(offsets[w], offsets[w + 1]):
+            for rd in _decompositions(law, [substream_seed(seed, 1, j) for j in block], tol):
+                if isinstance(rd, ConvergenceError):
+                    failures += 1
+                    continue
+                xs.append(rd.p_return)
+                ys.append(rd.e_return_indicator)
         tallies.append(PairTally.of(np.asarray(xs), np.asarray(ys)))
     if failures > _FAIL_FRACTION * n_env:
         raise ConvergenceError(f"{failures}/{n_env} environments failed to converge")
@@ -428,6 +432,12 @@ def estimate_return_conditional(
         flags=flags,
         extras={"env_failures": float(failures)},
     )
+
+
+def _env_blocks(lo: int, hi: int):
+    """Environment indices lo..hi-1 in consecutive blocks sized by ``_ENV_BUDGET``."""
+    rows = max(1, _ENV_BUDGET // _ENV_ROW_BYTES)
+    return (range(k, min(k + rows, hi)) for k in range(lo, hi, rows))
 
 
 @dataclass(frozen=True)
@@ -463,7 +473,9 @@ def divergence_diagnostic(
     top 1% of y gives a Hill tail-index estimate (no bias correction); the
     R_1 samples give the empirical floor min_t t * P(R_1 >= t) over t in
     {10, 100, 1000} and a log-log regression index compared against the
-    moment-equation root kappa.  All outputs are diagnostic.
+    moment-equation root kappa.  All outputs are diagnostic.  Environments
+    run in ``_ENV_BUDGET`` blocks through the row-wise
+    ``exact._conditional_rows``; a failed one is dropped alone (``env_failures``).
     """
     from .env import kappa_root  # local import to keep module load light
 
@@ -482,19 +494,16 @@ def divergence_diagnostic(
     r1s = np.empty(n_env)
     failures = 0
     kept = 0
-    for j in range(n_env):
-        env_seed = substream_seed(seed, 7, j)
-        try:
-            cond, _, r1 = _conditional_return(law, env_seed, tol)
-            if not cond.converged:
-                raise ConvergenceError("series budget exhausted")
-        except ConvergenceError:
-            failures += 1
-            continue
-        r1s[kept] = r1
-        ws[kept] = r1 / (1.0 + r1)
-        ys[kept] = cond.value
-        kept += 1
+    for block in _env_blocks(0, n_env):
+        for out in _conditional_rows(law, [substream_seed(seed, 7, j) for j in block], tol):
+            if isinstance(out, ConvergenceError) or not out[0].converged:
+                failures += 1
+                continue
+            cond, _, r1 = out
+            r1s[kept] = r1
+            ws[kept] = r1 / (1.0 + r1)
+            ys[kept] = cond.value
+            kept += 1
     if failures > _FAIL_FRACTION * n_env:
         raise ConvergenceError(f"{failures}/{n_env} environments failed to converge")
     ys, ws, r1s = ys[:kept], ws[:kept], r1s[:kept]

@@ -18,8 +18,8 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX1, _MIX2 = np.uint64(_M1), np.uint64(_M2)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
@@ -33,20 +33,24 @@ def _avalanche(z: np.ndarray) -> np.ndarray:
 
 
 def mix64(value: int) -> int:
-    """SplitMix64 finalizer of a single 64-bit integer."""
-    with np.errstate(over="ignore"):
-        return int(_avalanche(np.uint64(value & MASK64)))
+    """SplitMix64 finalizer of one integer, in Python ints masked to 64 bits."""
+    z = value & MASK64
+    z = ((z ^ (z >> 30)) * _M1) & MASK64
+    z = ((z ^ (z >> 27)) * _M2) & MASK64
+    return z ^ (z >> 31)
 
 
-def site_uniforms(seed: int, sites) -> np.ndarray:
+def site_uniforms(seed, sites) -> np.ndarray:
     """Uniform(0,1) variates keyed by (seed, site), vectorized over sites.
 
+    ``seed`` is one integer, or a column of seeds (shape (E, 1)) giving one
+    row of variates per seed, each row bit-identical to its own call.
     Values are strictly inside (0,1) (offset-by-half mantissa mapping), so
     they are safe inputs for inverse CDFs with unbounded tails.
     """
     xs = np.asarray(sites, dtype=np.int64)
     with np.errstate(over="ignore"):
-        key = _avalanche(np.uint64(seed & MASK64))
+        key = _avalanche(np.asarray(seed & MASK64, dtype=np.uint64))
         state = key + xs.astype(np.uint64) * _GOLDEN
         bits = _avalanche(state)
     return ((bits >> _S11).astype(np.float64) + 0.5) * 2.0**-53

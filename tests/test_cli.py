@@ -163,6 +163,13 @@ class TestReturnConditionalCommand:
         assert not (tmp_path / "a.csv").exists()
 
 
+    def test_averaged_extras_in_manifest(self, tmp_path):
+        out = str(tmp_path / "a")
+        assert main(["simulate", "--law", "discrete:0.5@0.8,0.5@0.6", "--return-conditional",
+                     "--mode", "averaged", "--n-env", "30", "--seed", "1", "--out", out]) == 0
+        assert read_manifest(out + ".manifest.json")["extras"] == {"env_failures": 0.0}
+
+
 class TestManifestAndDeterminism:
     def test_csv_bytes_reproduce(self, tmp_path):
         args = ["simulate", "--law", "discrete:0.5@0.8,0.5@0.6", "--speed",
@@ -222,6 +229,12 @@ class TestDivergeCommand:
         assert main(["diverge", "--law", format_law(FIX_C), "--schedule", "0,100",
                      "--seed", "1", "--out", out]) == 1
         assert "positive schedule points" in capsys.readouterr().err
+
+    def test_env_failures_in_manifest(self, tmp_path):
+        out = str(tmp_path / "dv")
+        assert main(["diverge", "--law", format_law(FIX_C), "--schedule", "20,60",
+                     "--seed", "4", "--out", out]) == 0
+        assert read_manifest(out + ".manifest.json")["extras"] == {"env_failures": 0}
 
     def test_running_standard_errors_written(self, tmp_path):
         out = str(tmp_path / "dv")

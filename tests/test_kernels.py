@@ -7,11 +7,15 @@ ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
+Likewise the digests of per-environment series outcomes were recorded
+while those series still ran one environment at a time, before they ran in
+blocks of environments, and blocks of any size must give the same numbers.
 The escape and guard bounds that size first-return windows are also pinned
 against the banded-LU ``absorption_oracle``, an independent solver, and the
 window edges are checked to be the least certified ones.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +30,8 @@ from rwre import (
     conditioned_env,
     conditioned_return_expectation,
     conditioned_sampler,
+    divergence_diagnostic,
+    estimate_return_conditional,
     first_return_window,
     gamma_root,
     kappa_root,
@@ -42,10 +48,16 @@ from rwre import (
 from rwre import env, mc
 from rwre.env import omega_at_sites
 from rwre.estimate import Tally, merge_mean
-from rwre.exact import _log_escape_bounds, _log_guard_bounds
+from rwre.exact import (
+    ConvergenceError,
+    _conditional_return,
+    _log_escape_bounds,
+    _log_guard_bounds,
+    return_decomposition,
+)
 from rwre.ladder import WaldCheck
 from rwre.mc import _site_rows, _walk
-from rwre.rng import shard_sizes, substream_seed, worker_streams
+from rwre.rng import MASK64, _avalanche, mix64, shard_sizes, substream_seed, worker_streams
 
 from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
@@ -169,6 +181,59 @@ def test_conditioned_return_expectation_golden(law, seed, tol, expected):
 def test_conditioned_env_golden(law, expected):
     env = conditioned_env(law, 3, 64)
     assert [float(env.omega[x]) for x in (0, 1, 2, 17, 64)] == expected
+
+
+def _outcome_digest(fn, law, **kw):
+    """SHA-256 of the reprs of fn(law, substream_seed(3, 7, j), **kw) for j < 400."""
+    lines = []
+    for j in range(400):
+        try:
+            lines.append(repr(fn(law, substream_seed(3, 7, j), **kw)))
+        except ConvergenceError as exc:
+            lines.append(f"ConvergenceError({exc})")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("law,kw,cond,decomp", [
+    (FIX_A, {"tol": 1e-8},
+     "172e7b770302ab4822888425aba67813682ad6c912669027eb66df9c18ffff20",
+     "23acf1f8bcead11bcf423f94cc79330d9d6abb9caf75840624ee216ead9b18a2"),
+    (FIX_A, {"tol": 1e-10},
+     "03966cf07e6e029c314af1e979931ac307c54be515fafd12f3f6556f794327df",
+     "320bfa14b1459d003113dbf20190373056d82f39763a4c88c2649088ca703d0a"),
+    (FIX_C, {"tol": 1e-8},
+     "a855862584a814ac5c12d1182e33a9c0cc9ac8ec23df5d0bbd40eb9217e92df8",
+     "08e919b0e36d3b62fb8465ef6fc1f8a3316007a7c078d70b155134a10aebe032"),
+    (FIX_C, {"tol": 1e-10},
+     "ca205564dcfea36d2b9ed047373b8c541705a53b0511812c45ac9c2cef05cee1",
+     "8f98b467505b5bc446a09ceffbd2693fcf4228a70b0c03d7e2540de14bb9f8ea"),
+    (FIX_C, {"tol": 1e-14},
+     "a6d8df8161ef1d0d7d1d4deef103653d74cd0fba9fa9faecaa4521000843f8f5",
+     "ac90cd686402f8b95d6efd6551130501ab6aa072fad8bf54d5b8c66e7b942951"),
+    (FIX_C, {"tol": 1e-8, "horizon": 40},
+     "32cbe27d0f34ef8899818b5061e04bbd8ffbed49c43525f95c8cf9fe3349bd38",
+     "40d561d67a69eb34cfac896997c8a360734d4ce42553e70a31166dd20e6df7c8"),
+    (FIX_D, {"tol": 1e-8},
+     "e3bd56debb72e66cbba8a2bbf3984c49fac9bb721672dd4b4a4dba37899a71ca", None),
+    (FIX_D, {"tol": 1e-10},
+     "c6424139b7840298242b8c755bbbbf95561224dd02acc94537806330f95c100d", None),
+    (FIX_F, {"tol": 1e-8},
+     "adc20388385fe75cd6d90d35612f802b684d8ff42df10c0a4ff54c82f05eb196",
+     "abc451b79fb939e0f0d205cbbf96111f6e58b89456a39b21a87eb3c20d952464"),
+    (FIX_F, {"tol": 1e-10},
+     "0e767eb18599d93015977923d33b178ba820c7da319c4f15d72aacff3b575d1a",
+     "c109758a2910461547f88ffbbe50949e9e87284cb2d7d83069c1c982058ca3ad"),
+], ids=["FIX-A-1e-8", "FIX-A-1e-10", "FIX-C-1e-8", "FIX-C-1e-10", "FIX-C-1e-14",
+        "FIX-C-horizon-40", "FIX-D-1e-8", "FIX-D-1e-10", "FIX-F-1e-8", "FIX-F-1e-10"])
+def test_per_environment_series_digests(law, kw, cond, decomp):
+    # Digests of 400 environments' outcomes, recorded before the per-environment
+    # series were evaluated in blocks of environments.  Tol 1e-14 on FIX-C has
+    # rows whose sweep doubles past 256 sites; horizon 40 leaves every row
+    # unconverged (return_decomposition raises for each).  FIX-D's
+    # decomposition is skipped: its leftward beta-law series is slow.
+    assert _outcome_digest(_conditional_return, law, **kw) == cond
+    if decomp is not None:
+        assert _outcome_digest(return_decomposition, law, **kw) == decomp
 
 
 @pytest.mark.parametrize("law,seed,lo,hi", [
@@ -365,3 +430,28 @@ def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
     est = speed_estimate(law, horizon=horizon, reps=23, seed=4, workers=3)
     sub = min(rows, 8)
     assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 23, 4, 3, sub)
+
+
+def _block_outputs():
+    rep = divergence_diagnostic(FIX_C, [50, 200], seed=3)
+    ests = [estimate_return_conditional(law, "averaged", n_env=101, seed=3, workers=w)
+            for law in (FIX_A, FIX_D) for w in (1, 3)]
+    return rep, [(e.value, e.std_error, e.n, e.extras) for e in ests]
+
+
+def test_environment_blocks_equal_default(monkeypatch):
+    # Blocks of 1, 3 and 17 environments (101 on 3 workers: shards of 34, 34
+    # and 33) give the same numbers as the default block size.
+    expected = _block_outputs()
+    for rows in (1, 3, 17):
+        monkeypatch.setattr(mc, "_ENV_BUDGET", rows * mc._ENV_ROW_BYTES)
+        assert _block_outputs() == expected
+
+
+def test_mix64_matches_numpy_avalanche():
+    # Python-int SplitMix64 equals the uint64 finalizer, inputs reduced mod 2^64.
+    rng = np.random.default_rng(64)
+    values = [int(v) for v in rng.integers(0, 2**64, size=10**4, dtype=np.uint64)]
+    for v in values + [0, MASK64, -1, -(2**64) - 3, 2**64, 2**65 + 7, 3 * 2**70 + 11]:
+        with np.errstate(over="ignore"):
+            assert mix64(v) == int(_avalanche(np.uint64(v & MASK64)))

@@ -8,6 +8,9 @@ moments of the odds ratio rho = (1 - omega) / omega:
   * E[log rho] < 0        -> transient to the right (> 0: left, = 0: recurrent)
   * E[rho] < 1             -> ballistic to the right, speed (1-E[rho])/(1+E[rho])
   * E[rho^kappa] = 1        -> kappa is the tail exponent of the cascade sums
+
+One rule, ``_categories``, turns every uniform u into a category of a site
+law (here) or a step law (in ``ladder``): the count of cumulative weights <= u.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from scipy import special
 from .rng import site_uniforms
 
 BOUNDARY_ATOL = 1e-12  # exact-sum boundary detection, e.g. E[rho] == 1
+# ``_categories`` makes one compare pass per threshold.  A binary search is
+# cheaper above 150 categories even for 2x10^5 draws, and whenever there are
+# fewer than 256 draws per pass, each pass costing a few us of call overhead
+# (crossovers measured for 1 to 2x10^5 draws and 2 to 300 categories).
+_SEARCH_ABOVE = 150
+_DRAWS_PER_PASS = 256
 
 _KIND_CONSTANT = "constant"
 _KIND_DISCRETE = "discrete"
@@ -153,17 +162,37 @@ class RegimeReport:
     rho_log_rho_finite: Optional[bool]
 
 
+def _thresholds(weights) -> np.ndarray:
+    """Cumulative weights with the last set to exactly 1: the category edges."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cum[-1] = 1.0
+    return cum
+
+
+def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category of each uniform u in [0, 1): the number of thresholds ``cum[:-1]``
+    that are <= u, as ``np.searchsorted(cum, u, side="right")`` counts them.
+    A draw on a threshold takes the upper category; counting thresholds < u
+    would differ only there, with probability at most 2^-53 a draw and only
+    for dyadic thresholds such as 0.5.  Compare passes fill the smallest
+    unsigned dtype; the binary search, used where it is faster, gives intp."""
+    if cum.size > _SEARCH_ABOVE or np.size(u) < _DRAWS_PER_PASS * (cum.size - 1):
+        return np.searchsorted(cum, u, side="right")
+    k = np.zeros(np.shape(u), dtype=np.min_scalar_type(cum.size - 1))
+    for c in cum[:-1]:
+        k += u >= c
+    return k
+
+
 def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
     """Sample omega at arbitrary integer sites via the keyed site RNG; a
-    column of seeds gives one row per seed (see ``site_uniforms``)."""
-    u = site_uniforms(seed, sites)
+    column of seeds gives one row per seed (see ``site_uniforms``).  A
+    constant law draws no site uniforms."""
     if law.kind == _KIND_CONSTANT:
-        return np.full_like(u, law.p)
+        return np.full(np.broadcast_shapes(np.shape(seed), np.shape(sites)), law.p)
+    u = site_uniforms(seed, sites)
     if law.kind == _KIND_DISCRETE:
-        cum = np.cumsum(np.asarray(law.weights, dtype=np.float64))
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, u, side="right")
-        return np.asarray(law.omegas, dtype=np.float64)[idx]
+        return np.asarray(law.omegas, dtype=np.float64)[_categories(_thresholds(law.weights), u)]
     return special.betaincinv(law.alpha, law.beta, u)
 
 

@@ -19,7 +19,8 @@ estimators and ``overshoot_constant``) run on one lockstep first-exit
 kernel, ``_first_exit``.  ``phi_estimate`` keeps its own loop because it
 accumulates e^{-S_n} along the path, but in the same compact form: the live
 partial sums sit in one array in path order, beside the indices of their
-paths.  Lattice laws are simulated in exact
+paths.  Both loops turn each uniform into an increment by the package's one
+categorical rule, ``env._categories``.  Lattice laws are simulated in exact
 integer units so that skip-free importance weights are bit-identical across
 paths.
 """
@@ -32,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .env import EnvLaw, _positive_root
+from .env import EnvLaw, _categories, _positive_root, _thresholds
 from .estimate import Estimate, Tally, merge_mean
 from .rng import shard_sizes, worker_streams
 
@@ -182,12 +183,6 @@ def tilt(step: StepLaw, gamma: float) -> TiltedLaw:
     return TiltedLaw(base=step, gamma=gamma, q_weights=tuple(qi / z for qi in q))
 
 
-def _cumw(weights) -> np.ndarray:
-    c = np.cumsum(np.asarray(weights, dtype=np.float64))
-    c[-1] = 1.0
-    return c
-
-
 def _unit_level(t: float, a: float) -> int:
     """Smallest integer u with u*a >= t (snapping exact multiples)."""
     return math.ceil(t / a - 1e-9)
@@ -212,7 +207,7 @@ def _first_exit(
     idx = np.arange(n)
     steps = guard = 0
     while idx.size:
-        live += incs[np.searchsorted(cumw, rng.random(idx.size))]
+        live += incs[_categories(cumw, rng.random(idx.size))]
         steps += 1
         guard += idx.size
         done = (live >= up) | (live <= down)
@@ -249,6 +244,8 @@ def sup_tail(
     """
     if not step.mean < 0.0:
         raise ValueError("sup_tail needs E[xi] < 0")
+    if n < 1:
+        raise ValueError(f"sup_tail needs n >= 1, got {n}")
     gamma = gamma_root(step)
     lattice = step.lattice is not None
     tallies = []
@@ -257,7 +254,7 @@ def sup_tail(
 
     if method == "importance":
         q = tilt(step, gamma)
-        cumw = _cumw(q.q_weights)
+        cumw = _thresholds(q.q_weights)
         incs = np.asarray(step.units if lattice else step.values)
         level = _unit_level(t, step.lattice) if lattice else t
         spread_lo, spread_hi = math.inf, -math.inf
@@ -283,7 +280,7 @@ def sup_tail(
 
     if method == "naive":
         m = max(0.0, -math.log(censor_eps) / gamma - t)
-        cumw = _cumw(step.weights)
+        cumw = _thresholds(step.weights)
         incs = np.asarray(step.units if lattice else step.values)
         if lattice:
             up = _unit_level(t, step.lattice)
@@ -357,12 +354,16 @@ def overshoot_constant(
     """
     if step.lattice is None:
         raise ValueError("overshoot_constant needs a lattice step law")
+    if n < 1:
+        raise ValueError(f"overshoot_constant needs n >= 1, got {n}")
+    ks = sorted(int(k) for k in k_range)
+    if not ks:
+        raise ValueError("overshoot_constant needs a nonempty k_range")
     gamma = gamma_root(step)
     q = tilt(step, gamma)
-    cumw = _cumw(q.q_weights)
+    cumw = _thresholds(q.q_weights)
     incs = np.asarray(step.units)
     a = step.lattice
-    ks = sorted(int(k) for k in k_range)
     entries = []
     pmf: dict[int, float] = {}
     wald = None
@@ -421,8 +422,10 @@ def phi_estimate(
     """
     if not step.mean < 0.0:
         raise ValueError("phi_estimate needs E[xi] < 0")
+    if n < 1:
+        raise ValueError(f"phi_estimate needs n >= 1, got {n}")
     lattice = step.lattice is not None
-    cumw = _cumw(step.weights)
+    cumw = _thresholds(step.weights)
     incs = np.asarray(step.units if lattice else step.values)
     if lattice:
         # S <= -t in units: u*a <= -t  <=>  u <= floor(-t/a) (snapped)
@@ -438,7 +441,7 @@ def phi_estimate(
         live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
         guard = 0
         while idx.size:
-            live += incs[np.searchsorted(cumw, rng.random(idx.size))]
+            live += incs[_categories(cumw, rng.random(idx.size))]
             guard += idx.size
             keep = live > down
             idx, live = idx[keep], live[keep]

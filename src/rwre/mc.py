@@ -40,7 +40,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .env import EnvLaw, EnvWindow, mean_log_rho, moment_rho, omega_at_sites, sample_window
+from .env import (
+    EnvLaw, EnvWindow, _categories, mean_log_rho, moment_rho, omega_at_sites, sample_window
+)
 from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
 from .exact import (
     ConvergenceError,
@@ -294,6 +296,8 @@ def conditioned_sampler(
     most escape_eps).  Path-cap or window-edge exhaustion raises; it is
     never silently dropped.
     """
+    if n < 1 or cap < 1:
+        raise ValueError(f"conditioned_sampler needs n >= 1 and cap >= 1, got n={n}, cap={cap}")
     if isinstance(env_or_law, EnvWindow):
         law, env_seed = env_or_law.law, env_or_law.seed
     else:
@@ -561,24 +565,21 @@ def _site_rows(
     """The windows of ``sites`` for each env seed, back to back in one flat array.
 
     With ``levels`` (``law.omega_levels()``) each site is stored as the
-    index of its omega in ``levels``, so ``levels[flat]`` is bitwise what
-    ``omega_at_sites`` returns; a single level is a deterministic
-    environment and draws no site uniforms.  Without, the array holds omega.
+    index of its omega in ``levels``, the category of omega under the edges
+    ``levels[1:]`` by the one categorical rule, so ``levels[flat]`` is
+    bitwise what ``omega_at_sites`` returns; a single level is a
+    deterministic environment and draws no site uniforms.  Without, the
+    array holds omega.  Sites are realized through ``omega_at_sites``, the
+    public draw that benchmark tracing counts.
     """
     flat = np.zeros(len(seeds) * sites.size, dtype=_site_dtype(levels))
     if levels is not None and levels.size == 1:
         return flat
+    edges = None if levels is None else np.append(levels[1:], 1.0)
     for i, env_seed in enumerate(seeds):
         omega = omega_at_sites(law, env_seed, sites)
-        row = flat[i * sites.size : (i + 1) * sites.size]
-        if levels is None:
-            row[:] = omega
-        else:
-            # levels are sorted and distinct: the index of omega is the number
-            # of levels above the first that it reaches; these m - 1 passes
-            # beat a per-site binary search up to about 150 levels
-            for level in levels[1:]:
-                row += omega >= level
+        row = omega if edges is None else _categories(edges, omega)
+        flat[i * sites.size : (i + 1) * sites.size] = row
     return flat
 
 

@@ -135,6 +135,31 @@ class TestLadderCommand:
         assert float(row["value"]) == pytest.approx((3.0 / 7.0) ** 10, rel=1e-12)
         assert float(row["std_error"]) == 0.0
 
+    @pytest.mark.parametrize("args,message", [
+        (["--sup-tail", "4", "-n", "0"], "n >= 1"),
+        (["--phi", "4", "-n", "-3"], "n >= 1"),
+        (["--overshoot", "20", "10"], "nonempty k_range"),
+    ])
+    def test_rejects_no_paths_or_levels(self, tmp_path, capsys, args, message):
+        out = tmp_path / "lad"
+        code = main(["ladder", "--step", "lattice:0.3@+1,0.7@-1", *args, "--seed", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "lad.csv").exists()
+
+
+class TestConditionedCommand:
+    @pytest.mark.parametrize("flag,value", [("-n", "-5"), ("-n", "0"), ("--cap", "0")])
+    def test_rejects_nonpositive_sizes(self, tmp_path, capsys, flag, value):
+        code = main(["conditioned", "--law", "discrete:0.5@0.8,0.5@0.6", "--mode", "rejection",
+                     flag, value, "--seed", "1", "--out", str(tmp_path / "c")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{flag.lstrip('-')} >= 1" in err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("flag,value", [

@@ -1,4 +1,5 @@
-"""Pins for the shared numeric kernels: the truncated-series scan, the
+"""Pins for the shared numeric kernels: the one categorical draw
+(``env._categories``, against ``searchsorted``), the truncated-series scan, the
 moment-root bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
 ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
@@ -398,6 +399,38 @@ def test_single_level_draws_no_site_uniforms(monkeypatch):
     monkeypatch.setattr(env, "site_uniforms", refuse)
     rows = _site_rows(CONST_7, CONST_7.omega_levels(), [1, 2], np.arange(-5, 6))
     assert rows.dtype == np.uint8 and not rows.any()
+
+
+def test_constant_omega_draws_no_site_uniforms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a constant environment needs no site uniforms")
+
+    monkeypatch.setattr(env, "site_uniforms", refuse)
+    omega = omega_at_sites(CONST_7, np.array([[1], [2]]), np.arange(-5, 6))
+    assert omega.shape == (2, 11) and (omega == 0.7).all()
+
+
+@st.composite
+def _category_cases(draw):
+    m = draw(st.sampled_from([1, 2, 3, 7, 149, 150, 151, 300]))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    cum = env._thresholds(np.array(weights) / math.fsum(weights))
+    edges = cum[:-1]
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)],
+        np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))),
+    ])
+    return cum, u[u < 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_category_cases())
+def test_categories_equal_right_searchsorted(case):
+    cum, u = case
+    for draws in (u, np.resize(u, env._DRAWS_PER_PASS * cum.size)):  # both sides of the size rule
+        got = env._categories(cum, draws)
+        assert np.array_equal(got, np.searchsorted(cum, draws, side="right"))
+        assert np.iinfo(got.dtype).max >= cum.size - 1
 
 
 def _speed_per_worker(law, horizon, reps, seed, workers, sub):

@@ -17,8 +17,9 @@ Every run writes ``<out>.csv`` (one row per data point) and
 side information such as dropped-environment counts under ``extras``).  Floats
 are serialized with repr, so configs and CSVs round-trip bit-identically.
 Exit codes: 0 success, 1 parse/usage error, 2 when more than
-``--max-nonconverged`` series reported converged == False or a series the
-command needs raised ``ConvergenceError``.
+``--max-nonconverged`` series reported converged == False, or when a run
+failed: a series the command needs did not converge, a step or path budget
+was spent, or a built-in cross-check failed (``error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import scipy
 from . import __version__
 from .env import EnvLaw, classify_regime, sample_window
 from .exact import (
-    ConvergenceError,
     SeriesValue,
     conditioned_env,
     conditioned_return_expectation,
@@ -278,6 +278,8 @@ def cmd_exact(args) -> int:
             rows.add("omega_tilde", param=x, value=window.omega_at(x), method="exact")
     elif args.hitting_prob is not None:
         a, x, b = args.hitting_prob
+        if not a <= x <= b:
+            raise CliError(f"--hitting-prob needs A <= X <= B, got {a} {x} {b}")
         window = sample_window(law, seed, min(a, x) - 1, max(b, x))
         p_left, p_right = hitting_prob(window, x, a, b)
         rows.add("p_left", param=f"a={a},x={x},b={b}", value=p_left, method="exact")
@@ -334,9 +336,11 @@ def cmd_ladder(args) -> int:
     seed = _resolve_seed(args)
     workers = _workers(args)
     rows = _Rows(seed)
+    extras = None
     if args.sup_tail is not None:
         est = sup_tail(step, t=args.sup_tail, n=args.n, method=args.method, seed=seed, workers=workers)
         rows.add_estimate("sup_tail", est, param=f"t={args.sup_tail},method={args.method}")
+        extras = est.extras
     elif args.overshoot is not None:
         k_lo, k_hi = args.overshoot
         scan = overshoot_constant(step, range(k_lo, k_hi + 1), n=args.n, seed=seed, workers=workers)
@@ -359,9 +363,10 @@ def cmd_ladder(args) -> int:
     elif args.phi is not None:
         est = phi_estimate(step, t=args.phi, n=args.n, seed=seed, workers=workers)
         rows.add_estimate("phi", est, param=f"t={args.phi}")
+        extras = est.extras
     else:
         raise CliError("ladder: choose --sup-tail, --overshoot, or --phi")
-    return _finish(args, rows, step=args.step, seed=seed, workers=workers)
+    return _finish(args, rows, extras=extras, step=args.step, seed=seed, workers=workers)
 
 
 def cmd_diverge(args) -> int:
@@ -490,7 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
+    except (RuntimeError, ArithmeticError) as exc:  # ConvergenceError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

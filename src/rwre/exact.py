@@ -27,7 +27,7 @@ all internals run in log space (log-sum-exp for the R sums).  Truncated
 series are scanned by one routine, ``_scan_rows``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
 remainder.  One anchored sweep per environment (``_sweep_rows``) supplies
-omega_0, R_1, the conditional-return series and first-return escape bounds.
+omega_0, R_1, the conditional-return series and the walk windows' edge bounds.
 Both run row-wise over a block of environment seeds (the keyed site
 generator draws a block at once): the averaged estimators pass blocks of
 environments, and scalar entry points are one-row calls of the same kernels.
@@ -123,12 +123,12 @@ def _source(env_or_law: EnvSource) -> tuple[EnvLaw, int, Optional[EnvWindow]]:
     return law, seed, None
 
 
-def _scan_rows(chunk, rows: int, tol: float, run: int, horizon: int):
+def _scan_rows(chunk, rows: int, tol: float, horizon: int):
     """Quiet-run scan of ``rows`` positive series at once, one row each.
 
     ``chunk(live, used, width)`` gives the next chunk of the rows ``live``
     after ``used`` terms, as a 2-D block (its first ``width`` columns; all for
-    None), or None once the supply is exhausted.  A row stops once ``run``
+    None), or None once the supply is exhausted.  A row stops once ``QUIET_RUN``
     consecutive terms fall below tol * (its running sum), or at the horizon
     or supply's end; only running rows are extended, and the first chunk is
     tried on its leading ``_PEEK`` terms before it is read whole.  A row's sum
@@ -151,7 +151,7 @@ def _scan_rows(chunk, rows: int, tol: float, run: int, horizon: int):
         pos = np.arange(terms.shape[1])
         last_noisy = np.maximum.accumulate(np.where(terms < tol * cs, -1, pos), axis=1)
         runlen = np.where(last_noisy < 0, pos + 1 + carry[live, None], pos - last_noisy)
-        hit = runlen >= run
+        hit = runlen >= QUIET_RUN
         stopped = hit.any(axis=1)
         idx = np.flatnonzero(stopped)
         first = hit[idx].argmax(axis=1)
@@ -233,12 +233,11 @@ def r_tail(
     i: int,
     tol: float = DEFAULT_TOL,
     horizon: int = DEFAULT_HORIZON,
-    run: int = QUIET_RUN,
 ) -> SeriesValue:
     """Cascade tail R_i = sum_{k>=i} Pi_{i,k}, extending the environment
     rightward from i with the site-keyed generator.
 
-    Stops once ``run`` consecutive terms fall below tol * (running sum);
+    Stops once ``QUIET_RUN`` consecutive terms fall below tol * (running sum);
     the remainder bound extrapolates the last term geometrically at rate
     exp(E[log rho]/2) and is heuristic.  On weakly transient laws a quiet run
     can precede a climb: for omega uniform on {3/4, 1/3}, seed 1, i = 301, tol
@@ -248,7 +247,7 @@ def r_tail(
     if not drift < 0.0:
         raise ValueError(f"r_tail needs a right-transient law, E[log rho] = {drift}")
     chunks = _log_pi_rows(law, _seed_rows([seed]), i, None, 1, 1.0)
-    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, run, horizon))
+    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, horizon))
     r_geom = math.exp(drift / 2.0)
     bound = last * r_geom / (1.0 - r_geom) if math.isfinite(last) else math.inf
     return SeriesValue(value=total, remainder_bound=bound, terms_used=used, converged=ok)
@@ -279,7 +278,6 @@ def expected_hit(
     direction: str,
     tol: float = DEFAULT_TOL,
     horizon: int = DEFAULT_HORIZON,
-    run: int = QUIET_RUN,
 ) -> SeriesValue:
     """Quenched expected one-step hitting time from x.
 
@@ -305,7 +303,7 @@ def expected_hit(
             return SeriesValue(value=math.inf, remainder_bound=0.0, terms_used=0, converged=False)
     step, sign = (-1, 1.0) if direction == "right" else (1, -1.0)
     chunks = _log_pi_rows(law, _seed_rows([seed]), x, window, step, sign)
-    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, run, horizon))
+    total, last, used, ok = (a.item() for a in _scan_rows(chunks, 1, tol, horizon))
     r_geom = math.exp(-abs(drift) / 2.0)
     if math.isfinite(last) and r_geom < 1.0:
         bound = 2.0 * last * r_geom / (1.0 - r_geom)
@@ -326,7 +324,7 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1}.
     """
     chunks = _log_pi_rows(law, seeds, n + 1, None, 1, 1.0)
-    anchor, _, _, anchored = _scan_rows(chunks, len(seeds), tol, QUIET_RUN, horizon)
+    anchor, _, _, anchored = _scan_rows(chunks, len(seeds), tol, horizon)
     om = omega_at_sites(law, seeds[:, None], np.arange(0, n + 1, dtype=np.int64))
     rho = (1.0 - om[:, 1:]) / om[:, 1:]
     cum = np.zeros((len(seeds), n + 1))
@@ -339,9 +337,12 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     return om, cum, log_r, anchored
 
 
-def _sweep_log_r(law, seed, n, tol, horizon):
-    """``_sweep_rows`` for one environment: (omega, cum, log_r, anchored)."""
-    return tuple(a[0] for a in _sweep_rows(law, _seed_rows([seed]), n, tol, horizon))
+def _sweep_log_r(law, seed, n, tol, horizon=DEFAULT_HORIZON):
+    """``_sweep_rows`` for one environment, its anchor checked: (omega, cum, log_r)."""
+    om, cum, log_r, ok = (a[0] for a in _sweep_rows(law, _seed_rows([seed]), n, tol, horizon))
+    if not ok:
+        raise ConvergenceError(f"anchor tail sum at site {n + 1} did not converge")
+    return om, cum, log_r
 
 
 def _log_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
@@ -350,10 +351,16 @@ def _log_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
     anchor's truncation, which errs optimistic (a truncated tail underestimates
     R_M, and P^M increases in R_M) and, the quiet-run stop being heuristic, can
     exceed tol: 4.8e-9 relative at tol 1e-10 on a weakly transient fixture."""
-    _, cum, log_r, anchored = _sweep_log_r(law, seed, n, tol, DEFAULT_HORIZON)
-    if not anchored:
-        raise ConvergenceError(f"anchor tail sum at site {n + 1} did not converge")
+    _, cum, log_r = _sweep_log_r(law, seed, n, tol)
     return cum + log_r - np.logaddexp(0.0, log_r[0])
+
+
+def _log_h_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
+    """log P~^1(T_M < T_0) = log[Pi_{1,M-1} R_M / (R_1 (1 + R_{1,M-1}))] under
+    ``conditioned_env``, laid out and caveated as ``_log_escape_bounds``: the anchor's
+    truncation errs optimistic (R_{1,M-1} is exact and the bound increases in R_M)."""
+    _, cum, log_r = _sweep_log_r(law, seed, n, tol)
+    return cum + log_r - log_r[0] - np.logaddexp.accumulate(cum)
 
 
 def _log_guard_bounds(law, seed, depth):
@@ -381,16 +388,14 @@ def conditioned_env(
     """
     if hi < 1:
         raise ValueError("conditioned_env needs hi >= 1")
-    om, _, log_r, anchored = _sweep_log_r(law, seed, hi, tol, horizon)
-    if not anchored:
-        raise ConvergenceError(f"anchor tail sum at site {hi + 1} did not converge")
+    om, _, log_r = _sweep_log_r(law, seed, hi, tol, horizon)
     tilt = np.exp(log_r[1:] - np.logaddexp(0.0, log_r[1:]))  # R_{x+1}/(1+R_{x+1}), x=1..hi
     omega_tilde = om.copy()
     omega_tilde[1:] = om[1:] * tilt
     return EnvWindow(lo=0, hi=hi, omega=omega_tilde, law=law, seed=seed)
 
 
-def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
+def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     """Per seed, (E^1[T_0 | T_0 < inf] series, omega_0, R_1) from its final
     sweep, or the ConvergenceError of its consistency check.  Rows not
     converged in an n-site sweep (anchor converged, n < horizon) redo 2n."""
@@ -409,7 +414,7 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
         with np.errstate(over="ignore"):
             terms = np.exp(cum[:, 1:] + log_w[:, 1:] - log_w[:, :1])  # n = 1..n
         sums, last, used, ok = _scan_rows(
-            lambda live, k, width: None if k else terms[live, :width], len(todo), tol, run, horizon
+            lambda live, k, width: None if k else terms[live, :width], len(todo), tol, horizon
         )
         final = ok | ~anchored | (n >= horizon)
         ok &= anchored  # an unconverged anchor taints every R_x of the sweep
@@ -443,9 +448,9 @@ def _one_row(out):
     return out
 
 
-def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON, run=QUIET_RUN):
+def _conditional_return(law, seed, tol, horizon=DEFAULT_HORIZON):
     """(E^1[T_0 | T_0 < inf] series, omega_0, R_1), all from the final sweep."""
-    return _one_row(_conditional_rows(law, [seed], tol, horizon, run)[0])
+    return _one_row(_conditional_rows(law, [seed], tol, horizon)[0])
 
 
 def conditioned_return_expectation(
@@ -453,7 +458,6 @@ def conditioned_return_expectation(
     seed: int,
     tol: float = DEFAULT_TOL,
     horizon: int = DEFAULT_HORIZON,
-    run: int = QUIET_RUN,
 ) -> SeriesValue:
     """E^1[T_0 | T_0 < inf] evaluated by its exact series,
 
@@ -464,7 +468,7 @@ def conditioned_return_expectation(
     partial products telescope to the same terms) is evaluated alongside as
     an internal consistency check of the floating-point algebra.
     """
-    return _conditional_return(law, seed, tol, horizon, run)[0]
+    return _conditional_return(law, seed, tol, horizon)[0]
 
 
 def _decompositions(law, seeds, tol, horizon=DEFAULT_HORIZON):
@@ -473,7 +477,7 @@ def _decompositions(law, seeds, tol, horizon=DEFAULT_HORIZON):
     leftward ``_scan_rows`` block."""
     conds = _conditional_rows(law, seeds, tol, horizon)
     chunks = _log_pi_rows(law, _seed_rows(seeds), -1, None, -1, 1.0)
-    left, _, _, left_ok = _scan_rows(chunks, len(conds), tol, QUIET_RUN, horizon)
+    left, _, _, left_ok = _scan_rows(chunks, len(conds), tol, horizon)
     out = []
     for cond, left_sum, left_converged in zip(conds, left.tolist(), left_ok.tolist()):
         if isinstance(cond, ConvergenceError):

@@ -24,11 +24,12 @@ omegas, one byte a site for up to 256 of them) and walks every worker's
 replicates in one batch when they fit its byte budget.
 
 Escape certification: a right-transient walk at the right window edge M
-returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1).
-One anchored sweep gives it for every M, and one leftward prefix sum gives
-the guard's P^{-1}(T_{-L} < T_0) for every depth L; windows take the least
-M >= 32 and depth 32 * 2^k below the requested epsilon, and the escape
-bound travels with the outcome instead of being silently dropped.
+returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1),
+and the walk conditioned to return reaches M before 0 from 1 with exactly
+P~^1(T_M < T_0) = Pi_{1,M-1} R_M / (R_1 (1 + R_{1,M-1})); one anchored sweep
+gives either for every M, one leftward prefix sum the guard's P^{-1}(T_{-L} <
+T_0) for every depth L.  Windows take the least M >= 32 (n times the bound for
+n conditioned paths) and depth 32 * 2^k below epsilon; an escape carries its bound.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .exact import (
     _decompositions,
     _log_escape_bounds,
     _log_guard_bounds,
+    _log_h_escape_bounds,
+    _source,
     conditioned_env,
     return_decomposition,
 )
@@ -129,7 +132,7 @@ def _walk(
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
-    counts = np.diff(np.searchsorted(idx, ends), prepend=0)  # live paths per shard
+    counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()  # live paths per shard
     lone = rngs[0] if len(rngs) == 1 else None
     depth = max(1, _DRAW_BLOCK // max(1, idx.size)) if stop is None else 1
     # Steps are +-1, so no path can leave the array before the edge distance
@@ -144,7 +147,7 @@ def _walk(
                 rows = min(depth, cap - step + 1)
                 block = np.hstack([r.random((rows, k)) for r, k in zip(rngs, counts)])
             u = block[row]
-        elif lone is not None:  # one shard, as in every caller with stop sites
+        elif lone is not None:  # one shard
             u = lone.random(idx.size)
         else:
             u = np.concatenate([r.random(k) for r, k in zip(rngs, counts)])
@@ -166,7 +169,7 @@ def _walk(
                 keep = ~done
                 idx, live = idx[keep], live[keep]
                 if lone is None:
-                    counts = np.diff(np.searchsorted(idx, ends), prepend=0)
+                    counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()
     pos[idx] = live
     return pos, steps, stopped
 
@@ -290,24 +293,20 @@ def conditioned_sampler(
     """i.i.d. samples of (T_0 from 1 | T_0 < inf) on one environment.
 
     mode="h_transform" walks the conditioned environment, where the return
-    happens almost surely: every sample is exact.  mode="rejection" walks
-    the original environment and keeps paths that reach 0 before the
-    certified escape level (discarding escapes biases the kept law by at
-    most escape_eps).  Path-cap or window-edge exhaustion raises; it is
-    never silently dropped.
+    happens almost surely: every sample is exact, and escape_eps bounds the
+    chance that a path reaches the certified edge and ends the run.
+    mode="rejection" walks the original environment and keeps paths that
+    reach 0 before the certified escape level (discarding escapes biases the
+    kept law by at most escape_eps).  Exhausting the path cap raises.
     """
     if n < 1 or cap < 1:
         raise ValueError(f"conditioned_sampler needs n >= 1 and cap >= 1, got n={n}, cap={cap}")
-    if isinstance(env_or_law, EnvWindow):
-        law, env_seed = env_or_law.law, env_or_law.seed
-    else:
-        law, env_seed = env_or_law
-    drift = mean_log_rho(law)
-    if not drift < 0.0:
+    law, env_seed, _ = _source(env_or_law)
+    if not mean_log_rho(law) < 0.0:
         raise ValueError("conditioned sampling needs a right-transient law")
 
     if mode == "h_transform":
-        hi = max(64, int((math.log(max(n, 2)) + 21.0) / -drift) + 32)
+        hi = _least_certified(_log_h_escape_bounds, law, env_seed, escape_eps / n)
         window = conditioned_env(law, env_seed, hi, tol=tol)
     elif mode == "rejection":
         m = _least_certified(_log_escape_bounds, law, env_seed, escape_eps)
@@ -315,33 +314,28 @@ def conditioned_sampler(
     else:
         raise ValueError("mode must be 'h_transform' or 'rejection'")
 
-    # Reaching hi stops a path in both modes: a rejection-mode escape, an
-    # h-transform window that was too small.
+    # Reaching hi stops a path in both modes: a rejection escape, an h-transform edge hit.
     stop = np.zeros(window.omega.size, dtype=bool)
     stop[[0, window.hi]] = True
 
-    out: list[np.ndarray] = []
-    for widx, (rng, quota) in enumerate(zip(worker_streams(seed, workers), shard_sizes(n, workers))):
-        got: list[np.ndarray] = []
-        have = 0
-        while have < quota:
-            batch = quota - have if mode == "h_transform" else max(64, 2 * (quota - have))
-            end, steps, stopped = _walk(
-                window.omega, np.ones(batch, dtype=np.int64), stop, cap, [(rng, batch)]
-            )
-            if not stopped.all():
-                raise RuntimeError(f"worker {widx}: path cap {cap} exhausted")
-            if mode == "h_transform":
-                if np.any(end != 0):
-                    raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
-                kept = steps
-            else:
-                kept = steps[end == 0]
-            kept = kept[: quota - have]
-            got.append(kept)
-            have += kept.size
-        out.append(np.concatenate(got) if got else np.empty(0, dtype=np.int64))
-    return np.concatenate(out)
+    # Each round walks every worker's shard in one lockstep: shard w draws its
+    # own paths and keeps its first need[w] returns (none once it is full).
+    rngs = worker_streams(seed, workers)
+    need = np.array(shard_sizes(n, workers))
+    got: list[list[np.ndarray]] = [[] for _ in rngs]
+    while need.any():
+        batch = need.copy() if mode == "h_transform" else np.maximum(64, 2 * need) * (need > 0)
+        paths, shards = np.ones(batch.sum(), dtype=np.int64), list(zip(rngs, batch.tolist()))
+        end, steps, stopped = _walk(window.omega, paths, stop, cap, shards)
+        for w, part in enumerate(np.split(np.arange(end.size), np.cumsum(batch)[:-1])):
+            if not stopped[part].all():
+                raise RuntimeError(f"worker {w}: path cap {cap} exhausted")
+            if mode == "h_transform" and np.any(end[part] != 0):
+                raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
+            kept = steps[part][end[part] == 0][: need[w]]
+            got[w].append(kept)
+            need[w] -= kept.size
+    return np.concatenate([k for parts in got for k in parts])
 
 
 def estimate_return_conditional(

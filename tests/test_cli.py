@@ -122,6 +122,14 @@ class TestExactCommand:
         rows = {r["quantity"]: float(r["value"]) for r in read_csv(out + ".csv")}
         assert rows["p_left"] == pytest.approx(0.7, abs=1e-12)
 
+    def test_hitting_prob_rejects_unordered_sites(self, tmp_path, capsys):
+        out = tmp_path / "hp"
+        assert main(["exact", "--law", "constant:0.7", "--hitting-prob", "5", "0", "3",
+                     "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "A <= X <= B" in err
+        assert not (tmp_path / "hp.csv").exists()
+
 
 class TestLadderCommand:
     def test_sup_tail_zero_variance(self, tmp_path):
@@ -149,6 +157,22 @@ class TestLadderCommand:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "lad.csv").exists()
 
+    def test_root_bracket_failure_exit_2(self, tmp_path, capsys):
+        # a drift of -5e-10 puts the tilting root gamma beyond its bracket cap
+        code = main(["ladder", "--step", "general:0.5@-1,0.5@1e-9", "--sup-tail", "1",
+                     "-n", "10", "--seed", "1", "--out", str(tmp_path / "lad")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bracket cap" in err
+
+    def test_sup_tail_extras_in_manifest(self, tmp_path):
+        out = str(tmp_path / "lad")
+        assert main(["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--sup-tail", "4",
+                     "--method", "naive", "-n", "1000", "--seed", "1", "--out", out]) == 0
+        extras = read_manifest(out + ".manifest.json")["extras"]
+        assert set(extras) == {"gamma", "censor_level"}
+        assert extras["gamma"] == pytest.approx(math.log(7.0 / 3.0), rel=1e-9)
+
 
 class TestConditionedCommand:
     @pytest.mark.parametrize("flag,value", [("-n", "-5"), ("-n", "0"), ("--cap", "0")])
@@ -158,6 +182,15 @@ class TestConditionedCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{flag.lstrip('-')} >= 1" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_path_cap_exhausted_exit_2(self, tmp_path, capsys):
+        code = main(["conditioned", "--law", format_law(FIX_C), "--mode", "rejection",
+                     "-n", "10", "--cap", "5", "--env-seed", "101", "--seed", "1",
+                     "--out", str(tmp_path / "c")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "path cap 5 exhausted" in err
         assert not (tmp_path / "c.csv").exists()
 
 
@@ -186,6 +219,16 @@ class TestReturnConditionalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_env >= 1" in err
         assert not (tmp_path / "a.csv").exists()
+
+    def test_failed_cross_check_exit_2(self, tmp_path, capsys):
+        # one walk cannot give the two returns the walk-level cross-check needs
+        code = main(["simulate", "--law", "constant:0.7", "--return-conditional",
+                     "--mode", "quenched", "--n-walk", "1", "--seed", "1",
+                     "--out", str(tmp_path / "q")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too few returns" in err
+        assert not (tmp_path / "q.csv").exists()
 
 
     def test_averaged_extras_in_manifest(self, tmp_path):

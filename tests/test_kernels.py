@@ -11,9 +11,12 @@ their per-caller copies; the merged code must reproduce them bit for bit.
 Likewise the digests of per-environment series outcomes were recorded
 while those series still ran one environment at a time, before they ran in
 blocks of environments, and blocks of any size must give the same numbers.
-The escape and guard bounds that size first-return windows are also pinned
-against the banded-LU ``absorption_oracle``, an independent solver, and the
-window edges are checked to be the least certified ones.
+The escape and guard bounds that size first-return windows, and the
+conditioned-walk edge bound that sizes the h-transform window, are also
+pinned against the banded-LU ``absorption_oracle``, an independent solver,
+and the window edges are checked to be the least certified ones.  The
+lockstep ``conditioned_sampler`` is checked against a per-worker reference
+loop.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from rwre import (
     EnvLaw,
+    EnvWindow,
     SeriesValue,
     absorption_oracle,
     StepLaw,
@@ -54,6 +58,7 @@ from rwre.exact import (
     _conditional_return,
     _log_escape_bounds,
     _log_guard_bounds,
+    _log_h_escape_bounds,
     return_decomposition,
 )
 from rwre.ladder import WaldCheck
@@ -291,6 +296,88 @@ def test_window_edges_are_least_certified(law, seed):
         assert depth >= 32 and depth & (depth - 1) == 0
         assert _guard_oracle(law, seed, depth) <= eps
         assert depth == 32 or _guard_oracle(law, seed, depth // 2) > eps
+
+
+def _h_escape_oracle(law, seed, m):
+    """P~^1(T_m < T_0) on the conditioned window, as the absorption at -m of
+    its mirror image (omega -> 1 - omega, x -> -x), so no 1 - u cancels."""
+    win = conditioned_env(law, seed, m + 5, tol=1e-14)
+    mirror = EnvWindow(lo=-win.hi, hi=0, omega=1.0 - win.omega[::-1], law=law, seed=seed)
+    return absorption_oracle(mirror, -m, 0, -1)[0]
+
+
+@FIXTURES
+@pytest.mark.parametrize("seed", range(5))
+def test_h_escape_bound_matches_oracle(law, seed):
+    bound = np.exp(_log_h_escape_bounds(law, seed, 300, tol=1e-14))  # entry M-1
+    for m in (1, 2, 5, 17, 32, 40, 60, 120, 150):
+        assert bound[m - 1] == pytest.approx(_h_escape_oracle(law, seed, m), rel=1e-9, abs=0.0)
+
+
+class _Sized(Exception):
+    """Raised in place of building the conditioned window; carries its hi."""
+
+
+@FIXTURES
+@pytest.mark.parametrize("seed", range(5))
+def test_h_transform_window_is_least_certified(monkeypatch, law, seed):
+    def record(law, seed, hi, tol):
+        raise _Sized(hi)
+
+    monkeypatch.setattr(mc, "conditioned_env", record)
+    for n, eps in ((1, 1e-6), (10**4, 1e-6), (100, 1e-12)):
+        with pytest.raises(_Sized) as sized:
+            conditioned_sampler((law, seed), "h_transform", n=n, escape_eps=eps)
+        hi = sized.value.args[0]
+        assert hi >= 32
+        assert n * _h_escape_oracle(law, seed, hi) <= eps
+        assert hi == 32 or n * _h_escape_oracle(law, seed, hi - 1) > eps
+
+
+def _per_worker_sampler(window, mode, n, cap, seed, workers):
+    """Reference for ``conditioned_sampler``: each worker walks alone, round
+    after round until its quota is met.  Returns the samples and each
+    worker's number of rounds."""
+    stop = np.zeros(window.omega.size, dtype=bool)
+    stop[[0, window.hi]] = True
+    out, rounds = [], []
+    for rng, quota in zip(worker_streams(seed, workers), shard_sizes(n, workers)):
+        have = k = 0
+        while have < quota:
+            batch = quota - have if mode == "h_transform" else max(64, 2 * (quota - have))
+            end, steps, stopped = _walk(
+                window.omega, np.ones(batch, dtype=np.int64), stop, cap, [(rng, batch)]
+            )
+            assert stopped.all()
+            kept = (steps if mode == "h_transform" else steps[end == 0])[: quota - have]
+            out.append(kept)
+            have, k = have + kept.size, k + 1
+        rounds.append(k)
+    return np.concatenate(out), rounds
+
+
+@pytest.mark.parametrize("law,env_seed,mode,n", [
+    (FIX_C, 101, "h_transform", 40),
+    (FIX_C, 101, "rejection", 40),
+    (FIX_A, 2, "h_transform", 2),  # fewer paths than 3 workers: an empty shard
+    (FIX_A, 2, "rejection", 2),
+    (FIX_A, 2, "rejection", 121),  # returns ~46%: shards need 2 or 3 rounds
+], ids=["FIX-C-h", "FIX-C-rej", "FIX-A-h-empty-shard", "FIX-A-rej-empty-shard", "FIX-A-rej-rounds"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, workers):
+    eps, cap, seed = 1e-6, 10**6, 17
+    if mode == "h_transform":
+        hi = mc._least_certified(_log_h_escape_bounds, law, env_seed, eps / n)
+        window = conditioned_env(law, env_seed, hi, tol=1e-12)
+    else:
+        window = sample_window(
+            law, env_seed, 0, mc._least_certified(_log_escape_bounds, law, env_seed, eps)
+        )
+    expected, rounds = _per_worker_sampler(window, mode, n, cap, seed, workers)
+    got = conditioned_sampler((law, env_seed), mode, n=n, cap=cap, seed=seed, workers=workers)
+    assert got.tolist() == expected.tolist()
+    if n == 121 and workers > 1:
+        assert len(set(rounds)) > 1
 
 
 def _scalar_walk(env, start, targets, cap, rng):

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import logsumexp
 
 from .env import (
@@ -548,8 +547,9 @@ def absorption_oracle(env: EnvWindow, a: int, b: int, x: int) -> tuple[float, fl
         v_s = 1 + omega_s v_{s+1} + (1-omega_s) v_{s-1},  v_a = v_b = 0
 
     by banded LU.  Exists purely as an independent check on the cascade
-    formulas; it never feeds other operations.
+    formulas; it never feeds other operations, so scipy.linalg loads only here.
     """
+    from scipy.linalg import solve_banded
     if not (env.lo <= a <= x <= b <= env.hi):
         raise IndexError("need lo <= a <= x <= b <= hi")
     if x == a:

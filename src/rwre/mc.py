@@ -16,12 +16,15 @@ Worker shards are stream shards: each worker's generator drives its own
 consecutive block of paths, and all blocks are walked in one lockstep, each
 shard drawing for its own live paths in order, so the result equals
 separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
-are its n = 1 wrappers (a scalar draw and a length-1 draw give the same
-uniform), and ``_first_return_batch``, ``conditioned_sampler`` and
-``speed_estimate`` call it with many paths.  ``speed_estimate`` stores
-finite-support windows as level codes (indices into the sorted distinct
-omegas, one byte a site for up to 256 of them) and walks every worker's
-replicates in one batch when they fit its byte budget.
+are its n = 1 wrappers, and a lone live path steps on scalar draws (a
+scalar draw and a length-1 draw give the same uniform);
+``_first_return_batch`` and ``conditioned_sampler`` call it with many
+paths.  Walks without stop sites run in ``_free_walk`` on the same stream,
+a block of steps per draw with the step thresholds found once per block;
+``speed_estimate`` uses it, storing finite-support windows as level codes
+(indices into the sorted distinct omegas, one byte a site for up to 256 of
+them), and walks every worker's replicates in one batch when they fit its
+byte budget.
 
 Escape certification: a right-transient walk at the right window edge M
 returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1),
@@ -113,10 +116,10 @@ def _walk(
     the w-th consecutive block of ``starts``.  The live paths are kept in a
     compact array in path order, and at step k each shard draws one uniform
     per live path of its own, in that order; a k-shard walk is therefore
-    bit-identical to k separate walks, and a lone path draws one uniform per
-    step, exactly as a scalar loop over ``rng.random()`` would.  Without
-    stop sites every path stays live, so each shard draws its uniforms for
-    many steps as one (steps, paths) block, which is the same stream.
+    bit-identical to k separate walks.  Once one path is left it steps on
+    scalar ``rng.random()`` draws from its shard, the same uniforms, so a
+    lone path is exactly a scalar loop.  Without stop sites every path stays
+    live, and ``_free_walk`` steps them on the same stream.
     Returns (final index, steps taken, stopped); a path that starts on a
     stop site takes 0 steps, one that runs out of steps reports ``cap``.
     Stepping off the array raises: sizing it is the caller's job.
@@ -125,29 +128,41 @@ def _walk(
     ends = np.cumsum([n for _, n in shards])
     if ends[-1] != pos.size:
         raise ValueError("shard sizes must add up to the number of paths")
+    size = sites.size
+    if pos.size and (pos.min() < 0 or pos.max() >= size):
+        raise IndexError("walk starts outside the site array")
+    if stop is None:
+        return _free_walk(sites, pos, cap, shards, levels)
     rngs = [r for r, _ in shards]
     steps = np.full(pos.size, cap, dtype=np.int64)
-    size = sites.size
-    stopped = np.zeros(pos.size, dtype=bool) if stop is None else stop[pos]
+    stopped = stop[pos]
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
-    counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()  # live paths per shard
     lone = rngs[0] if len(rngs) == 1 else None
-    depth = max(1, _DRAW_BLOCK // max(1, idx.size)) if stop is None else 1
+    if lone is None:
+        counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()  # live paths per shard
     # Steps are +-1, so no path can leave the array before the edge distance
-    # measured at the last range check is used up.
-    slack = int(min(live.min() + 1, size - live.max())) if live.size else 0
+    # measured at the last range check is used up; the starts are inside, and
+    # the first check, after step 1, measures it.
+    slack = 1
     for step in range(1, cap + 1):
         if not idx.size:
             break
-        if stop is None:
-            row = (step - 1) % depth
-            if not row:
-                rows = min(depth, cap - step + 1)
-                block = np.hstack([r.random((rows, k)) for r, k in zip(rngs, counts)])
-            u = block[row]
-        elif lone is not None:  # one shard
+        if idx.size == 1:  # a lone path steps on scalar draws from its shard: the same uniforms
+            i, x = int(idx[0]), int(live[0])
+            rng = rngs[int(np.searchsorted(ends, i, side="right"))]
+            for step in range(step, cap + 1):
+                omega = sites[x] if levels is None else levels[sites[x]]
+                x += 1 if rng.random() < omega else -1
+                if not 0 <= x < size:
+                    raise RuntimeError("walk left the realized window; size it larger")
+                if stop[x]:
+                    steps[i], stopped[i] = step, True
+                    break
+            pos[i] = x
+            return pos, steps, stopped
+        if lone is not None:  # one shard
             u = lone.random(idx.size)
         else:
             u = np.concatenate([r.random(k) for r, k in zip(rngs, counts)])
@@ -155,23 +170,78 @@ def _walk(
         live += np.where(u < omega, 1, -1)
         slack -= 1
         if slack <= 0:
-            lo, hi = int(live.min()), int(live.max())
-            if lo < 0 or hi >= size:
-                raise RuntimeError("walk left the realized window; size it larger")
-            slack = min(lo + 1, size - hi)
-        if stop is not None:
-            done = stop[live]
-            if np.count_nonzero(done):
-                out = idx[done]
-                pos[out] = live[done]
-                steps[out] = step
-                stopped[out] = True
-                keep = ~done
-                idx, live = idx[keep], live[keep]
-                if lone is None:
-                    counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()
+            slack = _steps_inside(live, size)
+        done = stop[live]
+        if np.count_nonzero(done):
+            out = idx[done]
+            pos[out] = live[done]
+            steps[out] = step
+            stopped[out] = True
+            keep = ~done
+            idx, live = idx[keep], live[keep]
+            if lone is None:
+                counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()
     pos[idx] = live
     return pos, steps, stopped
+
+
+def _free_walk(
+    sites: np.ndarray,
+    pos: np.ndarray,
+    cap: int,
+    shards: Sequence[tuple[np.random.Generator, int]],
+    levels: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_walk`` without stop sites: every path takes ``cap`` steps from ``pos``.
+
+    Each shard draws its uniforms for many steps as one (steps, paths)
+    block, the same stream as one row per step.  A site steps up iff
+    u < omega: with level codes that is code >= k(u), k(u) the number of
+    levels <= u, so the thresholds are found once per block; when every
+    site has the same omega no step depends on the position, and a block
+    moves each path by its count of up-steps.  Blocks are cut at the edge
+    distance left at the last range check, so leaving the array raises at
+    the very step it happens.
+    """
+    n, size = pos.size, sites.size
+    out = pos, np.full(n, cap, dtype=np.int64), np.zeros(n, dtype=bool)
+    if not n:
+        return out
+    depth = max(1, _DRAW_BLOCK // n)
+    flat = sites.min() == sites.max()
+    omega = sites[0] if levels is None else levels[sites[0]]
+    cum = None if levels is None else np.append(levels, 1.0)
+    up = np.greater if levels is None else np.greater_equal
+    sign = np.array([-1, 1], dtype=np.int64)
+    slack = _steps_inside(pos, size)
+    for first in range(0, cap, depth):
+        rows = min(depth, cap - first)
+        block = np.hstack([r.random((rows, k)) for r, k in shards])
+        if not flat and cum is not None:
+            block = _categories(cum, block)
+        done = 0
+        while done < rows:
+            m = min(rows - done, slack)
+            part = block[done : done + m]
+            if flat:
+                pos += 2 * np.count_nonzero(part < omega, axis=0) - m
+            else:
+                for row in part:
+                    pos += sign.take(up(sites.take(pos), row).view(np.uint8))
+            done += m
+            slack -= m
+            if slack <= 0:
+                slack = _steps_inside(pos, size)
+    return out
+
+
+def _steps_inside(pos: np.ndarray, size: int) -> int:
+    """Steps of +-1 that every path at ``pos`` can take without leaving an
+    array of ``size`` sites; raises if a path has left it already."""
+    lo, hi = int(pos.min()), int(pos.max())
+    if lo < 0 or hi >= size:
+        raise RuntimeError("walk left the realized window; size it larger")
+    return min(lo + 1, size - hi)
 
 
 def simulate_until(

@@ -48,12 +48,22 @@ def site_uniforms(seed, sites) -> np.ndarray:
     Values are strictly inside (0,1) (offset-by-half mantissa mapping), so
     they are safe inputs for inverse CDFs with unbounded tails.
     """
-    xs = np.asarray(sites, dtype=np.int64)
+    xs = np.asarray(sites, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
         key = _avalanche(np.asarray(seed & MASK64, dtype=np.uint64))
-        state = key + xs.astype(np.uint64) * _GOLDEN
-        bits = _avalanche(state)
-    return ((bits >> _S11).astype(np.float64) + 0.5) * 2.0**-53
+        z = key + xs * _GOLDEN
+        # The avalanche and the mantissa shift run in place on z, with the
+        # result array as the shift scratch: two arrays of the output's size.
+        out = np.empty(z.shape)
+        scratch = out.view(np.uint64)
+        for shift, mult in ((_S30, _MIX1), (_S27, _MIX2), (_S31, None)):
+            z ^= np.right_shift(z, shift, out=scratch)
+            if mult is not None:
+                z *= mult
+        z >>= _S11
+    np.add(z, 0.5, out=out)
+    out *= 2.0**-53
+    return out
 
 
 def substream_seed(seed: int, *path: int) -> int:

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rwre
 from rwre.cli import format_law, main, parse_law, parse_step
 
 from laws import FIX_C, FIX_D
@@ -319,3 +324,12 @@ class TestDivergeCommand:
             se = float(row["std_error"])
             assert math.isfinite(se) and se > 0.0
         assert all(r["std_error"] == "" for r in rows[2:])
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg serves only the test oracle ``absorption_oracle``; loading it
+    # with the CLI would cost every command its import time and memory.
+    src = str(Path(rwre.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, rwre.cli; sys.exit(int('scipy.linalg' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

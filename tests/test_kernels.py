@@ -4,7 +4,9 @@ moment-root bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
 ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 ``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
-``speed_estimate``, with its worker shards and compact level-coded sites.
+``speed_estimate``, with its worker shards and compact level-coded sites;
+the free kernel of walks without stop sites is checked against the
+per-step walk, and the keyed site RNG against a pure-Python SplitMix64.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -63,7 +65,9 @@ from rwre.exact import (
 )
 from rwre.ladder import WaldCheck
 from rwre.mc import _site_rows, _walk
-from rwre.rng import MASK64, _avalanche, mix64, shard_sizes, substream_seed, worker_streams
+from rwre.rng import (
+    MASK64, _avalanche, mix64, shard_sizes, site_uniforms, substream_seed, worker_streams
+)
 
 from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
@@ -461,6 +465,75 @@ def test_shard_lockstep_equals_separate_walks(case):
     assert [r.random() for r in rngs] == [r.random() for r in refs]
 
 
+def _free_case(law, coded, size):
+    """Five paths in three shards (3, 0, 2) around the middle of one window of
+    ``size`` sites, as omega or as level codes."""
+    omega = sample_window(law, 8, 0, size - 1).omega
+    levels = law.omega_levels() if coded else None
+    sites = omega if levels is None else np.searchsorted(levels, omega).astype(np.uint8)
+    return omega, sites, levels, [size // 2 + d for d in (0, -1, 5, -6, 0)], [3, 0, 2]
+
+
+FREE_CASES = pytest.mark.parametrize("law,coded", [
+    (FIX_A, True), (FIX_A, False), (FIX_C, True), (FIX_C, False), (FIX_D, False),
+    (EnvLaw.constant(0.3), True), (EnvLaw.constant(0.3), False),
+], ids=["FIX-A-codes", "FIX-A-floats", "FIX-C-codes", "FIX-C-floats", "FIX-D", "const-codes",
+        "const-floats"])
+
+
+@FREE_CASES
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_free_walk_equals_per_step_walk(monkeypatch, law, coded, depth):
+    # Blocks of 1 to 7 steps, cut at the edge distance left at the last range
+    # check (25 steps at the start): walks of 40 steps cross both boundaries.
+    omega, sites, levels, starts, sizes = _free_case(law, coded, 61)
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * len(starts))
+    rngs, refs = worker_streams(11, 3), worker_streams(11, 3)
+    no_stop = np.zeros(omega.size, dtype=bool)
+    for cap in (0, 1, 9, 40):
+        ref = _walk(omega, starts, no_stop, cap, list(zip(refs, sizes)))
+        got = _walk(sites, starts, None, cap, list(zip(rngs, sizes)), levels)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        assert [r.random() for r in rngs] == [r.random() for r in refs]  # as many uniforms
+
+
+@FREE_CASES
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_free_walk_raises_at_the_step_it_leaves(monkeypatch, law, coded, depth):
+    omega, sites, levels, starts, sizes = _free_case(law, coded, 21)
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * len(starts))
+
+    def walk(stop, cap):  # the free kernel on ``sites``, the per-step walk on omega
+        on, lv = (sites, levels) if stop is None else (omega, None)
+        return _walk(on, starts, stop, cap, list(zip(worker_streams(5, 3), sizes)), lv)
+
+    no_stop = np.zeros(omega.size, dtype=bool)
+    cap = 0
+    while True:
+        try:
+            walk(no_stop, cap + 1)
+        except RuntimeError:
+            break
+        cap += 1
+    # The per-step walk leaves the window at step cap + 1; a longer walk must
+    # raise there too, before its block ends or a path reads a site off the array.
+    assert [a.tolist() for a in walk(None, cap)] == [a.tolist() for a in walk(no_stop, cap)]
+    for longer in range(cap + 1, cap + 9):
+        with pytest.raises(RuntimeError, match="left the realized window"):
+            walk(None, longer)
+
+
+@pytest.mark.parametrize("start", [-1, 21])
+@pytest.mark.parametrize("with_stop", [False, True], ids=["free", "stop-sites"])
+def test_walk_rejects_starts_off_the_array(start, with_stop):
+    # A negative index would otherwise read a site from the far end.
+    omega, _, _, _, _ = _free_case(FIX_A, False, 21)
+    stop = np.zeros(omega.size, dtype=bool) if with_stop else None
+    with pytest.raises(IndexError, match="starts outside"):
+        _walk(omega, [10, start], stop, 5, [(stream(1), 2)])
+
+
 MANY_LEVELS = EnvLaw.discrete([(1 / 300, (i + 0.5) / 300) for i in range(300)])
 REPEATED = EnvLaw.discrete([(0.25, 0.6), (0.25, 0.8), (0.5, 0.6)])
 
@@ -575,3 +648,21 @@ def test_mix64_matches_numpy_avalanche():
     for v in values + [0, MASK64, -1, -(2**64) - 3, 2**64, 2**65 + 7, 3 * 2**70 + 11]:
         with np.errstate(over="ignore"):
             assert mix64(v) == int(_avalanche(np.uint64(v & MASK64)))
+
+
+def _site_uniform_ref(seed, site):
+    """``site_uniforms`` in Python ints: SplitMix64 of mix64(seed) + site * golden."""
+    bits = mix64(mix64(seed) + site * 0x9E3779B97F4A7C15)
+    return (float(bits >> 11) + 0.5) * 2.0**-53
+
+
+def test_site_uniforms_match_python_reference():
+    sites = np.array([-(2**63), -(2**40) - 3, -70_001, -1, 0, 1, 2, 2**31, 2**62 + 7, 2**63 - 1])
+    sites = np.concatenate([sites, np.arange(-50, 50)])
+    seeds = [0, 5, 2**63 + 5, MASK64]
+    for seed in seeds:
+        got = site_uniforms(seed, sites)
+        assert got.tolist() == [_site_uniform_ref(seed, int(x)) for x in sites]
+    rows = site_uniforms(np.array(seeds, dtype=np.uint64)[:, None], sites)
+    assert rows.shape == (len(seeds), sites.size)
+    assert rows.tolist() == [[_site_uniform_ref(s, int(x)) for x in sites] for s in seeds]

@@ -231,7 +231,11 @@ def _resolve_seed(args) -> int:
 def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
-    return int(os.environ.get("RWRE_WORKERS", "1"))
+    raw = os.environ.get("RWRE_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"RWRE_WORKERS must be an integer, got {raw!r}") from None
 
 
 def cmd_classify(args) -> int:

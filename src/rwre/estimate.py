@@ -10,11 +10,26 @@ never folded into the statistical standard error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+
+
+_FSUM_BLOCK = 2**14  # floats converted to Python objects at a time
+
+
+def _fsum(xs: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float64 array, fed block by block: the same
+    exactly rounded sum as ``math.fsum(xs.tolist())`` without a list of the
+    whole array."""
+    return math.fsum(
+        itertools.chain.from_iterable(
+            xs[i : i + _FSUM_BLOCK].tolist() for i in range(0, xs.size, _FSUM_BLOCK)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -50,8 +65,8 @@ class Tally:
             return Tally(0, 0.0, 0.0, math.inf, -math.inf)
         return Tally(
             n=int(xs.size),
-            total=math.fsum(xs.tolist()),
-            total_sq=math.fsum((xs * xs).tolist()),
+            total=_fsum(xs),
+            total_sq=_fsum(xs * xs),
             minimum=float(xs.min()),
             maximum=float(xs.max()),
         )
@@ -94,11 +109,11 @@ class PairTally:
         y = np.asarray(ys, dtype=np.float64)
         return PairTally(
             n=int(x.size),
-            sum_x=math.fsum(x.tolist()),
-            sum_y=math.fsum(y.tolist()),
-            sum_xx=math.fsum((x * x).tolist()),
-            sum_yy=math.fsum((y * y).tolist()),
-            sum_xy=math.fsum((x * y).tolist()),
+            sum_x=_fsum(x),
+            sum_y=_fsum(y),
+            sum_xx=_fsum(x * x),
+            sum_yy=_fsum(y * y),
+            sum_xy=_fsum(x * y),
         )
 
 

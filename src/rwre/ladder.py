@@ -16,13 +16,20 @@ phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
 All level-crossing simulations (the importance and naive ``sup_tail``
 estimators and ``overshoot_constant``) run on one lockstep first-exit
-kernel, ``_first_exit``.  ``phi_estimate`` keeps its own loop because it
-accumulates e^{-S_n} along the path, but in the same compact form: the live
-partial sums sit in one array in path order, beside the indices of their
-paths.  Both loops turn each uniform into an increment by the package's one
-categorical rule, ``env._categories``.  Lattice laws are simulated in exact
-integer units so that skip-free importance weights are bit-identical across
-paths.
+kernel, ``_first_exit``.  It keeps only the partial sums of the paths still
+inside and returns the exits in exit order (by exit step, path order within
+a step), never as per-path arrays; every consumer (exactly rounded tallies,
+min/max, overshoot counts) is order-free.  ``phi_estimate`` keeps its own
+loop because it accumulates e^{-S_n} along each path: the live partial sums
+sit in one array in path order, beside the indices of their paths.  Both
+loops turn each uniform into an increment by the package's one categorical
+rule, ``env._categories``.  Lattice laws are simulated in exact integer
+units so that skip-free importance weights are bit-identical across paths.
+
+Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
+A shard's thread runs only the private walk and numpy; the tallies are taken
+afterwards in the caller's thread, in shard order, so every result depends
+on (seed, workers) only.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .env import EnvLaw, _categories, _positive_root, _thresholds
 from .estimate import Estimate, Tally, merge_mean
-from .rng import shard_sizes, worker_streams
+from .rng import _map_shards
 
 LATTICE_ATOL = 1e-9
 _STEP_GUARD = 10_000_000_000  # total step budget per worker; trips on misuse
@@ -197,28 +204,28 @@ def _first_exit(
     rng: np.random.Generator,
     integer_units: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk n paths until S >= up or S <= down; returns (S at exit, exit time).
+    """Walk n >= 1 paths until S >= up or S <= down; returns (S at exit, exit
+    time) in exit order: the paths that left at step 1 in path order, then
+    those that left at step 2, and so on.
 
-    down = -inf walks every path to its first crossing of ``up``.
+    down = -inf walks every path to its first crossing of ``up``.  Step k
+    draws one uniform for each path still inside, in path order.
     """
-    s = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
-    tau = np.zeros(n, dtype=np.int64)
-    live = s.copy()  # positions of the paths still inside, in path order
-    idx = np.arange(n)
-    steps = guard = 0
-    while idx.size:
-        live += incs[_categories(cumw, rng.random(idx.size))]
-        steps += 1
-        guard += idx.size
-        done = (live >= up) | (live <= down)
-        out = idx[done]
-        s[out] = live[done]
-        tau[out] = steps
-        keep = ~done
-        idx, live = idx[keep], live[keep]
+    live = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
+    exits = []  # exits[k-1]: S of the paths that left at step k
+    guard = 0
+    while live.size:
+        live += incs[_categories(cumw, rng.random(live.size))]
+        guard += live.size
+        done = live >= up
+        if down > -math.inf:
+            done |= live <= down
+        exits.append(live[done])
+        live = live[~done]
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
-    return s, tau
+    tau = np.repeat(np.arange(1, len(exits) + 1), [e.size for e in exits])
+    return np.concatenate(exits), tau
 
 
 def sup_tail(
@@ -248,34 +255,28 @@ def sup_tail(
         raise ValueError(f"sup_tail needs n >= 1, got {n}")
     gamma = gamma_root(step)
     lattice = step.lattice is not None
-    tallies = []
-    streams = worker_streams(seed, workers)
-    sizes = shard_sizes(n, workers)
 
     if method == "importance":
         q = tilt(step, gamma)
         cumw = _thresholds(q.q_weights)
         incs = np.asarray(step.units if lattice else step.values)
         level = _unit_level(t, step.lattice) if lattice else t
-        spread_lo, spread_hi = math.inf, -math.inf
-        for rng, n_w in zip(streams, sizes):
-            if n_w == 0:
-                continue
-            s_tau, _ = _first_exit(cumw, incs, level, -math.inf, n_w, rng, lattice)
-            s_real = s_tau * step.lattice if lattice else s_tau
-            weights = np.exp(-gamma * s_real)
-            tl = Tally.of(weights)
-            tallies.append(tl)
-            spread_lo = min(spread_lo, tl.minimum)
-            spread_hi = max(spread_hi, tl.maximum)
-        n_tot, mean, se, _, _ = merge_mean(tallies)
+
+        def weights(rng, n_w):
+            # Rebinding x frees S early: a shard holds at most two arrays here.
+            x = _first_exit(cumw, incs, level, -math.inf, n_w, rng, lattice)[0]
+            x = -gamma * (x * step.lattice if lattice else x)
+            return np.exp(x, out=x)
+
+        tallies = [Tally.of(w) for w in _map_shards(weights, seed, n, workers)]
+        n_tot, mean, se, lo, hi = merge_mean(tallies)
         return Estimate(
             value=mean,
             std_error=se,
             n=n_tot,
             method="sup-tail-importance",
             seed=seed,
-            extras={"gamma": gamma, "weight_spread": spread_hi - spread_lo},
+            extras={"gamma": gamma, "weight_spread": hi - lo},
         )
 
     if method == "naive":
@@ -289,11 +290,11 @@ def sup_tail(
             # a path at or below -m is abandoned; when m = 0 any dip below 0
             # already certifies the miss, so the level just excludes 0 itself
             up, down = t, min(-1e-300, -m)
-        for rng, n_w in zip(streams, sizes):
-            if n_w == 0:
-                continue
-            s_exit, _ = _first_exit(cumw, incs, up, down, n_w, rng, lattice)
-            tallies.append(Tally.of(s_exit >= up))
+
+        def hits(rng, n_w):
+            return _first_exit(cumw, incs, up, down, n_w, rng, lattice)[0] >= up
+
+        tallies = [Tally.of(h) for h in _map_shards(hits, seed, n, workers)]
         n_tot, mean, se, _, _ = merge_mean(tallies)
         return Estimate(
             value=mean,
@@ -368,14 +369,13 @@ def overshoot_constant(
     pmf: dict[int, float] = {}
     wald = None
     for k in ks:
-        streams = worker_streams(seed, workers)
-        sizes = shard_sizes(n, workers)
+        exits = _map_shards(
+            lambda rng, n_w: _first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
+            seed, n, workers,
+        )
         w_tallies, s_tallies, tau_tallies = [], [], []
         over_counts: dict[int, int] = {}
-        for rng, n_w in zip(streams, sizes):
-            if n_w == 0:
-                continue
-            s_tau, tau = _first_exit(cumw, incs, k, -math.inf, n_w, rng, True)
+        for s_tau, tau in exits:
             w_tallies.append(Tally.of(np.exp(-gamma * (s_tau * a))))
             if k == ks[-1]:
                 s_tallies.append(Tally.of(s_tau * a))
@@ -432,10 +432,8 @@ def phi_estimate(
         down = math.floor(-t / step.lattice + 1e-9)
     else:
         down = -t
-    tallies = []
-    for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(n, workers)):
-        if n_w == 0:
-            continue
+
+    def functional(rng, n_w):
         f = np.ones(n_w)
         idx = np.arange(n_w)
         live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
@@ -448,6 +446,8 @@ def phi_estimate(
             f[idx] += np.exp(-(live * step.lattice if lattice else live))
             if guard > _STEP_GUARD:
                 raise RuntimeError("phi simulation exceeded the step budget")
-        tallies.append(Tally.of(f))
+        return f
+
+    tallies = [Tally.of(f) for f in _map_shards(functional, seed, n, workers)]
     n_tot, mean, se, _, _ = merge_mean(tallies)
     return Estimate(value=mean, std_error=se, n=n_tot, method="phi-mc", seed=seed)

@@ -9,9 +9,17 @@ The per-site generator is SplitMix64 evaluated at counter x: the 64-bit
 state is seed' + x * GOLDEN (wrapping), pushed through the standard
 avalanche finalizer.  seed' is the pre-mixed master seed so that nearby
 seeds give unrelated streams.
+
+Worker streams shard replicates: worker w's generator, a pure function of
+(seed, w), drives the w-th consecutive block of paths.  ``_map_shards`` runs
+the busy shards on up to usable-CPU threads; each shard touches only its own
+generator, so results depend on (seed, workers) only, never on the thread
+count.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -88,3 +96,35 @@ def shard_sizes(n: int, workers: int) -> list[int]:
     """Split n replicates across workers, earlier workers taking the remainder."""
     base, extra = divmod(n, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_shards(fn, seed: int, n: int, workers: int) -> list:
+    """``fn(rng, n_w)`` for every non-empty shard of n replicates over
+    ``workers`` streams, results in shard order.
+
+    Shards run on a pool of min(busy shards, usable CPUs) threads; with one
+    thread or one busy shard they run in the caller's thread and no pool is
+    made.  ``workers`` sets the streams, never the thread count.  ``fn`` runs
+    in pool threads, so it must keep to private kernels and numpy (tallies
+    belong to the caller); an exception it raises reaches the caller.
+    """
+    jobs = [
+        (rng, n_w)
+        for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(n, workers))
+        if n_w
+    ]
+    threads = min(len(jobs), _usable_cpus())
+    if threads <= 1:
+        return [fn(rng, n_w) for rng, n_w in jobs]
+    # Imported here so that runs without a pool do not load the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*jobs)))

@@ -333,3 +333,13 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, rwre.cli; sys.exit(int('scipy.linalg' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+def test_bad_rwre_workers_is_named_in_the_error(monkeypatch, capsys, tmp_path, raw):
+    monkeypatch.setenv("RWRE_WORKERS", raw)
+    argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--sup-tail", "4",
+            "-n", "100", "--seed", "1", "--out", str(tmp_path / "w")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RWRE_WORKERS" in err and repr(raw) in err

@@ -1,0 +1,307 @@
+"""Ladder worker shards on the thread pool (``rng._map_shards``), the
+exit-order first-exit kernel they run, and the block-wise exact sum behind
+``Tally`` and ``PairTally``.
+
+The shards of ``sup_tail``, ``overshoot_constant`` and ``phi_estimate`` run
+on up to usable-CPU threads.  Results must not depend on whether the pool
+runs, the pool must never be larger than the usable CPUs nor exist for one
+busy shard, and pool threads must run no public ``rwre`` function (the
+benchmark tracer keeps one span stack and wraps public functions only).
+``_first_exit`` is checked against the per-path kernel it replaced, which
+kept S and tau in path order.
+"""
+
+import concurrent.futures
+import inspect
+import math
+import os
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rwre import (
+    Estimate,
+    StepLaw,
+    gamma_root,
+    overshoot_constant,
+    phi_estimate,
+    step_from_env,
+    sup_tail,
+    tilt,
+)
+from rwre import estimate, ladder, rng as rng_mod
+from rwre.cli import main
+from rwre.env import _thresholds
+from rwre.estimate import PairTally, Tally
+from rwre.rng import worker_streams
+
+from laws import FIX_F
+
+SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
+GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)])
+FIX_F_STEP = step_from_env(FIX_F)
+
+
+# ------------------------------------------------------------ exact sums
+
+@pytest.mark.parametrize("size", [0, 1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
+def test_blockwise_fsum_equals_one_list_fsum(size):
+    g = np.random.default_rng(size)
+    xs = np.where(g.random(size) < 0.5, -1.0, 1.0) * 10.0 ** g.uniform(-300, 300, size)
+    assert estimate._fsum(xs) == math.fsum(xs.tolist())
+    # Tallies also sum squares and products, so keep those finite.
+    xs = g.standard_normal(size) * 10.0 ** g.uniform(-150, 150, size)
+    ys = g.standard_normal(size) * 10.0 ** g.uniform(-150, 150, size)
+    if size:
+        t = Tally.of(xs)
+        assert (t.total, t.total_sq) == (math.fsum(xs.tolist()), math.fsum((xs * xs).tolist()))
+        p = PairTally.of(xs, ys)
+        assert (p.sum_x, p.sum_y, p.sum_xx, p.sum_yy, p.sum_xy) == tuple(
+            math.fsum(v.tolist()) for v in (xs, ys, xs * xs, ys * ys, xs * ys)
+        )
+
+
+# ------------------------------------------------------- first-exit kernel
+
+def _per_path_first_exit(cumw, incs, up, down, n, rng, integer_units):
+    """The kernel before exit order: S and tau kept per path, in path order."""
+    s = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
+    tau = np.zeros(n, dtype=np.int64)
+    live = s.copy()
+    idx = np.arange(n)
+    steps = guard = 0
+    while idx.size:
+        live += incs[ladder._categories(cumw, rng.random(idx.size))]
+        steps += 1
+        guard += idx.size
+        done = (live >= up) | (live <= down)
+        out = idx[done]
+        s[out] = live[done]
+        tau[out] = steps
+        keep = ~done
+        idx, live = idx[keep], live[keep]
+        if guard > ladder._STEP_GUARD:
+            raise RuntimeError("first-exit simulation exceeded the step budget")
+    return s, tau
+
+
+def _kernel_args(step, tilted, up, down):
+    lattice = step.lattice is not None
+    weights = tilt(step, gamma_root(step)).q_weights if tilted else step.weights
+    incs = np.asarray(step.units if lattice else step.values)
+    return _thresholds(weights), incs, up, down, lattice
+
+
+KERNEL_CASES = {
+    "lattice-up": (SKIP_FREE, True, 4, -math.inf),
+    "lattice-band": (SKIP_FREE, False, 4, -12),
+    "logrho-up": (FIX_F_STEP, True, 7, -math.inf),
+    "float-up": (GENERAL, True, 6.0, -math.inf),
+    "float-band": (GENERAL, False, 6.0, -9.5),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 3000])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_first_exit_equals_per_path_kernel(case, n):
+    cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES[case])
+    ref_rng, new_rng = worker_streams(17, 1)[0], worker_streams(17, 1)[0]
+    s_ref, tau_ref = _per_path_first_exit(cumw, incs, up, down, n, ref_rng, lattice)
+    s_new, tau_new = ladder._first_exit(cumw, incs, up, down, n, new_rng, lattice)
+    assert s_new.dtype == s_ref.dtype and tau_new.dtype == tau_ref.dtype
+    ref, new = np.lexsort((tau_ref, s_ref)), np.lexsort((tau_new, s_new))
+    np.testing.assert_array_equal(s_new[new], s_ref[ref])
+    np.testing.assert_array_equal(tau_new[new], tau_ref[ref])
+    assert np.all(np.diff(tau_new) >= 0)  # exit order
+    assert new_rng.random() == ref_rng.random()  # the same draws were made
+
+
+def test_first_exit_step_guard_still_trips(monkeypatch):
+    monkeypatch.setattr(ladder, "_STEP_GUARD", 500)
+    cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES["lattice-up"])
+    with pytest.raises(RuntimeError, match="step budget"):
+        ladder._first_exit(cumw, incs, 40, down, 100, worker_streams(1, 1)[0], lattice)
+
+
+# ------------------------------------------------------------------- pool
+
+ESTIMATORS = {
+    "sup-naive": lambda n, w: sup_tail(SKIP_FREE, 4, n, "naive", seed=5, workers=w),
+    "sup-importance": lambda n, w: sup_tail(SKIP_FREE, 4, n, "importance", seed=5, workers=w),
+    "sup-float": lambda n, w: sup_tail(GENERAL, 6.0, n, "importance", seed=5, workers=w),
+    "sup-float-naive": lambda n, w: sup_tail(GENERAL, 6.0, n, "naive", seed=5, workers=w),
+    "overshoot": lambda n, w: overshoot_constant(FIX_F_STEP, range(3, 6), n, seed=5, workers=w),
+    "phi": lambda n, w: phi_estimate(FIX_F_STEP, 2.0, n, seed=5, workers=w),
+}
+
+
+def _pools(monkeypatch, cpus):
+    """Set the usable-CPU count; returns the max_workers of every pool made."""
+    made = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return made
+
+
+@pytest.mark.parametrize("n, workers", [(1500, 1), (1500, 2), (1500, 3), (1500, 4), (3, 5)])
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_pool_on_equals_pool_off(monkeypatch, name, n, workers):
+    run = ESTIMATORS[name]
+    made = _pools(monkeypatch, 1)
+    serial = run(n, workers)
+    assert made == []
+    made = _pools(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching often
+    try:
+        threaded = run(n, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    busy = min(n, workers)
+    assert set(made) == ({busy} if busy > 1 else set())
+    assert threaded == serial
+
+
+class _FakePool:
+    """Records its size and runs the shards in the caller's thread."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        _FakePool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, n, expected", [(3, 1000, 3), (128, 1000, 64), (128, 5, 5)])
+def test_pool_never_exceeds_usable_cpus_or_busy_shards(monkeypatch, cpus, n, expected):
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
+    monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: cpus)
+    threads_before = threading.active_count()
+    est = sup_tail(SKIP_FREE, 4, n, "importance", seed=2, workers=64)
+    assert _FakePool.made == [expected]
+    assert threading.active_count() == threads_before
+    assert est.n == n
+
+
+def test_usable_cpus_follow_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert rng_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert rng_mod._usable_cpus() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("n, workers", [(500, 1), (1, 3)])
+def test_one_busy_shard_makes_no_pool(monkeypatch, n, workers):
+    class Refuse:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was made for one busy shard")
+
+    monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refuse)
+    for run in ESTIMATORS.values():
+        run(n, workers)
+
+
+def test_step_guard_error_from_a_pool_thread_reaches_the_caller(monkeypatch, tmp_path):
+    made = _pools(monkeypatch, 2)
+    monkeypatch.setattr(ladder, "_STEP_GUARD", 100)
+    raised = []
+    kernel = ladder._first_exit
+
+    def spy(*args):
+        try:
+            return kernel(*args)
+        except RuntimeError as exc:
+            raised.append((threading.current_thread(), exc))
+            raise
+
+    monkeypatch.setattr(ladder, "_first_exit", spy)
+    with pytest.raises(RuntimeError, match="step budget") as info:
+        sup_tail(SKIP_FREE, 50, 1000, "importance", seed=1, workers=2)
+    assert made == [2]
+    assert raised and all(t is not threading.main_thread() for t, _ in raised)
+    assert any(info.value is exc for _, exc in raised)
+    out = str(tmp_path / "guard")
+    argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--sup-tail", "50",
+            "-n", "1000", "--seed", "1", "--workers", "2", "--out", out]
+    assert main(argv) == 2
+
+
+def _public_code_objects():
+    """Code of every function the benchmark tracer wraps: public functions of
+    the rwre modules and public methods of the classes they define."""
+    codes = set()
+    for name, module in list(sys.modules.items()):
+        if not (name == "rwre" or name.startswith("rwre.")):
+            continue
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                codes.add(obj.__code__)
+            elif inspect.isclass(obj):
+                for mattr, mobj in vars(obj).items():
+                    if mattr.startswith("_"):
+                        continue
+                    fn = mobj.__func__ if isinstance(mobj, (staticmethod, classmethod)) else mobj
+                    if inspect.isfunction(fn):
+                        codes.add(fn.__code__)
+    return codes
+
+
+def test_pool_threads_run_no_public_function(monkeypatch):
+    public = _public_code_objects()
+    assert Tally.of.__code__ in public and sup_tail.__code__ in public
+    made = _pools(monkeypatch, 4)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    threading.setprofile(profile)  # new threads only; this thread is not profiled
+    try:
+        for run in ESTIMATORS.values():
+            run(1500, 3)
+    finally:
+        threading.setprofile(None)
+    assert made and set(made) == {3}
+    assert ladder._first_exit.__code__ in seen  # the kernel did run in the pool
+    leaked = {f"{c.co_filename}:{c.co_name}" for c in seen & public}
+    assert not leaked
+
+
+# ----------------------------------------------------------------- memory
+
+@pytest.mark.parametrize("method, limit_mib", [("naive", 12), ("importance", 15)])
+def test_sup_tail_peak_memory_with_both_shards_live(monkeypatch, method, limit_mib):
+    # The per-path kernel peaked at 12.6 MiB (naive) and 15.6 MiB
+    # (importance) here, running its two shards one after the other.
+    monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        est = sup_tail(SKIP_FREE, 4, 400_000, method, seed=3, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(est, Estimate) and est.n == 400_000
+    assert peak < limit_mib * 2**20
+

@@ -230,12 +230,17 @@ def _resolve_seed(args) -> int:
 
 def _workers(args) -> int:
     if args.workers is not None:
+        if args.workers < 1:
+            raise CliError(f"--workers must be >= 1, got {args.workers}")
         return args.workers
     raw = os.environ.get("RWRE_WORKERS", "1")
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
         raise CliError(f"RWRE_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise CliError(f"RWRE_WORKERS must be >= 1, got {raw!r}")
+    return workers
 
 
 def cmd_classify(args) -> int:

@@ -71,6 +71,37 @@ class Tally:
             maximum=float(xs.max()),
         )
 
+    @staticmethod
+    def of_counts(values: np.ndarray, counts: np.ndarray) -> "Tally":
+        """``Tally.of(np.repeat(values, counts))`` without the repeated
+        samples: each sum is the exactly rounded count-weighted sum."""
+        xs = np.asarray(values, dtype=np.float64)
+        cs = np.asarray(counts, dtype=np.int64)
+        xs, cs = xs[cs > 0], cs[cs > 0].tolist()
+        if not cs:
+            return Tally(0, 0.0, 0.0, math.inf, -math.inf)
+        return Tally(
+            n=sum(cs),
+            total=_counted_fsum(xs, cs),
+            total_sq=_counted_fsum(xs * xs, cs),
+            minimum=float(xs.min()),
+            maximum=float(xs.max()),
+        )
+
+
+def _counted_fsum(xs: np.ndarray, counts: list[int]) -> float:
+    """What ``math.fsum`` returns for counts[i] copies of each xs[i]: the
+    exact sum in integers over the values' common power-of-two denominator,
+    rounded once by int true division.  A sum past the float range raises
+    OverflowError as ``math.fsum`` does; an inf or nan among the values gives
+    ``math.fsum``'s special value, which no count changes."""
+    values = xs.tolist()
+    if not all(map(math.isfinite, values)):
+        return math.fsum(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    return sum(c * p * (den // d) for c, (p, d) in zip(counts, ratios)) / den
+
 
 def merge_mean(tallies: list[Tally]) -> tuple[int, float, float, float, float]:
     """(n, mean, std_error, min, max) from per-worker tallies.

@@ -19,12 +19,20 @@ estimators and ``overshoot_constant``) run on one lockstep first-exit
 kernel, ``_first_exit``.  It keeps only the partial sums of the paths still
 inside and returns the exits in exit order (by exit step, path order within
 a step), never as per-path arrays; every consumer (exactly rounded tallies,
-min/max, overshoot counts) is order-free.  ``phi_estimate`` keeps its own
-loop because it accumulates e^{-S_n} along each path: the live partial sums
-sit in one array in path order, beside the indices of their paths.  Both
-loops turn each uniform into an increment by the package's one categorical
-rule, ``env._categories``.  Lattice laws are simulated in exact integer
-units so that skip-free importance weights are bit-identical across paths.
+min/max) is order-free.  An overshoot scan is one walk, to its top level K:
+the tilted drift is positive, so each path passes every lower level on its
+way up, and the kernel also keeps each path's running maximum to count every
+level's first passage and overshoot.  The scan's tallies come from those
+counts alone.  For laws that are skip-free upward each entry equals a
+separate walk to its level; for other lattice laws the entries below K are
+common-random-number estimates from the same paths, correlated across k.
+
+``phi_estimate`` keeps its own loop because it accumulates e^{-S_n} along
+each path: the live partial sums sit in one array in path order, beside the
+indices of their paths.  Both loops turn each uniform into an increment by
+the package's one categorical rule, ``env._categories``.  Lattice laws are
+simulated in exact integer units so that skip-free importance weights are
+bit-identical across paths.
 
 Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
 A shard's thread runs only the private walk and numpy; the tallies are taken
@@ -203,6 +211,7 @@ def _first_exit(
     n: int,
     rng: np.random.Generator,
     integer_units: bool,
+    levels: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk n >= 1 paths until S >= up or S <= down; returns (S at exit, exit
     time) in exit order: the paths that left at step 1 in path order, then
@@ -210,20 +219,54 @@ def _first_exit(
 
     down = -inf walks every path to its first crossing of ``up``.  Step k
     draws one uniform for each path still inside, in path order.
+
+    ``levels`` (lattice only: sorted distinct integer levels, the last one
+    ``up``, with down = -inf) records every level's first passage instead.
+    Each path keeps its running maximum beside its partial sum, started just
+    below levels[0] so that only steps n >= 1 count, and a rise from ``old``
+    to ``new`` is the first passage of every level in (old, new].  Returns
+    (counts, exits) with no per-path array: counts[i, o] paths first crossed
+    levels[i] at levels[i] + o, and exits[k-1] paths reached ``up`` at step k.
+    The walk draws exactly what the walk to ``up`` without ``levels`` draws.
     """
     live = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
-    exits = []  # exits[k-1]: S of the paths that left at step k
+    if levels is not None:
+        top_inc = int(incs.max())
+        base = int(levels[0]) - 1
+        top = np.full(n, base, dtype=np.int64)  # running max, floored just below levels[0]
+        width = top_inc - min(0, base)  # overshoots lie in 0..width-1
+        # rank[x - base]: how many levels are <= x, for every x a running max reaches
+        rank = np.searchsorted(levels, np.arange(base, max(int(levels[-1]), 1) + top_inc), "right")
+        # slot[i] + x counts (levels[i], x - levels[i]); rank + j may pass the last
+        # level, so slot is padded, and paths crossing no level go to one spare count
+        slot = np.concatenate((np.arange(levels.size) * width - levels, np.zeros_like(levels)))
+        spare = levels.size * width
+        counts = np.zeros(spare + 1, dtype=np.int64)
+    exits = []  # exits[k-1]: S of the paths that left at step k (their count with levels)
     guard = 0
     while live.size:
         live += incs[_categories(cumw, rng.random(live.size))]
         guard += live.size
+        if levels is not None:
+            lo = rank[top - base]
+            np.maximum(top, live, out=top)
+            crossed = rank[top - base] - lo
+            for j in range(int(crossed.max())):
+                at = np.where(crossed > j, top + slot[lo + j], spare)
+                counts += np.bincount(at, minlength=counts.size)
         done = live >= up
         if down > -math.inf:
             done |= live <= down
-        exits.append(live[done])
+        if levels is None:
+            exits.append(live[done])
+        else:
+            exits.append(np.count_nonzero(done))
+            top = top[~done]
         live = live[~done]
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
+    if levels is not None:
+        return counts[:spare].reshape(levels.size, width), np.array(exits, dtype=np.int64)
     tau = np.repeat(np.arange(1, len(exits) + 1), [e.size for e in exits])
     return np.concatenate(exits), tau
 
@@ -352,6 +395,16 @@ def overshoot_constant(
     distribution and the Wald-identity data (mean S_tau vs E_Q[xi] mean tau)
     at the largest k.  Non-lattice laws are rejected: only the lattice
     limit is probed here.
+
+    One scan is one walk of n tilted paths to K = max(k_range): the drift is
+    positive under Q, so each path passes every lower level on its way up,
+    and ``_first_exit`` records each level's first passage and overshoot as
+    counts.  The walk to K draws what a walk to K alone draws, so the k = K
+    entry, the Wald data and the overshoot law do not depend on the other
+    levels.  For laws that are skip-free upward every path crosses level k
+    exactly at k, so every entry equals a separate walk to its own level;
+    for other laws the lower entries are common-random-number estimates from
+    the same paths, correlated across k.
     """
     if step.lattice is None:
         raise ValueError("overshoot_constant needs a lattice step law")
@@ -365,42 +418,37 @@ def overshoot_constant(
     cumw = _thresholds(q.q_weights)
     incs = np.asarray(step.units)
     a = step.lattice
-    entries = []
-    pmf: dict[int, float] = {}
-    wald = None
-    for k in ks:
-        exits = _map_shards(
-            lambda rng, n_w: _first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
-            seed, n, workers,
-        )
-        w_tallies, s_tallies, tau_tallies = [], [], []
-        over_counts: dict[int, int] = {}
-        for s_tau, tau in exits:
-            w_tallies.append(Tally.of(np.exp(-gamma * (s_tau * a))))
-            if k == ks[-1]:
-                s_tallies.append(Tally.of(s_tau * a))
-                tau_tallies.append(Tally.of(tau.astype(np.float64)))
-                for u, c in zip(*np.unique(s_tau - k, return_counts=True)):
-                    over_counts[int(u)] = over_counts.get(int(u), 0) + int(c)
-        n_tot, mean, se, _, _ = merge_mean(w_tallies)
+    levels = np.unique(ks)
+    top = ks[-1]
+    shards = _map_shards(
+        lambda rng, n_w: _first_exit(cumw, incs, top, -math.inf, n_w, rng, True, levels),
+        seed, n, workers,
+    )
+    over = np.arange(shards[0][0].shape[1])  # overshoot in lattice units
+
+    def merged(pairs):  # (values, counts) per shard
+        return merge_mean([Tally.of_counts(values, counts) for values, counts in pairs])
+
+    entry = {}
+    for row, k in enumerate(levels.tolist()):
+        weights = np.exp(-gamma * ((k + over) * a))
+        _, mean, se, _, _ = merged((weights, counts[row]) for counts, _ in shards)
         scale = math.exp(gamma * a * k)
-        entries.append(
-            OvershootEntry(k=k, level=a * k, scaled=scale * mean, scaled_se=scale * se)
-        )
-        if k == ks[-1]:
-            _, ms, ses, _, _ = merge_mean(s_tallies)
-            _, mt, set_, _, _ = merge_mean(tau_tallies)
-            wald = WaldCheck(
-                k=k, mean_s_tau=ms, se_s_tau=ses, mean_tau=mt, se_tau=set_, drift_q=q.mean
-            )
-            total = sum(over_counts.values())
-            pmf = {u: c / total for u, c in sorted(over_counts.items())}
+        entry[k] = OvershootEntry(k=k, level=a * k, scaled=scale * mean, scaled_se=scale * se)
+    _, ms, ses, _, _ = merged(((top + over) * a, counts[-1]) for counts, _ in shards)
+    _, mt, set_, _, _ = merged(
+        (np.arange(1, exits.size + 1, dtype=np.float64), exits) for _, exits in shards
+    )
+    hits = sum(counts[-1] for counts, _ in shards)
+    total = int(hits.sum())
     return OvershootScan(
         gamma=gamma,
         lattice_a=a,
-        entries=tuple(entries),
-        overshoot_pmf=pmf,
-        wald=wald,
+        entries=tuple(entry[k] for k in ks),
+        overshoot_pmf={int(u): int(c) / total for u, c in zip(over, hits) if c},
+        wald=WaldCheck(
+            k=top, mean_s_tau=ms, se_s_tau=ses, mean_tau=mt, se_tau=set_, drift_q=q.mean
+        ),
         n_per_level=n,
         seed=seed,
     )

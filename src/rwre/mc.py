@@ -59,7 +59,7 @@ from .exact import (
     conditioned_env,
     return_decomposition,
 )
-from .rng import shard_sizes, substream_seed, worker_streams
+from .rng import _busy_shards, shard_sizes, substream_seed, worker_streams
 
 RETURNED = "returned"
 ESCAPED = "escaped"
@@ -390,8 +390,8 @@ def conditioned_sampler(
 
     # Each round walks every worker's shard in one lockstep: shard w draws its
     # own paths and keeps its first need[w] returns (none once it is full).
-    rngs = worker_streams(seed, workers)
-    need = np.array(shard_sizes(n, workers))
+    rngs, need = zip(*_busy_shards(seed, n, workers))
+    need = np.array(need)
     got: list[list[np.ndarray]] = [[] for _ in rngs]
     while need.any():
         batch = need.copy() if mode == "h_transform" else np.maximum(64, 2 * need) * (need > 0)
@@ -474,11 +474,11 @@ def estimate_return_conditional(
     if n_env < 1:
         raise ValueError(f"averaged mode needs n_env >= 1, got {n_env}")
 
-    sizes = shard_sizes(n_env, workers)
+    sizes = shard_sizes(n_env, min(n_env, workers))  # the non-empty shards
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
     tallies: list[PairTally] = []
     failures = 0
-    for w in range(workers):
+    for w in range(len(sizes)):
         xs, ys = [], []
         for block in _env_blocks(offsets[w], offsets[w + 1]):
             for rd in _decompositions(law, [substream_seed(seed, 1, j) for j in block], tol):
@@ -693,8 +693,7 @@ def speed_estimate(
     levels = law.omega_levels()
     rows = max(1, _SITE_BUDGET // (window_len * _site_dtype(levels).itemsize))
     sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
-    rngs = worker_streams(seed, workers)
-    sizes = shard_sizes(reps, workers)
+    rngs, sizes = zip(*_busy_shards(seed, reps, workers))
     ends = np.cumsum(sizes)
     begins = ends - sizes
     finals = np.empty(reps)

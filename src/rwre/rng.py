@@ -14,7 +14,7 @@ Worker streams shard replicates: worker w's generator, a pure function of
 (seed, w), drives the w-th consecutive block of paths.  ``_map_shards`` runs
 the busy shards on up to usable-CPU threads; each shard touches only its own
 generator, so results depend on (seed, workers) only, never on the thread
-count.
+count.  Only the non-empty shards get a generator (``_busy_shards``).
 """
 
 from __future__ import annotations
@@ -105,6 +105,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _busy_shards(seed: int, n: int, workers: int) -> list[tuple[np.random.Generator, int]]:
+    """(stream, size) of every non-empty shard of n replicates over
+    ``workers`` streams, in shard order.  Those are the first min(n, workers)
+    shards, and stream w depends on (seed, w) only, so no generator is built
+    for an empty shard."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    busy = min(n, workers)
+    return list(zip(worker_streams(seed, busy), shard_sizes(n, busy))) if busy else []
+
+
 def _map_shards(fn, seed: int, n: int, workers: int) -> list:
     """``fn(rng, n_w)`` for every non-empty shard of n replicates over
     ``workers`` streams, results in shard order.
@@ -115,11 +126,7 @@ def _map_shards(fn, seed: int, n: int, workers: int) -> list:
     in pool threads, so it must keep to private kernels and numpy (tallies
     belong to the caller); an exception it raises reaches the caller.
     """
-    jobs = [
-        (rng, n_w)
-        for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(n, workers))
-        if n_w
-    ]
+    jobs = _busy_shards(seed, n, workers)
     threads = min(len(jobs), _usable_cpus())
     if threads <= 1:
         return [fn(rng, n_w) for rng, n_w in jobs]

@@ -343,3 +343,23 @@ def test_bad_rwre_workers_is_named_in_the_error(monkeypatch, capsys, tmp_path, r
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "RWRE_WORKERS" in err and repr(raw) in err
+
+
+@pytest.mark.parametrize("flag, env, expected", [
+    ("0", None, "--workers must be >= 1, got 0"),
+    ("-2", "4", "--workers must be >= 1, got -2"),
+    (None, "0", "RWRE_WORKERS must be >= 1, got '0'"),
+    (None, "-3", "RWRE_WORKERS must be >= 1, got '-3'"),
+])
+def test_workers_below_one_names_its_source(monkeypatch, capsys, tmp_path, flag, env, expected):
+    if env is None:
+        monkeypatch.delenv("RWRE_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("RWRE_WORKERS", env)
+    argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--sup-tail", "4",
+            "-n", "100", "--seed", "1", "--out", str(tmp_path / "w")]
+    if flag is not None:
+        argv += ["--workers", flag]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "w.csv").exists()

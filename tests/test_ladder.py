@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -9,12 +10,17 @@ from rwre import (
     StepLaw,
     gamma_root,
     kappa_root,
+    ladder,
     overshoot_constant,
     phi_estimate,
     step_from_env,
     sup_tail,
     tilt,
 )
+from rwre.env import _thresholds
+from rwre.estimate import Tally, merge_mean
+from rwre.ladder import OvershootEntry, OvershootScan, WaldCheck
+from rwre.rng import _busy_shards, _map_shards
 
 from laws import FIX_C, FIX_D, FIX_F
 
@@ -179,6 +185,125 @@ class TestOvershoot:
     def test_non_lattice_rejected(self):
         with pytest.raises(ValueError):
             overshoot_constant(step_from_env(FIX_C), range(3, 5), n=10)
+
+
+def _per_level_scan(step, k_range, n, seed=0, workers=1):
+    """The scan as n fresh tilted paths walked to each level k in turn, on
+    the same worker streams each time: the reference for the one-walk scan."""
+    ks = sorted(int(k) for k in k_range)
+    gamma = gamma_root(step)
+    q = tilt(step, gamma)
+    cumw, incs, a = _thresholds(q.q_weights), np.asarray(step.units), step.lattice
+    entries, pmf, wald = [], {}, None
+    for k in ks:
+        exits = _map_shards(
+            lambda rng, n_w: ladder._first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
+            seed, n, workers,
+        )
+        _, mean, se, _, _ = merge_mean([Tally.of(np.exp(-gamma * (s * a))) for s, _ in exits])
+        scale = math.exp(gamma * a * k)
+        entries.append(OvershootEntry(k=k, level=a * k, scaled=scale * mean, scaled_se=scale * se))
+        if k == ks[-1]:
+            _, ms, ses, _, _ = merge_mean([Tally.of(s * a) for s, _ in exits])
+            _, mt, set_, _, _ = merge_mean([Tally.of(t.astype(np.float64)) for _, t in exits])
+            wald = WaldCheck(k=k, mean_s_tau=ms, se_s_tau=ses, mean_tau=mt, se_tau=set_,
+                             drift_q=q.mean)
+            over, counts = np.unique(np.concatenate([s for s, _ in exits]) - k, return_counts=True)
+            pmf = {int(u): int(c) / n for u, c in zip(over, counts)}
+    return OvershootScan(gamma=gamma, lattice_a=a, entries=tuple(entries), overshoot_pmf=pmf,
+                         wald=wald, n_per_level=n, seed=seed)
+
+
+# Upward jumps of 2 and 1: a path can pass a level without landing on it.
+JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])
+
+
+class TestOvershootScan:
+    """``overshoot_constant`` walks once, to the top level, and records every
+    lower level's first passage on the way; ``_per_level_scan`` above is the
+    design it replaced."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("k_range", [range(1, 5), range(-2, 3), [3, 7, 12]])
+    @pytest.mark.parametrize("law", ["fix-f", "skip-free"])
+    def test_skip_free_up_scan_equals_per_level_walks(self, law, k_range, workers):
+        step = step_from_env(FIX_F) if law == "fix-f" else SKIP_FREE
+        scan = overshoot_constant(step, k_range, n=1500, seed=3, workers=workers)
+        assert scan == _per_level_scan(step, k_range, 1500, seed=3, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jumpy_top_level_wald_and_pmf_equal_per_level_walks(self, workers):
+        assert JUMPY.units == (2, 1, -3) and JUMPY.lattice == pytest.approx(1.0)
+        scan = overshoot_constant(JUMPY, range(1, 9), n=4000, seed=5, workers=workers)
+        ref = _per_level_scan(JUMPY, range(1, 9), 4000, seed=5, workers=workers)
+        assert scan.entries[-1] == ref.entries[-1]
+        assert scan.wald == ref.wald
+        assert scan.overshoot_pmf == ref.overshoot_pmf
+        assert scan.entries[:-1] != ref.entries[:-1]  # common-random-number estimates
+
+    def test_jumpy_lower_levels_agree_in_distribution(self):
+        worst = 0.0
+        for seed in range(20):
+            scan = overshoot_constant(JUMPY, range(1, 9), n=3000, seed=seed)
+            ref = _per_level_scan(JUMPY, range(1, 9), 3000, seed=seed)
+            for e, r in zip(scan.entries, ref.entries):
+                assert e.k == r.k and e.scaled_se > 0.0
+                worst = max(worst, abs(e.scaled - r.scaled) / math.hypot(e.scaled_se, r.scaled_se))
+        assert worst <= 4.0
+
+    def test_duplicate_levels_keep_their_entries(self):
+        k_range = [5, 3, 9, 5, 3, 3]
+        for step in (step_from_env(FIX_F), JUMPY):
+            scan = overshoot_constant(step, k_range, n=2000, seed=7, workers=2)
+            assert [e.k for e in scan.entries] == [3, 3, 3, 5, 5, 9]
+            assert scan.entries[0] == scan.entries[1] == scan.entries[2]
+            if step is not JUMPY:
+                assert scan == _per_level_scan(step, k_range, 2000, seed=7, workers=2)
+
+    def test_one_map_of_shards_drawing_one_walk_to_the_top(self, monkeypatch):
+        step = step_from_env(FIX_F)
+        maps, drawn = [], []
+        real = ladder._map_shards
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                drawn.append(size)
+                return self.rng.random(size)
+
+        def spy(fn, seed, n, workers):
+            maps.append((seed, n, workers))
+            return real(lambda rng, n_w: fn(Counting(rng), n_w), seed, n, workers)
+
+        monkeypatch.setattr(ladder, "_map_shards", spy)
+        overshoot_constant(step, range(10, 21), n=3000, seed=4, workers=2)
+        assert maps == [(4, 3000, 2)]
+        cumw, incs = _thresholds(tilt(step, gamma_root(step)).q_weights), np.asarray(step.units)
+        path_steps = sum(  # the sum of tau over a walk to K = 20 alone
+            int(ladder._first_exit(cumw, incs, 20, -math.inf, n_w, rng, True)[1].sum())
+            for rng, n_w in _busy_shards(4, 3000, 2)
+        )
+        assert sum(drawn) == path_steps
+
+    @pytest.mark.parametrize("levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4]])
+    @pytest.mark.parametrize("law", ["fix-f", "jumpy"])
+    def test_level_counts_match_the_walk_to_the_top(self, law, levels):
+        step = step_from_env(FIX_F) if law == "fix-f" else JUMPY
+        cumw = _thresholds(tilt(step, gamma_root(step)).q_weights)
+        incs, top = np.asarray(step.units), levels[-1]
+        ref_rng, new_rng = (_busy_shards(11, 1, 1)[0][0] for _ in range(2))
+        s, tau = ladder._first_exit(cumw, incs, top, -math.inf, 2500, ref_rng, True)
+        counts, exits = ladder._first_exit(
+            cumw, incs, top, -math.inf, 2500, new_rng, True, np.array(levels)
+        )
+        assert counts.dtype == exits.dtype == np.int64
+        assert counts.sum(axis=1).tolist() == [2500] * len(levels)
+        np.testing.assert_array_equal(exits, np.bincount(tau)[1:])
+        np.testing.assert_array_equal(counts[-1][: np.max(s) - top + 1], np.bincount(s - top))
+        assert not counts[-1][np.max(s) - top + 1 :].any()
+        assert new_rng.random() == ref_rng.random()  # the same draws were made
 
 
 class TestPhi:

@@ -12,12 +12,14 @@ kept S and tau in path order.
 """
 
 import concurrent.futures
+import csv
 import inspect
 import math
 import os
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ import pytest
 from rwre import (
     Estimate,
     StepLaw,
+    conditioned_sampler,
     gamma_root,
     overshoot_constant,
     phi_estimate,
+    speed_estimate,
     step_from_env,
     sup_tail,
     tilt,
@@ -38,7 +42,7 @@ from rwre.env import _thresholds
 from rwre.estimate import PairTally, Tally
 from rwre.rng import worker_streams
 
-from laws import FIX_F
+from laws import FIX_A, FIX_C, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)])
@@ -62,6 +66,55 @@ def test_blockwise_fsum_equals_one_list_fsum(size):
         assert (p.sum_x, p.sum_y, p.sum_xx, p.sum_yy, p.sum_xy) == tuple(
             math.fsum(v.tolist()) for v in (xs, ys, xs * xs, ys * ys, xs * ys)
         )
+
+
+def _exact_sum(xs, counts):
+    """Correctly rounded sum of counts[i] copies of xs[i], in rationals."""
+    return float(sum((Fraction(x) * c for x, c in zip(xs, counts)), Fraction(0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_tally_equals_tally_of_repeated_samples(seed):
+    g = np.random.default_rng(seed)
+    size = int(g.integers(1, 40))
+    counts = g.integers(0, 50, size) * (g.random(size) < 0.7)  # zero counts included
+    xs = np.where(g.random(size) < 0.5, -1.0, 1.0) * 10.0 ** g.uniform(-300, 300, size)
+    assert estimate._counted_fsum(xs[counts > 0], counts[counts > 0].tolist()) == math.fsum(
+        np.repeat(xs, counts).tolist()
+    )
+    # Tallies also sum squares, so keep those finite.
+    xs = g.standard_normal(size) * 10.0 ** g.uniform(-150, 150, size)
+    assert Tally.of_counts(xs, counts) == Tally.of(np.repeat(xs, counts))
+    weights = np.exp(-0.48 * (np.arange(size) + 17) * 0.69)  # overshoot weights
+    assert Tally.of_counts(weights, counts) == Tally.of(np.repeat(weights, counts))
+
+
+@pytest.mark.parametrize("xs, counts", [
+    ([2.5], [1]),
+    ([-1e-300], [7]),
+    ([1e150, -1e150, 3.0], [5, 5, 1]),
+    ([1e-300, 1e150, -0.0], [3, 1, 2]),
+    ([0.1, 0.2, 0.3], [0, 3, 0]),
+    ([1.0, 2.0], [0, 0]),
+    ([], []),
+])
+def test_count_tally_edge_cases(xs, counts):
+    xs = np.array(xs, dtype=np.float64)
+    assert Tally.of_counts(xs, counts) == Tally.of(np.repeat(xs, np.array(counts, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_tally_with_counts_up_to_2_to_the_40(seed):
+    # Too many samples to repeat: the reference is the exact rational sum.
+    g = np.random.default_rng(seed)
+    xs = np.where(g.random(12) < 0.5, -1.0, 1.0) * 10.0 ** g.uniform(-140, 140, 12)
+    counts = g.integers(0, 2**40, 12, endpoint=True)
+    counts[0] = 2**40
+    t = Tally.of_counts(xs, counts)
+    assert t.n == sum(counts.tolist())
+    assert t.total == _exact_sum(xs.tolist(), counts.tolist())
+    assert t.total_sq == _exact_sum((xs * xs).tolist(), counts.tolist())
+    assert (t.minimum, t.maximum) == (xs[counts > 0].min(), xs[counts > 0].max())
 
 
 # ------------------------------------------------------- first-exit kernel
@@ -287,6 +340,66 @@ def test_pool_threads_run_no_public_function(monkeypatch):
     assert ladder._first_exit.__code__ in seen  # the kernel did run in the pool
     leaked = {f"{c.co_filename}:{c.co_name}" for c in seen & public}
     assert not leaked
+
+
+# ---------------------------------------------------------------- streams
+
+def _count_generators(monkeypatch):
+    """Make ``rng.worker_streams`` record how many generators it builds."""
+    built = []
+    real = rng_mod.worker_streams
+
+    def counting(seed, workers):
+        built.append(workers)
+        return real(seed, workers)
+
+    monkeypatch.setattr(rng_mod, "worker_streams", counting)
+    return built
+
+
+def test_busy_shards_are_the_leading_streams():
+    shards = rng_mod._busy_shards(9, 5, 8)
+    assert [n_w for _, n_w in shards] == [1] * 5
+    refs = worker_streams(9, 8)
+    assert all(r.random() == ref.random() for (r, _), ref in zip(shards, refs))
+    assert [n_w for _, n_w in rng_mod._busy_shards(9, 10, 4)] == [3, 3, 2, 2]
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        rng_mod._busy_shards(9, 10, 0)
+
+
+def test_ladder_run_builds_no_stream_for_an_empty_shard(monkeypatch, tmp_path):
+    monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: 2)
+    built = _count_generators(monkeypatch)
+    csvs = []
+    for workers in ("1000", "100000"):
+        out = str(tmp_path / f"w{workers}")
+        argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--overshoot", "1", "3",
+                "-n", "1000", "--seed", "3", "--workers", workers, "--out", out]
+        assert main(argv) == 0
+        with open(out + ".csv", newline="") as fh:
+            csvs.append(list(csv.reader(fh)))
+    assert csvs[0] == csvs[1]
+    assert built == [1000, 1000]
+
+
+@pytest.mark.parametrize("name", ["conditioned-h", "conditioned-rejection", "speed"])
+def test_walk_estimators_build_no_stream_for_an_empty_shard(monkeypatch, name):
+    run = {
+        "conditioned-h": lambda w: conditioned_sampler((FIX_C, 101), "h_transform", n=3, cap=10**5,
+                                                       seed=4, workers=w),
+        "conditioned-rejection": lambda w: conditioned_sampler((FIX_C, 101), "rejection", n=3,
+                                                               cap=10**5, seed=4, workers=w),
+        "speed": lambda w: speed_estimate(FIX_A, horizon=300, reps=3, seed=4, workers=w),
+    }[name]
+    built = _count_generators(monkeypatch)
+    busy = run(3)
+    assert built == [3]
+    many = run(5000)
+    assert built == [3, 3]
+    if name == "speed":
+        assert many == busy
+    else:
+        np.testing.assert_array_equal(many, busy)
 
 
 # ----------------------------------------------------------------- memory

@@ -20,11 +20,19 @@ are its n = 1 wrappers, and a lone live path steps on scalar draws (a
 scalar draw and a length-1 draw give the same uniform);
 ``_first_return_batch`` and ``conditioned_sampler`` call it with many
 paths.  Walks without stop sites run in ``_free_walk`` on the same stream,
-a block of steps per draw with the step thresholds found once per block;
-``speed_estimate`` uses it, storing finite-support windows as level codes
-(indices into the sorted distinct omegas, one byte a site for up to 256 of
-them), and walks every worker's replicates in one batch when they fit its
-byte budget.
+a block of steps per draw with the step categories found once per block.
+Their sites live in ``_Rows``: one row per replicate, back to back.  A
+finite-support law with L = 2..6 levels stores at each site one byte, the
+neighbourhood code formed by the level codes of the 2s-1 sites around it,
+s the largest span with L^(2s-1) <= 256 (4 for two levels); one lookup in
+a table built per call then advances s steps on the same uniforms, in the
+same order.  From seven levels up s = 1 and the code is the level code
+(beyond ``_CODED_LEVELS`` levels rows hold omega, as for continuous laws).
+``speed_estimate`` starts every row of a batch small and doubles a side
+of all of them when a path's margin on that side runs short, up to the
+hard limit [-horizon, horizon]; sites are keyed by (seed, x), so grown rows
+read what full windows hold.  Batches are cut as before, by how many full
+windows fit a byte budget, so every result equals a walk on full windows.
 
 Escape certification: a right-transient walk at the right window edge M
 returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1),
@@ -72,6 +80,9 @@ _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
 _ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of environments
 _ENV_ROW_BYTES = 25 << 10  # measured peak bytes of one environment's row in that work
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
+_ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows
+_STRIP_SITES = 1 << 14  # most sites realized per block of rows as rows grow (one row at least)
+_CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ def _walk(
     if pos.size and (pos.min() < 0 or pos.max() >= size):
         raise IndexError("walk starts outside the site array")
     if stop is None:
-        return _free_walk(sites, pos, cap, shards, levels)
+        return _free_walk(pos, cap, shards, _Rows.fixed(sites, levels, pos.size))
     rngs = [r for r, _ in shards]
     steps = np.full(pos.size, cap, dtype=np.int64)
     stopped = stop[pos]
@@ -186,53 +197,236 @@ def _walk(
 
 
 def _free_walk(
-    sites: np.ndarray,
     pos: np.ndarray,
     cap: int,
     shards: Sequence[tuple[np.random.Generator, int]],
-    levels: Optional[np.ndarray],
+    rows: "_Rows",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_walk`` without stop sites: every path takes ``cap`` steps from ``pos``.
 
-    Each shard draws its uniforms for many steps as one (steps, paths)
-    block, the same stream as one row per step.  A site steps up iff
-    u < omega: with level codes that is code >= k(u), k(u) the number of
-    levels <= u, so the thresholds are found once per block; when every
-    site has the same omega no step depends on the position, and a block
-    moves each path by its count of up-steps.  Blocks are cut at the edge
-    distance left at the last range check, so leaving the array raises at
-    the very step it happens.
+    Positions index ``rows.flat``.  Each shard draws its uniforms for many
+    steps as one (steps, paths) block, the same stream as one row per step.
+    A site steps up iff u < omega, that is iff its level code is at least
+    k(u), the number of levels <= u; the categories k are found once per
+    block.  With L >= 2 levels one lookup advances s = ``rows.span`` steps:
+    the block's categories are combined s rows at a time into one index,
+    and ``_step_table`` maps index plus neighbourhood code to the s-step
+    displacement.  Fewer than s steps, as at the end of a block or within s
+    sites of an edge that cannot grow, go one at a time on the table of
+    single steps, which reads only the code's centre digit.  When every
+    site has the same omega a block moves each path by its count of
+    up-steps, and omega itself is compared for continuous laws.  Steps run
+    in stretches no longer than the distance to the row edges left at the
+    last range check (``_Rows.fit``, which grows rows that can grow), so a
+    walk that leaves a row that cannot grow raises at the very step it does.
     """
-    n, size = pos.size, sites.size
+    n = pos.size
     out = pos, np.full(n, cap, dtype=np.int64), np.zeros(n, dtype=bool)
     if not n:
         return out
     depth = max(1, _DRAW_BLOCK // n)
-    flat = sites.min() == sites.max()
-    omega = sites[0] if levels is None else levels[sites[0]]
-    cum = None if levels is None else np.append(levels, 1.0)
-    up = np.greater if levels is None else np.greater_equal
+    levels, span = rows.levels, rows.span
+    flat = levels is not None and levels.size == 1
+    coded = levels is not None and not flat
+    if coded:
+        cum, base, codes = np.append(levels, 1.0), levels.size + 1, rows.codes
+        tables = {1: _step_table(levels.size, span, 1), span: _step_table(levels.size, span, span)}
     sign = np.array([-1, 1], dtype=np.int64)
-    slack = _steps_inside(pos, size)
+    slack = rows.fit(pos, min(span, cap))
     for first in range(0, cap, depth):
-        rows = min(depth, cap - first)
-        block = np.hstack([r.random((rows, k)) for r, k in shards])
-        if not flat and cum is not None:
+        steps = min(depth, cap - first)
+        block = np.hstack([r.random((steps, k)) for r, k in shards])
+        if coded:
             block = _categories(cum, block)
         done = 0
-        while done < rows:
-            m = min(rows - done, slack)
-            part = block[done : done + m]
+        while done < steps:
+            m = min(steps - done, slack)
             if flat:
-                pos += 2 * np.count_nonzero(part < omega, axis=0) - m
+                pos += 2 * np.count_nonzero(block[done : done + m] < levels[0], axis=0) - m
+            elif not coded:
+                sites = rows.flat
+                for row in block[done : done + m]:
+                    pos += sign.take(np.greater(sites.take(pos), row).view(np.uint8))
             else:
-                for row in part:
-                    pos += sign.take(up(sites.take(pos), row).view(np.uint8))
+                per = span if m >= span else 1
+                m -= m % per
+                table, sites = tables[per], rows.flat
+                for index in _combine(block[done : done + m], per, base, codes):
+                    pos += table[sites[pos] + index]
             done += m
             slack -= m
-            if slack <= 0:
-                slack = _steps_inside(pos, size)
+            if slack < span:
+                slack = rows.fit(pos, min(span, cap - first - done))
     return out
+
+
+def _span(n_levels: int) -> int:
+    """Steps per table lookup for L >= 2 levels: the largest s with
+    L^(2s-1) <= 256, so that the level codes of the 2s-1 sites an s-step
+    move can read fit one byte (4 for two levels, 3 for three, 2 for four
+    to six, 1 from seven up)."""
+    s = 1
+    while n_levels ** (2 * s + 1) <= 256:
+        s += 1
+    return s
+
+
+def _step_table(n_levels: int, span: int, steps: int) -> np.ndarray:
+    """Displacements of ``steps`` <= ``span`` single steps over every
+    neighbourhood code of span ``span`` (see ``_encode``).
+
+    Entry (sum_i k_i (L+1)^i) * L^(2 span - 1) + code is where a path ends
+    after steps i = 0, 1, ... with categories k_i, starting from the centre
+    of the neighbourhood: step i goes up iff the level code of the site it
+    stands on, a digit of the code, is >= k_i."""
+    codes = np.arange(n_levels ** (2 * span - 1))
+    digits = (codes // n_levels ** np.arange(2 * span - 1)[:, None]) % n_levels
+    cats = np.arange((n_levels + 1) ** steps)[:, None]
+    at = np.zeros((cats.size, codes.size), dtype=np.intp)
+    for i in range(steps):
+        k = (cats // (n_levels + 1) ** i) % (n_levels + 1)
+        at += np.where(digits[at + span - 1, codes] >= k, 1, -1)
+    return at.ravel()
+
+
+def _combine(cats: np.ndarray, span: int, base: int, codes: int) -> np.ndarray:
+    """Rows of step categories (steps, paths), taken ``span`` at a time, as
+    ``_step_table`` indices less the code: one row per lookup."""
+    group = cats.reshape(-1, span, cats.shape[1])
+    index = group[:, span - 1].astype(np.intp)
+    for i in range(span - 2, -1, -1):
+        index *= base
+        index += group[:, i]
+    index *= codes
+    return index
+
+
+def _encode(levels: np.ndarray, n_levels: int, span: int) -> np.ndarray:
+    """Neighbourhood codes of the level codes ``levels`` (rows x sites): at
+    site x the base-L number sum_j c(x+j) L^(j+span-1), j = 1-span..span-1,
+    one byte, built by Horner's rule.  Sites beyond a row's ends count as
+    level 0; the centre digit is always the site's own level code."""
+    if span == 1:
+        return levels
+    n, width = levels.shape
+    padded = np.zeros((n, width + 2 * (span - 1)), dtype=np.uint8)
+    padded[:, span - 1 : span - 1 + width] = levels
+    out = padded[:, 2 * (span - 1) :].copy()
+    for p in range(2 * span - 3, -1, -1):
+        out *= n_levels
+        out += padded[:, p : p + width]
+    return out
+
+
+class _Rows:
+    """Site windows [lo, hi] of ``n`` rows, back to back in one flat array.
+
+    A path on row r at site x sits at flat index r * width + x - lo; ``owner``
+    gives each path's row.  Finite-support laws with 2 to ``_CODED_LEVELS``
+    levels store each site's neighbourhood code (``_encode``, of span
+    ``_span(L)``), continuous laws omega, and one level nothing the walk
+    reads.  Codes within span - 1 sites of a row end are incomplete, and no
+    table step reads them.  With ``realize(a, b, rows)``, which returns the
+    level codes or omega of a block of rows on sites a..b, rows grow: a side
+    whose margin runs short doubles its reach in every row, up to
+    ``bounds``.  Without, the rows are fixed and a path that leaves one
+    raises.
+    """
+
+    def __init__(self, values, levels, owner, lo, hi, bounds, realize=None):
+        self.levels, self.owner, self.lo, self.hi = levels, owner, lo, hi
+        self.bounds, self.realize = bounds, realize
+        coded = levels is not None and levels.size > 1
+        self.span = _span(levels.size) if coded else 1
+        self.codes = levels.size ** (2 * self.span - 1) if coded else 1
+        one_level = levels is not None and levels.size == 1
+        self.flat = None if one_level else self._stored(values).ravel()
+
+    @classmethod
+    def fixed(cls, sites: np.ndarray, levels: Optional[np.ndarray], paths: int) -> "_Rows":
+        """One row that cannot grow: ``sites`` as ``_walk`` takes them."""
+        if levels is not None and levels.size > _CODED_LEVELS:
+            sites, levels = levels[sites], None
+        owner = np.zeros(paths, dtype=np.int64)
+        return cls(sites.reshape(1, -1), levels, owner, 0, sites.size - 1, (0, sites.size - 1))
+
+    @classmethod
+    def grown(cls, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int) -> "_Rows":
+        """A row [-reach, reach] per env seed that grows up to [-bound, bound]."""
+
+        def realize(a, b, rows=slice(None)):
+            return _site_rows(law, levels, seeds[rows], np.arange(a, b + 1)).reshape(-1, b - a + 1)
+
+        owner = np.arange(len(seeds), dtype=np.int64)
+        return cls(realize(-reach, reach), levels, owner, -reach, reach, (-bound, bound), realize)
+
+    def _stored(self, values: np.ndarray) -> np.ndarray:
+        """What rows hold for level codes or omega ``values`` (rows x sites)."""
+        return values if self.codes == 1 else _encode(values, self.levels.size, self.span)
+
+    def _centres(self, codes: np.ndarray) -> np.ndarray:
+        """Level codes of sites from their neighbourhood codes."""
+        return codes // self.levels.size ** (self.span - 1) % self.levels.size
+
+    def sites(self, pos: np.ndarray) -> np.ndarray:
+        """The site of each path."""
+        return pos - self.owner * (self.hi - self.lo + 1) + self.lo
+
+    def fit(self, pos: np.ndarray, need: int) -> int:
+        """Steps every path can take in its row, after growing each side that
+        can grow and whose margin (sites beyond the outermost path) is below
+        ``need``; positions are remapped in place.  A path may step off a
+        side that cannot grow, which the next call reports by raising; a
+        side that can grow is never left.  Raises if a path has left its
+        row already."""
+        at = self.sites(pos)
+        left, right = int(at.min()) - self.lo, self.hi - int(at.max())
+        if left < 0 or right < 0:
+            raise RuntimeError("walk left the realized window; size it larger")
+        lo, hi = self.lo, self.hi
+        if left < need and lo > self.bounds[0]:
+            self._grow(pos, lo - max(2 * lo, self.bounds[0]), 0)
+            left += lo - self.lo
+        if right < need and hi < self.bounds[1]:
+            self._grow(pos, 0, min(2 * hi, self.bounds[1]) - hi)
+            right += self.hi - hi
+        # a side at its bound can take one step more: the one that leaves
+        return min(left + (self.lo == self.bounds[0]), right + (self.hi == self.bounds[1]))
+
+    def _grow(self, pos: np.ndarray, a: int, b: int) -> None:
+        """Add ``a`` sites on the left of every row or ``b`` on the right
+        (one side per call) and remap ``pos`` in place."""
+        if self.flat is not None:
+            self.flat = self._widened(a, b)
+        pos += self.owner * (a + b) + a
+        self.lo, self.hi = self.lo - a, self.hi + b
+
+    def _widened(self, a: int, b: int) -> np.ndarray:
+        """The flat array with ``a`` sites added on the left of every row or
+        ``b`` on the right.  The strip is realized in blocks of rows of at
+        most ``_STRIP_SITES`` sites, one ``realize`` call each, and the codes
+        within span - 1 sites of the old edge are recomputed from the level
+        codes around them."""
+        n, width = self.owner.size, self.hi - self.lo + 1
+        old = self.flat.reshape(n, width)
+        new = np.empty((n, width + a + b), dtype=old.dtype)
+        new[:, a : a + width] = old
+        near = min(width, self.span - 1)  # old sites whose codes change
+        ctx = min(width, 2 * (self.span - 1))  # the old sites those codes read
+        block = max(1, _STRIP_SITES // (a + b))
+        for r in range(0, n, block):
+            rows = slice(r, r + block)
+            if a:
+                strip = self.realize(self.lo - a, self.lo - 1, rows)
+                if near:
+                    strip = np.concatenate([strip, self._centres(old[rows, :ctx])], axis=1)
+                new[rows, : a + near] = self._stored(strip)[:, : a + near]
+            else:
+                strip = self.realize(self.hi + 1, self.hi + b, rows)
+                if near:
+                    strip = np.concatenate([self._centres(old[rows, width - ctx :]), strip], axis=1)
+                new[rows, width - near :] = self._stored(strip)[:, ctx - near :]
+        return new.ravel()
 
 
 def _steps_inside(pos: np.ndarray, size: int) -> int:
@@ -634,17 +828,16 @@ def _site_rows(
     bitwise what ``omega_at_sites`` returns; a single level is a
     deterministic environment and draws no site uniforms.  Without, the
     array holds omega.  Sites are realized through ``omega_at_sites``, the
-    public draw that benchmark tracing counts.
+    public draw that benchmark tracing counts, in one call with a column of
+    seeds.  ``_Rows`` realizes the strips of growing rows through it, a
+    block of rows at a time, and turns level codes into neighbourhood codes.
     """
-    flat = np.zeros(len(seeds) * sites.size, dtype=_site_dtype(levels))
     if levels is not None and levels.size == 1:
-        return flat
-    edges = None if levels is None else np.append(levels[1:], 1.0)
-    for i, env_seed in enumerate(seeds):
-        omega = omega_at_sites(law, env_seed, sites)
-        row = omega if edges is None else _categories(edges, omega)
-        flat[i * sites.size : (i + 1) * sites.size] = row
-    return flat
+        return np.zeros(len(seeds) * sites.size, dtype=_site_dtype(levels))
+    omega = omega_at_sites(law, np.array(seeds, dtype=np.uint64)[:, None], sites).ravel()
+    if levels is None:
+        return omega
+    return _categories(np.append(levels[1:], 1.0), omega).astype(_site_dtype(levels), copy=False)
 
 
 def _batches(ends: np.ndarray, rows: int):
@@ -674,39 +867,44 @@ def speed_estimate(
 ) -> Estimate:
     """Averaged-law speed: mean of X_horizon / horizon over fresh environments.
 
-    Replicate i draws its own environment on [-horizon, horizon] (the walk
-    cannot leave it in ``horizon`` steps).  Finite-support environments are
-    stored as level codes (one byte a site for up to 256 distinct omegas),
-    continuous ones as float64 omega.  Worker shards are stream shards:
-    worker w's generator drives the w-th consecutive block of replicates,
-    and all shards of a batch are walked in one lockstep.  A batch holds as
-    many windows as a fixed byte budget allows -- every replicate at the
-    usual sizes -- and splits a shard only when the shard alone exceeds it.
-    Batch sizes depend only on the parameters, so results are bit-identical
-    for a given (seed, workers).
+    Replicate i draws its own environment, keyed by its seed, on [-horizon,
+    horizon] (the walk cannot leave it in ``horizon`` steps), but realizes
+    only the part its batch's walk reaches: each row starts at
+    [-``_ROW_REACH``, ``_ROW_REACH``], clipped to the horizon, and a side
+    whose margin runs short doubles its reach in every row of the batch
+    (``_Rows``).  Sites are keyed by (seed, x), so a grown row is bitwise
+    the full window wherever the walk reads it.  Finite-support
+    environments are stored one byte a site as neighbourhood codes when
+    they have two to six levels, which lets ``_free_walk`` advance up to
+    four steps per table lookup, else as level codes (up to
+    ``_CODED_LEVELS`` levels); continuous ones as float64 omega.  Worker
+    shards are stream shards: worker w's generator drives the w-th
+    consecutive block of replicates, and all shards of a batch are walked
+    in one lockstep.  A batch holds as many full windows as a fixed byte
+    budget allows -- every replicate at the usual sizes -- and splits a
+    shard only when the shard alone exceeds it.  Batch sizes depend only on
+    the parameters, so results are bit-identical for a given (seed, workers).
     """
     if horizon < 1:
         raise ValueError(f"speed_estimate needs horizon >= 1, got {horizon}")
     if reps < 1:
         raise ValueError(f"speed_estimate needs reps >= 1, got {reps}")
-    window_len = 2 * horizon + 1
     levels = law.omega_levels()
-    rows = max(1, _SITE_BUDGET // (window_len * _site_dtype(levels).itemsize))
-    sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
+    rows = max(1, _SITE_BUDGET // ((2 * horizon + 1) * _site_dtype(levels).itemsize))
+    if levels is not None and levels.size > _CODED_LEVELS:
+        levels = None  # rows hold omega, in the batches of level codes
+    reach = min(_ROW_REACH, horizon)
     rngs, sizes = zip(*_busy_shards(seed, reps, workers))
     ends = np.cumsum(sizes)
     begins = ends - sizes
     finals = np.empty(reps)
     for start, end in _batches(ends, rows):
         seeds = [substream_seed(seed, 11, rep) for rep in range(start, end)]
-        # path i starts at the centre of row i and cannot leave its row
-        starts = np.arange(end - start, dtype=np.int64) * window_len + horizon
+        grid = _Rows.grown(law, levels, seeds, reach, horizon)
+        pos = grid.owner * (2 * reach + 1) + reach  # path i starts at site 0 of row i
         in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
-        shards = list(zip(rngs, in_batch.tolist()))
-        pos, _, _ = _walk(
-            _site_rows(law, levels, seeds, sites), starts, None, horizon, shards, levels
-        )
-        finals[start:end] = (pos - starts) / horizon
+        _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)
+        finals[start:end] = grid.sites(pos) / horizon
     tallies = [Tally.of(finals[b0:b1]) for b0, b1 in zip(begins, ends)]
     n_tot, mean, se, _, _ = merge_mean(tallies)
     return Estimate(value=mean, std_error=se, n=n_tot, method="speed-mc", seed=seed)

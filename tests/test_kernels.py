@@ -4,9 +4,11 @@ moment-root bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
 ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 ``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
-``speed_estimate``, with its worker shards and compact level-coded sites;
-the free kernel of walks without stop sites is checked against the
-per-step walk, and the keyed site RNG against a pure-Python SplitMix64.
+``speed_estimate``, with its worker shards and rows that grow on demand;
+the free kernel of walks without stop sites, which advances several steps
+per table lookup on neighbourhood codes, is checked against the per-step
+walk, its step tables entry by entry against single steps, and the keyed
+site RNG against a pure-Python SplitMix64.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -64,7 +66,7 @@ from rwre.exact import (
     return_decomposition,
 )
 from rwre.ladder import WaldCheck
-from rwre.mc import _site_rows, _walk
+from rwre.mc import _encode, _site_rows, _span, _step_table, _walk
 from rwre.rng import (
     MASK64, _avalanche, mix64, shard_sizes, site_uniforms, substream_seed, worker_streams
 )
@@ -73,6 +75,7 @@ from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
+THREE_LEVELS = EnvLaw.discrete([(0.3, 0.8), (0.3, 0.6), (0.4, 0.45)])  # s = 3
 
 
 @pytest.mark.parametrize("law", [FIX_C, FIX_E, FIX_F], ids=["FIX-C", "FIX-E", "FIX-F"])
@@ -476,9 +479,9 @@ def _free_case(law, coded, size):
 
 FREE_CASES = pytest.mark.parametrize("law,coded", [
     (FIX_A, True), (FIX_A, False), (FIX_C, True), (FIX_C, False), (FIX_D, False),
-    (EnvLaw.constant(0.3), True), (EnvLaw.constant(0.3), False),
+    (EnvLaw.constant(0.3), True), (EnvLaw.constant(0.3), False), (THREE_LEVELS, True),
 ], ids=["FIX-A-codes", "FIX-A-floats", "FIX-C-codes", "FIX-C-floats", "FIX-D", "const-codes",
-        "const-floats"])
+        "const-floats", "three-levels-codes"])
 
 
 @FREE_CASES
@@ -536,6 +539,19 @@ def test_walk_rejects_starts_off_the_array(start, with_stop):
 
 MANY_LEVELS = EnvLaw.discrete([(1 / 300, (i + 0.5) / 300) for i in range(300)])
 REPEATED = EnvLaw.discrete([(0.25, 0.6), (0.25, 0.8), (0.5, 0.6)])
+MORE_LEVELS = EnvLaw.discrete([(1 / 600, (i + 0.5) / 600) for i in range(600)])  # omega in rows
+
+
+def test_free_walk_beyond_coded_levels_walks_omega():
+    # more than _CODED_LEVELS level codes are walked as their omega
+    omega = sample_window(MORE_LEVELS, 8, 0, 60).omega
+    levels = MORE_LEVELS.omega_levels()
+    codes = np.searchsorted(levels, omega).astype(np.uint16)
+    starts, stop = [30, 29, 35], np.zeros(omega.size, dtype=bool)
+    got = _walk(codes, starts, None, 25, [(stream(3), 3)], levels)
+    ref = _walk(omega, starts, stop, 25, [(stream(3), 3)])
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
 
 
 @pytest.mark.parametrize("law,dtype", [
@@ -613,16 +629,66 @@ def _speed_per_worker(law, horizon, reps, seed, workers, sub):
     return merge_mean(tallies)[:3]
 
 
-@pytest.mark.parametrize("law", [FIX_A, FIX_D], ids=["FIX-A", "beta"])
+@pytest.mark.parametrize("law", [
+    FIX_A, FIX_D, THREE_LEVELS, FIX_A.mirror(), MANY_LEVELS, CONST_7, MORE_LEVELS,
+], ids=["FIX-A", "beta", "three-levels", "FIX-A-mirror", "300-levels", "CONST-0.7",
+        "600-levels"])
 @pytest.mark.parametrize("rows", [4, 10, 17, 64])
 def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
     # 23 replicates on 3 workers (8, 8, 7): a budget of 4 windows splits every
-    # shard, 10 walks them one at a time, 17 two together, 64 all at once
+    # shard, 10 walks them one at a time, 17 two together, 64 all at once.
+    # Rows start at [-2, 2] and grow on both sides, several times in 300
+    # steps, and must read what the full float64 windows of the reference hold.
     horizon, itemsize = 300, mc._site_dtype(law.omega_levels()).itemsize
     monkeypatch.setattr(mc, "_SITE_BUDGET", rows * (2 * horizon + 1) * itemsize)
+    monkeypatch.setattr(mc, "_ROW_REACH", 2)
+    grown, grow = [], mc._Rows._grow
+
+    def spy(self, pos, a, b):
+        grown.append((a, b))
+        return grow(self, pos, a, b)
+
+    monkeypatch.setattr(mc._Rows, "_grow", spy)
     est = speed_estimate(law, horizon=horizon, reps=23, seed=4, workers=3)
     sub = min(rows, 8)
     assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 23, 4, 3, sub)
+    assert sum(a > 0 for a, _ in grown) >= 2 and sum(b > 0 for _, b in grown) >= 2
+
+
+def _steps_by_rule(code, cats, n_levels, span):
+    """Where single steps with categories ``cats`` end from the centre of a
+    neighbourhood code: step up iff the current site's level code >= k."""
+    at = 0
+    for k in cats:
+        at += 1 if code // n_levels ** (at + span - 1) % n_levels >= k else -1
+    return at
+
+
+@pytest.mark.parametrize("n_levels,span", [(2, 4), (3, 3), (4, 2), (5, 2), (6, 2), (7, 1)])
+def test_step_tables_equal_single_steps(n_levels, span):
+    # The span rule (the largest s with L^(2s-1) <= 256), then every entry of
+    # the s-step and one-step tables: for every tuple of step categories
+    # 0..L and every neighbourhood code, the displacement of single steps.
+    assert _span(n_levels) == span
+    codes = n_levels ** (2 * span - 1)
+    assert codes <= 256 and (n_levels ** (2 * span + 1) > 256)
+    for steps in sorted({1, span}):
+        table = _step_table(n_levels, span, steps)
+        assert table.size == (n_levels + 1) ** steps * codes
+        for index in range((n_levels + 1) ** steps):
+            cats = [index // (n_levels + 1) ** i % (n_levels + 1) for i in range(steps)]
+            expected = [_steps_by_rule(c, cats, n_levels, span) for c in range(codes)]
+            assert table[index * codes : (index + 1) * codes].tolist() == expected
+
+
+@pytest.mark.parametrize("n_levels,span", [(2, 4), (3, 3), (6, 2), (7, 1)])
+def test_neighbourhood_codes(n_levels, span):
+    # digit j + span - 1 of site x's code is the level code of site x + j, 0 off the row
+    levels = np.random.default_rng(n_levels).integers(0, n_levels, size=(3, 9)).astype(np.uint8)
+    codes = _encode(levels, n_levels, span)
+    for r, x in np.ndindex(*levels.shape):
+        digits = [levels[r, x + j] if 0 <= x + j < 9 else 0 for j in range(1 - span, span)]
+        assert codes[r, x] == sum(int(d) * n_levels**p for p, d in enumerate(digits))
 
 
 def _block_outputs():

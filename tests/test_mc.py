@@ -21,6 +21,7 @@ from rwre import (
     speed_estimate,
 )
 from rwre import mc
+from rwre.env import omega_at_sites
 from rwre.rng import worker_streams
 
 from laws import CONST_7, CONST_9, FIX_A, FIX_C, FIX_D
@@ -256,3 +257,27 @@ class TestSpeedEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_rows_grow_on_demand(self, monkeypatch):
+        # Every path ends near 0.37 * 20000 to the right: grown rows realize
+        # well under half of the 20 full windows (about a fifth here).
+        drawn = []
+
+        def counted(law, seed, sites):
+            omega = omega_at_sites(law, seed, sites)
+            drawn.append(omega.size)
+            return omega
+
+        monkeypatch.setattr(mc, "omega_at_sites", counted)
+        speed_estimate(FIX_A, horizon=20000, reps=20, seed=2)
+        assert 0 < sum(drawn) < 0.5 * 20 * 40001
+
+    def test_grown_rows_bound_memory(self):
+        # 100 full windows of 40001 one-byte sites would take 4 MB alone
+        tracemalloc.start()
+        try:
+            speed_estimate(FIX_A, horizon=20000, reps=100, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -11,6 +11,8 @@ moments of the odds ratio rho = (1 - omega) / omega:
 
 One rule, ``_categories``, turns every uniform u into a category of a site
 law (here) or a step law (in ``ladder``): the count of cumulative weights <= u.
+``_add_steps`` adds the integer step of each category in place by the same
+rule.
 """
 
 from __future__ import annotations
@@ -182,6 +184,29 @@ def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     for c in cum[:-1]:
         k += u >= c
     return k
+
+
+def _add_steps(
+    acc: np.ndarray, cum: np.ndarray, u: np.ndarray, steps: np.ndarray, hit: np.ndarray
+) -> None:
+    """``acc += steps[_categories(cum, u)]`` in place, for integer ``acc`` and
+    ``steps``, without the gathered array.  The compare passes add steps[0]
+    and then, for each threshold c <= u, steps[i+1] - steps[i]: a telescoping
+    sum that stops at u's category, with ``_categories``'s tie rule.  ``hit``
+    is a bool buffer of u's shape.  ``acc`` must hold acc + steps[i] for every
+    i and every difference of consecutive steps."""
+    if cum.size > _SEARCH_ABOVE or u.size < _DRAWS_PER_PASS * (cum.size - 1):
+        acc += steps[np.searchsorted(cum, u, side="right")]
+        return
+    acc += int(steps[0])
+    for c, d in zip(cum[:-1].tolist(), np.diff(steps).tolist()):
+        ones = np.greater_equal(u, c, out=hit).view(np.int8)
+        if d == 1:
+            acc += ones
+        elif d == -1:
+            acc -= ones
+        elif d:
+            acc += ones * acc.dtype.type(d)
 
 
 def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:

@@ -32,12 +32,20 @@ each path: the live partial sums sit in one array in path order, beside the
 indices of their paths.  Both loops turn each uniform into an increment by
 the package's one categorical rule, ``env._categories``.  Lattice laws are
 simulated in exact integer units so that skip-free importance weights are
-bit-identical across paths.
+bit-identical across paths.  Both loops draw each step's uniforms into one
+buffer per shard (level scans excepted) and reuse one bool buffer for every
+compare pass.  Integer units add their increments in place by compare
+passes (``env._add_steps``); float laws gather theirs into the spent
+uniforms.  ``_first_exit`` holds integer partial sums in the narrowest
+signed dtype that holds the next step's positions (int8 while they stay
+within -128..127), widening once a falling floor needs it.
 
 Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
 A shard's thread runs only the private walk and numpy; the tallies are taken
 afterwards in the caller's thread, in shard order, so every result depends
-on (seed, workers) only.
+on (seed, workers) only.  Lattice ``sup_tail`` shards return how many paths
+left at each exit value, and the caller's tallies come from those counts
+(``Tally.of_counts``), never from a per-path sample array.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .env import EnvLaw, _categories, _positive_root, _thresholds
+from .env import EnvLaw, _add_steps, _categories, _positive_root, _thresholds
 from .estimate import Estimate, Tally, merge_mean
 from .rng import _map_shards
 
@@ -203,6 +211,30 @@ def _unit_level(t: float, a: float) -> int:
     return math.ceil(t / a - 1e-9)
 
 
+_SUM_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _sum_dtype(lo: int, hi: int) -> np.dtype:
+    """Smallest signed integer dtype holding every integer in [lo, hi]."""
+    for dt in _SUM_DTYPES:
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dt)
+    raise OverflowError(f"lattice positions [{lo}, {hi}] do not fit in int64")
+
+
+def _advance(live: np.ndarray, cumw: np.ndarray, incs: np.ndarray, u: np.ndarray,
+             hit: np.ndarray) -> None:
+    """One step of every partial sum in ``live``, from one uniform each.
+    Integer sums add their increments by compare passes into ``hit``; float
+    sums gather theirs into ``u``, which the step uses up."""
+    if live.dtype.kind == "i":
+        _add_steps(live, cumw, u, incs, hit)
+    else:
+        # mode="clip" skips take's buffered copy; every category is in range.
+        live += np.take(incs, _categories(cumw, u), out=u, mode="clip")
+
+
 def _first_exit(
     cumw: np.ndarray,
     incs: np.ndarray,
@@ -215,10 +247,21 @@ def _first_exit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk n >= 1 paths until S >= up or S <= down; returns (S at exit, exit
     time) in exit order: the paths that left at step 1 in path order, then
-    those that left at step 2, and so on.
+    those that left at step 2, and so on.  S is int64 for integer units.
 
     down = -inf walks every path to its first crossing of ``up``.  Step k
-    draws one uniform for each path still inside, in path order.
+    draws one uniform for each path still inside, in path order, into one
+    buffer of n floats: ``rng.random(out=buf[:k])`` makes the draws of
+    ``rng.random(k)``.  A level scan (below) draws ``rng.random(k)`` itself.
+    One bool buffer of n serves every compare pass of the step.
+
+    Integer partial sums are held in the smallest signed dtype that holds
+    every position reachable at the next step, and every difference of
+    increments the compare passes add.  After step k >= 1 a live path lies
+    in [max(down + 1, k min_inc), up - 1], and every path starts at 0, so
+    the next step lies in that range (with 0) widened by [min_inc, max_inc].
+    With down = -inf the floor falls with k, and one ``astype`` widens the
+    sums just before it would leave the dtype.
 
     ``levels`` (lattice only: sorted distinct integer levels, the last one
     ``up``, with down = -inf) records every level's first passage instead.
@@ -229,7 +272,19 @@ def _first_exit(
     levels[i] at levels[i] + o, and exits[k-1] paths reached ``up`` at step k.
     The walk draws exactly what the walk to ``up`` without ``levels`` draws.
     """
-    live = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
+    u_buf = np.empty(n if levels is None else 0)
+    hit_buf = np.empty(n, dtype=bool)
+    if integer_units:
+        lo_inc, hi_inc = int(incs.min()), int(incs.max())
+        spread = hi_inc - lo_inc  # bounds the differences the compare passes add
+        hi = max(max(0, up - 1) + hi_inc, spread)
+
+        def floor_at(k):  # lowest value held at step k + 1
+            return min(min(0, max(down + 1, k * lo_inc)) + lo_inc, -spread)
+
+        live = np.zeros(n, dtype=_sum_dtype(floor_at(0), hi))
+    else:
+        live = np.zeros(n)
     if levels is not None:
         top_inc = int(incs.max())
         base = int(levels[0]) - 1
@@ -245,7 +300,11 @@ def _first_exit(
     exits = []  # exits[k-1]: S of the paths that left at step k (their count with levels)
     guard = 0
     while live.size:
-        live += incs[_categories(cumw, rng.random(live.size))]
+        if integer_units and floor_at(len(exits)) < np.iinfo(live.dtype).min:
+            live = live.astype(_sum_dtype(floor_at(len(exits)), hi))
+        hit = hit_buf[: live.size]
+        u = rng.random(live.size) if levels is not None else rng.random(out=u_buf[: live.size])
+        _advance(live, cumw, incs, u, hit)
         guard += live.size
         if levels is not None:
             lo = rank[top - base]
@@ -254,21 +313,53 @@ def _first_exit(
             for j in range(int(crossed.max())):
                 at = np.where(crossed > j, top + slot[lo + j], spare)
                 counts += np.bincount(at, minlength=counts.size)
-        done = live >= up
+        done = np.greater_equal(live, up, out=hit)
         if down > -math.inf:
             done |= live <= down
         if levels is None:
             exits.append(live[done])
         else:
             exits.append(np.count_nonzero(done))
-            top = top[~done]
-        live = live[~done]
+        keep = np.logical_not(done, out=hit)
+        if levels is not None:
+            top = top[keep]
+        live = live[keep]
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
+    # Free the step buffers before the int64 results are built: it lowers the
+    # peak memory of two threaded shards by several MB.
+    del u, hit, done, keep, u_buf, hit_buf
     if levels is not None:
         return counts[:spare].reshape(levels.size, width), np.array(exits, dtype=np.int64)
     tau = np.repeat(np.arange(1, len(exits) + 1), [e.size for e in exits])
-    return np.concatenate(exits), tau
+    return np.concatenate(exits).astype(np.int64 if integer_units else np.float64, copy=False), tau
+
+
+def _exit_tallies(cumw, incs, up, down, sample, lattice, seed, n, workers) -> list[Tally]:
+    """Per-shard tallies of ``sample`` of the exit values S of ``_first_exit``.
+
+    Lattice shards return only how many paths left at each value, and the
+    caller's thread samples the distinct values into ``Tally.of_counts``,
+    which equals ``Tally.of`` on the per-path samples bit for bit.  Other
+    shards sample their own exits.
+    """
+    if not lattice:
+        shards = _map_shards(
+            lambda rng, n_w: sample(_first_exit(cumw, incs, up, down, n_w, rng, False)[0]),
+            seed, n, workers,
+        )
+        return [Tally.of(x) for x in shards]
+
+    def counts(rng, n_w):
+        s = _first_exit(cumw, incs, up, down, n_w, rng, True)[0]
+        lo = int(s.min())
+        s -= lo
+        return lo, np.bincount(s)
+
+    return [
+        Tally.of_counts(sample(np.arange(lo, lo + c.size)), c)
+        for lo, c in _map_shards(counts, seed, n, workers)
+    ]
 
 
 def sup_tail(
@@ -305,13 +396,11 @@ def sup_tail(
         incs = np.asarray(step.units if lattice else step.values)
         level = _unit_level(t, step.lattice) if lattice else t
 
-        def weights(rng, n_w):
-            # Rebinding x frees S early: a shard holds at most two arrays here.
-            x = _first_exit(cumw, incs, level, -math.inf, n_w, rng, lattice)[0]
+        def weights(x):
             x = -gamma * (x * step.lattice if lattice else x)
             return np.exp(x, out=x)
 
-        tallies = [Tally.of(w) for w in _map_shards(weights, seed, n, workers)]
+        tallies = _exit_tallies(cumw, incs, level, -math.inf, weights, lattice, seed, n, workers)
         n_tot, mean, se, lo, hi = merge_mean(tallies)
         return Estimate(
             value=mean,
@@ -334,10 +423,7 @@ def sup_tail(
             # already certifies the miss, so the level just excludes 0 itself
             up, down = t, min(-1e-300, -m)
 
-        def hits(rng, n_w):
-            return _first_exit(cumw, incs, up, down, n_w, rng, lattice)[0] >= up
-
-        tallies = [Tally.of(h) for h in _map_shards(hits, seed, n, workers)]
+        tallies = _exit_tallies(cumw, incs, up, down, lambda x: x >= up, lattice, seed, n, workers)
         n_tot, mean, se, _, _ = merge_mean(tallies)
         return Estimate(
             value=mean,
@@ -485,11 +571,13 @@ def phi_estimate(
         f = np.ones(n_w)
         idx = np.arange(n_w)
         live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
+        u_buf, hit_buf = np.empty(n_w), np.empty(n_w, dtype=bool)
         guard = 0
         while idx.size:
-            live += incs[_categories(cumw, rng.random(idx.size))]
+            hit = hit_buf[: idx.size]
+            _advance(live, cumw, incs, rng.random(out=u_buf[: idx.size]), hit)
             guard += idx.size
-            keep = live > down
+            keep = np.greater(live, down, out=hit)
             idx, live = idx[keep], live[keep]
             f[idx] += np.exp(-(live * step.lattice if lattice else live))
             if guard > _STEP_GUARD:

@@ -1,6 +1,7 @@
 """Pins for the shared numeric kernels: the one categorical draw
-(``env._categories``, against ``searchsorted``), the truncated-series scan, the
-moment-root bisection, the anchored sweep behind ``conditioned_env`` and
+(``env._categories``, against ``searchsorted``, and ``env._add_steps``,
+against the gathered steps), the truncated-series scan, the moment-root
+bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
 ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 ``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
@@ -607,6 +608,29 @@ def test_categories_equal_right_searchsorted(case):
         got = env._categories(cum, draws)
         assert np.array_equal(got, np.searchsorted(cum, draws, side="right"))
         assert np.iinfo(got.dtype).max >= cum.size - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_category_cases(), data=st.data())
+def test_add_steps_equals_the_gathered_steps(case, data):
+    cum, u = case
+    steps = np.array(data.draw(st.lists(st.integers(-20, 20), min_size=cum.size,
+                                        max_size=cum.size)), dtype=np.int64)
+    for draws in (u, np.resize(u, env._DRAWS_PER_PASS * cum.size)):  # both sides of the size rule
+        start = np.arange(draws.size) % 101 - 50  # partial sums and steps fit in int8
+        for dtype in (np.int8, np.int64):
+            acc = start.astype(dtype)
+            env._add_steps(acc, cum, draws, steps, np.empty(draws.size, dtype=bool))
+            assert acc.dtype == dtype
+            assert np.array_equal(acc, start + steps[env._categories(cum, draws)])
+
+
+def test_add_steps_sends_a_draw_on_a_threshold_up():
+    cum = env._thresholds([0.25, 0.25, 0.5])
+    draws = np.resize([0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, np.nextafter(0.5, 0.0)], 1000)
+    acc = np.zeros(draws.size, dtype=np.int8)
+    env._add_steps(acc, cum, draws, np.array([2, 1, -3]), np.empty(draws.size, dtype=bool))
+    assert acc[:5].tolist() == [2, 1, 2, -3, 1]
 
 
 def _speed_per_worker(law, horizon, reps, seed, workers, sub):

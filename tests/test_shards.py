@@ -8,7 +8,9 @@ runs, the pool must never be larger than the usable CPUs nor exist for one
 busy shard, and pool threads must run no public ``rwre`` function (the
 benchmark tracer keeps one span stack and wraps public functions only).
 ``_first_exit`` is checked against the per-path kernel it replaced, which
-kept S and tau in path order.
+kept S and tau in int64 and in path order, also where its narrow partial
+sums must widen; lattice ``sup_tail`` estimates, tallied from exit counts,
+against per-path tallies.
 """
 
 import concurrent.futures
@@ -46,6 +48,7 @@ from laws import FIX_A, FIX_C, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)])
+JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])  # units (2, 1, -3)
 FIX_F_STEP = step_from_env(FIX_F)
 
 
@@ -154,6 +157,11 @@ KERNEL_CASES = {
     "logrho-up": (FIX_F_STEP, True, 7, -math.inf),
     "float-up": (GENERAL, True, 6.0, -math.inf),
     "float-band": (GENERAL, False, 6.0, -9.5),
+    "jumpy-up": (JUMPY, True, 5, -math.inf),
+    "jumpy-band": (JUMPY, False, 5, -12),
+    # positions below -128 need int16: finite down, then a long walk up
+    "lattice-deep-band": (SKIP_FREE, False, 4, -200),
+    "lattice-long-up": (SKIP_FREE, True, 60, -math.inf),
 }
 
 
@@ -170,6 +178,56 @@ def test_first_exit_equals_per_path_kernel(case, n):
     np.testing.assert_array_equal(tau_new[new], tau_ref[ref])
     assert np.all(np.diff(tau_new) >= 0)  # exit order
     assert new_rng.random() == ref_rng.random()  # the same draws were made
+
+
+@pytest.mark.parametrize("case, widest", [
+    ("lattice-up", np.int8), ("lattice-deep-band", np.int16), ("lattice-long-up", np.int16),
+])
+def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, widest):
+    cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES[case])
+    seen = []
+    advance = ladder._advance
+
+    def spy(live, *args):
+        seen.append(live.dtype)
+        return advance(live, *args)
+
+    monkeypatch.setattr(ladder, "_advance", spy)
+    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice)
+    assert seen[0] == np.int8 and max(seen, key=lambda dt: dt.itemsize) == widest
+    assert seen[: seen.index(widest)] == [np.int8] * seen.index(widest)
+    if widest == np.int16:  # widened just before a position below -128 could occur
+        assert seen.index(widest) == 128
+
+
+def _per_path_sup_tail(step, t, n, method, seed, workers, censor_eps=1e-12):
+    """``sup_tail`` on a lattice law rebuilt from per-path exits and ``Tally.of``."""
+    gamma, a = gamma_root(step), step.lattice
+    up, incs = ladder._unit_level(t, a), np.asarray(step.units)
+    if method == "importance":
+        cumw, down = _thresholds(tilt(step, gamma).q_weights), -math.inf
+        sample = lambda s: np.exp(-gamma * (s * a))
+    else:
+        m = max(0.0, -math.log(censor_eps) / gamma - t)
+        cumw, down = _thresholds(step.weights), min(-1, math.floor(-m / a + 1e-9))
+        sample = lambda s: s >= up
+    tallies = [Tally.of(sample(_per_path_first_exit(cumw, incs, up, down, n_w, rng, True)[0]))
+               for rng, n_w in rng_mod._busy_shards(seed, n, workers)]
+    n_tot, mean, se, lo, hi = estimate.merge_mean(tallies)
+    if method == "importance":
+        return Estimate(value=mean, std_error=se, n=n_tot, method="sup-tail-importance",
+                        seed=seed, extras={"gamma": gamma, "weight_spread": hi - lo})
+    return Estimate(value=mean, std_error=se, n=n_tot, method="sup-tail-naive", seed=seed,
+                    error_budget=censor_eps, extras={"gamma": gamma, "censor_level": -m})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("method", ["importance", "naive"])
+@pytest.mark.parametrize("law", ["skip-free", "jumpy", "fix-f"])
+def test_lattice_sup_tail_tallies_from_counts_equal_per_path_tallies(law, method, workers):
+    step = {"skip-free": SKIP_FREE, "jumpy": JUMPY, "fix-f": FIX_F_STEP}[law]
+    est = sup_tail(step, 4.0, 2000, method, seed=6, workers=workers)
+    assert est == _per_path_sup_tail(step, 4.0, 2000, method, 6, workers)
 
 
 def test_first_exit_step_guard_still_trips(monkeypatch):

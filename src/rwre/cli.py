@@ -188,6 +188,16 @@ class _Rows:
             ]
         )
 
+    def add_samples(self, quantity: str, samples: np.ndarray, method: str):
+        """One row per integer sample, ``param`` its index: the rows that
+        ``add(quantity, param=i, value=int(t), method=method)`` appends, built
+        as one list."""
+        seed = _fmt(self.seed)
+        self.rows += [
+            [quantity, str(i), str(t), "", "", "", "", "", method, seed]
+            for i, t in enumerate(samples.tolist())
+        ]
+
     def add_series(self, quantity: str, sv: SeriesValue, param=""):
         self.add(
             quantity,
@@ -335,8 +345,7 @@ def cmd_conditioned(args) -> int:
         (law, env_seed), mode=args.mode, n=args.n, cap=args.cap, seed=seed, workers=workers
     )
     rows = _Rows(seed)
-    for i, t0 in enumerate(samples):
-        rows.add("t0_sample", param=i, value=int(t0), method=args.mode)
+    rows.add_samples("t0_sample", samples, args.mode)
     return _finish(args, rows, law=format_law(law), seed=seed, workers=workers, env_seed=env_seed)
 
 

@@ -267,10 +267,12 @@ def _first_exit(
     ``up``, with down = -inf) records every level's first passage instead.
     Each path keeps its running maximum beside its partial sum, started just
     below levels[0] so that only steps n >= 1 count, and a rise from ``old``
-    to ``new`` is the first passage of every level in (old, new].  Returns
-    (counts, exits) with no per-path array: counts[i, o] paths first crossed
-    levels[i] at levels[i] + o, and exits[k-1] paths reached ``up`` at step k.
-    The walk draws exactly what the walk to ``up`` without ``levels`` draws.
+    to ``new`` is the first passage of every level in (old, new].  Only the
+    paths at a new running maximum (``live > top``) are looked up and counted,
+    level by level in one ``bincount`` each.  Returns (counts, exits) with no
+    per-path array: counts[i, o] paths first crossed levels[i] at levels[i] +
+    o, and exits[k-1] paths reached ``up`` at step k.  The walk draws exactly
+    what the walk to ``up`` without ``levels`` draws.
     """
     u_buf = np.empty(n if levels is None else 0)
     hit_buf = np.empty(n, dtype=bool)
@@ -292,11 +294,9 @@ def _first_exit(
         width = top_inc - min(0, base)  # overshoots lie in 0..width-1
         # rank[x - base]: how many levels are <= x, for every x a running max reaches
         rank = np.searchsorted(levels, np.arange(base, max(int(levels[-1]), 1) + top_inc), "right")
-        # slot[i] + x counts (levels[i], x - levels[i]); rank + j may pass the last
-        # level, so slot is padded, and paths crossing no level go to one spare count
-        slot = np.concatenate((np.arange(levels.size) * width - levels, np.zeros_like(levels)))
-        spare = levels.size * width
-        counts = np.zeros(spare + 1, dtype=np.int64)
+        # slot[i] + x counts (levels[i], x - levels[i])
+        slot = np.arange(levels.size) * width - levels
+        counts = np.zeros(levels.size * width, dtype=np.int64)
     exits = []  # exits[k-1]: S of the paths that left at step k (their count with levels)
     guard = 0
     while live.size:
@@ -307,12 +307,16 @@ def _first_exit(
         _advance(live, cumw, incs, u, hit)
         guard += live.size
         if levels is not None:
-            lo = rank[top - base]
-            np.maximum(top, live, out=top)
-            crossed = rank[top - base] - lo
-            for j in range(int(crossed.max())):
-                at = np.where(crossed > j, top + slot[lo + j], spare)
-                counts += np.bincount(at, minlength=counts.size)
+            rise = np.flatnonzero(live > top)  # the paths at a new running maximum
+            if rise.size:
+                first = rank[top[rise] - base]  # the first level each one may cross
+                top[rise] = live[rise]
+                peak = top[rise]
+                past = rank[peak - base]  # one past the last level it crosses
+                for j in range(int((past - first).max())):
+                    at = first + j
+                    crosses = at < past
+                    counts += np.bincount(peak[crosses] + slot[at[crosses]], minlength=counts.size)
         done = np.greater_equal(live, up, out=hit)
         if down > -math.inf:
             done |= live <= down
@@ -330,7 +334,7 @@ def _first_exit(
     # peak memory of two threaded shards by several MB.
     del u, hit, done, keep, u_buf, hit_buf
     if levels is not None:
-        return counts[:spare].reshape(levels.size, width), np.array(exits, dtype=np.int64)
+        return counts.reshape(levels.size, width), np.array(exits, dtype=np.int64)
     tau = np.repeat(np.arange(1, len(exits) + 1), [e.size for e in exits])
     return np.concatenate(exits).astype(np.int64 if integer_units else np.float64, copy=False), tau
 

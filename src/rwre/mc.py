@@ -19,8 +19,11 @@ separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
 are its n = 1 wrappers, and a lone live path steps on scalar draws (a
 scalar draw and a length-1 draw give the same uniform);
 ``_first_return_batch`` and ``conditioned_sampler`` call it with many
-paths.  Walks without stop sites run in ``_free_walk`` on the same stream,
-a block of steps per draw with the step categories found once per block.
+paths, which step on buffers made once per call.  A path can leave the
+array only through an end site, so between two stop sites, as in every
+conditioned window, no range check is made.  Walks without stop sites
+run in ``_free_walk`` on the same stream, a block of steps per draw with
+the step categories found once per block.
 Their sites live in ``_Rows``: one row per replicate, back to back.  A
 finite-support law with L = 2..6 levels stores at each site one byte, the
 neighbourhood code formed by the level codes of the 2s-1 sites around it,
@@ -83,6 +86,7 @@ _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop s
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows
 _STRIP_SITES = 1 << 14  # most sites realized per block of rows as rows grow (one row at least)
 _CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
+_SIGN = np.array([-1, 1], dtype=np.int64)  # the step of a path, indexed by "it steps up"
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,18 @@ def _walk(
     scalar ``rng.random()`` draws from its shard, the same uniforms, so a
     lone path is exactly a scalar loop.  Without stop sites every path stays
     live, and ``_free_walk`` steps them on the same stream.
+
+    omega is gathered once per call.  Buffers of two floats, one bool and
+    one int64 per path are made at the first step with more than one live
+    path: each shard with live paths draws into its slice of the first float
+    buffer with ``rng.random(out=...)``, the draws of ``rng.random(k)``; the
+    step is one ``np.less`` against omega gathered into the second and one
+    gather of +-1, and the stop test gathers ``stop`` into the bool buffer.
+    Shard slices are found again only on steps where paths stop.  Steps are
+    +-1, so a path leaves the array only by stepping off an end site; when
+    both end sites stop paths no live path can, and no range check is made.
+    Otherwise ranges are checked once the edge distance measured at the last
+    check is used up, so a walk raises at the very step a path leaves.
     Returns (final index, steps taken, stopped); a path that starts on a
     stop site takes 0 steps, one that runs out of steps reports ``cap``.
     Stepping off the array raises: sizing it is the caller's job.
@@ -145,27 +161,27 @@ def _walk(
     if stop is None:
         return _free_walk(pos, cap, shards, _Rows.fixed(sites, levels, pos.size))
     rngs = [r for r, _ in shards]
+    omega = sites if levels is None else levels[sites]
     steps = np.full(pos.size, cap, dtype=np.int64)
     stopped = stop[pos]
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
-    lone = rngs[0] if len(rngs) == 1 else None
-    if lone is None:
-        counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()  # live paths per shard
     # Steps are +-1, so no path can leave the array before the edge distance
     # measured at the last range check is used up; the starts are inside, and
-    # the first check, after step 1, measures it.
-    slack = 1
+    # the first check, after step 1, measures it.  When both end sites stop
+    # paths, a live path is never on an end site and cannot leave: no checks.
+    slack = math.inf if size and stop[0] and stop[-1] else 1
+    buffers = cuts = None  # made once more than one path is live
     for step in range(1, cap + 1):
-        if not idx.size:
+        k = idx.size
+        if not k:
             break
-        if idx.size == 1:  # a lone path steps on scalar draws from its shard: the same uniforms
+        if k == 1:  # a lone path steps on scalar draws from its shard: the same uniforms
             i, x = int(idx[0]), int(live[0])
             rng = rngs[int(np.searchsorted(ends, i, side="right"))]
             for step in range(step, cap + 1):
-                omega = sites[x] if levels is None else levels[sites[x]]
-                x += 1 if rng.random() < omega else -1
+                x += 1 if rng.random() < omega[x] else -1
                 if not 0 <= x < size:
                     raise RuntimeError("walk left the realized window; size it larger")
                 if stop[x]:
@@ -173,25 +189,28 @@ def _walk(
                     break
             pos[i] = x
             return pos, steps, stopped
-        if lone is not None:  # one shard
-            u = lone.random(idx.size)
-        else:
-            u = np.concatenate([r.random(k) for r, k in zip(rngs, counts)])
-        omega = sites[live] if levels is None else levels[sites[live]]
-        live += np.where(u < omega, 1, -1)
+        if cuts is None:  # the first step of many paths, or paths stopped at the last one
+            if buffers is None:
+                buffers = np.empty(k), np.empty(k), np.empty(k, dtype=bool), np.empty(k, np.int64)
+            cuts = [0, *np.searchsorted(idx, ends).tolist()]  # shard w: live[cuts[w]:cuts[w+1]]
+            u, at, hit, move = (b[:k] for b in buffers)
+        for r, a, b in zip(rngs, cuts, cuts[1:]):
+            if a < b:
+                r.random(out=u[a:b])
+        # mode="clip" skips take's buffered copy; every live index is on the array.
+        np.less(u, omega.take(live, out=at, mode="clip"), out=hit)
+        live += _SIGN.take(hit.view(np.uint8), out=move, mode="clip")
         slack -= 1
         if slack <= 0:
             slack = _steps_inside(live, size)
-        done = stop[live]
-        if np.count_nonzero(done):
+        done = stop.take(live, out=hit, mode="clip")
+        if done.any():
             out = idx[done]
             pos[out] = live[done]
             steps[out] = step
             stopped[out] = True
-            keep = ~done
-            idx, live = idx[keep], live[keep]
-            if lone is None:
-                counts = np.diff(np.searchsorted(idx, ends), prepend=0).tolist()
+            keep = np.logical_not(done, out=hit)
+            idx, live, cuts = idx[keep], live[keep], None
     pos[idx] = live
     return pos, steps, stopped
 
@@ -231,7 +250,6 @@ def _free_walk(
     if coded:
         cum, base, codes = np.append(levels, 1.0), levels.size + 1, rows.codes
         tables = {1: _step_table(levels.size, span, 1), span: _step_table(levels.size, span, span)}
-    sign = np.array([-1, 1], dtype=np.int64)
     slack = rows.fit(pos, min(span, cap))
     for first in range(0, cap, depth):
         steps = min(depth, cap - first)
@@ -246,7 +264,7 @@ def _free_walk(
             elif not coded:
                 sites = rows.flat
                 for row in block[done : done + m]:
-                    pos += sign.take(np.greater(sites.take(pos), row).view(np.uint8))
+                    pos += _SIGN.take(np.greater(sites.take(pos), row).view(np.uint8))
             else:
                 per = span if m >= span else 1
                 m -= m % per

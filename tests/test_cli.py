@@ -198,6 +198,21 @@ class TestConditionedCommand:
         assert err.startswith("error: ") and "path cap 5 exhausted" in err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("mode,samples", [
+        ("h_transform", [1, 1, 1, 7, 11, 5, 1, 1269, 1, 1, 1, 1]),
+        ("rejection", [1, 1, 77, 3, 11, 1, 1, 1, 1, 1, 1, 5]),
+    ])
+    def test_sample_rows_pinned(self, tmp_path, mode, samples):
+        out = tmp_path / "c"
+        code = main(["conditioned", "--law", format_law(FIX_C), "--mode", mode, "-n", "12",
+                     "--seed", "5", "--env-seed", "101", "--workers", "2", "--out", str(out)])
+        assert code == 0
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[0] == "quantity,param,value,std_error,error_budget,remainder_heuristic," \
+                           "converged,n,method,seed"
+        assert lines[1:] == [f"t0_sample,{i},{t},,,,,,{mode},5" for i, t in enumerate(samples)]
+        assert read_manifest(tmp_path / "c.manifest.json")["nonconverged"] == 0
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("flag,value", [

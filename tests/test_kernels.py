@@ -21,7 +21,8 @@ conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
 and the window edges are checked to be the least certified ones.  The
 lockstep ``conditioned_sampler`` is checked against a per-worker reference
-loop.
+loop, and the stop-site walk against scalar draws in lockstep, both between
+two stop sites, where it makes no range check, and with one open end.
 """
 
 import hashlib
@@ -756,3 +757,92 @@ def test_site_uniforms_match_python_reference():
     rows = site_uniforms(np.array(seeds, dtype=np.uint64)[:, None], sites)
     assert rows.shape == (len(seeds), sites.size)
     assert rows.tolist() == [[_site_uniform_ref(s, int(x)) for x in sites] for s in seeds]
+
+
+def _scalar_lockstep(env, starts, stops, cap, shards):
+    """The step of ``_scalar_walk`` in lockstep: at each step every live
+    path, in path order, takes one scalar draw from its shard's stream.
+    Returns (final index, steps taken, stopped) in path order, as ``_walk``."""
+    owner = np.repeat(np.arange(len(shards)), [n for _, n in shards])
+    pos = list(starts)
+    steps = [0 if x in stops else cap for x in pos]
+    live = [i for i, x in enumerate(pos) if x not in stops]
+    for step in range(1, cap + 1):
+        for i in live:
+            pos[i] += 1 if shards[owner[i]][0].random() < env.omega[pos[i]] else -1
+            if not 0 <= pos[i] < env.omega.size:
+                raise RuntimeError("walked off the window")
+            if pos[i] in stops:
+                steps[i] = step
+        live = [i for i in live if pos[i] not in stops]
+    return np.array(pos), np.array(steps), np.array([x in stops for x in pos])
+
+
+@st.composite
+def _stopped_window_cases(draw):
+    size = draw(st.integers(2, 24))
+    law = draw(st.sampled_from([FIX_A, FIX_C, EnvLaw.constant(0.3), EnvLaw.constant(0.9)]))
+    env = sample_window(law, draw(st.integers(0, 50)), 0, size - 1)
+    stops = {0, size - 1} | draw(st.sets(st.integers(0, size - 1), max_size=3))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    starts = draw(st.lists(st.integers(0, size - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    return env, stops, sizes, starts, draw(st.integers(0, 60)), draw(st.integers(0, 2**32))
+
+
+def _stopped_walk(env, stops, sizes, starts, cap, seed):
+    stop = np.zeros(env.omega.size, dtype=bool)
+    stop[list(stops)] = True
+    rngs, refs = worker_streams(seed, len(sizes)), worker_streams(seed, len(sizes))
+    got = _walk(env.omega, starts, stop, cap, list(zip(rngs, sizes)))
+    ref = _scalar_lockstep(env, starts, stops, cap, list(zip(refs, sizes)))
+    for g, r in zip(got, ref):
+        assert g.tolist() == r.tolist()
+    assert [r.random() for r in rngs] == [r.random() for r in refs]  # as many uniforms
+    return got
+
+
+def _no_range_check(pos, size):
+    raise AssertionError("a window with stop sites at both ends needs no range check")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_stopped_window_cases())
+def test_walk_between_two_stop_sites_equals_scalar_walks(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_steps_inside", _no_range_check)
+        _stopped_walk(*case)
+
+
+def test_walk_between_two_stop_sites_with_shards_that_empty(monkeypatch):
+    # Shard 1 drives no path and every path of shard 2 starts on a stop site;
+    # shard 3's paths start next to one and all stop while shard 0 walks on.
+    monkeypatch.setattr(mc, "_steps_inside", _no_range_check)
+    env = sample_window(FIX_C, 4, 0, 40)
+    starts = [18, 25, 32, 21, 9, 40, 1, 10, 8]
+    _, steps, stopped = _stopped_walk(env, {0, 9, 40}, [4, 0, 2, 3], starts, 3000, 6)
+    assert stopped.all() and steps[4:6].tolist() == [0, 0]
+    assert 1 < steps[6:].max() < steps[:4].max()
+
+
+def test_walk_with_one_open_end_raises_at_the_step_it_leaves():
+    # Constant omega 0.3 drifts left; the left end is open, the right end stops.
+    env = sample_window(EnvLaw.constant(0.3), 0, 0, 30)
+    starts, sizes = [14, 20, 6, 26, 11], [2, 0, 3]
+
+    def both(cap):
+        return _stopped_walk(env, {30}, sizes, starts, cap, 3)
+
+    cap = 0
+    while True:
+        try:
+            both(cap + 1)
+        except RuntimeError:
+            break
+        cap += 1
+    # The reference leaves the window at step cap + 1; ``_walk`` raises there too.
+    assert cap > 6
+    for longer in (cap + 1, cap + 2, 10 * cap):
+        stop = np.zeros(31, dtype=bool)
+        stop[30] = True
+        with pytest.raises(RuntimeError, match="left the realized window"):
+            _walk(env.omega, starts, stop, longer, list(zip(worker_streams(3, 3), sizes)))

@@ -305,6 +305,36 @@ class TestOvershootScan:
         assert not counts[-1][np.max(s) - top + 1 :].any()
         assert new_rng.random() == ref_rng.random()  # the same draws were made
 
+    @pytest.mark.parametrize("levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4], [2, 5, 6, 9]])
+    @pytest.mark.parametrize("law", ["fix-f", "jumpy"])
+    def test_every_level_count_matches_per_path_first_passages(self, law, levels):
+        step = step_from_env(FIX_F) if law == "fix-f" else JUMPY
+        cumw = _thresholds(tilt(step, gamma_root(step)).q_weights)
+        incs, n = np.asarray(step.units), 2500
+        ref_rng, new_rng = (_busy_shards(13, 1, 1)[0][0] for _ in range(2))
+        # Each path's partial sums at steps 1, 2, ... until it reaches the top
+        # level, one draw per path still below it, in path order; first[i, p]
+        # is the first sum of path p at or above levels[i].
+        s, first = np.zeros(n, dtype=np.int64), np.full((len(levels), n), np.iinfo(np.int64).min)
+        idx = np.arange(n)
+        while idx.size:
+            s[idx] += incs[ladder._categories(cumw, ref_rng.random(idx.size))]
+            for i, level in enumerate(levels):
+                new = idx[(s[idx] >= level) & (first[i, idx] == np.iinfo(np.int64).min)]
+                first[i, new] = s[new]
+            idx = idx[s[idx] < levels[-1]]
+        counts, _ = ladder._first_exit(
+            cumw, incs, levels[-1], -math.inf, n, new_rng, True, np.array(levels)
+        )
+        for i, level in enumerate(levels):
+            expected = np.bincount(first[i] - level)
+            assert expected.size <= counts.shape[1]
+            np.testing.assert_array_equal(counts[i][: expected.size], expected)
+            assert not counts[i][expected.size :].any()
+        if law == "jumpy" and 1 in np.diff(levels):  # some step crosses two adjacent levels
+            assert any((first[i] >= levels[i + 1]).any() for i in range(len(levels) - 1))
+        assert new_rng.random() == ref_rng.random()
+
 
 class TestPhi:
     def test_t_zero_small_value(self):

@@ -36,7 +36,6 @@ import time
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .env import EnvLaw, classify_regime, sample_window
@@ -412,7 +411,6 @@ def _finish(args, rows: _Rows, extras=None, **config) -> int:
         "versions": {
             "rwre": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.perf_counter() - args._t0,

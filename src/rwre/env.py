@@ -13,16 +13,22 @@ One rule, ``_categories``, turns every uniform u into a category of a site
 law (here) or a step law (in ``ladder``): the count of cumulative weights <= u.
 ``_add_steps`` adds the integer step of each category in place by the same
 rule.
+
+Beta laws need no special-function library.  ``_beta_inverse`` turns site
+uniforms into Beta(alpha, beta) quantiles: a cubic Hermite first guess from
+a table of exact incomplete-beta values, then Halley steps on the same
+continued fraction (after DiDonato & Morris, ACM TOMS 18 (1992), Algorithm
+708).  ``_digamma`` serves the log-moments, ``math.lgamma`` the power moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .rng import site_uniforms
 
@@ -33,6 +39,16 @@ BOUNDARY_ATOL = 1e-12  # exact-sum boundary detection, e.g. E[rho] == 1
 # (crossovers measured for 1 to 2x10^5 draws and 2 to 300 categories).
 _SEARCH_ABOVE = 150
 _DRAWS_PER_PASS = 256
+
+# Beta quantiles: table nodes y = sin^2(theta) on a uniform theta grid over
+# (0, pi/2); Halley steps stop after the first step whose largest relative
+# size is below _HALLEY_TOL (cubic convergence leaves that step exact to
+# rounding), or fail after _HALLEY_MAX steps.
+_BETA_NODES = 2048
+_HALLEY_TOL = 1e-7
+_HALLEY_MAX = 16
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
+_TINY = float(np.finfo(np.float64).tiny)
 
 _KIND_CONSTANT = "constant"
 _KIND_DISCRETE = "discrete"
@@ -101,7 +117,7 @@ class EnvLaw:
         if self.kind == _KIND_CONSTANT:
             return np.array([self.p])
         if self.kind == _KIND_DISCRETE:
-            return np.unique(np.asarray(self.omegas, dtype=np.float64))
+            return np.array(sorted(set(self.omegas)), dtype=np.float64)
         return None
 
     def mirror(self) -> "EnvLaw":
@@ -209,6 +225,158 @@ def _add_steps(
             acc += ones * acc.dtype.type(d)
 
 
+def _beta_log_scale(p: float, q: float) -> float:
+    """log(1 / (p B(p, q)))."""
+    return math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) - math.log(p)
+
+
+def _beta_front(p: float, q: float, y: np.ndarray) -> np.ndarray:
+    """y^p (1-y)^q / (p B(p, q)): I_y(p, q) is this times ``_beta_cf``.  Powers
+    and gammas round better than exp of a log sum, which p + q >= 170 needs
+    (the gammas overflow there)."""
+    if p + q < 170.0:
+        return y**p * (1.0 - y) ** q * (math.gamma(p + q) / (math.gamma(p) * math.gamma(q)) / p)
+    return np.exp(p * np.log(y) + q * np.log1p(-y) + _beta_log_scale(p, q))
+
+
+def _beta_cf_pair(p: float, q: float, m: int) -> tuple[float, float]:
+    """Per-unit-y coefficients (d_2m-1, d_2m) of the fraction
+    1 / (1 + d_1 y / (1 + d_2 y / (1 + ...))) (Numerical Recipes, eq. 6.4.5)."""
+    return (
+        -(p + m - 1) * (p + q + m - 1) / ((p + 2 * m - 2) * (p + 2 * m - 1)),
+        m * (q - m) / ((p + 2 * m - 1) * (p + 2 * m)),
+    )
+
+
+def _beta_cf_pairs(p: float, q: float, y: np.ndarray) -> int:
+    """Pairs of terms after which the fraction has converged at every y, by
+    the modified Lentz method run until its last factor is 1 within 2^-52
+    (or for 1000 pairs)."""
+    fpmin, cap = 1e-300, 1000
+    c, d = np.ones_like(y), np.zeros_like(y)
+    for m in range(1, cap):
+        for coef in _beta_cf_pair(p, q, m):
+            d = 1.0 + coef * y * d
+            d = 1.0 / np.where(np.abs(d) < fpmin, fpmin, d)
+            c = 1.0 + coef * y / c
+            c = np.where(np.abs(c) < fpmin, fpmin, c)
+        if np.max(np.abs(c * d - 1.0)) <= 2.0**-52:
+            return m
+    return cap
+
+
+def _beta_cf(terms: list[tuple[float, float]], y: np.ndarray) -> np.ndarray:
+    """The fraction over the pairs ``terms`` at y, evaluated from its last term."""
+    t = np.zeros_like(y)
+    for odd, even in reversed(terms):
+        t += 1.0
+        np.divide(even * y, t, out=t)
+        t += 1.0
+        np.divide(odd * y, t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
+class _BetaTable(NamedTuple):
+    """Quantile table of Beta(p, q) below its split point y* = (p+1)/(p+q+2),
+    where the fraction converges fastest.  ``v`` holds the exact I_y(p, q) of
+    the nodes up to the first node past y*, ``coef`` the Hermite cubic of each
+    interval (y = c0 + t (c1 + t (c2 + t c3)) at t = (v - v_j) / h_j, then
+    v_j, 1 / h_j and the interval's ends y_j, y_j+1), ``split`` I_y*(p, q)."""
+
+    v: np.ndarray
+    coef: np.ndarray
+    terms: list
+    split: float
+
+
+@functools.lru_cache(maxsize=16)
+def _beta_table(p: float, q: float) -> _BetaTable:
+    crit = (p + 1.0) / (p + q + 2.0)
+    y = np.sin(np.arange(1, _BETA_NODES) * (math.pi / (2 * _BETA_NODES))) ** 2
+    y = y[: np.searchsorted(y, crit) + 1]
+    front = _beta_front(p, q, y)
+    keep = front > 1e-150  # nodes so far out that 1 / pdf could overflow are left out
+    y, front = y[keep], front[keep]
+    terms = [_beta_cf_pair(p, q, m) for m in range(1, _beta_cf_pairs(p, q, y) + 2)]
+    v = front * _beta_cf(terms, y)
+    slope = y * (1.0 - y) / (p * front)  # dy/dv = 1 / pdf
+    h, dy = np.diff(v), np.diff(y)
+    coef = np.stack([
+        y[:-1],
+        h * slope[:-1],
+        3.0 * dy - h * (2.0 * slope[:-1] + slope[1:]),
+        h * (slope[:-1] + slope[1:]) - 2.0 * dy,
+        v[:-1],
+        1.0 / h,
+        y[1:],
+    ])
+    at = np.array([crit])
+    split = float((_beta_front(p, q, at) * _beta_cf(terms, at))[0])
+    v.flags.writeable = coef.flags.writeable = False  # cached: every call shares them
+    return _BetaTable(v, coef, terms, split)
+
+
+def _beta_lower_inverse(p: float, q: float, v: np.ndarray) -> np.ndarray:
+    """y with I_y(p, q) = v, for 0 <= v up to about the table's ``split``.
+    The first guess is the Hermite cubic kept inside its interval, or below
+    the first node the tail y = (v p B(p, q))^(1/p).  A y below the smallest
+    normal double is returned as 0."""
+    if not v.size:
+        return v
+    table = _beta_table(p, q)
+    j = np.searchsorted(table.v, v, side="right") - 1
+    below = j < 0
+    y0, c1, c2, c3, vj, inv_h, y1 = table.coef[:, np.clip(j, 0, table.v.size - 2)]
+    t = (v - vj) * inv_h
+    y = np.clip(y0 + t * (c1 + t * (c2 + t * c3)), y0, y1)
+    if below.any():
+        with np.errstate(divide="ignore"):  # v = 0 gives y = 0
+            y[below] = np.exp((np.log(v[below]) - _beta_log_scale(p, q)) / p)
+    zero = y < _TINY  # iterate on the first node as a stand-in
+    if zero.any():
+        v = np.where(zero, table.v[0], v)
+        y[zero] = table.coef[0, 0]
+    for _ in range(_HALLEY_MAX):
+        front = _beta_front(p, q, y)
+        r = (front * _beta_cf(table.terms, y) - v) * (y * (1.0 - y) / (p * front))
+        step = r / (1.0 - 0.5 * r * ((p - 1.0) / y - (q - 1.0) / (1.0 - y)))
+        done = np.max(np.abs(step) / y) < _HALLEY_TOL
+        # A step may not halve y or its distance to 1: a poor guess stays inside (0, 1).
+        y = np.clip(y - step, 0.5 * y, 0.5 + 0.5 * y)
+        if done:
+            y[zero] = 0.0
+            return y
+    raise ArithmeticError(f"Beta({p}, {q}) quantiles did not converge")
+
+
+def _beta_inverse(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """Beta(a, b) quantiles of the uniforms u in (0, 1]: x with I_x(a, b) = u,
+    clipped strictly inside (0, 1) (u = 1 gives the largest double below 1).
+    Uniforms below the split point solve I_x(a, b) = u, the others
+    I_{1-x}(b, a) = 1 - u, so that both tails keep their relative accuracy."""
+    u = np.asarray(u, dtype=np.float64)
+    x = np.empty(u.shape)
+    low = u < _beta_table(a, b).split
+    x[low] = _beta_lower_inverse(a, b, u[low])
+    high = ~low
+    x[high] = 1.0 - _beta_lower_inverse(b, a, 1.0 - u[high])
+    return np.clip(x, _TINY, _BELOW_ONE, out=x)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    z = x + n >= 10, then the asymptotic series through z^-12 (its next term
+    is below 1e-15), summed exactly rounded."""
+    n = max(0, math.ceil(10.0 - x))
+    z = x + n
+    w = 1.0 / (z * z)
+    tail = 0.0
+    for c in (-691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12):  # B_2k / 2k, k = 6..1
+        tail = (tail + c) * w
+    return math.fsum([math.log(z), -0.5 / z, -tail] + [-1.0 / (x + k) for k in range(n)])
+
+
 def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
     """Sample omega at arbitrary integer sites via the keyed site RNG; a
     column of seeds gives one row per seed (see ``site_uniforms``).  A
@@ -218,7 +386,7 @@ def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
     u = site_uniforms(seed, sites)
     if law.kind == _KIND_DISCRETE:
         return np.asarray(law.omegas, dtype=np.float64)[_categories(_thresholds(law.weights), u)]
-    return special.betaincinv(law.alpha, law.beta, u)
+    return _beta_inverse(law.alpha, law.beta, u)
 
 
 def sample_window(law: EnvLaw, seed: int, lo: int, hi: int) -> EnvWindow:
@@ -240,10 +408,10 @@ def moment_rho(law: EnvLaw, u: float) -> float:
         if not -law.beta < u < law.alpha:
             return math.inf
         return math.exp(
-            special.gammaln(law.alpha - u)
-            + special.gammaln(law.beta + u)
-            - special.gammaln(law.alpha)
-            - special.gammaln(law.beta)
+            math.lgamma(law.alpha - u)
+            + math.lgamma(law.beta + u)
+            - math.lgamma(law.alpha)
+            - math.lgamma(law.beta)
         )
     return math.fsum(w * rho**u for w, rho in law.rho_support())
 
@@ -251,7 +419,7 @@ def moment_rho(law: EnvLaw, u: float) -> float:
 def mean_log_rho(law: EnvLaw) -> float:
     """E[log rho_0]; digamma identity psi(beta) - psi(alpha) for beta laws."""
     if law.kind == _KIND_BETA:
-        return float(special.digamma(law.beta) - special.digamma(law.alpha))
+        return _digamma(law.beta) - _digamma(law.alpha)
     return math.fsum(w * math.log(rho) for w, rho in law.rho_support())
 
 
@@ -261,7 +429,7 @@ def moment_rho_log_rho(law: EnvLaw) -> float:
         if law.alpha <= 1.0:
             return math.inf
         m1 = moment_rho(law, 1.0)
-        return m1 * float(special.digamma(law.beta + 1.0) - special.digamma(law.alpha - 1.0))
+        return m1 * (_digamma(law.beta + 1.0) - _digamma(law.alpha - 1.0))
     return math.fsum(w * rho * math.log(rho) for w, rho in law.rho_support())
 
 

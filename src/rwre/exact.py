@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .env import (
     EnvLaw,
@@ -257,17 +256,18 @@ def hitting_prob(env: EnvWindow, x: int, a: int, b: int) -> tuple[float, float]:
 
     Edge conventions follow the empty-product/empty-sum limits of the
     interior formula: p_left = 1 at x = a and p_right = 1 at x = b.  The
-    two probabilities are computed from complementary log-sum-exp blocks of
-    the same partition, so they sum to 1 up to rounding.
+    two probabilities are complementary blocks of one max-shifted sum of the
+    products, so they sum to 1 up to rounding.
     """
     if not (env.lo <= a <= x <= b <= env.hi + 1):
         raise IndexError(f"need lo <= a <= x <= b <= hi+1, got a={a} x={x} b={b}")
     if a == b:
         raise ValueError("hitting_prob needs a < b")
     cum = np.cumsum(np.log(env.rho_slice(a, b - 1)))  # cum[k] = log Pi_{a, a+k}
-    lse_all = logsumexp(cum)
-    p_right = 0.0 if x == a else float(np.exp(logsumexp(cum[: x - a]) - lse_all))
-    p_left = 0.0 if x == b else float(np.exp(logsumexp(cum[x - a :]) - lse_all))
+    terms = np.exp(cum - cum.max())  # the largest is 1: no overflow, and the sum is >= 1
+    total = terms.sum()
+    p_right = 0.0 if x == a else float(terms[: x - a].sum() / total)
+    p_left = 0.0 if x == b else float(terms[x - a :].sum() / total)
     return p_left, p_right
 
 
@@ -547,7 +547,8 @@ def absorption_oracle(env: EnvWindow, a: int, b: int, x: int) -> tuple[float, fl
         v_s = 1 + omega_s v_{s+1} + (1-omega_s) v_{s-1},  v_a = v_b = 0
 
     by banded LU.  Exists purely as an independent check on the cascade
-    formulas; it never feeds other operations, so scipy.linalg loads only here.
+    formulas; it never feeds other operations, so scipy.linalg, from the
+    ``test`` extra, loads only here.
     """
     from scipy.linalg import solve_banded
     if not (env.lo <= a <= x <= b <= env.hi):

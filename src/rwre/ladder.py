@@ -252,8 +252,7 @@ def _first_exit(
     down = -inf walks every path to its first crossing of ``up``.  Step k
     draws one uniform for each path still inside, in path order, into one
     buffer of n floats: ``rng.random(out=buf[:k])`` makes the draws of
-    ``rng.random(k)``.  A level scan (below) draws ``rng.random(k)`` itself.
-    One bool buffer of n serves every compare pass of the step.
+    ``rng.random(k)``.  One bool buffer of n serves every compare pass of the step.
 
     Integer partial sums are held in the smallest signed dtype that holds
     every position reachable at the next step, and every difference of
@@ -274,7 +273,7 @@ def _first_exit(
     o, and exits[k-1] paths reached ``up`` at step k.  The walk draws exactly
     what the walk to ``up`` without ``levels`` draws.
     """
-    u_buf = np.empty(n if levels is None else 0)
+    u_buf = np.empty(n)
     hit_buf = np.empty(n, dtype=bool)
     if integer_units:
         lo_inc, hi_inc = int(incs.min()), int(incs.max())
@@ -303,7 +302,7 @@ def _first_exit(
         if integer_units and floor_at(len(exits)) < np.iinfo(live.dtype).min:
             live = live.astype(_sum_dtype(floor_at(len(exits)), hi))
         hit = hit_buf[: live.size]
-        u = rng.random(live.size) if levels is not None else rng.random(out=u_buf[: live.size])
+        u = rng.random(out=u_buf[: live.size])
         _advance(live, cumw, incs, u, hit)
         guard += live.size
         if levels is not None:
@@ -508,7 +507,7 @@ def overshoot_constant(
     cumw = _thresholds(q.q_weights)
     incs = np.asarray(step.units)
     a = step.lattice
-    levels = np.unique(ks)
+    levels = np.array(sorted(set(ks)))
     top = ks[-1]
     shards = _map_shards(
         lambda rng, n_w: _first_exit(cumw, incs, top, -math.inf, n_w, rng, True, levels),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import numpy.random  # every walk draws from it: loaded at import, not in a first command
 
 MASK64 = (1 << 64) - 1
 

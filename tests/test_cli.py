@@ -13,7 +13,7 @@ import pytest
 import rwre
 from rwre.cli import format_law, main, parse_law, parse_step
 
-from laws import FIX_C, FIX_D
+from laws import FIX_A, FIX_C, FIX_D
 
 
 def read_csv(path):
@@ -302,7 +302,7 @@ class TestManifestAndDeterminism:
         ) == 0
         manifest = read_manifest(out + ".manifest.json")
         assert manifest["config"]["workers"] == 3
-        assert set(manifest["versions"]) == {"rwre", "numpy", "scipy", "python"}
+        assert set(manifest["versions"]) == {"rwre", "numpy", "python"}
         assert manifest["wall_time_s"] >= 0.0
 
 
@@ -341,13 +341,34 @@ class TestDivergeCommand:
         assert all(r["std_error"] == "" for r in rows[2:])
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg serves only the test oracle ``absorption_oracle``; loading it
-    # with the CLI would cost every command its import time and memory.
+def _fresh_python(code: str) -> int:
+    """Exit code of ``code`` run in a new interpreter that imports this rwre."""
     src = str(Path(rwre.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, rwre.cli; sys.exit(int('scipy.linalg' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # rwre runs on numpy alone; scipy.linalg serves only the test oracle
+    # ``absorption_oracle``.  Loading any of scipy with the CLI would cost every
+    # command its import time and memory.
+    code = ("import sys, rwre.cli\n"
+            "sys.exit(int(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)))")
+    assert _fresh_python(code) == 0
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs a command 12-14 ms to import; np.unique loads it.
+    code = (
+        "import sys\n"
+        "from rwre.cli import main\n"
+        f"assert main(['simulate', '--law', {format_law(FIX_A)!r}, '--speed', '--horizon', '500',"
+        f" '--reps', '4', '--seed', '1', '--out', {str(tmp_path / 'sp')!r}]) == 0\n"
+        "assert main(['ladder', '--step', 'lattice:0.3@+1,0.7@-1', '--overshoot', '3', '6',"
+        f" '-n', '200', '--seed', '1', '--out', {str(tmp_path / 'ov')!r}]) == 0\n"
+        "sys.exit(int('numpy.ma' in sys.modules))"
+    )
+    assert _fresh_python(code) == 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "2.5", ""])

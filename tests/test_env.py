@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from rwre import (
     EnvLaw,
@@ -16,7 +16,8 @@ from rwre import (
     moment_rho_log_rho,
     sample_window,
 )
-from rwre.env import omega_at_sites
+from rwre.env import _beta_inverse, _digamma, omega_at_sites
+from rwre.rng import site_uniforms
 
 from laws import CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
@@ -236,6 +237,33 @@ class TestSampleWindow:
         vals = omega_at_sites(FIX_C, 9, xs)
         for x, v in zip(xs, vals):
             assert sample_window(FIX_C, 9, int(x), int(x)).omega[0] == v
+
+
+class TestBetaWithoutScipy:
+    """The numpy Beta quantile and digamma against scipy.special."""
+
+    # Beta(100, 100) takes the density from logs: alpha + beta > 170.
+    @pytest.mark.parametrize("alpha,beta", [
+        (5.0, 2.0), (2.0, 5.0), (0.5, 0.7), (1.0, 1.0), (100.0, 100.0),
+    ])
+    def test_quantiles_match_betaincinv(self, alpha, beta):
+        seeds, sites = np.arange(3, dtype=np.uint64)[:, None], np.arange(-2000, 2000)
+        omega = omega_at_sites(EnvLaw.beta_law(alpha, beta), seeds, sites)
+        ref = special.betaincinv(alpha, beta, site_uniforms(seeds, sites))
+        assert omega.shape == ref.shape
+        assert np.max(np.abs(omega - ref) / ref) <= 1e-13
+        # site_uniforms returns (z + 1/2) 2^-53 for 53-bit z: 2^-54 up to 1 - 2^-54,
+        # which rounds to 1.0, whose quantile is clipped below 1.
+        u = np.array([2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-54])
+        x = _beta_inverse(alpha, beta, u)
+        assert np.all((x > 0.0) & (x < 1.0))
+        ref = special.betaincinv(alpha, beta, u)
+        assert np.max(np.abs(x - ref) / ref) <= 1e-13
+
+    def test_digamma_matches_scipy(self):
+        xs = np.concatenate([np.linspace(0.05, 50.0, 1999), [9.0, 10.0, 11.0]])
+        got = np.array([_digamma(float(x)) for x in xs])
+        assert np.max(np.abs(got - special.digamma(xs))) <= 1e-14
 
 
 class TestEnvLawValidation:

@@ -269,9 +269,9 @@ class TestOvershootScan:
             def __init__(self, rng):
                 self.rng = rng
 
-            def random(self, size):
-                drawn.append(size)
-                return self.rng.random(size)
+            def random(self, size=None, out=None):
+                drawn.append(size if out is None else out.size)
+                return self.rng.random(size, out=out)
 
         def spy(fn, seed, n, workers):
             maps.append((seed, n, workers))

@@ -188,14 +188,15 @@ def _thresholds(weights) -> np.ndarray:
 
 
 def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category of each uniform u in [0, 1): the number of thresholds ``cum[:-1]``
-    that are <= u, as ``np.searchsorted(cum, u, side="right")`` counts them.
+    """Category of each uniform u in [0, 1]: the number of thresholds ``cum[:-1]``
+    that are <= u, as ``np.searchsorted(cum[:-1], u, side="right")`` counts
+    them, so u = 1.0 (a site uniform can be 1.0) takes the last category.
     A draw on a threshold takes the upper category; counting thresholds < u
     would differ only there, with probability at most 2^-53 a draw and only
     for dyadic thresholds such as 0.5.  Compare passes fill the smallest
     unsigned dtype; the binary search, used where it is faster, gives intp."""
     if cum.size > _SEARCH_ABOVE or np.size(u) < _DRAWS_PER_PASS * (cum.size - 1):
-        return np.searchsorted(cum, u, side="right")
+        return np.searchsorted(cum[:-1], u, side="right")
     k = np.zeros(np.shape(u), dtype=np.min_scalar_type(cum.size - 1))
     for c in cum[:-1]:
         k += u >= c
@@ -212,7 +213,7 @@ def _add_steps(
     is a bool buffer of u's shape.  ``acc`` must hold acc + steps[i] for every
     i and every difference of consecutive steps."""
     if cum.size > _SEARCH_ABOVE or u.size < _DRAWS_PER_PASS * (cum.size - 1):
-        acc += steps[np.searchsorted(cum, u, side="right")]
+        acc += steps[np.searchsorted(cum[:-1], u, side="right")]
         return
     acc += int(steps[0])
     for c, d in zip(cum[:-1].tolist(), np.diff(steps).tolist()):

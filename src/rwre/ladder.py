@@ -17,9 +17,11 @@ phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 All level-crossing simulations (the importance and naive ``sup_tail``
 estimators and ``overshoot_constant``) run on one lockstep first-exit
 kernel, ``_first_exit``.  It keeps only the partial sums of the paths still
-inside and returns the exits in exit order (by exit step, path order within
-a step), never as per-path arrays; every consumer (exactly rounded tallies,
-min/max) is order-free.  An overshoot scan is one walk, to its top level K:
+inside.  Float walks return their exit values in exit order (by exit step,
+path order within a step), and every consumer (exactly rounded tallies,
+min/max) is order-free; lattice walks return how many paths left at each
+value, tallied as each step's paths leave, with no per-path array.  An
+overshoot scan is one walk, to its top level K:
 the tilted drift is positive, so each path passes every lower level on its
 way up, and the kernel also keeps each path's running maximum to count every
 level's first passage and overshoot.  The scan's tallies come from those
@@ -43,8 +45,7 @@ within -128..127), widening once a falling floor needs it.
 Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
 A shard's thread runs only the private walk and numpy; the tallies are taken
 afterwards in the caller's thread, in shard order, so every result depends
-on (seed, workers) only.  Lattice ``sup_tail`` shards return how many paths
-left at each exit value, and the caller's tallies come from those counts
+on (seed, workers) only.  Lattice tallies come from exit counts
 (``Tally.of_counts``), never from a per-path sample array.
 """
 
@@ -244,10 +245,12 @@ def _first_exit(
     rng: np.random.Generator,
     integer_units: bool,
     levels: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk n >= 1 paths until S >= up or S <= down; returns (S at exit, exit
-    time) in exit order: the paths that left at step 1 in path order, then
-    those that left at step 2, and so on.  S is int64 for integer units.
+):
+    """Walk n >= 1 paths until S >= up or S <= down.  Float walks return S
+    at exit in exit order: the paths that left at step 1 in path order, then
+    those that left at step 2, and so on.  Lattice walks, in integer units
+    with integer ``up`` and ``down``, return (lo, counts): counts[i] paths
+    left at S = lo + i, tallied step by step.
 
     down = -inf walks every path to its first crossing of ``up``.  Step k
     draws one uniform for each path still inside, in path order, into one
@@ -260,7 +263,9 @@ def _first_exit(
     in [max(down + 1, k min_inc), up - 1], and every path starts at 0, so
     the next step lies in that range (with 0) widened by [min_inc, max_inc].
     With down = -inf the floor falls with k, and one ``astype`` widens the
-    sums just before it would leave the dtype.
+    sums just before it would leave the dtype.  The same ranges size counts:
+    every exit lies in [lo, max(0, up - 1) + max_inc], with lo = max(up,
+    min_inc) for down = -inf and lo = min(0, down + 1) + min_inc otherwise.
 
     ``levels`` (lattice only: sorted distinct integer levels, the last one
     ``up``, with down = -inf) records every level's first passage instead.
@@ -278,12 +283,15 @@ def _first_exit(
     if integer_units:
         lo_inc, hi_inc = int(incs.min()), int(incs.max())
         spread = hi_inc - lo_inc  # bounds the differences the compare passes add
-        hi = max(max(0, up - 1) + hi_inc, spread)
+        highest = max(0, up - 1) + hi_inc  # no path goes above it
 
         def floor_at(k):  # lowest value held at step k + 1
             return min(min(0, max(down + 1, k * lo_inc)) + lo_inc, -spread)
 
-        live = np.zeros(n, dtype=_sum_dtype(floor_at(0), hi))
+        live = np.zeros(n, dtype=_sum_dtype(floor_at(0), max(highest, spread)))
+        if levels is None:
+            lo = max(up, lo_inc) if down == -math.inf else min(0, down + 1) + lo_inc
+            left = np.zeros(highest - lo + 1, dtype=np.int64)  # left[i]: paths out at lo + i
     else:
         live = np.zeros(n)
     if levels is not None:
@@ -296,14 +304,15 @@ def _first_exit(
         # slot[i] + x counts (levels[i], x - levels[i])
         slot = np.arange(levels.size) * width - levels
         counts = np.zeros(levels.size * width, dtype=np.int64)
-    exits = []  # exits[k-1]: S of the paths that left at step k (their count with levels)
-    guard = 0
+    exits = []  # exits[k-1]: S of the float paths that left at step k (their count with levels)
+    steps = guard = 0
     while live.size:
-        if integer_units and floor_at(len(exits)) < np.iinfo(live.dtype).min:
-            live = live.astype(_sum_dtype(floor_at(len(exits)), hi))
+        if integer_units and floor_at(steps) < np.iinfo(live.dtype).min:
+            live = live.astype(_sum_dtype(floor_at(steps), max(highest, spread)))
         hit = hit_buf[: live.size]
         u = rng.random(out=u_buf[: live.size])
         _advance(live, cumw, incs, u, hit)
+        steps += 1
         guard += live.size
         if levels is not None:
             rise = np.flatnonzero(live > top)  # the paths at a new running maximum
@@ -319,50 +328,42 @@ def _first_exit(
         done = np.greater_equal(live, up, out=hit)
         if down > -math.inf:
             done |= live <= down
-        if levels is None:
-            exits.append(live[done])
-        else:
+        if levels is not None:
             exits.append(np.count_nonzero(done))
+        elif integer_units:
+            left += np.bincount(np.subtract(live[done], lo, dtype=np.intp), minlength=left.size)
+        else:
+            exits.append(live[done])
         keep = np.logical_not(done, out=hit)
         if levels is not None:
             top = top[keep]
         live = live[keep]
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
-    # Free the step buffers before the int64 results are built: it lowers the
-    # peak memory of two threaded shards by several MB.
-    del u, hit, done, keep, u_buf, hit_buf
     if levels is not None:
         return counts.reshape(levels.size, width), np.array(exits, dtype=np.int64)
-    tau = np.repeat(np.arange(1, len(exits) + 1), [e.size for e in exits])
-    return np.concatenate(exits).astype(np.int64 if integer_units else np.float64, copy=False), tau
+    if integer_units:
+        return lo, left
+    # Free the step buffers before the exits are joined: it lowers the peak
+    # memory of two threaded shards.
+    del u, hit, done, keep, u_buf, hit_buf
+    return np.concatenate(exits)
 
 
 def _exit_tallies(cumw, incs, up, down, sample, lattice, seed, n, workers) -> list[Tally]:
     """Per-shard tallies of ``sample`` of the exit values S of ``_first_exit``.
 
-    Lattice shards return only how many paths left at each value, and the
-    caller's thread samples the distinct values into ``Tally.of_counts``,
-    which equals ``Tally.of`` on the per-path samples bit for bit.  Other
-    shards sample their own exits.
+    Lattice shards return only how many paths left at each value, and
+    ``sample`` of those values goes into ``Tally.of_counts``, which equals
+    ``Tally.of`` on the per-path samples bit for bit.  Float shards return
+    their exits, sampled into ``Tally.of``.
     """
-    if not lattice:
-        shards = _map_shards(
-            lambda rng, n_w: sample(_first_exit(cumw, incs, up, down, n_w, rng, False)[0]),
-            seed, n, workers,
-        )
-        return [Tally.of(x) for x in shards]
-
-    def counts(rng, n_w):
-        s = _first_exit(cumw, incs, up, down, n_w, rng, True)[0]
-        lo = int(s.min())
-        s -= lo
-        return lo, np.bincount(s)
-
-    return [
-        Tally.of_counts(sample(np.arange(lo, lo + c.size)), c)
-        for lo, c in _map_shards(counts, seed, n, workers)
-    ]
+    shards = _map_shards(
+        lambda rng, n_w: _first_exit(cumw, incs, up, down, n_w, rng, lattice), seed, n, workers
+    )
+    if lattice:
+        return [Tally.of_counts(sample(np.arange(lo, lo + c.size)), c) for lo, c in shards]
+    return [Tally.of(sample(s)) for s in shards]
 
 
 def sup_tail(

@@ -10,8 +10,9 @@ environment (Rao-Blackwellization): in the weakly transient regime the
 walk-level variance is infinite and environment-level statistics are the
 meaningful ones.
 
-Every walk steps in one lockstep kernel, ``_walk``: paths live on a flat
-site array and step k draws one uniform per live path, in path order.
+Every walk with stop sites steps in one lockstep kernel, ``_walk``: paths
+live on a flat omega array whose two end sites stop them, and step k draws
+one uniform per live path, in path order.
 Worker shards are stream shards: each worker's generator drives its own
 consecutive block of paths, and all blocks are walked in one lockstep, each
 shard drawing for its own live paths in order, so the result equals
@@ -19,11 +20,15 @@ separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
 are its n = 1 wrappers, and a lone live path steps on scalar draws (a
 scalar draw and a length-1 draw give the same uniform);
 ``_first_return_batch`` and ``conditioned_sampler`` call it with many
-paths, which step on buffers made once per call.  A path can leave the
-array only through an end site, so between two stop sites, as in every
-conditioned window, no range check is made.  Walks without stop sites
-run in ``_free_walk`` on the same stream, a block of steps per draw with
-the step categories found once per block.
+paths, which step on buffers made once per call.  Steps are +-1 and both
+end sites stop paths, so no path leaves the array and no range check is
+made: ``simulate_until`` pads the part of its window a path can reach
+with one stop site on each side and raises when a path ends on one, and
+``_first_return_batch`` stops paths at its certified guard depth and
+raises when one ends there.
+Speed walks have no stop sites and run in ``_free_walk`` on the same
+stream, a block of steps per draw with the step categories found once per
+block.
 Their sites live in ``_Rows``: one row per replicate, back to back.  A
 finite-support law with L = 2..6 levels stores at each site one byte, the
 neighbourhood code formed by the level codes of the 2s-1 sites around it,
@@ -31,7 +36,7 @@ s the largest span with L^(2s-1) <= 256 (4 for two levels); one lookup in
 a table built per call then advances s steps on the same uniforms, in the
 same order.  From seven levels up s = 1 and the code is the level code
 (beyond ``_CODED_LEVELS`` levels rows hold omega, as for continuous laws).
-``speed_estimate`` starts every row of a batch small and doubles a side
+``speed_estimate`` starts every row of a batch small and grows a side
 of all of them when a path's margin on that side runs short, up to the
 hard limit [-horizon, horizon]; sites are keyed by (seed, x), so grown rows
 read what full windows hold.  Batches are cut as before, by how many full
@@ -116,62 +121,51 @@ class ReturnOutcome:
 
 
 def _walk(
-    sites: np.ndarray,
+    omega: np.ndarray,
     starts,
-    stop: Optional[np.ndarray],
+    stop: np.ndarray,
     cap: int,
     shards: Sequence[tuple[np.random.Generator, int]],
-    levels: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step independent paths on a flat site array until a stop site or ``cap``.
+    """Step independent paths on the site array ``omega`` until a stop site or ``cap``.
 
-    Positions are indices into ``sites``, which holds omega, or level codes
-    into ``levels`` (omega at index i is ``levels[sites[i]]``).  ``shards``
-    pairs each generator with the number of paths it drives: shard w owns
-    the w-th consecutive block of ``starts``.  The live paths are kept in a
-    compact array in path order, and at step k each shard draws one uniform
-    per live path of its own, in that order; a k-shard walk is therefore
+    Positions are indices into ``omega``, and ``stop`` (one flag a site)
+    must stop paths at both end sites: steps are +-1, so no live path can
+    leave the array, and no range check is made.  ``shards`` pairs each
+    generator with the number of paths it drives: shard w owns the w-th
+    consecutive block of ``starts``.  The live paths are kept in a compact
+    array in path order, and at step k each shard draws one uniform per
+    live path of its own, in that order; a k-shard walk is therefore
     bit-identical to k separate walks.  Once one path is left it steps on
     scalar ``rng.random()`` draws from its shard, the same uniforms, so a
-    lone path is exactly a scalar loop.  Without stop sites every path stays
-    live, and ``_free_walk`` steps them on the same stream.
+    lone path is exactly a scalar loop.
 
-    omega is gathered once per call.  Buffers of two floats, one bool and
-    one int64 per path are made at the first step with more than one live
-    path: each shard with live paths draws into its slice of the first float
-    buffer with ``rng.random(out=...)``, the draws of ``rng.random(k)``; the
-    step is one ``np.less`` against omega gathered into the second and one
-    gather of +-1, and the stop test gathers ``stop`` into the bool buffer.
-    Shard slices are found again only on steps where paths stop.  Steps are
-    +-1, so a path leaves the array only by stepping off an end site; when
-    both end sites stop paths no live path can, and no range check is made.
-    Otherwise ranges are checked once the edge distance measured at the last
-    check is used up, so a walk raises at the very step a path leaves.
-    Returns (final index, steps taken, stopped); a path that starts on a
-    stop site takes 0 steps, one that runs out of steps reports ``cap``.
-    Stepping off the array raises: sizing it is the caller's job.
+    Buffers of two floats, one bool and one int64 per path are made at the
+    first step with more than one live path: each shard with live paths
+    draws into its slice of the first float buffer with
+    ``rng.random(out=...)``, the draws of ``rng.random(k)``; the step is one
+    ``np.less`` against omega gathered into the second and one gather of
+    +-1, and the stop test gathers ``stop`` into the bool buffer.  Shard
+    slices are found again only on steps where paths stop.  Returns (final
+    index, steps taken, stopped); a path that starts on a stop site takes 0
+    steps, one that runs out of steps reports ``cap``.
     """
     pos = np.array(starts, dtype=np.int64)
     ends = np.cumsum([n for _, n in shards])
     if ends[-1] != pos.size:
         raise ValueError("shard sizes must add up to the number of paths")
-    size = sites.size
-    if pos.size and (pos.min() < 0 or pos.max() >= size):
+    # The gathers below use mode="clip", which would quietly read an end
+    # site for an index off the array: this check keeps every index on it.
+    if not (stop.size == omega.size > 0 and stop[0] and stop[-1]):
+        raise ValueError("a walk needs one stop flag a site, set at both end sites")
+    if pos.size and (pos.min() < 0 or pos.max() >= omega.size):
         raise IndexError("walk starts outside the site array")
-    if stop is None:
-        return _free_walk(pos, cap, shards, _Rows.fixed(sites, levels, pos.size))
     rngs = [r for r, _ in shards]
-    omega = sites if levels is None else levels[sites]
     steps = np.full(pos.size, cap, dtype=np.int64)
     stopped = stop[pos]
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
-    # Steps are +-1, so no path can leave the array before the edge distance
-    # measured at the last range check is used up; the starts are inside, and
-    # the first check, after step 1, measures it.  When both end sites stop
-    # paths, a live path is never on an end site and cannot leave: no checks.
-    slack = math.inf if size and stop[0] and stop[-1] else 1
     buffers = cuts = None  # made once more than one path is live
     for step in range(1, cap + 1):
         k = idx.size
@@ -182,8 +176,6 @@ def _walk(
             rng = rngs[int(np.searchsorted(ends, i, side="right"))]
             for step in range(step, cap + 1):
                 x += 1 if rng.random() < omega[x] else -1
-                if not 0 <= x < size:
-                    raise RuntimeError("walk left the realized window; size it larger")
                 if stop[x]:
                     steps[i], stopped[i] = step, True
                     break
@@ -200,9 +192,6 @@ def _walk(
         # mode="clip" skips take's buffered copy; every live index is on the array.
         np.less(u, omega.take(live, out=at, mode="clip"), out=hit)
         live += _SIGN.take(hit.view(np.uint8), out=move, mode="clip")
-        slack -= 1
-        if slack <= 0:
-            slack = _steps_inside(live, size)
         done = stop.take(live, out=hit, mode="clip")
         if done.any():
             out = idx[done]
@@ -220,29 +209,28 @@ def _free_walk(
     cap: int,
     shards: Sequence[tuple[np.random.Generator, int]],
     rows: "_Rows",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_walk`` without stop sites: every path takes ``cap`` steps from ``pos``.
+) -> None:
+    """Advance every path ``cap`` steps from ``pos`` (indices into
+    ``rows.flat``), in place: the walk of speed replicates, with no stop sites.
 
-    Positions index ``rows.flat``.  Each shard draws its uniforms for many
-    steps as one (steps, paths) block, the same stream as one row per step.
-    A site steps up iff u < omega, that is iff its level code is at least
-    k(u), the number of levels <= u; the categories k are found once per
-    block.  With L >= 2 levels one lookup advances s = ``rows.span`` steps:
-    the block's categories are combined s rows at a time into one index,
-    and ``_step_table`` maps index plus neighbourhood code to the s-step
-    displacement.  Fewer than s steps, as at the end of a block or within s
-    sites of an edge that cannot grow, go one at a time on the table of
-    single steps, which reads only the code's centre digit.  When every
-    site has the same omega a block moves each path by its count of
-    up-steps, and omega itself is compared for continuous laws.  Steps run
-    in stretches no longer than the distance to the row edges left at the
-    last range check (``_Rows.fit``, which grows rows that can grow), so a
-    walk that leaves a row that cannot grow raises at the very step it does.
+    Each shard draws its uniforms for many steps as one (steps, paths)
+    block, the same stream as one row per step.  A site steps up iff
+    u < omega, that is iff its level code is at least k(u), the number of
+    levels <= u; the categories k are found once per block.  With L >= 2
+    levels one lookup advances s = ``rows.span`` steps: the block's
+    categories are combined s rows at a time into one index, and
+    ``_step_table`` maps index plus neighbourhood code to the s-step
+    displacement.  Fewer than s steps, as at the end of a block or of the
+    walk, go one at a time on the table of single steps, which reads only
+    the code's centre digit.  When every site has the same omega a block
+    moves each path by its count of up-steps, and omega itself is compared
+    for continuous laws.  Steps run in stretches no longer than the margin
+    that the last ``_Rows.fit`` left, which covers the next s steps (or all
+    that remain), so no path leaves its row.
     """
     n = pos.size
-    out = pos, np.full(n, cap, dtype=np.int64), np.zeros(n, dtype=bool)
     if not n:
-        return out
+        return
     depth = max(1, _DRAW_BLOCK // n)
     levels, span = rows.levels, rows.span
     flat = levels is not None and levels.size == 1
@@ -275,7 +263,6 @@ def _free_walk(
             slack -= m
             if slack < span:
                 slack = rows.fit(pos, min(span, cap - first - done))
-    return out
 
 
 def _span(n_levels: int) -> int:
@@ -337,21 +324,20 @@ def _encode(levels: np.ndarray, n_levels: int, span: int) -> np.ndarray:
 
 
 class _Rows:
-    """Site windows [lo, hi] of ``n`` rows, back to back in one flat array.
+    """Site windows [lo, hi] of ``n`` rows, back to back in one flat array,
+    that grow on demand up to ``bounds``.
 
     A path on row r at site x sits at flat index r * width + x - lo; ``owner``
     gives each path's row.  Finite-support laws with 2 to ``_CODED_LEVELS``
     levels store each site's neighbourhood code (``_encode``, of span
     ``_span(L)``), continuous laws omega, and one level nothing the walk
     reads.  Codes within span - 1 sites of a row end are incomplete, and no
-    table step reads them.  With ``realize(a, b, rows)``, which returns the
-    level codes or omega of a block of rows on sites a..b, rows grow: a side
-    whose margin runs short doubles its reach in every row, up to
-    ``bounds``.  Without, the rows are fixed and a path that leaves one
-    raises.
+    table step reads them.  ``realize(a, b, rows)`` returns the level codes
+    or omega of a block of rows on sites a..b; a side whose margin runs
+    short grows in every row.
     """
 
-    def __init__(self, values, levels, owner, lo, hi, bounds, realize=None):
+    def __init__(self, values, levels, owner, lo, hi, bounds, realize):
         self.levels, self.owner, self.lo, self.hi = levels, owner, lo, hi
         self.bounds, self.realize = bounds, realize
         coded = levels is not None and levels.size > 1
@@ -359,14 +345,6 @@ class _Rows:
         self.codes = levels.size ** (2 * self.span - 1) if coded else 1
         one_level = levels is not None and levels.size == 1
         self.flat = None if one_level else self._stored(values).ravel()
-
-    @classmethod
-    def fixed(cls, sites: np.ndarray, levels: Optional[np.ndarray], paths: int) -> "_Rows":
-        """One row that cannot grow: ``sites`` as ``_walk`` takes them."""
-        if levels is not None and levels.size > _CODED_LEVELS:
-            sites, levels = levels[sites], None
-        owner = np.zeros(paths, dtype=np.int64)
-        return cls(sites.reshape(1, -1), levels, owner, 0, sites.size - 1, (0, sites.size - 1))
 
     @classmethod
     def grown(cls, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int) -> "_Rows":
@@ -391,25 +369,22 @@ class _Rows:
         return pos - self.owner * (self.hi - self.lo + 1) + self.lo
 
     def fit(self, pos: np.ndarray, need: int) -> int:
-        """Steps every path can take in its row, after growing each side that
-        can grow and whose margin (sites beyond the outermost path) is below
-        ``need``; positions are remapped in place.  A path may step off a
-        side that cannot grow, which the next call reports by raising; a
-        side that can grow is never left.  Raises if a path has left its
-        row already."""
+        """The margin of the rows, the fewest sites beyond the outermost path
+        on either side: steps every path can take in its row.  Each side
+        whose margin is below ``need`` first grows, to twice its reach or to
+        the margin ``need``, whichever reaches further, but not past
+        ``bounds``; positions are remapped in place.  Raises if a margin is
+        still below ``need``: the walk would leave its bounds."""
         at = self.sites(pos)
-        left, right = int(at.min()) - self.lo, self.hi - int(at.max())
-        if left < 0 or right < 0:
-            raise RuntimeError("walk left the realized window; size it larger")
-        lo, hi = self.lo, self.hi
-        if left < need and lo > self.bounds[0]:
-            self._grow(pos, lo - max(2 * lo, self.bounds[0]), 0)
-            left += lo - self.lo
-        if right < need and hi < self.bounds[1]:
-            self._grow(pos, 0, min(2 * hi, self.bounds[1]) - hi)
-            right += self.hi - hi
-        # a side at its bound can take one step more: the one that leaves
-        return min(left + (self.lo == self.bounds[0]), right + (self.hi == self.bounds[1]))
+        first, last = int(at.min()), int(at.max())
+        if first - self.lo < need and self.lo > self.bounds[0]:
+            self._grow(pos, self.lo - max(min(2 * self.lo, first - need), self.bounds[0]), 0)
+        if self.hi - last < need and self.hi < self.bounds[1]:
+            self._grow(pos, 0, min(max(2 * self.hi, last + need), self.bounds[1]) - self.hi)
+        margin = min(first - self.lo, self.hi - last)
+        if margin < need:
+            raise RuntimeError("walk would leave the bounds of its rows; size them larger")
+        return margin
 
     def _grow(self, pos: np.ndarray, a: int, b: int) -> None:
         """Add ``a`` sites on the left of every row or ``b`` on the right
@@ -447,15 +422,6 @@ class _Rows:
         return new.ravel()
 
 
-def _steps_inside(pos: np.ndarray, size: int) -> int:
-    """Steps of +-1 that every path at ``pos`` can take without leaving an
-    array of ``size`` sites; raises if a path has left it already."""
-    lo, hi = int(pos.min()), int(pos.max())
-    if lo < 0 or hi >= size:
-        raise RuntimeError("walk left the realized window; size it larger")
-    return min(lo + 1, size - hi)
-
-
 def simulate_until(
     env: EnvWindow,
     start: int,
@@ -467,19 +433,29 @@ def simulate_until(
 
     Consumes exactly one uniform per step from ``stream``.  Returns
     (site, steps) on arrival, (None, cap) when censored.  Walking off the
-    realized window raises: sizing the window is the caller's job.
+    realized window raises, at the step it does.  Sizing the window is the
+    caller's job.
     """
     if not env.lo <= start <= env.hi:
         raise IndexError("start outside window")
     for t in targets:
         if not env.lo <= t <= env.hi:
             raise IndexError("target outside window")
-    stop = np.zeros(env.omega.size, dtype=bool)
-    stop[[t - env.lo for t in targets]] = True
-    pos, steps, stopped = _walk(env.omega, [start - env.lo], stop, cap, [(stream, 1)])
+    # The sites a path can reach, within cap steps of the start and not past
+    # the nearest target on either side, padded with one stop site on each
+    # side (never read): a path can end on a pad only by leaving the window.
+    a = max(env.lo, start - cap, *(t for t in targets if t <= start))
+    b = min(env.hi, start + cap, *(t for t in targets if t >= start))
+    omega = np.concatenate(([0.0], env.omega[a - env.lo : b - env.lo + 1], [0.0]))
+    stop = np.zeros(omega.size, dtype=bool)
+    stop[[0, -1, *(t - a + 1 for t in targets if a <= t <= b)]] = True
+    pos, steps, stopped = _walk(omega, [start - a + 1], stop, cap, [(stream, 1)])
+    x = int(pos[0])
+    if x in (0, omega.size - 1):
+        raise RuntimeError("walk left the realized window; size it larger")
     if not stopped[0]:
         return None, cap
-    return int(pos[0]) + env.lo, int(steps[0])
+    return x + a - 1, int(steps[0])
 
 
 # Every sample_first_return call reads its window's certificate; the cache
@@ -515,7 +491,8 @@ def sample_first_return(
     The window must reach left of the origin, and its right edge M >= 1
     must already satisfy P^M(T_0 < inf) <= escape_eps (checked on the sweep
     anchored at M); reaching M is then reported as an escape carrying that
-    bound.  Step exhaustion is censored, never silently retried.
+    bound.  Reaching the left end raises (``first_return_window`` certifies
+    its depth).  Step exhaustion is censored, never silently retried.
     """
     if not env.lo < 0 < env.hi:
         raise ValueError("window must have a negative guard region and a positive escape edge")
@@ -549,13 +526,21 @@ def _first_return_batch(
     cap: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n first-return attempts: (status codes 0=ret/1=esc/2=cens, steps, first)."""
+    """n first-return attempts: (status codes 0=ret/1=esc/2=cens, steps, first).
+
+    The guard end ``env.lo`` stops paths too, and a path that ends there
+    raises: that is the event whose chance ``first_return_window``'s guard
+    depth L certifies, P^{-1}(T_{-L} < T_0) <= escape_eps."""
     omega0 = env.omega_at(0)
     first = np.where(rng.random(n) < omega0, 1, -1).astype(np.int64)
     origin, edge = -env.lo, env.hi - env.lo
     stop = np.zeros(env.omega.size, dtype=bool)
-    stop[[origin, edge]] = True
+    stop[[0, origin, edge]] = True
     end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, [(rng, n)])
+    if (end == 0).any():
+        raise RuntimeError(
+            f"first-return walk reached the guard end {env.lo} of its window; deepen the guard"
+        )
     status = np.full(n, 2, dtype=np.int8)
     status[end == origin] = 0
     status[end == edge] = 1

@@ -54,8 +54,9 @@ def site_uniforms(seed, sites) -> np.ndarray:
 
     ``seed`` is one integer, or a column of seeds (shape (E, 1)) giving one
     row of variates per seed, each row bit-identical to its own call.
-    Values are strictly inside (0,1) (offset-by-half mantissa mapping), so
-    they are safe inputs for inverse CDFs with unbounded tails.
+    Values lie in (0, 1] (offset-by-half mantissa mapping): never 0, and
+    1.0 for the top 53-bit value alone, where 2^53 - 1 + 0.5 rounds up to
+    2^53.  Inverse CDFs with an unbounded upper tail must clip that one.
     """
     xs = np.asarray(sites, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):

@@ -6,10 +6,10 @@ bisection, the anchored sweep behind ``conditioned_env`` and
 ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 ``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
 ``speed_estimate``, with its worker shards and rows that grow on demand;
-the free kernel of walks without stop sites, which advances several steps
-per table lookup on neighbourhood codes, is checked against the per-step
-walk, its step tables entry by entry against single steps, and the keyed
-site RNG against a pure-Python SplitMix64.
+the free kernel of speed walks, which advances several steps per table
+lookup on neighbourhood codes, is checked against per-step walks on full
+windows, its step tables entry by entry against single steps, and the
+keyed site RNG against a pure-Python SplitMix64.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -21,8 +21,8 @@ conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
 and the window edges are checked to be the least certified ones.  The
 lockstep ``conditioned_sampler`` is checked against a per-worker reference
-loop, and the stop-site walk against scalar draws in lockstep, both between
-two stop sites, where it makes no range check, and with one open end.
+loop, and the stop-site walk, whose array must end in stop sites at both
+sides, against scalar draws in lockstep.
 """
 
 import hashlib
@@ -436,124 +436,62 @@ def _shard_cases(draw):
     omega = sample_window(law, draw(st.integers(0, 50)), 0, size - 1).omega
     sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
     starts = draw(st.lists(st.integers(0, size - 1), min_size=sum(sizes), max_size=sum(sizes)))
-    stop = draw(st.none() | st.lists(st.booleans(), min_size=size, max_size=size))
-    stop = None if stop is None else np.array(stop)
-    cap, seed, coded = draw(st.integers(0, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
-    return law, omega, sizes, starts, stop, cap, seed, coded
+    stop = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    stop[[0, -1]] = True  # a closed window
+    return omega, sizes, starts, stop, draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_shard_cases())
 def test_shard_lockstep_equals_separate_walks(case):
-    law, omega, sizes, starts, stop, cap, seed, coded = case
+    omega, sizes, starts, stop, cap, seed = case
     rngs, refs = worker_streams(seed, len(sizes)), worker_streams(seed, len(sizes))
-    sites, levels = omega, None
-    if coded:
-        levels = law.omega_levels()
-        sites = np.searchsorted(levels, omega).astype(np.uint8)
-    # the reference draws per step: an all-False stop mask stops no path
-    ref_stop = np.zeros(omega.size, dtype=bool) if stop is None else stop
     offsets = np.cumsum([0] + sizes)
-    parts, ref_raised = [], False
-    for rng, a, b in zip(refs, offsets[:-1], offsets[1:]):
-        try:
-            parts.append(_walk(omega, starts[a:b], ref_stop, cap, [(rng, b - a)]))
-        except RuntimeError:
-            ref_raised = True
-    if ref_raised:
-        with pytest.raises(RuntimeError):
-            _walk(sites, starts, stop, cap, list(zip(rngs, sizes)), levels)
-        return
-    got = _walk(sites, starts, stop, cap, list(zip(rngs, sizes)), levels)
+    parts = [_walk(omega, starts[a:b], stop, cap, [(rng, b - a)])
+             for rng, a, b in zip(refs, offsets[:-1], offsets[1:])]
+    got = _walk(omega, starts, stop, cap, list(zip(rngs, sizes)))
     for g, ref in zip(got, zip(*parts)):
         assert np.array_equal(g, np.concatenate(ref))
     assert [r.random() for r in rngs] == [r.random() for r in refs]
 
 
-def _free_case(law, coded, size):
-    """Five paths in three shards (3, 0, 2) around the middle of one window of
-    ``size`` sites, as omega or as level codes."""
-    omega = sample_window(law, 8, 0, size - 1).omega
-    levels = law.omega_levels() if coded else None
-    sites = omega if levels is None else np.searchsorted(levels, omega).astype(np.uint8)
-    return omega, sites, levels, [size // 2 + d for d in (0, -1, 5, -6, 0)], [3, 0, 2]
-
-
-FREE_CASES = pytest.mark.parametrize("law,coded", [
-    (FIX_A, True), (FIX_A, False), (FIX_C, True), (FIX_C, False), (FIX_D, False),
-    (EnvLaw.constant(0.3), True), (EnvLaw.constant(0.3), False), (THREE_LEVELS, True),
-], ids=["FIX-A-codes", "FIX-A-floats", "FIX-C-codes", "FIX-C-floats", "FIX-D", "const-codes",
-        "const-floats", "three-levels-codes"])
-
-
-@FREE_CASES
-@pytest.mark.parametrize("depth", range(1, 8))
-def test_free_walk_equals_per_step_walk(monkeypatch, law, coded, depth):
-    # Blocks of 1 to 7 steps, cut at the edge distance left at the last range
-    # check (25 steps at the start): walks of 40 steps cross both boundaries.
-    omega, sites, levels, starts, sizes = _free_case(law, coded, 61)
-    monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * len(starts))
-    rngs, refs = worker_streams(11, 3), worker_streams(11, 3)
-    no_stop = np.zeros(omega.size, dtype=bool)
-    for cap in (0, 1, 9, 40):
-        ref = _walk(omega, starts, no_stop, cap, list(zip(refs, sizes)))
-        got = _walk(sites, starts, None, cap, list(zip(rngs, sizes)), levels)
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
-        assert [r.random() for r in rngs] == [r.random() for r in refs]  # as many uniforms
-
-
-@FREE_CASES
-@pytest.mark.parametrize("depth", range(1, 8))
-def test_free_walk_raises_at_the_step_it_leaves(monkeypatch, law, coded, depth):
-    omega, sites, levels, starts, sizes = _free_case(law, coded, 21)
-    monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * len(starts))
-
-    def walk(stop, cap):  # the free kernel on ``sites``, the per-step walk on omega
-        on, lv = (sites, levels) if stop is None else (omega, None)
-        return _walk(on, starts, stop, cap, list(zip(worker_streams(5, 3), sizes)), lv)
-
-    no_stop = np.zeros(omega.size, dtype=bool)
-    cap = 0
-    while True:
-        try:
-            walk(no_stop, cap + 1)
-        except RuntimeError:
-            break
-        cap += 1
-    # The per-step walk leaves the window at step cap + 1; a longer walk must
-    # raise there too, before its block ends or a path reads a site off the array.
-    assert [a.tolist() for a in walk(None, cap)] == [a.tolist() for a in walk(no_stop, cap)]
-    for longer in range(cap + 1, cap + 9):
-        with pytest.raises(RuntimeError, match="left the realized window"):
-            walk(None, longer)
+def _closed(size):
+    """A stop mask of ``size`` sites that stops paths at both end sites only."""
+    stop = np.zeros(size, dtype=bool)
+    stop[[0, -1]] = True
+    return stop
 
 
 @pytest.mark.parametrize("start", [-1, 21])
-@pytest.mark.parametrize("with_stop", [False, True], ids=["free", "stop-sites"])
-def test_walk_rejects_starts_off_the_array(start, with_stop):
+def test_walk_rejects_starts_off_the_array(start):
     # A negative index would otherwise read a site from the far end.
-    omega, _, _, _, _ = _free_case(FIX_A, False, 21)
-    stop = np.zeros(omega.size, dtype=bool) if with_stop else None
+    omega = sample_window(FIX_A, 8, 0, 20).omega
     with pytest.raises(IndexError, match="starts outside"):
-        _walk(omega, [10, start], stop, 5, [(stream(1), 2)])
+        _walk(omega, [10, start], _closed(21), 5, [(stream(1), 2)])
+
+
+@pytest.mark.parametrize("stops,size", [
+    (set(), 21), ({0}, 21), ({20}, 21), ({0, 10}, 21), ({0, 19}, 20), ({0, 21}, 22),
+], ids=["none", "left-only", "right-only", "interior", "shorter-mask", "longer-mask"])
+def test_walk_needs_stop_sites_at_both_ends(stops, size):
+    # The gathers clip indices to the array, so an open end would quietly read
+    # an end site; the walk refuses it before drawing anything.
+    omega = sample_window(FIX_A, 8, 0, 20).omega
+    stop = np.zeros(size, dtype=bool)
+    stop[list(stops)] = True
+    rng, ref = stream(2), stream(2)
+    with pytest.raises(ValueError, match="both end sites"):
+        _walk(omega, [10, 5], stop, 50, [(rng, 2)])
+    assert rng.random() == ref.random()
 
 
 MANY_LEVELS = EnvLaw.discrete([(1 / 300, (i + 0.5) / 300) for i in range(300)])
 REPEATED = EnvLaw.discrete([(0.25, 0.6), (0.25, 0.8), (0.5, 0.6)])
 MORE_LEVELS = EnvLaw.discrete([(1 / 600, (i + 0.5) / 600) for i in range(600)])  # omega in rows
-
-
-def test_free_walk_beyond_coded_levels_walks_omega():
-    # more than _CODED_LEVELS level codes are walked as their omega
-    omega = sample_window(MORE_LEVELS, 8, 0, 60).omega
-    levels = MORE_LEVELS.omega_levels()
-    codes = np.searchsorted(levels, omega).astype(np.uint16)
-    starts, stop = [30, 29, 35], np.zeros(omega.size, dtype=bool)
-    got = _walk(codes, starts, None, 25, [(stream(3), 3)], levels)
-    ref = _walk(omega, starts, stop, 25, [(stream(3), 3)])
-    for g, r in zip(got, ref):
-        assert np.array_equal(g, r)
+SPEED_LAWS = pytest.mark.parametrize("law", [
+    FIX_A, FIX_C, FIX_D, THREE_LEVELS, FIX_A.mirror(), MANY_LEVELS, CONST_7, MORE_LEVELS,
+], ids=["FIX-A", "FIX-C", "beta", "three-levels", "FIX-A-mirror", "300-levels", "CONST-0.7",
+        "600-levels"])
 
 
 @pytest.mark.parametrize("law,dtype", [
@@ -634,6 +572,21 @@ def test_add_steps_sends_a_draw_on_a_threshold_up():
     assert acc[:5].tolist() == [2, 1, 2, -3, 1]
 
 
+def test_a_site_uniform_of_one_takes_the_last_category(monkeypatch):
+    # 2^53 - 1 + 0.5 rounds up to 2^53: one 53-bit site draw in 2^53 maps to 1.0.
+    assert (float(2**53 - 1) + 0.5) * 2.0**-53 == 1.0
+    monkeypatch.setattr(env, "site_uniforms", lambda seed, sites: np.ones(np.shape(sites)))
+    omega = omega_at_sites(MANY_LEVELS, 0, np.arange(3))  # the binary search: 300 levels
+    assert omega.tolist() == [MANY_LEVELS.omegas[-1]] * 3
+    for cum in (env._thresholds([0.5, 0.25, 0.25]), env._thresholds(np.full(300, 1 / 300))):
+        for n in (1, env._DRAWS_PER_PASS * cum.size):  # both sides of the size rule
+            u = np.ones(n)
+            assert (env._categories(cum, u) == cum.size - 1).all()
+            acc = np.zeros(n, dtype=np.int64)
+            env._add_steps(acc, cum, u, np.arange(cum.size), np.empty(n, dtype=bool))
+            assert (acc == cum.size - 1).all()
+
+
 def _speed_per_worker(law, horizon, reps, seed, workers, sub):
     """Each worker walks its own replicates alone, ``sub`` float64 windows at
     a time: the reference for how ``speed_estimate`` batches its shards."""
@@ -654,10 +607,7 @@ def _speed_per_worker(law, horizon, reps, seed, workers, sub):
     return merge_mean(tallies)[:3]
 
 
-@pytest.mark.parametrize("law", [
-    FIX_A, FIX_D, THREE_LEVELS, FIX_A.mirror(), MANY_LEVELS, CONST_7, MORE_LEVELS,
-], ids=["FIX-A", "beta", "three-levels", "FIX-A-mirror", "300-levels", "CONST-0.7",
-        "600-levels"])
+@SPEED_LAWS
 @pytest.mark.parametrize("rows", [4, 10, 17, 64])
 def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
     # 23 replicates on 3 workers (8, 8, 7): a budget of 4 windows splits every
@@ -678,6 +628,33 @@ def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
     sub = min(rows, 8)
     assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 23, 4, 3, sub)
     assert sum(a > 0 for a, _ in grown) >= 2 and sum(b > 0 for _, b in grown) >= 2
+
+
+@SPEED_LAWS
+@pytest.mark.parametrize("depth", range(1, 8))
+@pytest.mark.parametrize("horizon", [1, 2, 9, 40])
+def test_free_walk_blocks_equal_per_step_walks(monkeypatch, law, depth, horizon):
+    # Draw blocks of 1 to 7 steps for 5 replicates on 3 workers (2, 2, 1), so
+    # table lookups of s steps are cut at block ends and the steps left over
+    # go one at a time; rows start at [-2, 2] and grow as the walks spread.
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * 5)
+    monkeypatch.setattr(mc, "_ROW_REACH", 2)
+    est = speed_estimate(law, horizon=horizon, reps=5, seed=11, workers=3)
+    assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 5, 11, 3, 5)
+
+
+def test_rows_grow_to_the_margin_asked_and_raise_past_their_bounds():
+    # Rows [-2, 2] that may grow to [-5, 5]; paths at site 0 of row 0 and site 1
+    # of row 1 leave margins of 2 on the left and 1 on the right.
+    rows = mc._Rows.grown(FIX_A, FIX_A.omega_levels(), [3, 4], 2, 5)
+    pos = np.array([0 * 5 + 2, 1 * 5 + 3])
+    assert rows.fit(pos, 1) == 1 and (rows.lo, rows.hi) == (-2, 2)  # no growth needed
+    assert rows.fit(pos, 2) == 2 and (rows.lo, rows.hi) == (-2, 4)  # the right side doubles
+    assert rows.fit(pos, 3) == 3 and (rows.lo, rows.hi) == (-4, 4)  # then the left
+    assert rows.fit(pos, 4) == 4 and (rows.lo, rows.hi) == (-4, 5)  # right side to its bound
+    assert rows.sites(pos).tolist() == [0, 1]
+    with pytest.raises(RuntimeError, match="bounds of its rows"):
+        rows.fit(pos, 5)  # the right margin stays 4 at the bound
 
 
 def _steps_by_rule(code, cats, n_levels, span):
@@ -801,48 +778,17 @@ def _stopped_walk(env, stops, sizes, starts, cap, seed):
     return got
 
 
-def _no_range_check(pos, size):
-    raise AssertionError("a window with stop sites at both ends needs no range check")
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=_stopped_window_cases())
 def test_walk_between_two_stop_sites_equals_scalar_walks(case):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mc, "_steps_inside", _no_range_check)
-        _stopped_walk(*case)
+    _stopped_walk(*case)
 
 
-def test_walk_between_two_stop_sites_with_shards_that_empty(monkeypatch):
+def test_walk_between_two_stop_sites_with_shards_that_empty():
     # Shard 1 drives no path and every path of shard 2 starts on a stop site;
     # shard 3's paths start next to one and all stop while shard 0 walks on.
-    monkeypatch.setattr(mc, "_steps_inside", _no_range_check)
     env = sample_window(FIX_C, 4, 0, 40)
     starts = [18, 25, 32, 21, 9, 40, 1, 10, 8]
     _, steps, stopped = _stopped_walk(env, {0, 9, 40}, [4, 0, 2, 3], starts, 3000, 6)
     assert stopped.all() and steps[4:6].tolist() == [0, 0]
     assert 1 < steps[6:].max() < steps[:4].max()
-
-
-def test_walk_with_one_open_end_raises_at_the_step_it_leaves():
-    # Constant omega 0.3 drifts left; the left end is open, the right end stops.
-    env = sample_window(EnvLaw.constant(0.3), 0, 0, 30)
-    starts, sizes = [14, 20, 6, 26, 11], [2, 0, 3]
-
-    def both(cap):
-        return _stopped_walk(env, {30}, sizes, starts, cap, 3)
-
-    cap = 0
-    while True:
-        try:
-            both(cap + 1)
-        except RuntimeError:
-            break
-        cap += 1
-    # The reference leaves the window at step cap + 1; ``_walk`` raises there too.
-    assert cap > 6
-    for longer in (cap + 1, cap + 2, 10 * cap):
-        stop = np.zeros(31, dtype=bool)
-        stop[30] = True
-        with pytest.raises(RuntimeError, match="left the realized window"):
-            _walk(env.omega, starts, stop, longer, list(zip(worker_streams(3, 3), sizes)))

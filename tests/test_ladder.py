@@ -23,6 +23,7 @@ from rwre.ladder import OvershootEntry, OvershootScan, WaldCheck
 from rwre.rng import _busy_shards, _map_shards
 
 from laws import FIX_C, FIX_D, FIX_F
+from walks import _per_path_first_exit
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -197,7 +198,7 @@ def _per_level_scan(step, k_range, n, seed=0, workers=1):
     entries, pmf, wald = [], {}, None
     for k in ks:
         exits = _map_shards(
-            lambda rng, n_w: ladder._first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
+            lambda rng, n_w: _per_path_first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
             seed, n, workers,
         )
         _, mean, se, _, _ = merge_mean([Tally.of(np.exp(-gamma * (s * a))) for s, _ in exits])
@@ -282,7 +283,7 @@ class TestOvershootScan:
         assert maps == [(4, 3000, 2)]
         cumw, incs = _thresholds(tilt(step, gamma_root(step)).q_weights), np.asarray(step.units)
         path_steps = sum(  # the sum of tau over a walk to K = 20 alone
-            int(ladder._first_exit(cumw, incs, 20, -math.inf, n_w, rng, True)[1].sum())
+            int(_per_path_first_exit(cumw, incs, 20, -math.inf, n_w, rng, True)[1].sum())
             for rng, n_w in _busy_shards(4, 3000, 2)
         )
         assert sum(drawn) == path_steps
@@ -294,7 +295,7 @@ class TestOvershootScan:
         cumw = _thresholds(tilt(step, gamma_root(step)).q_weights)
         incs, top = np.asarray(step.units), levels[-1]
         ref_rng, new_rng = (_busy_shards(11, 1, 1)[0][0] for _ in range(2))
-        s, tau = ladder._first_exit(cumw, incs, top, -math.inf, 2500, ref_rng, True)
+        s, tau = _per_path_first_exit(cumw, incs, top, -math.inf, 2500, ref_rng, True)
         counts, exits = ladder._first_exit(
             cumw, incs, top, -math.inf, 2500, new_rng, True, np.array(levels)
         )

@@ -114,6 +114,15 @@ class TestSampleFirstReturn:
         assert escaped is not None
         assert escaped.certified_bound <= 1e-12
 
+    def test_reaching_the_guard_end_raises(self):
+        # Stream 5 steps to -1, -2, -1, 0: a return in 4 steps on a guard of
+        # depth 3, but the end of a guard of depth 2, which stops it and raises.
+        deep, shallow = (sample_window(CONST_7, 0, lo, 40) for lo in (-3, -2))
+        outcome = sample_first_return(deep, 1000, 1e-6, stream(5))
+        assert (outcome.status, outcome.first_step, outcome.steps) == ("returned", -1, 4)
+        with pytest.raises(RuntimeError, match="guard end -2"):
+            sample_first_return(shallow, 1000, 1e-6, stream(5))
+
     def test_window_too_small(self):
         # hi = 0 has no positive escape edge: P^0(T_0 < inf) = 1 certifies nothing.
         for lo, hi in ((-20, 8), (-64, 0)):

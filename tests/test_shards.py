@@ -8,9 +8,10 @@ runs, the pool must never be larger than the usable CPUs nor exist for one
 busy shard, and pool threads must run no public ``rwre`` function (the
 benchmark tracer keeps one span stack and wraps public functions only).
 ``_first_exit`` is checked against the per-path kernel it replaced, which
-kept S and tau in int64 and in path order, also where its narrow partial
-sums must widen; lattice ``sup_tail`` estimates, tallied from exit counts,
-against per-path tallies.
+kept S and tau in path order (``walks._per_path_first_exit``): float exits
+in exit order, lattice exits counted by value, also where its narrow
+partial sums must widen; lattice ``sup_tail`` estimates, tallied from exit
+counts, against per-path tallies.
 """
 
 import concurrent.futures
@@ -45,9 +46,10 @@ from rwre.estimate import PairTally, Tally
 from rwre.rng import worker_streams
 
 from laws import FIX_A, FIX_C, FIX_F
+from walks import _per_path_first_exit
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
-GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)])
+GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
 JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])  # units (2, 1, -3)
 FIX_F_STEP = step_from_env(FIX_F)
 
@@ -122,28 +124,6 @@ def test_count_tally_with_counts_up_to_2_to_the_40(seed):
 
 # ------------------------------------------------------- first-exit kernel
 
-def _per_path_first_exit(cumw, incs, up, down, n, rng, integer_units):
-    """The kernel before exit order: S and tau kept per path, in path order."""
-    s = np.zeros(n, dtype=np.int64 if integer_units else np.float64)
-    tau = np.zeros(n, dtype=np.int64)
-    live = s.copy()
-    idx = np.arange(n)
-    steps = guard = 0
-    while idx.size:
-        live += incs[ladder._categories(cumw, rng.random(idx.size))]
-        steps += 1
-        guard += idx.size
-        done = (live >= up) | (live <= down)
-        out = idx[done]
-        s[out] = live[done]
-        tau[out] = steps
-        keep = ~done
-        idx, live = idx[keep], live[keep]
-        if guard > ladder._STEP_GUARD:
-            raise RuntimeError("first-exit simulation exceeded the step budget")
-    return s, tau
-
-
 def _kernel_args(step, tilted, up, down):
     lattice = step.lattice is not None
     weights = tilt(step, gamma_root(step)).q_weights if tilted else step.weights
@@ -171,12 +151,13 @@ def test_first_exit_equals_per_path_kernel(case, n):
     cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES[case])
     ref_rng, new_rng = worker_streams(17, 1)[0], worker_streams(17, 1)[0]
     s_ref, tau_ref = _per_path_first_exit(cumw, incs, up, down, n, ref_rng, lattice)
-    s_new, tau_new = ladder._first_exit(cumw, incs, up, down, n, new_rng, lattice)
-    assert s_new.dtype == s_ref.dtype and tau_new.dtype == tau_ref.dtype
-    ref, new = np.lexsort((tau_ref, s_ref)), np.lexsort((tau_new, s_new))
-    np.testing.assert_array_equal(s_new[new], s_ref[ref])
-    np.testing.assert_array_equal(tau_new[new], tau_ref[ref])
-    assert np.all(np.diff(tau_new) >= 0)  # exit order
+    got = ladder._first_exit(cumw, incs, up, down, n, new_rng, lattice)
+    if lattice:  # how many paths left at each value lo, lo + 1, ...
+        lo, counts = got
+        np.testing.assert_array_equal(np.repeat(np.arange(lo, lo + counts.size), counts),
+                                      np.sort(s_ref))
+    else:  # the exits in exit order: by exit step, in path order within a step
+        np.testing.assert_array_equal(got, s_ref[np.argsort(tau_ref, kind="stable")])
     assert new_rng.random() == ref_rng.random()  # the same draws were made
 
 

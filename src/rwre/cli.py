@@ -302,12 +302,10 @@ def cmd_exact(args) -> int:
         p_left, p_right = hitting_prob(window, x, a, b)
         rows.add("p_left", param=f"a={a},x={x},b={b}", value=p_left, method="exact")
         rows.add("p_right", param=f"a={a},x={x},b={b}", value=p_right, method="exact")
-    elif args.speed:
+    else:
         speed, e_t1 = speed_and_et1(law)
         rows.add("speed", value=speed, method="exact")
         rows.add("e_t1", value=e_t1, method="exact")
-    else:
-        raise CliError("exact: choose one action (see --help)")
     return _finish(args, rows, law=format_law(law), seed=seed)
 
 
@@ -319,19 +317,11 @@ def cmd_simulate(args) -> int:
     if args.speed:
         est = speed_estimate(law, horizon=args.horizon, reps=args.reps, seed=seed, workers=workers)
         rows.add_estimate("speed", est, param=f"horizon={args.horizon},reps={args.reps}")
-    elif args.return_conditional:
+    else:
         est = estimate_return_conditional(
-            law,
-            mode=args.mode,
-            n_env=args.n_env,
-            n_walk=args.n_walk,
-            tol=args.tol,
-            seed=seed,
-            workers=workers,
+            law, mode=args.mode, n_env=args.n_env, n_walk=args.n_walk, tol=args.tol, seed=seed
         )
         rows.add_estimate("return_conditional", est, param=f"mode={args.mode}")
-    else:
-        raise CliError("simulate: choose --speed or --return-conditional")
     return _finish(args, rows, extras=est.extras, law=format_law(law), seed=seed, workers=workers)
 
 
@@ -377,12 +367,10 @@ def cmd_ladder(args) -> int:
         rows.add("wald_mean_tau", param=scan.wald.k, value=scan.wald.mean_tau,
                  std_error=scan.wald.se_tau, method="overshoot-importance")
         rows.add("wald_drift_q", param=scan.wald.k, value=scan.wald.drift_q, method="exact")
-    elif args.phi is not None:
+    else:
         est = phi_estimate(step, t=args.phi, n=args.n, seed=seed, workers=workers)
         rows.add_estimate("phi", est, param=f"t={args.phi}")
         extras = est.extras
-    else:
-        raise CliError("ladder: choose --sup-tail, --overshoot, or --phi")
     return _finish(args, rows, extras=extras, step=args.step, seed=seed, workers=workers)
 
 
@@ -444,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (random if absent, echoed)")
         p.add_argument("--workers", type=int, default=None, help="worker streams (default $RWRE_WORKERS or 1)")
         p.add_argument("--out", default="rwre_out", help="output prefix for .csv and .manifest.json")
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-nonconverged", type=int, default=0)
 
     p = sub.add_parser("classify", help="regime report from the law's moments")
@@ -454,22 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact quenched computations")
     common(p)
-    p.add_argument("--return-decomposition", action="store_true")
-    p.add_argument("--expected-hit", type=int, default=None, metavar="X")
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--direction", choices=("right", "left"), default="right")
-    p.add_argument("--r-tail", type=int, default=None, metavar="I")
-    p.add_argument("--cond-return", action="store_true")
-    p.add_argument("--conditioned-env", type=int, default=None, metavar="HI")
-    p.add_argument("--hitting-prob", type=int, nargs=3, default=None, metavar=("A", "X", "B"))
-    p.add_argument("--speed", action="store_true")
+    act = p.add_mutually_exclusive_group(required=True)
+    act.add_argument("--return-decomposition", action="store_true")
+    act.add_argument("--expected-hit", type=int, default=None, metavar="X")
+    act.add_argument("--r-tail", type=int, default=None, metavar="I")
+    act.add_argument("--cond-return", action="store_true")
+    act.add_argument("--conditioned-env", type=int, default=None, metavar="HI")
+    act.add_argument("--hitting-prob", type=int, nargs=3, default=None, metavar=("A", "X", "B"))
+    act.add_argument("--speed", action="store_true")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimators on the walk")
     common(p)
-    p.add_argument("--speed", action="store_true")
+    p.add_argument("--tol", type=float, default=1e-10)
+    act = p.add_mutually_exclusive_group(required=True)
+    act.add_argument("--speed", action="store_true")
+    act.add_argument("--return-conditional", action="store_true")
     p.add_argument("--horizon", type=int, default=100_000)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--return-conditional", action="store_true")
     p.add_argument("--mode", choices=("quenched", "averaged"), default="quenched")
     p.add_argument("--n-env", type=int, default=1000)
     p.add_argument("--n-walk", type=int, default=0)
@@ -486,15 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="negative-drift walk estimators")
     common(p, law=False)
     p.add_argument("--step", required=True, help="step law, e.g. lattice:0.3@+1,0.7@-1")
-    p.add_argument("--sup-tail", type=float, default=None, metavar="T")
     p.add_argument("--method", choices=("importance", "naive"), default="importance")
-    p.add_argument("--overshoot", type=int, nargs=2, default=None, metavar=("K_LO", "K_HI"))
-    p.add_argument("--phi", type=float, default=None, metavar="T")
+    act = p.add_mutually_exclusive_group(required=True)
+    act.add_argument("--sup-tail", type=float, default=None, metavar="T")
+    act.add_argument("--overshoot", type=int, nargs=2, default=None, metavar=("K_LO", "K_HI"))
+    act.add_argument("--phi", type=float, default=None, metavar="T")
     p.add_argument("-n", type=int, default=100_000)
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("diverge", help="weak-transience diagnostics")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--schedule", default="1000,10000,100000")
     p.set_defaults(func=cmd_diverge)
 

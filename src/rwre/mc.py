@@ -8,7 +8,11 @@ so no censoring bias ever enters a time estimate.  Averaged-measure
 estimation replaces walk averages by the exact quenched values per sampled
 environment (Rao-Blackwellization): in the weakly transient regime the
 walk-level variance is infinite and environment-level statistics are the
-meaningful ones.
+meaningful ones.  Both averaged estimators, ``estimate_return_conditional``
+and ``divergence_diagnostic``, take their per-environment values from one
+loop, ``_env_pairs``: it keys environments by seed, runs them in blocks
+through a row-wise exact kernel, and drops and counts failed ones.  No
+worker streams enter it, so these results do not depend on ``workers``.
 
 Every walk with stop sites steps in one lockstep kernel, ``_walk``: paths
 live on a flat omega array whose two end sites stop them, and step k draws
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -75,7 +80,7 @@ from .exact import (
     conditioned_env,
     return_decomposition,
 )
-from .rng import _busy_shards, shard_sizes, substream_seed, worker_streams
+from .rng import _busy_shards, substream_seed, worker_streams
 
 RETURNED = "returned"
 ESCAPED = "escaped"
@@ -324,37 +329,34 @@ def _encode(levels: np.ndarray, n_levels: int, span: int) -> np.ndarray:
 
 
 class _Rows:
-    """Site windows [lo, hi] of ``n`` rows, back to back in one flat array,
-    that grow on demand up to ``bounds``.
+    """Site windows [lo, hi] of one row per env seed, back to back in one
+    flat array: each row starts at [-reach, reach] and grows on demand up to
+    [-bound, bound].
 
     A path on row r at site x sits at flat index r * width + x - lo; ``owner``
     gives each path's row.  Finite-support laws with 2 to ``_CODED_LEVELS``
     levels store each site's neighbourhood code (``_encode``, of span
     ``_span(L)``), continuous laws omega, and one level nothing the walk
     reads.  Codes within span - 1 sites of a row end are incomplete, and no
-    table step reads them.  ``realize(a, b, rows)`` returns the level codes
-    or omega of a block of rows on sites a..b; a side whose margin runs
-    short grows in every row.
+    table step reads them.  A side whose margin runs short grows in every
+    row, its strip realized through ``realize``.
     """
 
-    def __init__(self, values, levels, owner, lo, hi, bounds, realize):
-        self.levels, self.owner, self.lo, self.hi = levels, owner, lo, hi
-        self.bounds, self.realize = bounds, realize
+    def __init__(self, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int):
+        self.law, self.levels, self.seeds, self.bound = law, levels, seeds, bound
+        self.owner = np.arange(len(seeds), dtype=np.int64)
+        self.lo, self.hi = -reach, reach
         coded = levels is not None and levels.size > 1
         self.span = _span(levels.size) if coded else 1
         self.codes = levels.size ** (2 * self.span - 1) if coded else 1
         one_level = levels is not None and levels.size == 1
-        self.flat = None if one_level else self._stored(values).ravel()
+        self.flat = None if one_level else self._stored(self.realize(-reach, reach)).ravel()
 
-    @classmethod
-    def grown(cls, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int) -> "_Rows":
-        """A row [-reach, reach] per env seed that grows up to [-bound, bound]."""
-
-        def realize(a, b, rows=slice(None)):
-            return _site_rows(law, levels, seeds[rows], np.arange(a, b + 1)).reshape(-1, b - a + 1)
-
-        owner = np.arange(len(seeds), dtype=np.int64)
-        return cls(realize(-reach, reach), levels, owner, -reach, reach, (-bound, bound), realize)
+    def realize(self, a: int, b: int, rows=slice(None)) -> np.ndarray:
+        """The level codes or omega (``_site_rows``) of sites a..b in the
+        rows ``rows``, one row of the result each."""
+        seeds = self.seeds[rows]
+        return _site_rows(self.law, self.levels, seeds, np.arange(a, b + 1)).reshape(-1, b - a + 1)
 
     def _stored(self, values: np.ndarray) -> np.ndarray:
         """What rows hold for level codes or omega ``values`` (rows x sites)."""
@@ -373,14 +375,14 @@ class _Rows:
         on either side: steps every path can take in its row.  Each side
         whose margin is below ``need`` first grows, to twice its reach or to
         the margin ``need``, whichever reaches further, but not past
-        ``bounds``; positions are remapped in place.  Raises if a margin is
+        ``bound``; positions are remapped in place.  Raises if a margin is
         still below ``need``: the walk would leave its bounds."""
         at = self.sites(pos)
         first, last = int(at.min()), int(at.max())
-        if first - self.lo < need and self.lo > self.bounds[0]:
-            self._grow(pos, self.lo - max(min(2 * self.lo, first - need), self.bounds[0]), 0)
-        if self.hi - last < need and self.hi < self.bounds[1]:
-            self._grow(pos, 0, min(max(2 * self.hi, last + need), self.bounds[1]) - self.hi)
+        if first - self.lo < need and self.lo > -self.bound:
+            self._grow(pos, self.lo - max(min(2 * self.lo, first - need), -self.bound), 0)
+        if self.hi - last < need and self.hi < self.bound:
+            self._grow(pos, 0, min(max(2 * self.hi, last + need), self.bound) - self.hi)
         margin = min(first - self.lo, self.hi - last)
         if margin < need:
             raise RuntimeError("walk would leave the bounds of its rows; size them larger")
@@ -612,7 +614,6 @@ def estimate_return_conditional(
     n_walk: int = 0,
     tol: float = 1e-10,
     seed: int = 0,
-    workers: int = 1,
 ) -> Estimate:
     """E[r | r < inf], the expected return time given return.
 
@@ -626,10 +627,11 @@ def estimate_return_conditional(
     P(r<inf), combined as a ratio of means with a delta-method standard
     error (numerator and denominator share environments).  When the law
     sits in the weakly transient regime (E[rho] >= 1) the finite-sample
-    value is still produced but flagged ``theory_infinite``.  Each worker
-    shard runs its environments in ``_ENV_BUDGET`` blocks through the row-wise
-    ``exact._decompositions``; a failed environment is dropped alone
-    (``extras["env_failures"]``).
+    value is still produced but flagged ``theory_infinite``.  The
+    environments run through the row-wise ``exact._decompositions`` in
+    ``_env_pairs``, which drops a failed one alone (``extras["env_failures"]``),
+    and one ``PairTally`` sums every kept one, so the value depends on
+    (law, n_env, tol, seed) only.
     """
     flags: tuple[str, ...] = ()
     if moment_rho(law, 1.0) >= 1.0 - 1e-12:
@@ -671,23 +673,10 @@ def estimate_return_conditional(
     if n_env < 1:
         raise ValueError(f"averaged mode needs n_env >= 1, got {n_env}")
 
-    sizes = shard_sizes(n_env, min(n_env, workers))  # the non-empty shards
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    tallies: list[PairTally] = []
-    failures = 0
-    for w in range(len(sizes)):
-        xs, ys = [], []
-        for block in _env_blocks(offsets[w], offsets[w + 1]):
-            for rd in _decompositions(law, [substream_seed(seed, 1, j) for j in block], tol):
-                if isinstance(rd, ConvergenceError):
-                    failures += 1
-                    continue
-                xs.append(rd.p_return)
-                ys.append(rd.e_return_indicator)
-        tallies.append(PairTally.of(np.asarray(xs), np.asarray(ys)))
-    if failures > _FAIL_FRACTION * n_env:
-        raise ConvergenceError(f"{failures}/{n_env} environments failed to converge")
-    n_ok, ratio, se = merge_ratio(tallies)
+    xs, ys, failures = _env_pairs(
+        _decompositions, lambda rd: (rd.p_return, rd.e_return_indicator), law, seed, 1, n_env, tol
+    )
+    n_ok, ratio, se = merge_ratio([PairTally.of(xs, ys)])
     return Estimate(
         value=ratio,
         std_error=se,
@@ -699,10 +688,32 @@ def estimate_return_conditional(
     )
 
 
-def _env_blocks(lo: int, hi: int):
-    """Environment indices lo..hi-1 in consecutive blocks sized by ``_ENV_BUDGET``."""
+def _env_pairs(kernel, pair, law: EnvLaw, seed: int, tag: int, n_env: int, tol: float):
+    """Two numbers per sampled environment, the one loop of both averaged
+    estimators: (a, b, failures).
+
+    Environment j is keyed by ``substream_seed(seed, tag, j)``, and the seeds
+    go through the row kernel ``kernel(law, seeds, tol)`` in blocks of
+    ``_ENV_BUDGET // _ENV_ROW_BYTES`` environments.  An output that is a
+    ``ConvergenceError``, or for which ``pair(output)`` is None, is a failed
+    environment and is dropped alone; the others give ``pair(output)``,
+    kept in environment order as the float arrays a and b.  More than
+    ``_FAIL_FRACTION`` of n_env failures raise ConvergenceError.
+    """
     rows = max(1, _ENV_BUDGET // _ENV_ROW_BYTES)
-    return (range(k, min(k + rows, hi)) for k in range(lo, hi, rows))
+    a, b, failures = array("d"), array("d"), 0
+    for start in range(0, n_env, rows):
+        seeds = [substream_seed(seed, tag, j) for j in range(start, min(start + rows, n_env))]
+        for out in kernel(law, seeds, tol):
+            both = None if isinstance(out, ConvergenceError) else pair(out)
+            if both is None:
+                failures += 1
+            else:
+                a.append(both[0])
+                b.append(both[1])
+    if failures > _FAIL_FRACTION * n_env:
+        raise ConvergenceError(f"{failures}/{n_env} environments failed to converge")
+    return np.frombuffer(a), np.frombuffer(b), failures
 
 
 @dataclass(frozen=True)
@@ -739,8 +750,9 @@ def divergence_diagnostic(
     R_1 samples give the empirical floor min_t t * P(R_1 >= t) over t in
     {10, 100, 1000} and a log-log regression index compared against the
     moment-equation root kappa.  All outputs are diagnostic.  Environments
-    run in ``_ENV_BUDGET`` blocks through the row-wise
-    ``exact._conditional_rows``; a failed one is dropped alone (``env_failures``).
+    run through the row-wise ``exact._conditional_rows`` in ``_env_pairs``;
+    a failed one, or one whose series did not converge, is dropped alone
+    (``env_failures``).
     """
     from .env import kappa_root  # local import to keep module load light
 
@@ -754,35 +766,24 @@ def divergence_diagnostic(
             f"(the Hill estimate uses the top {_HILL_TOP} and one more), "
             f"the schedule ends at {n_env}"
         )
-    ys = np.empty(n_env)
-    ws = np.empty(n_env)
-    r1s = np.empty(n_env)
-    failures = 0
-    kept = 0
-    for block in _env_blocks(0, n_env):
-        for out in _conditional_rows(law, [substream_seed(seed, 7, j) for j in block], tol):
-            if isinstance(out, ConvergenceError) or not out[0].converged:
-                failures += 1
-                continue
-            cond, _, r1 = out
-            r1s[kept] = r1
-            ws[kept] = r1 / (1.0 + r1)
-            ys[kept] = cond.value
-            kept += 1
-    if failures > _FAIL_FRACTION * n_env:
-        raise ConvergenceError(f"{failures}/{n_env} environments failed to converge")
-    ys, ws, r1s = ys[:kept], ws[:kept], r1s[:kept]
+    r1s, ys, failures = _env_pairs(
+        _conditional_rows,
+        lambda out: (out[2], out[0].value) if out[0].converged else None,
+        law, seed, 7, n_env, tol,
+    )
+    ws = r1s / (1.0 + r1s)
+    n_ok = ys.size
 
     wy = ws * ys
     sums = [np.cumsum(v) for v in (ws, wy, ws * ws, wy * wy, ws * wy)]
     running, running_ses = [], []
     for s in schedule:
-        m = min(s, kept)
+        m = min(s, n_ok)
         ratio, se = ratio_of_means(m, *(float(c[m - 1]) for c in sums))
         running.append((s, ratio))
         running_ses.append((s, se))
 
-    k = max(_HILL_TOP, int(math.ceil(0.01 * kept)))
+    k = max(_HILL_TOP, int(math.ceil(0.01 * n_ok)))
     top = np.sort(ys)[::-1]
     hill_gamma = float(np.mean(np.log(top[:k] / top[k])))
     hill_index = 1.0 / hill_gamma if hill_gamma > 0 else math.inf
@@ -903,7 +904,7 @@ def speed_estimate(
     finals = np.empty(reps)
     for start, end in _batches(ends, rows):
         seeds = [substream_seed(seed, 11, rep) for rep in range(start, end)]
-        grid = _Rows.grown(law, levels, seeds, reach, horizon)
+        grid = _Rows(law, levels, seeds, reach, horizon)
         pos = grid.owner * (2 * reach + 1) + reach  # path i starts at site 0 of row i
         in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
         _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)

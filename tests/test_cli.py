@@ -257,6 +257,47 @@ class TestReturnConditionalCommand:
                      "--mode", "averaged", "--n-env", "30", "--seed", "1", "--out", out]) == 0
         assert read_manifest(out + ".manifest.json")["extras"] == {"env_failures": 0.0}
 
+    def test_averaged_csv_does_not_depend_on_workers(self, tmp_path):
+        args = ["simulate", "--law", "discrete:0.5@0.8,0.5@0.6", "--return-conditional",
+                "--mode", "averaged", "--n-env", "30", "--seed", "1"]
+        for workers in ("1", "4"):
+            out = str(tmp_path / workers)
+            assert main(args + ["--workers", workers, "--out", out]) == 0
+            assert read_manifest(out + ".manifest.json")["config"]["workers"] == int(workers)
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "4.csv").read_bytes()
+
+
+LATTICE = "lattice:0.3@+1,0.7@-1"
+
+
+class TestOneActionPerCommand:
+    @pytest.mark.parametrize("args", [
+        ["exact", "--law", "constant:0.7", "--speed", "--r-tail", "3"],
+        ["exact", "--law", "constant:0.7", "--cond-return", "--hitting-prob", "-1", "0", "1"],
+        ["exact", "--law", "constant:0.7"],
+        ["simulate", "--law", "constant:0.7", "--speed", "--return-conditional"],
+        ["simulate", "--law", "constant:0.7"],
+        ["ladder", "--step", LATTICE, "--sup-tail", "4", "--phi", "3"],
+        ["ladder", "--step", LATTICE, "--overshoot", "2", "3", "--sup-tail", "4"],
+        ["ladder", "--step", LATTICE],
+    ])
+    def test_none_or_two_actions_exit_1(self, tmp_path, capsys, args):
+        assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and ("not allowed with" in err or "is required" in err)
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["ladder", "--step", LATTICE, "--sup-tail", "4", "-n", "100"],
+        ["conditioned", "--law", "constant:0.7", "-n", "10", "--env-seed", "1"],
+    ])
+    def test_tol_rejected_where_unread(self, tmp_path, capsys, args):
+        assert main(args + ["--seed", "1", "--out", str(tmp_path / "a"), "--tol", "5"]) == 1
+        assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+        assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 0
+        assert "tol" not in read_manifest(str(tmp_path / "a.manifest.json"))["config"]
+
 
 class TestManifestAndDeterminism:
     def test_csv_bytes_reproduce(self, tmp_path):

@@ -646,7 +646,7 @@ def test_free_walk_blocks_equal_per_step_walks(monkeypatch, law, depth, horizon)
 def test_rows_grow_to_the_margin_asked_and_raise_past_their_bounds():
     # Rows [-2, 2] that may grow to [-5, 5]; paths at site 0 of row 0 and site 1
     # of row 1 leave margins of 2 on the left and 1 on the right.
-    rows = mc._Rows.grown(FIX_A, FIX_A.omega_levels(), [3, 4], 2, 5)
+    rows = mc._Rows(FIX_A, FIX_A.omega_levels(), [3, 4], 2, 5)
     pos = np.array([0 * 5 + 2, 1 * 5 + 3])
     assert rows.fit(pos, 1) == 1 and (rows.lo, rows.hi) == (-2, 2)  # no growth needed
     assert rows.fit(pos, 2) == 2 and (rows.lo, rows.hi) == (-2, 4)  # the right side doubles
@@ -695,8 +695,8 @@ def test_neighbourhood_codes(n_levels, span):
 
 def _block_outputs():
     rep = divergence_diagnostic(FIX_C, [50, 200], seed=3)
-    ests = [estimate_return_conditional(law, "averaged", n_env=101, seed=3, workers=w)
-            for law in (FIX_A, FIX_D) for w in (1, 3)]
+    ests = [estimate_return_conditional(law, "averaged", n_env=101, seed=3)
+            for law in (FIX_A, FIX_D)]
     return rep, [(e.value, e.std_error, e.n, e.extras) for e in ests]
 
 

@@ -1,5 +1,6 @@
 """Walk stepping, first returns, conditioned samplers, MC estimators."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,7 +23,9 @@ from rwre import (
 )
 from rwre import mc
 from rwre.env import omega_at_sites
-from rwre.rng import worker_streams
+from rwre.estimate import PairTally, merge_ratio
+from rwre.exact import ConvergenceError, return_decomposition
+from rwre.rng import substream_seed, worker_streams
 
 from laws import CONST_7, CONST_9, FIX_A, FIX_C, FIX_D
 
@@ -223,6 +226,70 @@ class TestDivergenceDiagnostic:
         a = divergence_diagnostic(FIX_C, [200, 500], seed=23)
         b = divergence_diagnostic(FIX_C, [200, 500], seed=23)
         assert a == b
+
+
+def _failing(monkeypatch, name, seed, tag, failed=(), unconverged=(), omit=False):
+    """Patch the row kernel ``mc.<name>`` so that environments ``failed``
+    (indices j of ``substream_seed(seed, tag, j)``) come back as a
+    ConvergenceError and ``unconverged`` with a series flagged not converged;
+    with ``omit`` both are left out of the kernel's output instead."""
+    kernel = getattr(mc, name)
+    bad = {substream_seed(seed, tag, j): "error" for j in failed}
+    bad.update({substream_seed(seed, tag, j): "series" for j in unconverged})
+
+    def patched(law, seeds, tol):
+        out = []
+        for s, row in zip(seeds, kernel(law, seeds, tol)):
+            if s not in bad:
+                out.append(row)
+            elif omit:
+                continue
+            elif bad[s] == "error":
+                out.append(ConvergenceError("forced failure"))
+            else:
+                out.append((dataclasses.replace(row[0], converged=False), *row[1:]))
+        return out
+
+    monkeypatch.setattr(mc, name, patched)
+
+
+class TestEnvironmentDropRule:
+    # floor(0.001 n_env) failures are dropped and counted, one more raises.
+
+    def test_averaged_drops_failed_environments(self, monkeypatch):
+        n_env, failed = 1000, [7]
+        _failing(monkeypatch, "_decompositions", 3, 1, failed)
+        est = estimate_return_conditional(FIX_A, "averaged", n_env=n_env, seed=3)
+        assert est.extras["env_failures"] == 1.0 and est.n == n_env - 1
+        rds = [return_decomposition(FIX_A, substream_seed(3, 1, j), tol=1e-10)
+               for j in range(n_env) if j not in failed]
+        xs = np.array([rd.p_return for rd in rds])
+        ys = np.array([rd.e_return_indicator for rd in rds])
+        assert (est.n, est.value, est.std_error) == merge_ratio([PairTally.of(xs, ys)])
+
+    def test_averaged_raises_past_the_failure_fraction(self, monkeypatch):
+        _failing(monkeypatch, "_decompositions", 3, 1, [7, 400])
+        with pytest.raises(ConvergenceError, match="2/1000 environments"):
+            estimate_return_conditional(FIX_A, "averaged", n_env=1000, seed=3)
+
+    def test_diverge_drops_failed_and_unconverged_environments(self, monkeypatch):
+        schedule = [500, 2000]
+        _failing(monkeypatch, "_conditional_rows", 3, 7, [11], [1200])
+        rep = divergence_diagnostic(FIX_A, schedule, seed=3)
+        assert rep.env_failures == 2 and rep.n_env == 2000
+        # the same report over the remaining environments, none of them failing
+        monkeypatch.undo()
+        _failing(monkeypatch, "_conditional_rows", 3, 7, [11], [1200], omit=True)
+        ref = divergence_diagnostic(FIX_A, schedule, seed=3)
+        assert ref.env_failures == 0
+        assert rep == dataclasses.replace(ref, env_failures=2)
+        monkeypatch.undo()
+        assert divergence_diagnostic(FIX_A, schedule, seed=3).running_means != rep.running_means
+
+    def test_diverge_raises_past_the_failure_fraction(self, monkeypatch):
+        _failing(monkeypatch, "_conditional_rows", 3, 7, [11, 12], [1200])
+        with pytest.raises(ConvergenceError, match="3/2000 environments"):
+            divergence_diagnostic(FIX_A, [500, 2000], seed=3)
 
 
 class TestSpeedEstimate:

@@ -33,6 +33,7 @@ import os
 import secrets
 import sys
 import time
+from argparse import SUPPRESS
 from typing import Optional
 
 import numpy as np
@@ -95,9 +96,9 @@ def parse_law(text: str) -> EnvLaw:
 
 
 def format_law(law: EnvLaw) -> str:
-    if law.kind == "constant":
-        return f"constant:{law.p!r}"
     if law.kind == "discrete":
+        if law.weights == (1.0,):
+            return f"constant:{law.omegas[0]!r}"
         body = ",".join(f"{w!r}@{o!r}" for w, o in zip(law.weights, law.omegas))
         return f"discrete:{body}"
     return f"beta:{law.alpha!r},{law.beta!r}"
@@ -416,6 +417,26 @@ def _public_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if not k.startswith("_") and k not in skip}
 
 
+def _fill_read_options(args) -> None:
+    """Options that one action alone reads are parsed with no default, so
+    they are absent unless given.  ``args._reads`` maps each such action to
+    its options and their defaults: given without their action an option
+    exits 1, and with it a missing one takes its default.  The manifest then
+    echoes exactly the options the run reads."""
+    for action, options in getattr(args, "_reads", {}).items():
+        value = getattr(args, _dest(action))
+        chosen = value is not None and value is not False  # --expected-hit 0 is chosen
+        for flag, default in options.items():
+            if chosen:
+                vars(args).setdefault(_dest(flag), default)
+            elif hasattr(args, _dest(flag)):
+                raise CliError(f"argument {flag}: not allowed without argument {action}")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; parse errors are 1 here
         self.print_usage(sys.stderr)
@@ -434,6 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="rwre_out", help="output prefix for .csv and .manifest.json")
         p.add_argument("--max-nonconverged", type=int, default=0)
 
+    def read_only_with(p, action, *options):
+        """Add the options (flag, default, choices or None) that ``action``
+        alone reads, with no parser default; returns {action: {flag: default}}
+        for ``_fill_read_options``."""
+        for flag, default, choices in options:
+            kind = {"choices": choices} if choices else {"type": type(default)}
+            p.add_argument(flag, default=SUPPRESS, help=f"with {action} (default {default})", **kind)
+        return {action: {flag: default for flag, default, _ in options}}
+
     p = sub.add_parser("classify", help="regime report from the law's moments")
     p.add_argument("--law", required=True)
     p.add_argument("--json-only", action="store_true")
@@ -442,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact quenched computations")
     common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--direction", choices=("right", "left"), default="right")
     act = p.add_mutually_exclusive_group(required=True)
     act.add_argument("--return-decomposition", action="store_true")
     act.add_argument("--expected-hit", type=int, default=None, metavar="X")
@@ -451,20 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--conditioned-env", type=int, default=None, metavar="HI")
     act.add_argument("--hitting-prob", type=int, nargs=3, default=None, metavar=("A", "X", "B"))
     act.add_argument("--speed", action="store_true")
-    p.set_defaults(func=cmd_exact)
+    reads = read_only_with(p, "--expected-hit", ("--direction", "right", ("right", "left")))
+    p.set_defaults(func=cmd_exact, _reads=reads)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimators on the walk")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     act = p.add_mutually_exclusive_group(required=True)
     act.add_argument("--speed", action="store_true")
     act.add_argument("--return-conditional", action="store_true")
-    p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--mode", choices=("quenched", "averaged"), default="quenched")
-    p.add_argument("--n-env", type=int, default=1000)
-    p.add_argument("--n-walk", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
+    reads = read_only_with(p, "--speed", ("--horizon", 100_000, None), ("--reps", 100, None))
+    reads |= read_only_with(
+        p, "--return-conditional", ("--mode", "quenched", ("quenched", "averaged")),
+        ("--n-env", 1000, None), ("--n-walk", 0, None), ("--tol", 1e-10, None),
+    )
+    p.set_defaults(func=cmd_simulate, _reads=reads)
 
     p = sub.add_parser("conditioned", help="sample conditional return times")
     common(p)
@@ -477,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="negative-drift walk estimators")
     common(p, law=False)
     p.add_argument("--step", required=True, help="step law, e.g. lattice:0.3@+1,0.7@-1")
-    p.add_argument("--method", choices=("importance", "naive"), default="importance")
     act = p.add_mutually_exclusive_group(required=True)
     act.add_argument("--sup-tail", type=float, default=None, metavar="T")
     act.add_argument("--overshoot", type=int, nargs=2, default=None, metavar=("K_LO", "K_HI"))
     act.add_argument("--phi", type=float, default=None, metavar="T")
     p.add_argument("-n", type=int, default=100_000)
-    p.set_defaults(func=cmd_ladder)
+    reads = read_only_with(p, "--sup-tail", ("--method", "importance", ("importance", "naive")))
+    p.set_defaults(func=cmd_ladder, _reads=reads)
 
     p = sub.add_parser("diverge", help="weak-transience diagnostics")
     common(p)
@@ -500,6 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         args._t0 = t0
+        _fill_read_options(args)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

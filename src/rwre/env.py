@@ -33,7 +33,7 @@ import numpy as np
 from .rng import site_uniforms
 
 BOUNDARY_ATOL = 1e-12  # exact-sum boundary detection, e.g. E[rho] == 1
-# ``_categories`` makes one compare pass per threshold.  A binary search is
+# Categorical draws make one compare pass per threshold.  A binary search is
 # cheaper above 150 categories even for 2x10^5 draws, and whenever there are
 # fewer than 256 draws per pass, each pass costing a few us of call overhead
 # (crossovers measured for 1 to 2x10^5 draws and 2 to 300 categories).
@@ -50,7 +50,6 @@ _HALLEY_MAX = 16
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _TINY = float(np.finfo(np.float64).tiny)
 
-_KIND_CONSTANT = "constant"
 _KIND_DISCRETE = "discrete"
 _KIND_BETA = "beta"
 
@@ -59,23 +58,20 @@ _KIND_BETA = "beta"
 class EnvLaw:
     """Law of a single environment site omega_0.
 
-    kind is one of "constant" (omega == p), "discrete" (finite support), or
-    "beta" (omega ~ Beta(alpha, beta)).  All omega values live strictly
-    inside (0,1); discrete weights are strictly positive and sum to 1.
+    kind is "discrete" (finite support) or "beta" (omega ~ Beta(alpha,
+    beta)); a constant law omega == p is the one-atom discrete law.  All
+    omega values live strictly inside (0,1); discrete weights are strictly
+    positive and sum to 1.
     """
 
     kind: str
-    p: Optional[float] = None
     weights: Optional[tuple[float, ...]] = None
     omegas: Optional[tuple[float, ...]] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == _KIND_CONSTANT:
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError(f"constant law needs p in (0,1), got {self.p}")
-        elif self.kind == _KIND_DISCRETE:
+        if self.kind == _KIND_DISCRETE:
             if not self.weights or not self.omegas or len(self.weights) != len(self.omegas):
                 raise ValueError("discrete law needs matching weights and omegas")
             if any(w <= 0.0 for w in self.weights):
@@ -92,7 +88,7 @@ class EnvLaw:
 
     @staticmethod
     def constant(p: float) -> "EnvLaw":
-        return EnvLaw(kind=_KIND_CONSTANT, p=float(p))
+        return EnvLaw.discrete([(1.0, p)])
 
     @staticmethod
     def discrete(pairs: Sequence[tuple[float, float]]) -> "EnvLaw":
@@ -106,24 +102,18 @@ class EnvLaw:
 
     def rho_support(self) -> list[tuple[float, float]]:
         """(weight, rho) pairs for finite-support laws."""
-        if self.kind == _KIND_CONSTANT:
-            return [(1.0, (1.0 - self.p) / self.p)]
         if self.kind == _KIND_DISCRETE:
             return [(w, (1.0 - o) / o) for w, o in zip(self.weights, self.omegas)]
         raise ValueError("rho_support is only defined for finite-support laws")
 
     def omega_levels(self) -> Optional[np.ndarray]:
         """Sorted distinct omega values of a finite-support law; None for a continuous one."""
-        if self.kind == _KIND_CONSTANT:
-            return np.array([self.p])
         if self.kind == _KIND_DISCRETE:
             return np.array(sorted(set(self.omegas)), dtype=np.float64)
         return None
 
     def mirror(self) -> "EnvLaw":
         """Law of 1 - omega_0; swaps the roles of rho and 1/rho."""
-        if self.kind == _KIND_CONSTANT:
-            return EnvLaw.constant(1.0 - self.p)
         if self.kind == _KIND_DISCRETE:
             return EnvLaw.discrete([(w, 1.0 - o) for w, o in zip(self.weights, self.omegas)])
         return EnvLaw.beta_law(self.beta, self.alpha)
@@ -187,6 +177,12 @@ def _thresholds(weights) -> np.ndarray:
     return cum
 
 
+def _searches(cum: np.ndarray, u) -> bool:
+    """Whether a binary search over the thresholds ``cum`` beats compare
+    passes for the draws u."""
+    return cum.size > _SEARCH_ABOVE or np.size(u) < _DRAWS_PER_PASS * (cum.size - 1)
+
+
 def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Category of each uniform u in [0, 1]: the number of thresholds ``cum[:-1]``
     that are <= u, as ``np.searchsorted(cum[:-1], u, side="right")`` counts
@@ -195,7 +191,7 @@ def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     would differ only there, with probability at most 2^-53 a draw and only
     for dyadic thresholds such as 0.5.  Compare passes fill the smallest
     unsigned dtype; the binary search, used where it is faster, gives intp."""
-    if cum.size > _SEARCH_ABOVE or np.size(u) < _DRAWS_PER_PASS * (cum.size - 1):
+    if _searches(cum, u):
         return np.searchsorted(cum[:-1], u, side="right")
     k = np.zeros(np.shape(u), dtype=np.min_scalar_type(cum.size - 1))
     for c in cum[:-1]:
@@ -212,7 +208,7 @@ def _add_steps(
     sum that stops at u's category, with ``_categories``'s tie rule.  ``hit``
     is a bool buffer of u's shape.  ``acc`` must hold acc + steps[i] for every
     i and every difference of consecutive steps."""
-    if cum.size > _SEARCH_ABOVE or u.size < _DRAWS_PER_PASS * (cum.size - 1):
+    if _searches(cum, u):
         acc += steps[np.searchsorted(cum[:-1], u, side="right")]
         return
     acc += int(steps[0])
@@ -381,13 +377,13 @@ def _digamma(x: float) -> float:
 def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
     """Sample omega at arbitrary integer sites via the keyed site RNG; a
     column of seeds gives one row per seed (see ``site_uniforms``).  A
-    constant law draws no site uniforms."""
-    if law.kind == _KIND_CONSTANT:
-        return np.full(np.broadcast_shapes(np.shape(seed), np.shape(sites)), law.p)
+    one-atom law draws no site uniforms."""
+    if law.kind == _KIND_BETA:
+        return _beta_inverse(law.alpha, law.beta, site_uniforms(seed, sites))
+    if len(law.omegas) == 1:
+        return np.full(np.broadcast_shapes(np.shape(seed), np.shape(sites)), law.omegas[0])
     u = site_uniforms(seed, sites)
-    if law.kind == _KIND_DISCRETE:
-        return np.asarray(law.omegas, dtype=np.float64)[_categories(_thresholds(law.weights), u)]
-    return _beta_inverse(law.alpha, law.beta, u)
+    return np.asarray(law.omegas, dtype=np.float64)[_categories(_thresholds(law.weights), u)]
 
 
 def sample_window(law: EnvLaw, seed: int, lo: int, hi: int) -> EnvWindow:

@@ -4,8 +4,10 @@ Estimators shard replicates across worker streams; each worker reports
 exact per-worker aggregates (count, sum, sum of squares, min, max) which
 are merged with exactly rounded summation (math.fsum), so the final result
 is bit-identical for a given (seed, worker count) regardless of execution
-order.  Certified censoring biases are carried in ``error_budget`` and are
-never folded into the statistical standard error.
+order.  Ratio estimators are not sharded: ``ratio_of_samples`` takes all
+paired samples at once and hands their exactly rounded sums to
+``ratio_of_means``.  Certified censoring biases are carried in
+``error_budget`` and are never folded into the statistical standard error.
 """
 
 from __future__ import annotations
@@ -123,44 +125,15 @@ def merge_mean(tallies: list[Tally]) -> tuple[int, float, float, float, float]:
     return n, mean, math.sqrt(var / n), mn, mx
 
 
-@dataclass(frozen=True)
-class PairTally:
-    """Exact aggregates of paired samples (x, y) for ratio estimators."""
-
-    n: int
-    sum_x: float
-    sum_y: float
-    sum_xx: float
-    sum_yy: float
-    sum_xy: float
-
-    @staticmethod
-    def of(xs: np.ndarray, ys: np.ndarray) -> "PairTally":
-        x = np.asarray(xs, dtype=np.float64)
-        y = np.asarray(ys, dtype=np.float64)
-        return PairTally(
-            n=int(x.size),
-            sum_x=_fsum(x),
-            sum_y=_fsum(y),
-            sum_xx=_fsum(x * x),
-            sum_yy=_fsum(y * y),
-            sum_xy=_fsum(x * y),
-        )
-
-
-def merge_ratio(tallies: list[PairTally]) -> tuple[int, float, float]:
-    """(n, mean(y)/mean(x), delta-method SE) merged exactly from per-worker
-    pair tallies; see ``ratio_of_means``."""
-    n = sum(t.n for t in tallies)
+def ratio_of_samples(xs: np.ndarray, ys: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean(y)/mean(x), delta-method SE) of paired samples, from their
+    exactly rounded sums; see ``ratio_of_means``."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    n = x.size
     if n == 0:
-        raise ValueError("cannot merge empty tallies")
-    sx = math.fsum(t.sum_x for t in tallies)
-    sy = math.fsum(t.sum_y for t in tallies)
-    sxx = math.fsum(t.sum_xx for t in tallies)
-    syy = math.fsum(t.sum_yy for t in tallies)
-    sxy = math.fsum(t.sum_xy for t in tallies)
-    ratio, se = ratio_of_means(n, sx, sy, sxx, syy, sxy)
-    return n, ratio, se
+        raise ValueError("cannot take a ratio of no samples")
+    return n, *ratio_of_means(n, _fsum(x), _fsum(y), _fsum(x * x), _fsum(y * y), _fsum(x * y))
 
 
 def ratio_of_means(

@@ -23,11 +23,12 @@ min/max) is order-free; lattice walks return how many paths left at each
 value, tallied as each step's paths leave, with no per-path array.  An
 overshoot scan is one walk, to its top level K:
 the tilted drift is positive, so each path passes every lower level on its
-way up, and the kernel also keeps each path's running maximum to count every
-level's first passage and overshoot.  The scan's tallies come from those
-counts alone.  For laws that are skip-free upward each entry equals a
-separate walk to its level; for other lattice laws the entries below K are
-common-random-number estimates from the same paths, correlated across k.
+way up, and the kernel also keeps each path's running maximum and counts
+its rises to a new maximum, from which every level's first passage and
+overshoot are read.  The scan's tallies come from those counts alone.  For
+laws that are skip-free upward each entry equals a separate walk to its
+level; for other lattice laws the entries below K are common-random-number
+estimates from the same paths, correlated across k.
 
 ``phi_estimate`` keeps its own loop because it accumulates e^{-S_n} along
 each path: the live partial sums sit in one array in path order, beside the
@@ -271,12 +272,15 @@ def _first_exit(
     ``up``, with down = -inf) records every level's first passage instead.
     Each path keeps its running maximum beside its partial sum, started just
     below levels[0] so that only steps n >= 1 count, and a rise from ``old``
-    to ``new`` is the first passage of every level in (old, new].  Only the
-    paths at a new running maximum (``live > top``) are looked up and counted,
-    level by level in one ``bincount`` each.  Returns (counts, exits) with no
-    per-path array: counts[i, o] paths first crossed levels[i] at levels[i] +
-    o, and exits[k-1] paths reached ``up`` at step k.  The walk draws exactly
-    what the walk to ``up`` without ``levels`` draws.
+    to ``new`` is the first passage of every level in (old, new].  Each step
+    counts the rises of the paths at a new running maximum (``live > top``)
+    by (new, new - old), in one ``bincount``.  Level k was first passed at
+    k + o by the rises to k + o of size above o, so after the walk the level
+    counts are suffix sums of that histogram over rise size.  Returns
+    (counts, exits) with no per-path array: counts[i, o] paths first crossed
+    levels[i] at levels[i] + o, and exits[k-1] paths reached ``up`` at step
+    k.  The walk draws exactly what the walk to ``up`` without ``levels``
+    draws.
     """
     u_buf = np.empty(n)
     hit_buf = np.empty(n, dtype=bool)
@@ -295,15 +299,11 @@ def _first_exit(
     else:
         live = np.zeros(n)
     if levels is not None:
-        top_inc = int(incs.max())
-        base = int(levels[0]) - 1
-        top = np.full(n, base, dtype=np.int64)  # running max, floored just below levels[0]
-        width = top_inc - min(0, base)  # overshoots lie in 0..width-1
-        # rank[x - base]: how many levels are <= x, for every x a running max reaches
-        rank = np.searchsorted(levels, np.arange(base, max(int(levels[-1]), 1) + top_inc), "right")
-        # slot[i] + x counts (levels[i], x - levels[i])
-        slot = np.arange(levels.size) * width - levels
-        counts = np.zeros(levels.size * width, dtype=np.int64)
+        first = int(levels[0])
+        top = np.full(n, first - 1, dtype=np.int64)  # running max, floored just below levels[0]
+        width = int(incs.max()) - min(0, first - 1)  # rises lie in 1..width, overshoots below
+        # rises[(new - first) * (width + 1) + r]: rises of size r to a new maximum new
+        rises = np.zeros((int(levels[-1]) - first + width) * (width + 1), dtype=np.int64)
     exits = []  # exits[k-1]: S of the float paths that left at step k (their count with levels)
     steps = guard = 0
     while live.size:
@@ -317,14 +317,10 @@ def _first_exit(
         if levels is not None:
             rise = np.flatnonzero(live > top)  # the paths at a new running maximum
             if rise.size:
-                first = rank[top[rise] - base]  # the first level each one may cross
+                old = top[rise]
                 top[rise] = live[rise]
-                peak = top[rise]
-                past = rank[peak - base]  # one past the last level it crosses
-                for j in range(int((past - first).max())):
-                    at = first + j
-                    crosses = at < past
-                    counts += np.bincount(peak[crosses] + slot[at[crosses]], minlength=counts.size)
+                new = top[rise]
+                rises += np.bincount((new - first) * (width + 1) + (new - old), minlength=rises.size)
         done = np.greater_equal(live, up, out=hit)
         if down > -math.inf:
             done |= live <= down
@@ -341,7 +337,10 @@ def _first_exit(
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
     if levels is not None:
-        return counts.reshape(levels.size, width), np.array(exits, dtype=np.int64)
+        above = np.cumsum(rises.reshape(-1, width + 1)[:, ::-1], axis=1)[:, ::-1]
+        over = np.arange(width)
+        counts = above[(levels - first)[:, None] + over, over + 1]
+        return counts, np.array(exits, dtype=np.int64)
     if integer_units:
         return lo, left
     # Free the step buffers before the exits are joined: it lowers the peak

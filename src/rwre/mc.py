@@ -68,7 +68,7 @@ import numpy as np
 from .env import (
     EnvLaw, EnvWindow, _categories, mean_log_rho, moment_rho, omega_at_sites, sample_window
 )
-from .estimate import Estimate, PairTally, Tally, merge_mean, merge_ratio, ratio_of_means
+from .estimate import Estimate, Tally, merge_mean, ratio_of_means, ratio_of_samples
 from .exact import (
     ConvergenceError,
     _conditional_rows,
@@ -630,7 +630,7 @@ def estimate_return_conditional(
     value is still produced but flagged ``theory_infinite``.  The
     environments run through the row-wise ``exact._decompositions`` in
     ``_env_pairs``, which drops a failed one alone (``extras["env_failures"]``),
-    and one ``PairTally`` sums every kept one, so the value depends on
+    and ``ratio_of_samples`` sums every kept one, so the value depends on
     (law, n_env, tol, seed) only.
     """
     flags: tuple[str, ...] = ()
@@ -676,7 +676,7 @@ def estimate_return_conditional(
     xs, ys, failures = _env_pairs(
         _decompositions, lambda rd: (rd.p_return, rd.e_return_indicator), law, seed, 1, n_env, tol
     )
-    n_ok, ratio, se = merge_ratio([PairTally.of(xs, ys)])
+    n_ok, ratio, se = ratio_of_samples(xs, ys)
     return Estimate(
         value=ratio,
         std_error=se,

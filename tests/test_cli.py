@@ -12,6 +12,7 @@ import pytest
 
 import rwre
 from rwre.cli import format_law, main, parse_law, parse_step
+from rwre.env import EnvLaw
 
 from laws import FIX_A, FIX_C, FIX_D
 
@@ -38,6 +39,12 @@ class TestLawGrammar:
     )
     def test_round_trip(self, text):
         law = parse_law(text)
+        assert parse_law(format_law(law)) == law
+
+    def test_constant_is_the_one_atom_discrete_law(self):
+        law = EnvLaw.constant(0.7)
+        assert law == EnvLaw.discrete([(1.0, 0.7)]) == parse_law("discrete:1.0@0.7")
+        assert format_law(law) == format_law(parse_law("discrete:1.0@0.7")) == "constant:0.7"
         assert parse_law(format_law(law)) == law
 
     def test_round_trip_preserves_float_noise(self):
@@ -280,6 +287,9 @@ class TestOneActionPerCommand:
         ["ladder", "--step", LATTICE, "--sup-tail", "4", "--phi", "3"],
         ["ladder", "--step", LATTICE, "--overshoot", "2", "3", "--sup-tail", "4"],
         ["ladder", "--step", LATTICE],
+        ["exact", "--law", "constant:0.7", "--r-tail", "2", "--direction", "left"],
+        ["ladder", "--step", LATTICE, "--phi", "2", "-n", "100", "--method", "naive"],
+        ["simulate", "--law", "constant:0.7", "--speed", "--mode", "averaged"],
     ])
     def test_none_or_two_actions_exit_1(self, tmp_path, capsys, args):
         assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 1
@@ -298,6 +308,22 @@ class TestOneActionPerCommand:
         assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 0
         assert "tol" not in read_manifest(str(tmp_path / "a.manifest.json"))["config"]
 
+    @pytest.mark.parametrize("args,read,unread", [
+        (["exact", "--law", "constant:0.7", "--expected-hit", "1"], {"direction": "right"}, []),
+        (["exact", "--law", "constant:0.7", "--r-tail", "2"], {}, ["direction"]),
+        (["ladder", "--step", LATTICE, "--sup-tail", "4", "-n", "100"], {"method": "importance"}, []),
+        (["ladder", "--step", LATTICE, "--phi", "2", "-n", "100"], {}, ["method"]),
+        (["simulate", "--law", "constant:0.7", "--speed", "--horizon", "200", "--reps", "3"],
+         {"horizon": 200, "reps": 3}, ["mode", "n_env", "n_walk", "tol"]),
+        (["simulate", "--law", "constant:0.7", "--return-conditional"],
+         {"mode": "quenched", "n_env": 1000, "n_walk": 0, "tol": 1e-10}, ["horizon", "reps"]),
+    ])
+    def test_manifest_echoes_the_options_a_run_reads(self, tmp_path, args, read, unread):
+        assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 0
+        config = read_manifest(str(tmp_path / "a.manifest.json"))["config"]
+        assert {k: config[k] for k in read} == read
+        assert not set(unread) & set(config)
+
 
 class TestManifestAndDeterminism:
     def test_csv_bytes_reproduce(self, tmp_path):
@@ -307,6 +333,16 @@ class TestManifestAndDeterminism:
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         assert open(out1 + ".csv", "rb").read() == open(out2 + ".csv", "rb").read()
+
+    @pytest.mark.parametrize("action", [
+        ["exact", "--r-tail", "3"],
+        ["simulate", "--speed", "--horizon", "2000", "--reps", "10", "--workers", "2"],
+    ])
+    def test_constant_and_one_atom_discrete_write_the_same_csv(self, tmp_path, action):
+        for name, law in (("c", "constant:0.7"), ("d", "discrete:1.0@0.7")):
+            args = [action[0], "--law", law, *action[1:], "--seed", "3"]
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
     def test_rerun_from_manifest_config(self, tmp_path):
         out1 = str(tmp_path / "one")

@@ -273,6 +273,15 @@ class TestEnvLawValidation:
         with pytest.raises(ValueError):
             EnvLaw.constant(1.0)
 
+    def test_constant_is_the_one_atom_discrete_law(self, monkeypatch):
+        law = EnvLaw.constant(0.7)
+        assert law == EnvLaw.discrete([(1.0, 0.7)]) and law.omega_levels().tolist() == [0.7]
+        assert law.mirror() == EnvLaw.constant(1.0 - 0.7)
+        # A one-atom law draws no site uniforms.
+        monkeypatch.setattr("rwre.env.site_uniforms", None)
+        omega = omega_at_sites(law, np.array([[1], [2]]), np.arange(-3, 4))
+        assert omega.shape == (2, 7) and (omega == 0.7).all()
+
     def test_discrete_weights(self):
         with pytest.raises(ValueError):
             EnvLaw.discrete([(0.5, 0.5), (0.4, 0.6)])  # sums to 0.9

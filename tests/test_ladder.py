@@ -306,7 +306,9 @@ class TestOvershootScan:
         assert not counts[-1][np.max(s) - top + 1 :].any()
         assert new_rng.random() == ref_rng.random()  # the same draws were made
 
-    @pytest.mark.parametrize("levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4], [2, 5, 6, 9]])
+    @pytest.mark.parametrize(
+        "levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4], [2, 5, 6, 9], list(range(-8, 7))]
+    )
     @pytest.mark.parametrize("law", ["fix-f", "jumpy"])
     def test_every_level_count_matches_per_path_first_passages(self, law, levels):
         step = step_from_env(FIX_F) if law == "fix-f" else JUMPY

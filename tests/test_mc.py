@@ -23,7 +23,7 @@ from rwre import (
 )
 from rwre import mc
 from rwre.env import omega_at_sites
-from rwre.estimate import PairTally, merge_ratio
+from rwre.estimate import ratio_of_samples
 from rwre.exact import ConvergenceError, return_decomposition
 from rwre.rng import substream_seed, worker_streams
 
@@ -265,7 +265,7 @@ class TestEnvironmentDropRule:
                for j in range(n_env) if j not in failed]
         xs = np.array([rd.p_return for rd in rds])
         ys = np.array([rd.e_return_indicator for rd in rds])
-        assert (est.n, est.value, est.std_error) == merge_ratio([PairTally.of(xs, ys)])
+        assert (est.n, est.value, est.std_error) == ratio_of_samples(xs, ys)
 
     def test_averaged_raises_past_the_failure_fraction(self, monkeypatch):
         _failing(monkeypatch, "_decompositions", 3, 1, [7, 400])

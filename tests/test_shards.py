@@ -1,6 +1,6 @@
 """Ladder worker shards on the thread pool (``rng._map_shards``), the
 exit-order first-exit kernel they run, and the block-wise exact sum behind
-``Tally`` and ``PairTally``.
+``Tally`` and ``ratio_of_samples``.
 
 The shards of ``sup_tail``, ``overshoot_constant`` and ``phi_estimate`` run
 on up to usable-CPU threads.  Results must not depend on whether the pool
@@ -42,7 +42,7 @@ from rwre import (
 from rwre import estimate, ladder, rng as rng_mod
 from rwre.cli import main
 from rwre.env import _thresholds
-from rwre.estimate import PairTally, Tally
+from rwre.estimate import Tally, ratio_of_means, ratio_of_samples
 from rwre.rng import worker_streams
 
 from laws import FIX_A, FIX_C, FIX_F
@@ -67,10 +67,8 @@ def test_blockwise_fsum_equals_one_list_fsum(size):
     if size:
         t = Tally.of(xs)
         assert (t.total, t.total_sq) == (math.fsum(xs.tolist()), math.fsum((xs * xs).tolist()))
-        p = PairTally.of(xs, ys)
-        assert (p.sum_x, p.sum_y, p.sum_xx, p.sum_yy, p.sum_xy) == tuple(
-            math.fsum(v.tolist()) for v in (xs, ys, xs * xs, ys * ys, xs * ys)
-        )
+        sums = (math.fsum(v.tolist()) for v in (xs, ys, xs * xs, ys * ys, xs * ys))
+        assert ratio_of_samples(xs, ys) == (size, *ratio_of_means(size, *sums))
 
 
 def _exact_sum(xs, counts):

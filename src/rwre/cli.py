@@ -17,9 +17,10 @@ Every run writes ``<out>.csv`` (one row per data point) and
 side information such as dropped-environment counts under ``extras``).  Floats
 are serialized with repr, so configs and CSVs round-trip bit-identically.
 Exit codes: 0 success, 1 parse/usage error, 2 when more than
-``--max-nonconverged`` series reported converged == False, or when a run
-failed: a series the command needs did not converge, a step or path budget
-was spent, or a built-in cross-check failed (``error: ...`` on stderr).
+``--max-nonconverged`` (an ``exact`` option, default 0; no other command
+reports series) series reported converged == False, or when a run failed:
+a series the command needs did not converge, a step or path budget was
+spent, or a built-in cross-check failed (``error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ def _finish(args, rows: _Rows, extras=None, **config) -> int:
         "extras": dict(extras or {}),
     }
     _write_outputs(args.out, rows, manifest)
-    if rows.nonconverged > args.max_nonconverged:
+    if rows.nonconverged > getattr(args, "max_nonconverged", 0):
         return 2
     return 0
 
@@ -453,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (random if absent, echoed)")
         p.add_argument("--workers", type=int, default=None, help="worker streams (default $RWRE_WORKERS or 1)")
         p.add_argument("--out", default="rwre_out", help="output prefix for .csv and .manifest.json")
-        p.add_argument("--max-nonconverged", type=int, default=0)
 
     def read_only_with(p, action, *options):
         """Add the options (flag, default, choices or None) that ``action``
@@ -472,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact quenched computations")
     common(p)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-nonconverged", type=int, default=0,
+                   help="non-converged series allowed before exit code 2")
     act = p.add_mutually_exclusive_group(required=True)
     act.add_argument("--return-decomposition", action="store_true")
     act.add_argument("--expected-hit", type=int, default=None, metavar="X")

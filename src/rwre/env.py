@@ -41,9 +41,10 @@ _SEARCH_ABOVE = 150
 _DRAWS_PER_PASS = 256
 
 # Beta quantiles: table nodes y = sin^2(theta) on a uniform theta grid over
-# (0, pi/2); Halley steps stop after the first step whose largest relative
-# size is below _HALLEY_TOL (cubic convergence leaves that step exact to
-# rounding), or fail after _HALLEY_MAX steps.
+# (0, pi/2); each element's Halley steps stop after its own first step of
+# relative size below _HALLEY_TOL (cubic convergence leaves that step exact
+# to rounding), so a quantile does not depend on the other elements of its
+# call; the call fails if any element takes more than _HALLEY_MAX steps.
 _BETA_NODES = 2048
 _HALLEY_TOL = 1e-7
 _HALLEY_MAX = 16
@@ -334,14 +335,18 @@ def _beta_lower_inverse(p: float, q: float, v: np.ndarray) -> np.ndarray:
     if zero.any():
         v = np.where(zero, table.v[0], v)
         y[zero] = table.coef[0, 0]
+    todo, x = np.arange(y.size), y  # the elements still iterating, and their y
     for _ in range(_HALLEY_MAX):
-        front = _beta_front(p, q, y)
-        r = (front * _beta_cf(table.terms, y) - v) * (y * (1.0 - y) / (p * front))
-        step = r / (1.0 - 0.5 * r * ((p - 1.0) / y - (q - 1.0) / (1.0 - y)))
-        done = np.max(np.abs(step) / y) < _HALLEY_TOL
+        front = _beta_front(p, q, x)
+        r = (front * _beta_cf(table.terms, x) - v) * (x * (1.0 - x) / (p * front))
+        step = r / (1.0 - 0.5 * r * ((p - 1.0) / x - (q - 1.0) / (1.0 - x)))
+        done = np.abs(step) / x < _HALLEY_TOL
         # A step may not halve y or its distance to 1: a poor guess stays inside (0, 1).
-        y = np.clip(y - step, 0.5 * y, 0.5 + 0.5 * y)
-        if done:
+        x = np.clip(x - step, 0.5 * x, 0.5 + 0.5 * x)
+        y[todo[done]] = x[done]
+        keep = ~done
+        todo, x, v = todo[keep], x[keep], v[keep]
+        if not todo.size:
             y[zero] = 0.0
             return y
     raise ArithmeticError(f"Beta({p}, {q}) quantiles did not converge")

@@ -35,13 +35,17 @@ each path: the live partial sums sit in one array in path order, beside the
 indices of their paths.  Both loops turn each uniform into an increment by
 the package's one categorical rule, ``env._categories``.  Lattice laws are
 simulated in exact integer units so that skip-free importance weights are
-bit-identical across paths.  Both loops draw each step's uniforms into one
-buffer per shard (level scans excepted) and reuse one bool buffer for every
-compare pass.  Integer units add their increments in place by compare
-passes (``env._add_steps``); float laws gather theirs into the spent
-uniforms.  ``_first_exit`` holds integer partial sums in the narrowest
-signed dtype that holds the next step's positions (int8 while they stay
-within -128..127), widening once a falling floor needs it.
+bit-identical across paths.  Both loops step through ``_step``, which
+draws each step's uniforms ``_STEP_CHUNK`` paths at a time into one
+chunk-sized buffer per shard and advances each chunk before drawing the
+next; PCG64 draws its doubles in sequence, so the chunks make exactly the
+draws of one call for every live path, and the chunk size never changes a
+result.  Both loops reuse one bool buffer for every compare pass and exit
+test.  Integer units add their increments in place by compare passes
+(``env._add_steps``); float laws gather theirs into the spent uniforms.
+``_first_exit`` holds integer partial sums in the narrowest signed dtype
+that holds the next step's positions (int8 while they stay within
+-128..127), widening once a falling floor needs it.
 
 Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
 A shard's thread runs only the private walk and numpy; the tallies are taken
@@ -64,6 +68,7 @@ from .rng import _map_shards
 
 LATTICE_ATOL = 1e-9
 _STEP_GUARD = 10_000_000_000  # total step budget per worker; trips on misuse
+_STEP_CHUNK = 1 << 16  # paths drawn and advanced at a time: bounds the uniform buffer
 
 
 def _float_gcd(values: Sequence[float], scale: float) -> float:
@@ -237,6 +242,17 @@ def _advance(live: np.ndarray, cumw: np.ndarray, incs: np.ndarray, u: np.ndarray
         live += np.take(incs, _categories(cumw, u), out=u, mode="clip")
 
 
+def _step(live: np.ndarray, cumw: np.ndarray, incs: np.ndarray, rng: np.random.Generator,
+          u_buf: np.ndarray, hit: np.ndarray) -> None:
+    """One step of every partial sum in ``live``, from the draws of
+    ``rng.random(live.size)``: ``u_buf.size`` paths at a time, each slice of
+    ``live`` advanced from the uniforms drawn into ``u_buf`` before the next
+    slice draws.  ``hit`` is a bool buffer as long as ``live``."""
+    for a in range(0, live.size, u_buf.size):
+        part = live[a : a + u_buf.size]
+        _advance(part, cumw, incs, rng.random(out=u_buf[: part.size]), hit[: part.size])
+
+
 def _first_exit(
     cumw: np.ndarray,
     incs: np.ndarray,
@@ -253,10 +269,13 @@ def _first_exit(
     with integer ``up`` and ``down``, return (lo, counts): counts[i] paths
     left at S = lo + i, tallied step by step.
 
-    down = -inf walks every path to its first crossing of ``up``.  Step k
-    draws one uniform for each path still inside, in path order, into one
-    buffer of n floats: ``rng.random(out=buf[:k])`` makes the draws of
-    ``rng.random(k)``.  One bool buffer of n serves every compare pass of the step.
+    down = -inf walks every path to its first crossing of ``up``.  Each step
+    draws one uniform for each path still inside, in path order, through
+    ``_step``: at most ``_STEP_CHUNK`` floats at a time into one buffer, so
+    the walk makes the draws of ``rng.random(live.size)`` per step without an
+    n-float buffer.  One bool buffer of n serves every compare pass and the
+    exit test of the step, which, like the tallies and the compaction, runs
+    over the whole live array.
 
     Integer partial sums are held in the smallest signed dtype that holds
     every position reachable at the next step, and every difference of
@@ -282,7 +301,7 @@ def _first_exit(
     k.  The walk draws exactly what the walk to ``up`` without ``levels``
     draws.
     """
-    u_buf = np.empty(n)
+    u_buf = np.empty(min(n, _STEP_CHUNK))
     hit_buf = np.empty(n, dtype=bool)
     if integer_units:
         lo_inc, hi_inc = int(incs.min()), int(incs.max())
@@ -310,8 +329,7 @@ def _first_exit(
         if integer_units and floor_at(steps) < np.iinfo(live.dtype).min:
             live = live.astype(_sum_dtype(floor_at(steps), max(highest, spread)))
         hit = hit_buf[: live.size]
-        u = rng.random(out=u_buf[: live.size])
-        _advance(live, cumw, incs, u, hit)
+        _step(live, cumw, incs, rng, u_buf, hit)
         steps += 1
         guard += live.size
         if levels is not None:
@@ -345,7 +363,7 @@ def _first_exit(
         return lo, left
     # Free the step buffers before the exits are joined: it lowers the peak
     # memory of two threaded shards.
-    del u, hit, done, keep, u_buf, hit_buf
+    del hit, done, keep, u_buf, hit_buf
     return np.concatenate(exits)
 
 
@@ -574,11 +592,11 @@ def phi_estimate(
         f = np.ones(n_w)
         idx = np.arange(n_w)
         live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
-        u_buf, hit_buf = np.empty(n_w), np.empty(n_w, dtype=bool)
+        u_buf, hit_buf = np.empty(min(n_w, _STEP_CHUNK)), np.empty(n_w, dtype=bool)
         guard = 0
         while idx.size:
             hit = hit_buf[: idx.size]
-            _advance(live, cumw, incs, rng.random(out=u_buf[: idx.size]), hit)
+            _step(live, cumw, incs, rng, u_buf, hit)
             guard += idx.size
             keep = np.greater(live, down, out=hit)
             idx, live = idx[keep], live[keep]

@@ -116,6 +116,16 @@ class TestExactCommand:
         manifest = read_manifest(out + ".manifest.json")
         assert manifest["nonconverged"] == 1
 
+    def test_max_nonconverged_allows_that_many(self, tmp_path):
+        out = str(tmp_path / "div")
+        code = main(
+            ["exact", "--law", "constant:0.7", "--expected-hit", "0", "--direction", "left",
+             "--seed", "1", "--max-nonconverged", "1", "--out", out]
+        )
+        assert code == 0
+        manifest = read_manifest(out + ".manifest.json")
+        assert manifest["nonconverged"] == 1 and manifest["config"]["max_nonconverged"] == 1
+
     def test_convergence_error_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "rd")
         code = main(
@@ -307,6 +317,21 @@ class TestOneActionPerCommand:
         assert not (tmp_path / "a.csv").exists()
         assert main(args + ["--seed", "1", "--out", str(tmp_path / "a")]) == 0
         assert "tol" not in read_manifest(str(tmp_path / "a.manifest.json"))["config"]
+
+    @pytest.mark.parametrize("args", [
+        ["ladder", "--step", LATTICE, "--phi", "2", "-n", "100"],
+        ["conditioned", "--law", "constant:0.7", "-n", "10", "--env-seed", "1"],
+        ["simulate", "--law", "constant:0.7", "--speed", "--horizon", "200", "--reps", "3"],
+        ["diverge", "--law", "constant:0.7", "--schedule", "10,20"],
+    ])
+    def test_max_nonconverged_is_an_exact_option(self, tmp_path, capsys, args):
+        # only exact reports series with a converged flag
+        out = ["--seed", "1", "--out", str(tmp_path / "a")]
+        assert main(args + out + ["--max-nonconverged", "5"]) == 1
+        assert "unrecognized arguments: --max-nonconverged 5" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+        assert main(args + out) == 0
+        assert "max_nonconverged" not in read_manifest(str(tmp_path / "a.manifest.json"))["config"]
 
     @pytest.mark.parametrize("args,read,unread", [
         (["exact", "--law", "constant:0.7", "--expected-hit", "1"], {"direction": "right"}, []),

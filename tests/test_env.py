@@ -260,6 +260,18 @@ class TestBetaWithoutScipy:
         ref = special.betaincinv(alpha, beta, u)
         assert np.max(np.abs(x - ref) / ref) <= 1e-13
 
+    # Beta(0.5, 0.5) and Beta(100, 100) differed in thousands of sites when
+    # one array-wide Halley stop decided every element's last step.
+    @pytest.mark.parametrize("alpha,beta", [(5.0, 2.0), (0.5, 0.5), (1.5, 0.8), (100.0, 100.0)])
+    def test_sites_equal_in_every_sub_window(self, alpha, beta):
+        law = EnvLaw.beta_law(alpha, beta)
+        for seed in range(2):
+            full = omega_at_sites(law, seed, np.arange(-1000, 1000))
+            for width in (5, 333):
+                parts = [omega_at_sites(law, seed, np.arange(lo, min(lo + width, 1000)))
+                         for lo in range(-1000, 1000, width)]
+                np.testing.assert_array_equal(np.concatenate(parts), full)
+
     def test_digamma_matches_scipy(self):
         xs = np.concatenate([np.linspace(0.05, 50.0, 1999), [9.0, 10.0, 11.0]])
         got = np.array([_digamma(float(x)) for x in xs])

@@ -21,6 +21,7 @@ from rwre import (
     sample_window,
     speed_and_et1,
 )
+from rwre.exact import _decompositions
 from rwre.rng import substream_seed
 
 from laws import CONST_7, CONST_9, FIX_A, FIX_C, FIX_D, FIX_F
@@ -268,6 +269,15 @@ class TestReturnDecomposition:
             )
             assert 0.0 < rd.p_right_return < 1.0
             assert rd.e_return_given_return >= 2.0
+
+    def test_block_outcomes_equal_one_row_outcomes(self):
+        # Beta site values must not depend on the block an environment shares.
+        seeds = [substream_seed(5, 2, j) for j in range(200)]
+        rows = [out for start in range(0, 200, 40)
+                for out in _decompositions(FIX_D, seeds[start:start + 40], 1e-10)]
+        for seed, row in zip(seeds, rows):
+            one = _decompositions(FIX_D, [seed], 1e-10)[0]
+            assert repr(row) == repr(one), seed  # float repr round-trips exactly
 
     def test_series_failure_propagates(self):
         with pytest.raises((ConvergenceError, ValueError)):

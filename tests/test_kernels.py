@@ -175,7 +175,7 @@ def test_phi_estimate_golden():
     (FIX_C, 15, 1e-14, SeriesValue(12.428247659131234, 2.114996298634565e-18, 263, True)),
     (FIX_F, 0, 1e-10, SeriesValue(83.83886660637086, 1.40688087307519e-13, 90, True)),
     (FIX_F, 7, 1e-10, SeriesValue(36.07053904676931, 3.7332159068304234e-14, 79, True)),
-    (FIX_D, 0, 1e-10, SeriesValue(5.16043100922491, 1.2941946525139468e-23, 51, True)),
+    (FIX_D, 0, 1e-10, SeriesValue(5.160431009224911, 1.2941946525139559e-23, 51, True)),
     (FIX_D, 7, 1e-10, SeriesValue(1.8392525910056936, 7.348901060923155e-26, 48, True)),
 ])
 def test_conditioned_return_expectation_golden(law, seed, tol, expected):

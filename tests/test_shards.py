@@ -1,6 +1,6 @@
 """Ladder worker shards on the thread pool (``rng._map_shards``), the
-exit-order first-exit kernel they run, and the block-wise exact sum behind
-``Tally`` and ``ratio_of_samples``.
+exit-order first-exit kernel they run, its chunked draws, and the
+block-wise exact sum behind ``Tally`` and ``ratio_of_samples``.
 
 The shards of ``sup_tail``, ``overshoot_constant`` and ``phi_estimate`` run
 on up to usable-CPU threads.  Results must not depend on whether the pool
@@ -11,7 +11,9 @@ benchmark tracer keeps one span stack and wraps public functions only).
 kept S and tau in path order (``walks._per_path_first_exit``): float exits
 in exit order, lattice exits counted by value, also where its narrow
 partial sums must widen; lattice ``sup_tail`` estimates, tallied from exit
-counts, against per-path tallies.
+counts, against per-path tallies.  The walks draw each step's uniforms
+``ladder._STEP_CHUNK`` paths at a time, and no chunk size may change a
+result.
 """
 
 import concurrent.futures
@@ -439,7 +441,45 @@ def test_walk_estimators_build_no_stream_for_an_empty_shard(monkeypatch, name):
         np.testing.assert_array_equal(many, busy)
 
 
+# ---------------------------------------------------------- chunked draws
+
+@pytest.mark.parametrize("chunk", [1000, 7])
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_step_chunk_never_changes_a_result(monkeypatch, name, chunk):
+    run = ESTIMATORS[name]
+    expected = run(3000, 2)  # shards of 1500 paths, above both chunk sizes
+    sizes = []
+    advance = ladder._advance
+
+    def spy(live, *args):
+        sizes.append(live.size)
+        return advance(live, *args)
+
+    monkeypatch.setattr(ladder, "_STEP_CHUNK", chunk)
+    monkeypatch.setattr(ladder, "_advance", spy)
+    assert run(3000, 2) == expected
+    assert max(sizes) == chunk
+
+
 # ----------------------------------------------------------------- memory
+
+def test_first_exit_peak_memory_of_a_sup_naive_shard():
+    # One 5x10^5-path shard of the benchmark's sup_naive: 5.2 MiB traced with
+    # an n-float uniform buffer, 1.9 MiB with chunk-sized draws.
+    step = SKIP_FREE
+    m = -math.log(1e-12) / gamma_root(step) - 4.0
+    cumw, incs, up, down, lattice = _kernel_args(step, False, 4, math.floor(-m + 1e-9))
+    tracemalloc.start()
+    try:
+        _, counts = ladder._first_exit(
+            cumw, incs, up, down, 500_000, worker_streams(3, 1)[0], lattice
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 500_000
+    assert peak < 3.5 * 2**20
+
 
 @pytest.mark.parametrize("method, limit_mib", [("naive", 12), ("importance", 15)])
 def test_sup_tail_peak_memory_with_both_shards_live(monkeypatch, method, limit_mib):

@@ -26,25 +26,21 @@ scalar draw and a length-1 draw give the same uniform);
 ``_first_return_batch`` and ``conditioned_sampler`` call it with many
 paths, which step on buffers made once per call.  Steps are +-1 and both
 end sites stop paths, so no path leaves the array and no range check is
-made: ``simulate_until`` pads the part of its window a path can reach
-with one stop site on each side and raises when a path ends on one, and
-``_first_return_batch`` stops paths at its certified guard depth and
-raises when one ends there.
+made: ``simulate_until`` takes a step off a window end that is no target
+by hand, and ``_first_return_batch`` stops paths at its certified guard
+depth and raises when one ends there.
 Speed walks have no stop sites and run in ``_free_walk`` on the same
 stream, a block of steps per draw with the step categories found once per
-block.
-Their sites live in ``_Rows``: one row per replicate, back to back.  A
-finite-support law with L = 2..6 levels stores at each site one byte, the
-neighbourhood code formed by the level codes of the 2s-1 sites around it,
-s the largest span with L^(2s-1) <= 256 (4 for two levels); one lookup in
-a table built per call then advances s steps on the same uniforms, in the
-same order.  From seven levels up s = 1 and the code is the level code
-(beyond ``_CODED_LEVELS`` levels rows hold omega, as for continuous laws).
-``speed_estimate`` starts every row of a batch small and grows a side
-of all of them when a path's margin on that side runs short, up to the
-hard limit [-horizon, horizon]; sites are keyed by (seed, x), so grown rows
-read what full windows hold.  Batches are cut as before, by how many full
-windows fit a byte budget, so every result equals a walk on full windows.
+block.  Their sites live in ``_Rows``, one row per replicate, site-major:
+a step moves a path by the number of rows.  A finite-support law with
+L = 2..6 levels stores at each site one byte, the neighbourhood code
+formed by the level codes of the 2s-1 sites around it, s the largest span
+with L^(2s-1) <= 256 (4 for two levels); one lookup in a table built per
+call then advances s steps on the same uniforms, in the same order.  From
+seven levels up s = 1 and the code is the level code (beyond
+``_CODED_LEVELS`` levels rows hold omega, as for continuous laws).
+Rows start small and grow as the walks spread; sites are keyed by
+(seed, x), so every result equals a walk on full windows.
 
 Escape certification: a right-transient walk at the right window edge M
 returns to the origin with exactly P^M(T_0 < inf) = Pi_{1,M-1} R_M / (1 + R_1),
@@ -94,7 +90,8 @@ _ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of envir
 _ENV_ROW_BYTES = 25 << 10  # measured peak bytes of one environment's row in that work
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows
-_STRIP_SITES = 1 << 14  # most sites realized per block of rows as rows grow (one row at least)
+_ROW_GROWTH = 4  # a side of rows that grows gains at least 1/_ROW_GROWTH of its reach
+_STRIP_SITES = 1 << 14  # most values realized per block of sites (one site of every row at least)
 _CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
 _SIGN = np.array([-1, 1], dtype=np.int64)  # the step of a path, indexed by "it steps up"
 
@@ -218,20 +215,21 @@ def _free_walk(
     """Advance every path ``cap`` steps from ``pos`` (indices into
     ``rows.flat``), in place: the walk of speed replicates, with no stop sites.
 
-    Each shard draws its uniforms for many steps as one (steps, paths)
-    block, the same stream as one row per step.  A site steps up iff
-    u < omega, that is iff its level code is at least k(u), the number of
-    levels <= u; the categories k are found once per block.  With L >= 2
-    levels one lookup advances s = ``rows.span`` steps: the block's
-    categories are combined s rows at a time into one index, and
-    ``_step_table`` maps index plus neighbourhood code to the s-step
-    displacement.  Fewer than s steps, as at the end of a block or of the
-    walk, go one at a time on the table of single steps, which reads only
-    the code's centre digit.  When every site has the same omega a block
-    moves each path by its count of up-steps, and omega itself is compared
-    for continuous laws.  Steps run in stretches no longer than the margin
-    that the last ``_Rows.fit`` left, which covers the next s steps (or all
-    that remain), so no path leaves its row.
+    A step moves a path by +-n for n paths (rows are site-major), so the
+    step tables and ``_SIGN`` are scaled by n once per call.  Each shard
+    draws many steps into one reused (steps, paths) buffer, the same stream
+    as one row per step.  A site steps up iff u < omega, that is iff its
+    level code is at least k(u), the number of levels <= u; the categories
+    k are found once per block.  With L >= 2 levels one lookup advances
+    s = ``rows.span`` steps: the block's categories are combined s rows at a
+    time into one index, and ``_step_table`` maps index plus neighbourhood
+    code to the s-step displacement.  Fewer than s steps, as at the end of
+    a block or of the walk, go one at a time on the table of single steps,
+    which reads only the code's centre digit.  When every site has the same
+    omega a block moves each path by its count of up-steps, and omega itself
+    is compared for continuous laws.  Steps run in stretches no longer than
+    the margin that the last ``_Rows.fit`` left, which covers the next s
+    steps (or all that remain), so no path leaves its row.
     """
     n = pos.size
     if not n:
@@ -241,23 +239,29 @@ def _free_walk(
     flat = levels is not None and levels.size == 1
     coded = levels is not None and not flat
     if coded:
-        cum, base, codes = np.append(levels, 1.0), levels.size + 1, rows.codes
-        tables = {1: _step_table(levels.size, span, 1), span: _step_table(levels.size, span, span)}
+        cum, base, codes = np.append(levels, 1.0), levels.size + 1, levels.size ** (2 * span - 1)
+        tables = {s: n * _step_table(levels.size, span, s) for s in {1, span}}
+    sign = n * _SIGN
+    shards = [(r, k) for r, k in shards if k]
+    bufs = [np.empty((depth, k)) for _, k in shards]
+    draws = bufs[0] if len(bufs) == 1 else np.empty((depth, n))
     slack = rows.fit(pos, min(span, cap))
     for first in range(0, cap, depth):
         steps = min(depth, cap - first)
-        block = np.hstack([r.random((steps, k)) for r, k in shards])
-        if coded:
-            block = _categories(cum, block)
+        for (r, _), buf in zip(shards, bufs):
+            r.random(out=buf[:steps])
+        if len(bufs) > 1:
+            np.concatenate([buf[:steps] for buf in bufs], axis=1, out=draws[:steps])
+        block = _categories(cum, draws[:steps]) if coded else draws[:steps]
         done = 0
         while done < steps:
             m = min(steps - done, slack)
             if flat:
-                pos += 2 * np.count_nonzero(block[done : done + m] < levels[0], axis=0) - m
+                pos += n * (2 * np.count_nonzero(block[done : done + m] < levels[0], axis=0) - m)
             elif not coded:
                 sites = rows.flat
                 for row in block[done : done + m]:
-                    pos += _SIGN.take(np.greater(sites.take(pos), row).view(np.uint8))
+                    pos += sign.take(np.greater(sites.take(pos), row).view(np.uint8))
             else:
                 per = span if m >= span else 1
                 m -= m % per
@@ -311,78 +315,77 @@ def _combine(cats: np.ndarray, span: int, base: int, codes: int) -> np.ndarray:
     return index
 
 
-def _encode(levels: np.ndarray, n_levels: int, span: int) -> np.ndarray:
-    """Neighbourhood codes of the level codes ``levels`` (rows x sites): at
-    site x the base-L number sum_j c(x+j) L^(j+span-1), j = 1-span..span-1,
-    one byte, built by Horner's rule.  Sites beyond a row's ends count as
-    level 0; the centre digit is always the site's own level code."""
-    if span == 1:
-        return levels
-    n, width = levels.shape
-    padded = np.zeros((n, width + 2 * (span - 1)), dtype=np.uint8)
-    padded[:, span - 1 : span - 1 + width] = levels
-    out = padded[:, 2 * (span - 1) :].copy()
+def _encode(levels: np.ndarray, n_levels: int, span: int, out: np.ndarray) -> None:
+    """Neighbourhood codes of sites (axis 0) into ``out``, from the level
+    codes ``levels`` of those sites and span - 1 more on each side: at site
+    x the base-L number sum_j c(x+j) L^(j+span-1), j = 1-span..span-1, one
+    byte, by Horner's rule.  With span 1 it is the level code (or omega)."""
+    width = out.shape[0]
+    np.copyto(out, levels[2 * (span - 1) :])
     for p in range(2 * span - 3, -1, -1):
         out *= n_levels
-        out += padded[:, p : p + width]
-    return out
+        out += levels[p : p + width]
 
 
 class _Rows:
-    """Site windows [lo, hi] of one row per env seed, back to back in one
-    flat array: each row starts at [-reach, reach] and grows on demand up to
-    [-bound, bound].
+    """Site windows [lo, hi] of n rows, one per env seed, site-major in one
+    flat array: site x of row r is at index (x - cap_lo) * n + r.
 
-    A path on row r at site x sits at flat index r * width + x - lo; ``owner``
-    gives each path's row.  Finite-support laws with 2 to ``_CODED_LEVELS``
-    levels store each site's neighbourhood code (``_encode``, of span
-    ``_span(L)``), continuous laws omega, and one level nothing the walk
-    reads.  Codes within span - 1 sites of a row end are incomplete, and no
-    table step reads them.  A side whose margin runs short grows in every
-    row, its strip realized through ``realize``.
+    Rows start at [-reach, reach].  Finite-support laws with 2 to
+    ``_CODED_LEVELS`` levels store each site's neighbourhood code
+    (``_encode``, of span ``_span(L)``), continuous laws omega, and one level
+    nothing.  Sites are realized in blocks of at most ``_STRIP_SITES``
+    values, with span - 1 sites of context on either side from the keyed
+    site RNG, so every stored code is complete.  The array holds
+    sites [cap_lo, cap_hi]; a side that outgrows it doubles it toward that
+    side in one copy, and positions shift only when cap_lo moves.
     """
 
     def __init__(self, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int):
-        self.law, self.levels, self.seeds, self.bound = law, levels, seeds, bound
-        self.owner = np.arange(len(seeds), dtype=np.int64)
-        self.lo, self.hi = -reach, reach
-        coded = levels is not None and levels.size > 1
-        self.span = _span(levels.size) if coded else 1
-        self.codes = levels.size ** (2 * self.span - 1) if coded else 1
-        one_level = levels is not None and levels.size == 1
-        self.flat = None if one_level else self._stored(self.realize(-reach, reach)).ravel()
+        self.law, self.levels, self.bound, self.n = law, levels, bound, len(seeds)
+        self.seeds, self.lo, self.hi = np.array(seeds, dtype=np.uint64), -reach, reach
+        self.span = _span(levels.size) if levels is not None and levels.size > 1 else 1
+        if levels is not None and levels.size == 1:
+            self.flat, self.cap_lo, self.cap_hi = None, -bound, bound
+        else:
+            self.flat = np.empty(self.n * (2 * reach + 1), dtype=_site_dtype(levels))
+            self.cap_lo, self.cap_hi = -reach, reach
+            self._fill(-reach, reach)
 
-    def realize(self, a: int, b: int, rows=slice(None)) -> np.ndarray:
-        """The level codes or omega (``_site_rows``) of sites a..b in the
-        rows ``rows``, one row of the result each."""
-        seeds = self.seeds[rows]
-        return _site_rows(self.law, self.levels, seeds, np.arange(a, b + 1)).reshape(-1, b - a + 1)
+    def _stored(self, a: int, b: int) -> np.ndarray:
+        """The stored sites a..b of every row, a (sites, rows) view."""
+        return self.flat.reshape(-1, self.n)[a - self.cap_lo : b + 1 - self.cap_lo]
 
-    def _stored(self, values: np.ndarray) -> np.ndarray:
-        """What rows hold for level codes or omega ``values`` (rows x sites)."""
-        return values if self.codes == 1 else _encode(values, self.levels.size, self.span)
-
-    def _centres(self, codes: np.ndarray) -> np.ndarray:
-        """Level codes of sites from their neighbourhood codes."""
-        return codes // self.levels.size ** (self.span - 1) % self.levels.size
+    def _fill(self, a: int, b: int) -> None:
+        """Realize (``_site_rows``) and store sites a..b of every row, a block
+        at a time, carrying over the 2(span - 1) sites blocks share."""
+        c, width = self.span - 1, max(1, _STRIP_SITES // self.n)
+        values, head = None, a - c  # head: the first site not drawn yet
+        for x in range(a, b + 1, width):
+            y = min(x + width - 1, b)
+            fresh = _site_rows(self.law, self.levels, self.seeds, np.arange(head, y + c + 1))
+            values = fresh if values is None or not c else np.concatenate((values[-2 * c :], fresh))
+            head = y + c + 1
+            _encode(values, self.levels.size if c else 1, self.span, self._stored(x, y))
 
     def sites(self, pos: np.ndarray) -> np.ndarray:
         """The site of each path."""
-        return pos - self.owner * (self.hi - self.lo + 1) + self.lo
+        return pos // self.n + self.cap_lo
 
     def fit(self, pos: np.ndarray, need: int) -> int:
         """The margin of the rows, the fewest sites beyond the outermost path
         on either side: steps every path can take in its row.  Each side
-        whose margin is below ``need`` first grows, to twice its reach or to
-        the margin ``need``, whichever reaches further, but not past
-        ``bound``; positions are remapped in place.  Raises if a margin is
-        still below ``need``: the walk would leave its bounds."""
-        at = self.sites(pos)
-        first, last = int(at.min()), int(at.max())
+        whose margin is below ``need`` first grows, to the margin ``need`` or
+        by 1/``_ROW_GROWTH`` of its reach, whichever goes further, but not
+        past ``bound``.  Raises if a margin is still below ``need``: the walk
+        would leave its bounds."""
+        first, last = int(self.sites(pos.min())), int(self.sites(pos.max()))
         if first - self.lo < need and self.lo > -self.bound:
-            self._grow(pos, self.lo - max(min(2 * self.lo, first - need), -self.bound), 0)
+            lo = min(self.lo - -self.lo // _ROW_GROWTH, first - need)
+            self._grow(pos, self.lo - max(lo, -self.bound), 0)
         if self.hi - last < need and self.hi < self.bound:
-            self._grow(pos, 0, min(max(2 * self.hi, last + need), self.bound) - self.hi)
+            hi = max(self.hi + self.hi // _ROW_GROWTH, last + need)
+            self._grow(pos, 0, min(hi, self.bound) - self.hi)
         margin = min(first - self.lo, self.hi - last)
         if margin < need:
             raise RuntimeError("walk would leave the bounds of its rows; size them larger")
@@ -390,38 +393,27 @@ class _Rows:
 
     def _grow(self, pos: np.ndarray, a: int, b: int) -> None:
         """Add ``a`` sites on the left of every row or ``b`` on the right
-        (one side per call) and remap ``pos`` in place."""
+        (one side per call); ``pos`` shifts in place if cap_lo moves."""
+        lo, hi = self.lo - a, self.hi + b
         if self.flat is not None:
-            self.flat = self._widened(a, b)
-        pos += self.owner * (a + b) + a
-        self.lo, self.hi = self.lo - a, self.hi + b
+            if lo < self.cap_lo or hi > self.cap_hi:
+                self._double(pos, lo, hi)
+            self._fill(*((lo, self.lo - 1) if a else (self.hi + 1, hi)))
+        self.lo, self.hi = lo, hi
 
-    def _widened(self, a: int, b: int) -> np.ndarray:
-        """The flat array with ``a`` sites added on the left of every row or
-        ``b`` on the right.  The strip is realized in blocks of rows of at
-        most ``_STRIP_SITES`` sites, one ``realize`` call each, and the codes
-        within span - 1 sites of the old edge are recomputed from the level
-        codes around them."""
-        n, width = self.owner.size, self.hi - self.lo + 1
-        old = self.flat.reshape(n, width)
-        new = np.empty((n, width + a + b), dtype=old.dtype)
-        new[:, a : a + width] = old
-        near = min(width, self.span - 1)  # old sites whose codes change
-        ctx = min(width, 2 * (self.span - 1))  # the old sites those codes read
-        block = max(1, _STRIP_SITES // (a + b))
-        for r in range(0, n, block):
-            rows = slice(r, r + block)
-            if a:
-                strip = self.realize(self.lo - a, self.lo - 1, rows)
-                if near:
-                    strip = np.concatenate([strip, self._centres(old[rows, :ctx])], axis=1)
-                new[rows, : a + near] = self._stored(strip)[:, : a + near]
-            else:
-                strip = self.realize(self.hi + 1, self.hi + b, rows)
-                if near:
-                    strip = np.concatenate([self._centres(old[rows, width - ctx :]), strip], axis=1)
-                new[rows, width - near :] = self._stored(strip)[:, ctx - near :]
-        return new.ravel()
+    def _double(self, pos: np.ndarray, lo: int, hi: int) -> None:
+        """Double the storage toward [lo, hi], within bound, in one copy."""
+        cap_lo, cap_hi = self.cap_lo, self.cap_hi
+        width = cap_hi - cap_lo + 1
+        if lo < cap_lo:
+            cap_lo = max(min(lo, cap_hi + 1 - 2 * width), -self.bound)
+        else:
+            cap_hi = min(max(hi, cap_lo - 1 + 2 * width), self.bound)
+        old = self._stored(self.lo, self.hi)
+        self.flat = np.empty((cap_hi - cap_lo + 1) * self.n, dtype=old.dtype)
+        pos += (self.cap_lo - cap_lo) * self.n
+        self.cap_lo, self.cap_hi = cap_lo, cap_hi
+        self._stored(self.lo, self.hi)[...] = old
 
 
 def simulate_until(
@@ -444,20 +436,26 @@ def simulate_until(
         if not env.lo <= t <= env.hi:
             raise IndexError("target outside window")
     # The sites a path can reach, within cap steps of the start and not past
-    # the nearest target on either side, padded with one stop site on each
-    # side (never read): a path can end on a pad only by leaving the window.
+    # the nearest target on either side; both ends stop the walk.
     a = max(env.lo, start - cap, *(t for t in targets if t <= start))
     b = min(env.hi, start + cap, *(t for t in targets if t >= start))
-    omega = np.concatenate(([0.0], env.omega[a - env.lo : b - env.lo + 1], [0.0]))
+    omega = env.omega[a - env.lo : b - env.lo + 1]
     stop = np.zeros(omega.size, dtype=bool)
-    stop[[0, -1, *(t - a + 1 for t in targets if a <= t <= b)]] = True
-    pos, steps, stopped = _walk(omega, [start - a + 1], stop, cap, [(stream, 1)])
-    x = int(pos[0])
-    if x in (0, omega.size - 1):
-        raise RuntimeError("walk left the realized window; size it larger")
-    if not stopped[0]:
-        return None, cap
-    return x + a - 1, int(steps[0])
+    stop[[0, -1, *(t - a for t in targets if a <= t <= b)]] = True
+    x, left = start - a, cap
+    while True:
+        pos, steps, stopped = _walk(omega, [x], stop, left, [(stream, 1)])
+        x, left = int(pos[0]), left - int(steps[0])
+        if stopped[0] and x + a in targets:
+            return x + a, cap - left
+        if not left:  # out of steps, also on an end at start +- cap
+            return None, cap
+        # On a window end that is not a target, with steps left: the next
+        # step, on the uniform the walk would draw, leaves or comes back in.
+        x += 1 if stream.random() < omega[x] else -1
+        left -= 1
+        if not 0 <= x < omega.size:
+            raise RuntimeError("walk left the realized window; size it larger")
 
 
 # Every sample_first_return call reads its window's certificate; the cache
@@ -824,7 +822,7 @@ def _site_dtype(levels: Optional[np.ndarray]) -> np.dtype:
 def _site_rows(
     law: EnvLaw, levels: Optional[np.ndarray], seeds: Sequence[int], sites: np.ndarray
 ) -> np.ndarray:
-    """The windows of ``sites`` for each env seed, back to back in one flat array.
+    """Site ``sites[i]`` of env seed r at entry (i, r), for every seed.
 
     With ``levels`` (``law.omega_levels()``) each site is stored as the
     index of its omega in ``levels``, the category of omega under the edges
@@ -832,13 +830,11 @@ def _site_rows(
     bitwise what ``omega_at_sites`` returns; a single level is a
     deterministic environment and draws no site uniforms.  Without, the
     array holds omega.  Sites are realized through ``omega_at_sites``, the
-    public draw that benchmark tracing counts, in one call with a column of
-    seeds.  ``_Rows`` realizes the strips of growing rows through it, a
-    block of rows at a time, and turns level codes into neighbourhood codes.
+    public draw that benchmark tracing counts, in one call.
     """
     if levels is not None and levels.size == 1:
-        return np.zeros(len(seeds) * sites.size, dtype=_site_dtype(levels))
-    omega = omega_at_sites(law, np.array(seeds, dtype=np.uint64)[:, None], sites).ravel()
+        return np.zeros((sites.size, len(seeds)), dtype=_site_dtype(levels))
+    omega = omega_at_sites(law, np.asarray(seeds, dtype=np.uint64), sites[:, None])
     if levels is None:
         return omega
     return _categories(np.append(levels[1:], 1.0), omega).astype(_site_dtype(levels), copy=False)
@@ -875,16 +871,16 @@ def speed_estimate(
     horizon] (the walk cannot leave it in ``horizon`` steps), but realizes
     only the part its batch's walk reaches: each row starts at
     [-``_ROW_REACH``, ``_ROW_REACH``], clipped to the horizon, and a side
-    whose margin runs short doubles its reach in every row of the batch
-    (``_Rows``).  Sites are keyed by (seed, x), so a grown row is bitwise
-    the full window wherever the walk reads it.  Finite-support
-    environments are stored one byte a site as neighbourhood codes when
-    they have two to six levels, which lets ``_free_walk`` advance up to
-    four steps per table lookup, else as level codes (up to
-    ``_CODED_LEVELS`` levels); continuous ones as float64 omega.  Worker
-    shards are stream shards: worker w's generator drives the w-th
-    consecutive block of replicates, and all shards of a batch are walked
-    in one lockstep.  A batch holds as many full windows as a fixed byte
+    whose margin runs short grows in every row of the batch (``_Rows``);
+    each path starts at site 0 of its row.  Sites are keyed by (seed, x),
+    so a grown row is bitwise the full window wherever the walk reads it.
+    Finite-support environments are stored one byte a site as
+    neighbourhood codes when they have two to six levels, which lets
+    ``_free_walk`` advance up to four steps per table lookup, else as level
+    codes (up to ``_CODED_LEVELS`` levels); continuous ones as float64
+    omega.  Worker shards are stream shards: worker w's generator drives
+    the w-th consecutive block of replicates, and all shards of a batch are
+    walked in one lockstep.  A batch holds as many full windows as a fixed byte
     budget allows -- every replicate at the usual sizes -- and splits a
     shard only when the shard alone exceeds it.  Batch sizes depend only on
     the parameters, so results are bit-identical for a given (seed, workers).
@@ -905,7 +901,7 @@ def speed_estimate(
     for start, end in _batches(ends, rows):
         seeds = [substream_seed(seed, 11, rep) for rep in range(start, end)]
         grid = _Rows(law, levels, seeds, reach, horizon)
-        pos = grid.owner * (2 * reach + 1) + reach  # path i starts at site 0 of row i
+        pos = np.arange(grid.n) - grid.cap_lo * grid.n  # path r starts at site 0 of row r
         in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
         _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)
         finals[start:end] = grid.sites(pos) / horizon

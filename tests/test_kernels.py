@@ -504,7 +504,7 @@ def test_site_rows_round_trip_bitwise(law, dtype):
     rows = _site_rows(law, levels, seeds, sites)
     assert rows.dtype == dtype
     omega = rows if levels is None else levels[rows]
-    expected = np.concatenate([omega_at_sites(law, s, sites) for s in seeds])
+    expected = np.stack([omega_at_sites(law, s, sites) for s in seeds], axis=1)  # site-major
     assert omega.tobytes() == expected.tobytes()
 
 
@@ -643,18 +643,100 @@ def test_free_walk_blocks_equal_per_step_walks(monkeypatch, law, depth, horizon)
     assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 5, 11, 3, 5)
 
 
+def _full_window(rows):
+    """What ``rows`` should hold at sites -bound..bound (sites x rows):
+    ``_encode`` of the level codes, or omega, of the full window."""
+    c = rows.span - 1
+    sites = np.arange(-rows.bound - c, rows.bound + c + 1)
+    omega = np.stack([omega_at_sites(rows.law, s, sites) for s in rows.seeds], axis=1)
+    values = omega if rows.levels is None else np.searchsorted(rows.levels, omega)
+    out = np.empty((2 * rows.bound + 1, rows.n), dtype=rows.flat.dtype)
+    _encode(values.astype(out.dtype), rows.levels.size if c else 1, rows.span, out)
+    return out
+
+
+def _assert_rows_hold_the_full_window(rows):
+    stored = rows.flat.reshape(-1, rows.n)[rows.lo - rows.cap_lo : rows.hi - rows.cap_lo + 1]
+    full = _full_window(rows)[rows.lo + rows.bound : rows.hi + rows.bound + 1]
+    assert stored.tobytes() == full.tobytes()
+
+
 def test_rows_grow_to_the_margin_asked_and_raise_past_their_bounds():
-    # Rows [-2, 2] that may grow to [-5, 5]; paths at site 0 of row 0 and site 1
-    # of row 1 leave margins of 2 on the left and 1 on the right.
-    rows = mc._Rows(FIX_A, FIX_A.omega_levels(), [3, 4], 2, 5)
-    pos = np.array([0 * 5 + 2, 1 * 5 + 3])
-    assert rows.fit(pos, 1) == 1 and (rows.lo, rows.hi) == (-2, 2)  # no growth needed
-    assert rows.fit(pos, 2) == 2 and (rows.lo, rows.hi) == (-2, 4)  # the right side doubles
-    assert rows.fit(pos, 3) == 3 and (rows.lo, rows.hi) == (-4, 4)  # then the left
-    assert rows.fit(pos, 4) == 4 and (rows.lo, rows.hi) == (-4, 5)  # right side to its bound
-    assert rows.sites(pos).tolist() == [0, 1]
+    # Rows [-8, 8] that may grow to [-20, 20]; paths at site -5 of row 0 and
+    # site 6 of row 1 leave margins of 3 on the left and 2 on the right.  A
+    # side grows to the margin asked or by a quarter of its reach, whichever
+    # goes further.  Storage starts at [-8, 8] and doubles twice.
+    rows = mc._Rows(FIX_A, FIX_A.omega_levels(), [3, 4], 8, 20)
+    pos = (np.array([-5, 6]) + 8) * 2 + np.arange(2)
+    for need, margin, lo, hi in [
+        (2, 2, -8, 8),  # no growth needed
+        (3, 3, -8, 10),  # the right side: a quarter of 8 beats the margin 3 asked
+        (4, 4, -10, 10),  # then the left, by a quarter again; the storage moves left
+        (9, 9, -14, 15),  # both sides to the margin 9 asked
+        (14, 14, -19, 20),  # the right side to its bound
+    ]:
+        assert rows.fit(pos, need) == margin and (rows.lo, rows.hi) == (lo, hi)
+        assert rows.sites(pos).tolist() == [-5, 6]
+        _assert_rows_hold_the_full_window(rows)
+    assert (rows.cap_lo, rows.cap_hi) == (-20, 20)
     with pytest.raises(RuntimeError, match="bounds of its rows"):
-        rows.fit(pos, 5)  # the right margin stays 4 at the bound
+        rows.fit(pos, 15)  # the right margin stays 14 at the bound
+    assert (rows.lo, rows.hi) == (-20, 20)  # the left side clipped at its bound
+    assert rows.sites(pos).tolist() == [-5, 6]
+    _assert_rows_hold_the_full_window(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grown_rows_hold_the_full_window(data):
+    # Paths jump anywhere within their rows and ask for random margins, so
+    # both sides grow in any order and the storage doubles either way; every
+    # stored site must equal the full window's, and no path may change site.
+    law = data.draw(st.sampled_from([FIX_A, THREE_LEVELS, FIX_C, MANY_LEVELS, FIX_D, CONST_7]))
+    n, reach = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    bound = data.draw(st.integers(reach, 40))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_STRIP_SITES", data.draw(st.integers(1, 3 * n)))
+        rows = mc._Rows(law, law.omega_levels(), seeds, reach, bound)
+        for need in data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=10)):
+            sites = np.array([data.draw(st.integers(rows.lo, rows.hi)) for _ in range(n)])
+            pos = (sites - rows.cap_lo) * n + np.arange(n)
+            try:
+                margin = rows.fit(pos, need)
+            except RuntimeError:  # a side short of the margin asked is at its bound
+                assert min(sites.min() - rows.lo, rows.hi - sites.max()) < need
+                assert sites.min() - rows.lo >= need or rows.lo == -bound
+                assert rows.hi - sites.max() >= need or rows.hi == bound
+                break
+            assert margin == min(sites.min() - rows.lo, rows.hi - sites.max()) >= need
+            assert rows.sites(pos).tolist() == sites.tolist()
+            assert rows.cap_lo <= rows.lo and rows.hi <= rows.cap_hi
+            if rows.flat is not None:
+                _assert_rows_hold_the_full_window(rows)
+
+
+@SPEED_LAWS
+def test_rows_realize_little_beyond_the_walks(monkeypatch, law):
+    # Each side of the final rows lies at most a quarter of its reach plus s
+    # beyond the farthest site the paths reached on it (seen at every fit),
+    # unless it never grew from the start [-32, 32].
+    seen = {}
+    fit = mc._Rows.fit
+
+    def spy(self, pos, need):
+        at = self.sites(pos)
+        lo, hi = seen.get(self, (0, 0))
+        seen[self] = min(lo, int(at.min())), max(hi, int(at.max()))
+        return fit(self, pos, need)
+
+    monkeypatch.setattr(mc._Rows, "fit", spy)
+    speed_estimate(law, horizon=3000, reps=12, seed=5, workers=2)
+    assert seen
+    for rows, (first, last) in seen.items():
+        quarter = -rows.lo // mc._ROW_GROWTH, rows.hi // mc._ROW_GROWTH
+        assert rows.lo == -mc._ROW_REACH or first - rows.lo <= rows.span + quarter[0]
+        assert rows.hi == mc._ROW_REACH or rows.hi - last <= rows.span + quarter[1]
 
 
 def _steps_by_rule(code, cats, n_levels, span):
@@ -685,12 +767,16 @@ def test_step_tables_equal_single_steps(n_levels, span):
 
 @pytest.mark.parametrize("n_levels,span", [(2, 4), (3, 3), (6, 2), (7, 1)])
 def test_neighbourhood_codes(n_levels, span):
-    # digit j + span - 1 of site x's code is the level code of site x + j, 0 off the row
-    levels = np.random.default_rng(n_levels).integers(0, n_levels, size=(3, 9)).astype(np.uint8)
-    codes = _encode(levels, n_levels, span)
-    for r, x in np.ndindex(*levels.shape):
-        digits = [levels[r, x + j] if 0 <= x + j < 9 else 0 for j in range(1 - span, span)]
-        assert codes[r, x] == sum(int(d) * n_levels**p for p, d in enumerate(digits))
+    # digit j + span - 1 of site x's code is the level code of site x + j; the
+    # level codes (sites x rows) hold span - 1 more sites on each side
+    c = span - 1
+    levels = np.random.default_rng(n_levels).integers(0, n_levels, size=(9 + 2 * c, 3))
+    levels = levels.astype(np.uint8)
+    codes = np.empty((9, 3), dtype=np.uint8)
+    _encode(levels, n_levels, span, codes)
+    for x, r in np.ndindex(*codes.shape):
+        digits = [levels[x + c + j, r] for j in range(1 - span, span)]
+        assert codes[x, r] == sum(int(d) * n_levels**p for p, d in enumerate(digits))
 
 
 def _block_outputs():

@@ -71,6 +71,19 @@ class TestSimulateUntil:
         with pytest.raises(RuntimeError):
             simulate_until(w, 3, {-2}, 1, stream(4))
 
+    def test_walks_on_the_window_itself(self):
+        # No target bounds the left side, so a path may reach 10^6 sites to
+        # the left: a float64 copy of them would take 8 MB, a stop flag each 1 MB.
+        w = sample_window(CONST_7, 0, -(10**6), 10**6 - 1)
+        tracemalloc.start()
+        try:
+            site, steps = simulate_until(w, 0, {5}, 10**6, stream(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert site == 5 and steps >= 5
+        assert peak < 2e6
+
 
 class TestReturnOutcome:
     def test_parity_enforced(self):

@@ -418,6 +418,13 @@ def moment_rho(law: EnvLaw, u: float) -> float:
     return math.fsum(w * rho**u for w, rho in law.rho_support())
 
 
+def _mean_omega(law: EnvLaw) -> float:
+    """E[omega_0]: the exactly rounded support sum, or alpha/(alpha+beta) for Beta."""
+    if law.kind == _KIND_BETA:
+        return law.alpha / (law.alpha + law.beta)
+    return math.fsum(w * o for w, o in zip(law.weights, law.omegas))
+
+
 def mean_log_rho(law: EnvLaw) -> float:
     """E[log rho_0]; digamma identity psi(beta) - psi(alpha) for beta laws."""
     if law.kind == _KIND_BETA:

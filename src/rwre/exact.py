@@ -394,10 +394,21 @@ def conditioned_env(
     return EnvWindow(lo=0, hi=hi, omega=omega_tilde, law=law, seed=seed)
 
 
+def _check_sums(log_r, log_1r, used):
+    """Each row's first ``used`` conditional-series terms again, through the
+    conditioned environment's inverse products, summed in order by one
+    row-wise cumsum (n positive terms: within about n 2^-53 relative)."""
+    w = int(used.max())
+    with np.errstate(over="ignore"):
+        alt = np.exp(-np.cumsum(log_1r[:, :w] - log_r[:, 1 : w + 1], axis=1))
+    return np.cumsum(alt, axis=1, out=alt)[np.arange(used.size), used - 1]
+
+
 def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     """Per seed, (E^1[T_0 | T_0 < inf] series, omega_0, R_1) from its final
-    sweep, or the ConvergenceError of its consistency check.  Rows not
-    converged in an n-site sweep (anchor converged, n < horizon) redo 2n."""
+    sweep, or the ConvergenceError of its consistency check: ``_check_sums``
+    of a converged row must agree with its series sum to 1e-6 relative.
+    Rows not converged in an n-site sweep (anchor converged, n < horizon) redo 2n."""
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError("conditioned_return_expectation needs a right-transient law")
@@ -417,25 +428,22 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
         )
         final = ok | ~anchored | (n >= horizon)
         ok &= anchored  # an unconverged anchor taints every R_x of the sweep
-        # Consistency check: the same partial sums through the conditioned
-        # environment's inverse products.
-        with np.errstate(over="ignore"):
-            alt = np.exp(-np.cumsum(log_1r[:, :n] - log_r[:, 1:], axis=1))
-        r1 = np.exp(log_r[:, 0])
-        for i in np.flatnonzero(final).tolist():
-            total, tail, m = float(sums[i]), float(last[i]), int(used[i])
-            if ok[i]:
-                check = math.fsum(alt[i, :m].tolist())
-                if not math.isclose(check, total, rel_tol=1e-6, abs_tol=1e-300):
-                    out[todo[i]] = ConvergenceError(
-                        f"h-transform consistency check failed: {check} vs {total}"
-                    )
-                    continue
+        chk = np.flatnonzero(final & ok)
+        check = np.full(len(todo), math.nan)
+        if chk.size:
+            check[chk] = _check_sums(log_r[chk], log_1r[chk], used[chk])
+        cols = (todo, sums, last, used, ok, check, om[:, 0], np.exp(log_r[:, 0]))
+        for j, total, tail, m, conv, chk_sum, om0, r1 in zip(*(c[final].tolist() for c in cols)):
+            if conv and not math.isclose(chk_sum, total, rel_tol=1e-6, abs_tol=1e-300):
+                out[j] = ConvergenceError(
+                    f"h-transform consistency check failed: {chk_sum} vs {total}"
+                )
+                continue
             bound = 2.0 * tail * r_geom / (1.0 - r_geom) if math.isfinite(tail) else math.inf
             series = SeriesValue(
-                value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=m, converged=bool(ok[i])
+                value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=m, converged=conv
             )
-            out[todo[i]] = (series, float(om[i, 0]), float(r1[i]))
+            out[j] = (series, om0, r1)
         todo = todo[~final]
         n *= 2
     return out

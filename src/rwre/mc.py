@@ -62,7 +62,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .env import (
-    EnvLaw, EnvWindow, _categories, mean_log_rho, moment_rho, omega_at_sites, sample_window
+    EnvLaw, EnvWindow, _categories, _mean_omega, mean_log_rho, moment_rho, omega_at_sites,
+    sample_window,
 )
 from .estimate import Estimate, Tally, merge_mean, ratio_of_means, ratio_of_samples
 from .exact import (
@@ -620,20 +621,21 @@ def estimate_return_conditional(
     error); when n_walk > 0 an independent walk-level Monte Carlo check is
     run on the same environment and a gross mismatch raises.
 
-    mode="averaged": Rao-Blackwellized ratio estimator over n_env sampled
-    environments -- per environment the exact quenched E[r 1{r<inf}] and
-    P(r<inf), combined as a ratio of means with a delta-method standard
-    error (numerator and denominator share environments).  When the law
-    sits in the weakly transient regime (E[rho] >= 1) the finite-sample
-    value is still produced but flagged ``theory_infinite``.  The
-    environments run through the row-wise ``exact._decompositions`` in
-    ``_env_pairs``, which drops a failed one alone (``extras["env_failures"]``),
-    and ``ratio_of_samples`` sums every kept one, so the value depends on
-    (law, n_env, tol, seed) only.
+    mode="averaged": ratio of means over n_env sampled environments with a
+    delta-method standard error (numerator and denominator share
+    environments).  For E[rho] = m < 1, omega_0 and the left branch, which
+    read sites other than the right branch's, enter by their exact means
+    Ew = E[omega_0] and EL = 1 + 2m/(1-m) (conditional Monte Carlo): with
+    q = R_1/(1+R_1) and C the conditional series of one
+    ``exact._conditional_rows`` row, the pair is (1-Ew + Ew q,
+    1 + (1-Ew) EL + Ew q C).  For m >= 1 (weakly transient) EL is infinite:
+    the whole ``exact._decompositions`` row is sampled and the finite value
+    is flagged ``theory_infinite``.  ``_env_pairs`` drops a failed or
+    unconverged environment alone (``extras["env_failures"]``), so the value
+    depends on (law, n_env, tol, seed) only.
     """
-    flags: tuple[str, ...] = ()
-    if moment_rho(law, 1.0) >= 1.0 - 1e-12:
-        flags = ("theory_infinite",)
+    m = moment_rho(law, 1.0)
+    flags: tuple[str, ...] = ("theory_infinite",) if m >= 1.0 - 1e-12 else ()
 
     if mode == "quenched":
         rd = return_decomposition(law, seed, tol=tol)
@@ -671,9 +673,19 @@ def estimate_return_conditional(
     if n_env < 1:
         raise ValueError(f"averaged mode needs n_env >= 1, got {n_env}")
 
-    xs, ys, failures = _env_pairs(
-        _decompositions, lambda rd: (rd.p_return, rd.e_return_indicator), law, seed, 1, n_env, tol
-    )
+    if flags:
+        kernel, pair = _decompositions, lambda rd: (rd.p_return, rd.e_return_indicator)
+    else:
+        e_omega = _mean_omega(law)
+        left = 1.0 + (1.0 - e_omega) * (1.0 + 2.0 * m / (1.0 - m))
+
+        def pair(row):
+            cond, _, r1 = row
+            q = e_omega * (r1 / (1.0 + r1))
+            return (1.0 - e_omega + q, left + q * cond.value) if cond.converged else None
+
+        kernel = _conditional_rows
+    xs, ys, failures = _env_pairs(kernel, pair, law, seed, 1, n_env, tol)
     n_ok, ratio, se = ratio_of_samples(xs, ys)
     return Estimate(
         value=ratio,

@@ -16,7 +16,7 @@ from rwre import (
     moment_rho_log_rho,
     sample_window,
 )
-from rwre.env import _beta_inverse, _digamma, omega_at_sites
+from rwre.env import _beta_inverse, _digamma, _mean_omega, omega_at_sites
 from rwre.rng import site_uniforms
 
 from laws import CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
@@ -68,6 +68,19 @@ class TestMomentRho:
     def test_u_zero_is_one(self):
         for law in (CONST_7, FIX_A, FIX_C, FIX_D):
             assert moment_rho(law, 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestMeanOmega:
+    def test_finite_support_direct_sum(self):
+        for law in (CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_E, FIX_F):
+            direct = math.fsum(w * o for w, o in zip(law.weights, law.omegas))
+            assert _mean_omega(law) == direct
+        assert _mean_omega(FIX_A) == pytest.approx(0.7, abs=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(5.0, 2.0), (0.5, 0.5), (100.0, 100.0), (2.5, 7.0)])
+    def test_beta_matches_scipy(self, a, b):
+        expect = stats.beta.mean(a, b)
+        assert _mean_omega(EnvLaw.beta_law(a, b)) == pytest.approx(expect, rel=1e-15)
 
 
 class TestMeanLogRho:

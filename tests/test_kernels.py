@@ -56,7 +56,7 @@ from rwre import (
     step_from_env,
     sup_tail,
 )
-from rwre import env, mc
+from rwre import env, exact, mc
 from rwre.env import omega_at_sites
 from rwre.estimate import Tally, merge_mean
 from rwre.exact import (
@@ -249,6 +249,41 @@ def test_per_environment_series_digests(law, kw, cond, decomp):
     assert _outcome_digest(_conditional_return, law, **kw) == cond
     if decomp is not None:
         assert _outcome_digest(return_decomposition, law, **kw) == decomp
+
+
+@pytest.mark.parametrize("law,tol", [(FIX_A, 1e-10), (FIX_C, 1e-14)])
+def test_consistency_check_catches_a_perturbed_row(monkeypatch, law, tol):
+    # Scaling one row's Pi_{1,k} by e^{1e-3} moves its series sum but not its
+    # check sum, which reads R_x alone: that row fails, and no other changes.
+    seeds = [substream_seed(5, 1, j) for j in range(40)]
+    base = exact._conditional_rows(law, seeds, tol)
+    sweep, bad = exact._sweep_rows, seeds[17] & MASK64
+
+    def perturbed(law, rows, n, tol, horizon):
+        om, cum, log_r, anchored = sweep(law, rows, n, tol, horizon)
+        cum[rows == bad, 1:] += 1e-3
+        return om, cum, log_r, anchored
+
+    monkeypatch.setattr(exact, "_sweep_rows", perturbed)
+    out = exact._conditional_rows(law, seeds, tol)
+    assert isinstance(out[17], ConvergenceError)
+    assert "h-transform consistency check failed" in str(out[17])
+    assert out[:17] + out[18:] == base[:17] + base[18:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=st.sampled_from([FIX_A, FIX_C, FIX_D]), seed=st.integers(0, 2**32), data=st.data())
+def test_check_sums_equal_exactly_rounded_sums(law, seed, data):
+    # The in-order check sums against math.fsum of the same terms, per row
+    # and at any number of terms.
+    seeds = exact._seed_rows([substream_seed(seed, 1, j) for j in range(8)])
+    _, _, log_r, _ = exact._sweep_rows(law, seeds, 256, 1e-10, exact.DEFAULT_HORIZON)
+    log_1r = np.logaddexp(0.0, log_r)
+    used = np.array(data.draw(st.lists(st.integers(1, 256), min_size=8, max_size=8)))
+    got = exact._check_sums(log_r, log_1r, used)
+    alt = np.exp(-np.cumsum(log_1r[:, :256] - log_r[:, 1:], axis=1))
+    for i, m in enumerate(used.tolist()):
+        assert got[i] == pytest.approx(math.fsum(alt[i, :m].tolist()), rel=1e-12)
 
 
 @pytest.mark.parametrize("law,seed,lo,hi", [

@@ -22,9 +22,9 @@ from rwre import (
     speed_estimate,
 )
 from rwre import mc
-from rwre.env import omega_at_sites
+from rwre.env import _mean_omega, moment_rho, omega_at_sites
 from rwre.estimate import ratio_of_samples
-from rwre.exact import ConvergenceError, return_decomposition
+from rwre.exact import ConvergenceError, _conditional_rows, _decompositions, return_decomposition
 from rwre.rng import substream_seed, worker_streams
 
 from laws import CONST_7, CONST_9, FIX_A, FIX_C, FIX_D
@@ -218,6 +218,23 @@ class TestEstimateReturnConditional:
         assert "theory_infinite" in est.flags
         assert math.isfinite(est.value)
 
+    def test_averaged_fix_a_beats_the_sampled_estimator(self):
+        # the same environments with omega_0 and the left branch sampled
+        est = estimate_return_conditional(FIX_A, "averaged", n_env=2000, seed=1)
+        rds = _decompositions(FIX_A, [substream_seed(1, 1, j) for j in range(2000)], 1e-10)
+        _, old, old_se = ratio_of_samples(np.array([rd.p_return for rd in rds]),
+                                          np.array([rd.e_return_indicator for rd in rds]))
+        # the benchmark's FIX_A_AVG_REF: the sampled estimator on 10^5 environments
+        ref, ref_se = 4.355907062941151, 0.0023353259343943103
+        assert est.std_error < old_se
+        assert abs(est.value - old) <= 3.0 * est.std_error
+        assert abs(est.value - ref) <= 3.0 * math.hypot(est.std_error, ref_se)
+
+    def test_fix_c_flagged_golden(self):
+        # E[rho] >= 1 keeps sampling every factor; recorded with that estimator
+        est = estimate_return_conditional(FIX_C, "averaged", n_env=300, seed=19)
+        assert (est.value, est.std_error, est.n) == (854.6642681954675, 232.02303743847816, 300)
+
 
 class TestDivergenceDiagnostic:
     def test_fix_c_heavy_tail_small_scale(self):
@@ -270,20 +287,38 @@ class TestEnvironmentDropRule:
     # floor(0.001 n_env) failures are dropped and counted, one more raises.
 
     def test_averaged_drops_failed_environments(self, monkeypatch):
+        # E[rho] < 1: the conditional rows alone, omega_0 and the left branch
+        # entering by their exact means
+        n_env, failed, unconverged = 2000, [7], [1300]
+        _failing(monkeypatch, "_conditional_rows", 3, 1, failed, unconverged)
+        est = estimate_return_conditional(FIX_A, "averaged", n_env=n_env, seed=3)
+        assert est.extras["env_failures"] == 2.0 and est.n == n_env - 2
+        rows = _conditional_rows(FIX_A, [substream_seed(3, 1, j) for j in range(n_env)
+                                         if j not in failed + unconverged], 1e-10)
+        m, e_omega = moment_rho(FIX_A, 1.0), _mean_omega(FIX_A)
+        q = np.array([e_omega * (r1 / (1.0 + r1)) for _, _, r1 in rows])
+        c = np.array([cond.value for cond, _, _ in rows])
+        left = 1.0 + (1.0 - e_omega) * (1.0 + 2.0 * m / (1.0 - m))
+        xs, ys = 1.0 - e_omega + q, left + q * c
+        assert (est.n, est.value, est.std_error) == ratio_of_samples(xs, ys)
+
+    def test_averaged_raises_past_the_failure_fraction(self, monkeypatch):
+        _failing(monkeypatch, "_conditional_rows", 3, 1, [7, 400])
+        with pytest.raises(ConvergenceError, match="2/1000 environments"):
+            estimate_return_conditional(FIX_A, "averaged", n_env=1000, seed=3)
+
+    def test_flagged_averaged_drops_failed_environments(self, monkeypatch):
+        # E[rho] >= 1: every factor of the decomposition is still sampled
         n_env, failed = 1000, [7]
         _failing(monkeypatch, "_decompositions", 3, 1, failed)
-        est = estimate_return_conditional(FIX_A, "averaged", n_env=n_env, seed=3)
+        est = estimate_return_conditional(FIX_C, "averaged", n_env=n_env, seed=3)
         assert est.extras["env_failures"] == 1.0 and est.n == n_env - 1
-        rds = [return_decomposition(FIX_A, substream_seed(3, 1, j), tol=1e-10)
+        assert est.flags == ("theory_infinite",)
+        rds = [return_decomposition(FIX_C, substream_seed(3, 1, j), tol=1e-10)
                for j in range(n_env) if j not in failed]
         xs = np.array([rd.p_return for rd in rds])
         ys = np.array([rd.e_return_indicator for rd in rds])
         assert (est.n, est.value, est.std_error) == ratio_of_samples(xs, ys)
-
-    def test_averaged_raises_past_the_failure_fraction(self, monkeypatch):
-        _failing(monkeypatch, "_decompositions", 3, 1, [7, 400])
-        with pytest.raises(ConvergenceError, match="2/1000 environments"):
-            estimate_return_conditional(FIX_A, "averaged", n_env=1000, seed=3)
 
     def test_diverge_drops_failed_and_unconverged_environments(self, monkeypatch):
         schedule = [500, 2000]

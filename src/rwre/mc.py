@@ -77,7 +77,7 @@ from .exact import (
     conditioned_env,
     return_decomposition,
 )
-from .rng import _busy_shards, substream_seed, worker_streams
+from .rng import _busy_shards, _substream_seeds, worker_streams
 
 RETURNED = "returned"
 ESCAPED = "escaped"
@@ -88,7 +88,10 @@ _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
 _HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
 _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
 _ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of environments
-_ENV_ROW_BYTES = 25 << 10  # measured peak bytes of one environment's row in that work
+# Peak bytes of one environment's row in that work, measured on a 256-site first
+# sweep: an upper bound for laws whose first sweep is shorter
+# (``exact._first_sweep_sites``).
+_ENV_ROW_BYTES = 25 << 10
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows
 _ROW_GROWTH = 4  # a side of rows that grows gains at least 1/_ROW_GROWTH of its reach
@@ -344,7 +347,7 @@ class _Rows:
 
     def __init__(self, law: EnvLaw, levels, seeds: Sequence[int], reach: int, bound: int):
         self.law, self.levels, self.bound, self.n = law, levels, bound, len(seeds)
-        self.seeds, self.lo, self.hi = np.array(seeds, dtype=np.uint64), -reach, reach
+        self.seeds, self.lo, self.hi = np.asarray(seeds, dtype=np.uint64), -reach, reach
         self.span = _span(levels.size) if levels is not None and levels.size > 1 else 1
         if levels is not None and levels.size == 1:
             self.flat, self.cap_lo, self.cap_hi = None, -bound, bound
@@ -702,9 +705,10 @@ def _env_pairs(kernel, pair, law: EnvLaw, seed: int, tag: int, n_env: int, tol: 
     """Two numbers per sampled environment, the one loop of both averaged
     estimators: (a, b, failures).
 
-    Environment j is keyed by ``substream_seed(seed, tag, j)``, and the seeds
-    go through the row kernel ``kernel(law, seeds, tol)`` in blocks of
-    ``_ENV_BUDGET // _ENV_ROW_BYTES`` environments.  An output that is a
+    Environment j is keyed by ``substream_seed(seed, tag, j)``; the seeds go
+    through the row kernel ``kernel(law, seeds, tol)`` in blocks of
+    ``_ENV_BUDGET // _ENV_ROW_BYTES`` environments, each block's seeds made
+    as one uint64 array by ``rng._substream_seeds``.  An output that is a
     ``ConvergenceError``, or for which ``pair(output)`` is None, is a failed
     environment and is dropped alone; the others give ``pair(output)``,
     kept in environment order as the float arrays a and b.  More than
@@ -713,8 +717,7 @@ def _env_pairs(kernel, pair, law: EnvLaw, seed: int, tag: int, n_env: int, tol: 
     rows = max(1, _ENV_BUDGET // _ENV_ROW_BYTES)
     a, b, failures = array("d"), array("d"), 0
     for start in range(0, n_env, rows):
-        seeds = [substream_seed(seed, tag, j) for j in range(start, min(start + rows, n_env))]
-        for out in kernel(law, seeds, tol):
+        for out in kernel(law, _substream_seeds(seed, tag, start, min(start + rows, n_env)), tol):
             both = None if isinstance(out, ConvergenceError) else pair(out)
             if both is None:
                 failures += 1
@@ -911,8 +914,7 @@ def speed_estimate(
     begins = ends - sizes
     finals = np.empty(reps)
     for start, end in _batches(ends, rows):
-        seeds = [substream_seed(seed, 11, rep) for rep in range(start, end)]
-        grid = _Rows(law, levels, seeds, reach, horizon)
+        grid = _Rows(law, levels, _substream_seeds(seed, 11, start, end), reach, horizon)
         pos = np.arange(grid.n) - grid.cap_lo * grid.n  # path r starts at site 0 of row r
         in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
         _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)

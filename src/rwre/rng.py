@@ -84,6 +84,13 @@ def substream_seed(seed: int, *path: int) -> int:
     return z
 
 
+def _substream_seeds(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
+    """``[substream_seed(seed, tag, j) for j in range(start, stop)]`` as one
+    uint64 array, the last mix of the path vectorized over j."""
+    js = np.arange(start, stop, dtype=np.int64).view(np.uint64)
+    return _avalanche(np.uint64(substream_seed(seed, tag)) ^ _avalanche(js))
+
+
 def worker_streams(seed: int, workers: int) -> list[np.random.Generator]:
     """Independent per-worker generators, deterministic in (seed, workers)."""
     if workers < 1:

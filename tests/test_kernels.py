@@ -8,8 +8,10 @@ ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
 ``speed_estimate``, with its worker shards and rows that grow on demand;
 the free kernel of speed walks, which advances several steps per table
 lookup on neighbourhood codes, is checked against per-step walks on full
-windows, its step tables entry by entry against single steps, and the
-keyed site RNG against a pure-Python SplitMix64.
+windows, its step tables entry by entry against single steps, the
+keyed site RNG against a pure-Python SplitMix64, and the vectorized
+environment seeds against ``substream_seed``.  The conditional rows' first
+sweep, sized by the law, is checked against a fixed 256-site one.
 
 The golden literals were recorded before these kernels were merged from
 their per-caller copies; the merged code must reproduce them bit for bit.
@@ -70,7 +72,8 @@ from rwre.exact import (
 from rwre.ladder import WaldCheck
 from rwre.mc import _encode, _site_rows, _span, _step_table, _walk
 from rwre.rng import (
-    MASK64, _avalanche, mix64, shard_sizes, site_uniforms, substream_seed, worker_streams
+    MASK64, _avalanche, _substream_seeds, mix64, shard_sizes, site_uniforms, substream_seed,
+    worker_streams,
 )
 
 from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
@@ -249,6 +252,25 @@ def test_per_environment_series_digests(law, kw, cond, decomp):
     assert _outcome_digest(_conditional_return, law, **kw) == cond
     if decomp is not None:
         assert _outcome_digest(return_decomposition, law, **kw) == decomp
+
+
+@pytest.mark.parametrize("law,tol,n0", [
+    (FIX_A, 1e-8, 128), (FIX_A, 1e-10, 128), (FIX_D, 1e-8, 128), (FIX_D, 1e-10, 128),
+    (CONST_7, 1e-8, 128), (CONST_7, 1e-10, 128), (FIX_A, 0.0, 256),
+    (FIX_C, 1e-8, 256), (FIX_C, 1e-10, 256), (FIX_E, 1e-10, 256), (FIX_F, 1e-10, 256),
+])
+def test_first_sweep_sites(law, tol, n0):
+    assert exact._first_sweep_sites(exact.mean_log_rho(law), tol) == n0
+
+
+@pytest.mark.parametrize("law", [FIX_A, FIX_D, CONST_7], ids=["FIX-A", "FIX-D", "CONST-7"])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_law_sized_first_sweep_equals_256_sites(monkeypatch, law, tol):
+    # A first sweep of 128 sites gives every row's doubles of a 256-site one.
+    seeds = _substream_seeds(2, 1, 0, 2000)
+    sized = [repr(row) for row in exact._conditional_rows(law, seeds, tol)]
+    monkeypatch.setattr(exact, "_first_sweep_sites", lambda drift, tol: 256)
+    assert [repr(row) for row in exact._conditional_rows(law, seeds, tol)] == sized
 
 
 @pytest.mark.parametrize("law,tol", [(FIX_A, 1e-10), (FIX_C, 1e-14)])
@@ -855,6 +877,27 @@ def test_site_uniforms_match_python_reference():
     rows = site_uniforms(np.array(seeds, dtype=np.uint64)[:, None], sites)
     assert rows.shape == (len(seeds), sites.size)
     assert rows.tolist() == [[_site_uniform_ref(s, int(x)) for x in sites] for s in seeds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**63, 2**64 - 1)),
+    tag=st.integers(-(2**65), 2**65),
+    start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 40, 2**32)),
+    size=st.integers(0, 60),
+)
+def test_substream_seeds_equal_substream_seed(seed, tag, start, size):
+    got = _substream_seeds(seed, tag, start, start + size)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [substream_seed(seed, tag, j) for j in range(start, start + size)]
+
+
+def test_seed_rows_take_lists_and_arrays_alike():
+    seeds = _substream_seeds(3, 7, 0, 500)
+    rows = exact._seed_rows(seeds.tolist())
+    assert rows.dtype == exact._seed_rows(seeds).dtype == np.uint64
+    assert np.array_equal(exact._seed_rows(seeds), rows)
+    assert exact._seed_rows([-1, 2**64 + 5]).tolist() == [MASK64, 5]
 
 
 def _scalar_lockstep(env, starts, stops, cap, shards):

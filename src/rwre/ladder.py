@@ -14,8 +14,8 @@ converge to a constant (a renewal-theory age limit), which
 ``overshoot_constant`` probes empirically.  ``phi_estimate`` targets
 phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
-All level-crossing simulations (the importance and naive ``sup_tail``
-estimators and ``overshoot_constant``) run on one lockstep first-exit
+All four estimators (the importance and naive ``sup_tail`` estimators,
+``overshoot_constant`` and ``phi_estimate``) run on one lockstep first-exit
 kernel, ``_first_exit``.  It keeps only the partial sums of the paths still
 inside.  Float walks return their exit values in exit order (by exit step,
 path order within a step), and every consumer (exactly rounded tallies,
@@ -28,24 +28,24 @@ its rises to a new maximum, from which every level's first passage and
 overshoot are read.  The scan's tallies come from those counts alone.  For
 laws that are skip-free upward each entry equals a separate walk to its
 level; for other lattice laws the entries below K are common-random-number
-estimates from the same paths, correlated across k.
+estimates from the same paths, correlated across k.  A phi walk has a lower
+level only, and each path carries its running sum of e^{-S_n} beside its
+partial sum; the kernel returns those sums at exit, in exit order.
 
-``phi_estimate`` keeps its own loop because it accumulates e^{-S_n} along
-each path: the live partial sums sit in one array in path order, beside the
-indices of their paths.  Both loops turn each uniform into an increment by
-the package's one categorical rule, ``env._categories``.  Lattice laws are
-simulated in exact integer units so that skip-free importance weights are
-bit-identical across paths.  Both loops step through ``_step``, which
+The kernel turns each uniform into an increment by the package's one
+categorical rule, ``env._categories``.  Lattice laws are simulated in exact
+integer units so that skip-free importance weights are bit-identical across
+paths.  Each step goes through ``_step``, which
 draws each step's uniforms ``_STEP_CHUNK`` paths at a time into one
 chunk-sized buffer per shard and advances each chunk before drawing the
 next; PCG64 draws its doubles in sequence, so the chunks make exactly the
 draws of one call for every live path, and the chunk size never changes a
-result.  Both loops reuse one bool buffer for every compare pass and exit
+result.  The walk reuses one bool buffer for every compare pass and exit
 test.  Integer units add their increments in place by compare passes
 (``env._add_steps``); float laws gather theirs into the spent uniforms.
-``_first_exit`` holds integer partial sums in the narrowest signed dtype
-that holds the next step's positions (int8 while they stay within
--128..127), widening once a falling floor needs it.
+Integer partial sums sit in the narrowest signed dtype that holds the next
+step's positions (int8 while they stay within -128..127), widening once a
+falling floor or a rising ceiling needs it.
 
 Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
 A shard's thread runs only the private walk and numpy; the tallies are taken
@@ -262,6 +262,7 @@ def _first_exit(
     rng: np.random.Generator,
     integer_units: bool,
     levels: Optional[np.ndarray] = None,
+    scale: Optional[float] = None,
 ):
     """Walk n >= 1 paths until S >= up or S <= down.  Float walks return S
     at exit in exit order: the paths that left at step 1 in path order, then
@@ -269,23 +270,31 @@ def _first_exit(
     with integer ``up`` and ``down``, return (lo, counts): counts[i] paths
     left at S = lo + i, tallied step by step.
 
-    down = -inf walks every path to its first crossing of ``up``.  Each step
-    draws one uniform for each path still inside, in path order, through
-    ``_step``: at most ``_STEP_CHUNK`` floats at a time into one buffer, so
-    the walk makes the draws of ``rng.random(live.size)`` per step without an
-    n-float buffer.  One bool buffer of n serves every compare pass and the
-    exit test of the step, which, like the tallies and the compaction, runs
-    over the whole live array.
+    down = -inf walks every path to its first crossing of ``up``, up = +inf
+    to its first drop to ``down``.  Each step draws one uniform for each path
+    still inside, in path order, through ``_step``: at most ``_STEP_CHUNK``
+    floats at a time into one buffer, so the walk makes the draws of
+    ``rng.random(live.size)`` per step without an n-float buffer.  One bool
+    buffer of n serves every compare pass and the exit test of the step,
+    which, like the tallies and the compaction, runs over the whole live
+    array.
 
     Integer partial sums are held in the smallest signed dtype that holds
     every position reachable at the next step, and every difference of
     increments the compare passes add.  After step k >= 1 a live path lies
-    in [max(down + 1, k min_inc), up - 1], and every path starts at 0, so
-    the next step lies in that range (with 0) widened by [min_inc, max_inc].
-    With down = -inf the floor falls with k, and one ``astype`` widens the
-    sums just before it would leave the dtype.  The same ranges size counts:
-    every exit lies in [lo, max(0, up - 1) + max_inc], with lo = max(up,
-    min_inc) for down = -inf and lo = min(0, down + 1) + min_inc otherwise.
+    in [max(down + 1, k min_inc), min(up - 1, k max_inc)], and every path
+    starts at 0, so the next step lies in that range (with 0) widened by
+    [min_inc, max_inc]; ``range_at(k)`` gives both bounds.  With down = -inf
+    the floor falls with k, with up = +inf the ceiling rises, and one
+    ``astype`` widens the sums just before either bound would leave the
+    dtype.  The same ranges size counts from a finite ``up``: every exit
+    lies in [lo, max(0, up - 1) + max_inc], with lo = max(up, min_inc) for
+    down = -inf and lo = min(0, down + 1) + min_inc otherwise.
+
+    ``scale`` gives each path one float total, started at 1 (S_0 = 0) and
+    compacted with its partial sum; after each exit test the paths still
+    inside add e^{-S scale}.  The walk then returns every path's total at
+    exit, in exit order, for lattice and float walks alike.
 
     ``levels`` (lattice only: sorted distinct integer levels, the last one
     ``up``, with down = -inf) records every level's first passage instead.
@@ -306,28 +315,30 @@ def _first_exit(
     if integer_units:
         lo_inc, hi_inc = int(incs.min()), int(incs.max())
         spread = hi_inc - lo_inc  # bounds the differences the compare passes add
-        highest = max(0, up - 1) + hi_inc  # no path goes above it
 
-        def floor_at(k):  # lowest value held at step k + 1
-            return min(min(0, max(down + 1, k * lo_inc)) + lo_inc, -spread)
+        def range_at(k):  # lowest and highest values held at step k + 1
+            return (min(min(0, max(down + 1, k * lo_inc)) + lo_inc, -spread),
+                    max(max(0, min(up - 1, k * hi_inc)) + hi_inc, spread))
 
-        live = np.zeros(n, dtype=_sum_dtype(floor_at(0), max(highest, spread)))
-        if levels is None:
+        live = np.zeros(n, dtype=_sum_dtype(*range_at(0)))
+        if levels is None and scale is None:  # exits counted by value
             lo = max(up, lo_inc) if down == -math.inf else min(0, down + 1) + lo_inc
-            left = np.zeros(highest - lo + 1, dtype=np.int64)  # left[i]: paths out at lo + i
+            left = np.zeros(max(0, up - 1) + hi_inc - lo + 1, dtype=np.int64)  # [i]: out at lo + i
     else:
         live = np.zeros(n)
+    if scale is not None:
+        total = np.ones(n)  # each path's sum of e^{-S_j scale} so far, S_0 = 0 included
     if levels is not None:
         first = int(levels[0])
         top = np.full(n, first - 1, dtype=np.int64)  # running max, floored just below levels[0]
         width = int(incs.max()) - min(0, first - 1)  # rises lie in 1..width, overshoots below
         # rises[(new - first) * (width + 1) + r]: rises of size r to a new maximum new
         rises = np.zeros((int(levels[-1]) - first + width) * (width + 1), dtype=np.int64)
-    exits = []  # exits[k-1]: S of the float paths that left at step k (their count with levels)
+    exits = []  # exits[k-1]: S or total of each path out at step k (their count with levels)
     steps = guard = 0
     while live.size:
-        if integer_units and floor_at(steps) < np.iinfo(live.dtype).min:
-            live = live.astype(_sum_dtype(floor_at(steps), max(highest, spread)))
+        if integer_units and (dtype := _sum_dtype(*range_at(steps))) != live.dtype:
+            live = live.astype(dtype)
         hit = hit_buf[: live.size]
         _step(live, cumw, incs, rng, u_buf, hit)
         steps += 1
@@ -344,14 +355,17 @@ def _first_exit(
             done |= live <= down
         if levels is not None:
             exits.append(np.count_nonzero(done))
-        elif integer_units:
+        elif integer_units and scale is None:
             left += np.bincount(np.subtract(live[done], lo, dtype=np.intp), minlength=left.size)
         else:
-            exits.append(live[done])
+            exits.append((live if scale is None else total)[done])
         keep = np.logical_not(done, out=hit)
         if levels is not None:
             top = top[keep]
         live = live[keep]
+        if scale is not None:
+            total = total[keep]
+            total += np.exp(-(live * scale))
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
     if levels is not None:
@@ -359,7 +373,7 @@ def _first_exit(
         over = np.arange(width)
         counts = above[(levels - first)[:, None] + over, over + 1]
         return counts, np.array(exits, dtype=np.int64)
-    if integer_units:
+    if integer_units and scale is None:
         return lo, left
     # Free the step buffers before the exits are joined: it lowers the peak
     # memory of two threaded shards.
@@ -408,6 +422,8 @@ def sup_tail(
         raise ValueError("sup_tail needs E[xi] < 0")
     if n < 1:
         raise ValueError(f"sup_tail needs n >= 1, got {n}")
+    if not math.isfinite(t):
+        raise ValueError(f"sup_tail needs a finite level t, got {t}")
     gamma = gamma_root(step)
     lattice = step.lattice is not None
 
@@ -579,32 +595,16 @@ def phi_estimate(
         raise ValueError("phi_estimate needs E[xi] < 0")
     if n < 1:
         raise ValueError(f"phi_estimate needs n >= 1, got {n}")
+    if not math.isfinite(t):
+        raise ValueError(f"phi_estimate needs a finite level t, got {t}")
     lattice = step.lattice is not None
+    a = step.lattice or 1.0  # a lattice walk runs in units u, with S = a u
     cumw = _thresholds(step.weights)
     incs = np.asarray(step.units if lattice else step.values)
-    if lattice:
-        # S <= -t in units: u*a <= -t  <=>  u <= floor(-t/a) (snapped)
-        down = math.floor(-t / step.lattice + 1e-9)
-    else:
-        down = -t
-
-    def functional(rng, n_w):
-        f = np.ones(n_w)
-        idx = np.arange(n_w)
-        live = np.zeros(n_w, dtype=np.int64 if lattice else np.float64)  # S_n, path order
-        u_buf, hit_buf = np.empty(min(n_w, _STEP_CHUNK)), np.empty(n_w, dtype=bool)
-        guard = 0
-        while idx.size:
-            hit = hit_buf[: idx.size]
-            _step(live, cumw, incs, rng, u_buf, hit)
-            guard += idx.size
-            keep = np.greater(live, down, out=hit)
-            idx, live = idx[keep], live[keep]
-            f[idx] += np.exp(-(live * step.lattice if lattice else live))
-            if guard > _STEP_GUARD:
-                raise RuntimeError("phi simulation exceeded the step budget")
-        return f
-
-    tallies = [Tally.of(f) for f in _map_shards(functional, seed, n, workers)]
-    n_tot, mean, se, _, _ = merge_mean(tallies)
+    down = math.floor(-t / a + 1e-9) if lattice else -t  # S <= -t  <=>  u <= floor(-t/a), snapped
+    shards = _map_shards(
+        lambda rng, n_w: _first_exit(cumw, incs, math.inf, down, n_w, rng, lattice, scale=a),
+        seed, n, workers,
+    )
+    n_tot, mean, se, _, _ = merge_mean([Tally.of(f) for f in shards])
     return Estimate(value=mean, std_error=se, n=n_tot, method="phi-mc", seed=seed)

@@ -153,6 +153,9 @@ class TestExactCommand:
         assert not (tmp_path / "hp.csv").exists()
 
 
+FLOAT_STEP = ["--step", "general:0.5@-1.7,0.5@0.9"]  # overrides the lattice step before it
+
+
 class TestLadderCommand:
     def test_sup_tail_zero_variance(self, tmp_path):
         out = str(tmp_path / "lad")
@@ -169,6 +172,12 @@ class TestLadderCommand:
         (["--sup-tail", "4", "-n", "0"], "n >= 1"),
         (["--phi", "4", "-n", "-3"], "n >= 1"),
         (["--overshoot", "20", "10"], "nonempty k_range"),
+        # non-finite levels on a float law, where no lattice rounding rejects them
+        ([*FLOAT_STEP, "--sup-tail", "nan", "--method", "naive"], "finite level"),
+        ([*FLOAT_STEP, "--sup-tail", "nan", "--method", "importance"], "finite level"),
+        ([*FLOAT_STEP, "--sup-tail", "inf"], "finite level"),
+        ([*FLOAT_STEP, "--phi", "nan"], "finite level"),
+        ([*FLOAT_STEP, "--phi", "inf"], "finite level"),
     ])
     def test_rejects_no_paths_or_levels(self, tmp_path, capsys, args, message):
         out = tmp_path / "lad"

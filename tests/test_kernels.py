@@ -3,7 +3,7 @@
 against the gathered steps), the truncated-series scan, the moment-root
 bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
-ladder first-exit walk and phi loop, and the ``mc`` lockstep walk behind
+ladder first-exit walk (phi included), and the ``mc`` lockstep walk behind
 ``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
 ``speed_estimate``, with its worker shards and rows that grow on demand;
 the free kernel of speed walks, which advances several steps per table

@@ -364,3 +364,20 @@ class TestPhi:
         a = phi_estimate(SKIP_FREE, t=2.0, n=5000, seed=13, workers=3)
         b = phi_estimate(SKIP_FREE, t=2.0, n=5000, seed=13, workers=3)
         assert a == b
+
+
+GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
+
+
+# A path never reaches an infinite level, and no exit test is true at NaN: a
+# walk to either would end at the step guard or give a value without meaning.
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("step", [SKIP_FREE, GENERAL], ids=["lattice", "float"])
+@pytest.mark.parametrize("estimator", [
+    lambda step, t: sup_tail(step, t, 10, "importance"),
+    lambda step, t: sup_tail(step, t, 10, "naive"),
+    lambda step, t: phi_estimate(step, t, 10),
+], ids=["sup-importance", "sup-naive", "phi"])
+def test_non_finite_levels_are_rejected(estimator, step, t):
+    with pytest.raises(ValueError, match="finite level"):
+        estimator(step, t)

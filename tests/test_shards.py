@@ -10,8 +10,9 @@ benchmark tracer keeps one span stack and wraps public functions only).
 ``_first_exit`` is checked against the per-path kernel it replaced, which
 kept S and tau in path order (``walks._per_path_first_exit``): float exits
 in exit order, lattice exits counted by value, also where its narrow
-partial sums must widen; lattice ``sup_tail`` estimates, tallied from exit
-counts, against per-path tallies.  The walks draw each step's uniforms
+partial sums must widen; phi's per-path totals against the loop
+``phi_estimate`` ran before (``walks._per_path_phi``); lattice ``sup_tail``
+estimates, tallied from exit counts, against per-path tallies.  The walks draw each step's uniforms
 ``ladder._STEP_CHUNK`` paths at a time, and no chunk size may change a
 result.
 """
@@ -48,7 +49,7 @@ from rwre.estimate import Tally, ratio_of_means, ratio_of_samples
 from rwre.rng import worker_streams
 
 from laws import FIX_A, FIX_C, FIX_F
-from walks import _per_path_first_exit
+from walks import _per_path_first_exit, _per_path_phi
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
@@ -161,11 +162,42 @@ def test_first_exit_equals_per_path_kernel(case, n):
     assert new_rng.random() == ref_rng.random()  # the same draws were made
 
 
+def _phi_args(step, t):
+    """``_first_exit`` arguments of ``phi_estimate``'s walk: no upper level,
+    down the first S <= -t, and the scale of e^{-S}."""
+    cumw, incs, _, _, lattice = _kernel_args(step, False, math.inf, None)
+    down = math.floor(-t / step.lattice + 1e-9) if lattice else -t
+    return cumw, incs, math.inf, down, lattice, step.lattice or 1.0
+
+
+PHI_CASES = {
+    "phi-fix-f": (FIX_F_STEP, 2.0),
+    "phi-jumpy": (JUMPY, 12.0),
+    "phi-general": (GENERAL, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 3000])
+@pytest.mark.parametrize("case", sorted(PHI_CASES))
+def test_first_exit_totals_equal_per_path_phi(case, n):
+    cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
+    ref_rng, new_rng = worker_streams(17, 1)[0], worker_streams(17, 1)[0]
+    f_ref, nu_ref = _per_path_phi(cumw, incs, down, n, ref_rng, lattice, scale)
+    got = ladder._first_exit(cumw, incs, up, down, n, new_rng, lattice, scale=scale)
+    # the totals in exit order: by exit step, in path order within a step
+    np.testing.assert_array_equal(got, f_ref[np.argsort(nu_ref, kind="stable")])
+    assert new_rng.random() == ref_rng.random()  # the same draws were made
+
+
 @pytest.mark.parametrize("case, widest", [
     ("lattice-up", np.int8), ("lattice-deep-band", np.int16), ("lattice-long-up", np.int16),
+    ("phi-jumpy", np.int16),
 ])
 def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, widest):
-    cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES[case])
+    if case in PHI_CASES:
+        cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
+    else:
+        (cumw, incs, up, down, lattice), scale = _kernel_args(*KERNEL_CASES[case]), None
     seen = []
     advance = ladder._advance
 
@@ -174,10 +206,12 @@ def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, w
         return advance(live, *args)
 
     monkeypatch.setattr(ladder, "_advance", spy)
-    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice)
+    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, scale=scale)
     assert seen[0] == np.int8 and max(seen, key=lambda dt: dt.itemsize) == widest
     assert seen[: seen.index(widest)] == [np.int8] * seen.index(widest)
-    if widest == np.int16:  # widened just before a position below -128 could occur
+    if case in PHI_CASES:  # widened just before the ceiling 2k + 2 passes 127
+        assert seen.index(widest) == 63
+    elif widest == np.int16:  # widened just before a position below -128 could occur
         assert seen.index(widest) == 128
 
 

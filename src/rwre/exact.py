@@ -23,7 +23,12 @@ for x >= 1, under which the conditional return-time expectation becomes
     E^1[T_0 | T_0 < inf] = 1 + 2 sum_n Pi_{1,n} (1+R_{n+1}) R_{n+1} / ((1+R_1) R_1).
 
 Pi values range over hundreds of orders of magnitude on long windows, so
-all internals run in log space (log-sum-exp for the R sums).  Truncated
+products stay in log space.  Running sums of products (the R sums, and the
+prefix sums behind the window edge bounds) go through one helper,
+``_log_cumsum``: each row is shifted by its maximum and summed in linear
+space, one exp and one log per element; only a row spanning more than
+``_SHIFT_SPAN`` nats, whose smallest terms would underflow once shifted,
+takes the exact logaddexp recursion.  Truncated
 series are scanned by one routine, ``_scan_rows``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
 remainder.  One anchored sweep per environment (``_sweep_rows``) supplies
@@ -56,6 +61,7 @@ DEFAULT_HORIZON = 1_000_000
 QUIET_RUN = 32  # consecutive sub-threshold terms required before stopping
 _CHUNK = 512
 _PEEK = 128  # leading terms of a chunk tried first; most series stop within them
+_SHIFT_SPAN = 700.0  # widest row (nats) ``_log_cumsum`` sums shifted; e^-700 is a normal double
 
 EnvSource = Union[EnvWindow, tuple[EnvLaw, int]]
 
@@ -314,6 +320,23 @@ def expected_hit(
     return SeriesValue(value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=used, converged=ok)
 
 
+def _log_cumsum(v: np.ndarray) -> np.ndarray:
+    """log of the running sums of exp(v) along the last axis, row by row.
+
+    Each row is shifted by its maximum, summed in linear space and taken
+    back by one log per element.  A row spanning more than ``_SHIFT_SPAN``
+    nats (or holding a non-finite value) would lose its smallest terms to
+    underflow once shifted; such rows take the exact logaddexp recursion.
+    """
+    top = v.max(axis=-1, keepdims=True)
+    wide = ~(top - v.min(axis=-1, keepdims=True) <= _SHIFT_SPAN)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(np.cumsum(np.exp(v - top), axis=-1)) + top
+    if wide.any():
+        out[wide] = np.logaddexp.accumulate(v[wide], axis=-1)
+    return out
+
+
 def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int):
     """One shared rightward pass per environment seed, as row-wise 2-D arrays:
     omega on [0, n], cum[k] = log Pi_{1,k} for k in [0, n], log R_x for x in
@@ -323,7 +346,11 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     the realized partial sums with the anchored remainder, so each row's
     family is internally consistent:
 
-        R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1}.
+        R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1} = T_x / Pi_{1,x-1},
+
+    where T_x = sum_{k=x..n} Pi_{1,k} + Pi_{1,n} R_{n+1}.  Every T_x of a row
+    is one suffix of a single ``_log_cumsum`` over the n+1 columns
+    log Pi_{1,n} + log R_{n+1}, log Pi_{1,n}, ..., log Pi_{1,1}.
     """
     chunks = _log_pi_rows(law, seeds, n + 1, None, 1, 1.0)
     anchor, _, _, anchored = _scan_rows(chunks, len(seeds), tol, horizon)
@@ -331,11 +358,12 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     rho = (1.0 - om[:, 1:]) / om[:, 1:]
     cum = np.zeros((len(seeds), n + 1))
     cum[:, 1:] = np.cumsum(np.log(rho), axis=1)  # cum[:, k] = log Pi_{1,k}
-    suffix = np.logaddexp.accumulate(cum[:, :0:-1], axis=1)[:, ::-1]  # lse cum[j+1..n]
-    log_anchor = np.array([math.log(v) for v in anchor.tolist()])[:, None]
-    log_r = np.empty((len(seeds), n + 1))
-    log_r[:, :n] = np.logaddexp(suffix - cum[:, :n], cum[:, n:] - cum[:, :n] + log_anchor)
-    log_r[:, n:] = log_anchor  # R_{n+1}
+    log_anchor = np.array([math.log(v) for v in anchor.tolist()])
+    cols = np.empty((len(seeds), n + 1))
+    cols[:, 0] = cum[:, n] + log_anchor
+    cols[:, 1:] = cum[:, :0:-1]
+    log_r = _log_cumsum(cols)[:, ::-1] - cum  # log T_x - log Pi_{1,x-1}
+    log_r[:, n] = log_anchor  # R_{n+1}
     return om, cum, log_r, anchored
 
 
@@ -362,15 +390,15 @@ def _log_h_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
     ``conditioned_env``, laid out and caveated as ``_log_escape_bounds``: the anchor's
     truncation errs optimistic (R_{1,M-1} is exact and the bound increases in R_M)."""
     _, cum, log_r = _sweep_log_r(law, seed, n, tol)
-    return cum + log_r - log_r[0] - np.logaddexp.accumulate(cum)
+    return cum + log_r - log_r[0] - _log_cumsum(cum)
 
 
 def _log_guard_bounds(law, seed, depth):
     """log P^{-1}(T_{-L} < T_0) = -log(1 + sum_{i=-L+1..-1} Pi_{i,-1}^{-1}) at
-    entry L-1 for L = 1..depth, by one prefix log-sum-exp leftward from -1."""
+    entry L-1 for L = 1..depth, by one prefix ``_log_cumsum`` leftward from -1."""
     om = omega_at_sites(law, seed, np.arange(-1, -depth, -1, dtype=np.int64))
     inv = -np.cumsum(np.log((1.0 - om) / om))  # inv[k] = log Pi_{-k-1,-1}^{-1}
-    return -np.logaddexp.accumulate(np.concatenate(([0.0], inv)))
+    return -_log_cumsum(np.concatenate(([0.0], inv)))
 
 
 def conditioned_env(
@@ -405,6 +433,16 @@ def _check_sums(log_r, log_1r, used):
     with np.errstate(over="ignore"):
         alt = np.exp(-np.cumsum(log_1r[:, :w] - log_r[:, 1 : w + 1], axis=1))
     return np.cumsum(alt, axis=1, out=alt)[np.arange(used.size), used - 1]
+
+
+def _log_one_plus_r(om, log_r):
+    """log(1+R_x) for x = 1..n+1 from a sweep's omega and log R_x, row-wise.
+    R_{x-1} = rho_{x-1} (1+R_x) gives every column but the first from the
+    sweep's own sums; only log(1+R_1) takes a logaddexp."""
+    log_1r = np.empty_like(log_r)
+    log_1r[:, 0] = np.logaddexp(0.0, log_r[:, 0])
+    log_1r[:, 1:] = log_r[:, :-1] - np.log((1.0 - om[:, 1:]) / om[:, 1:])
+    return log_1r
 
 
 def _first_sweep_sites(drift: float, tol: float) -> int:
@@ -445,7 +483,7 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     n = _first_sweep_sites(drift, tol)
     while todo.size:
         om, cum, log_r, anchored = _sweep_rows(law, seeds[todo], n, tol, horizon)
-        log_1r = np.logaddexp(0.0, log_r)  # log(1+R_x), x = 1..n+1
+        log_1r = _log_one_plus_r(om, log_r)
         log_w = log_r + log_1r  # log[(1+R_x) R_x]
         with np.errstate(over="ignore"):
             terms = np.exp(cum[:, 1:] + log_w[:, 1:] - log_w[:, :1])  # n = 1..n

@@ -18,6 +18,12 @@ their per-caller copies; the merged code must reproduce them bit for bit.
 Likewise the digests of per-environment series outcomes were recorded
 while those series still ran one environment at a time, before they ran in
 blocks of environments, and blocks of any size must give the same numbers.
+The anchored sweep's literals (conditional-return and conditioned-environment
+goldens, series digests) were re-recorded once, when its R sums moved from
+the logaddexp recursion to max-shifted sums: over the digests' environments
+every value moved by at most 5e-14 relative, and every ``terms_used``,
+``converged`` flag and ConvergenceError stayed the same.  The sweep's logs
+are checked against an exact rational recursion, on both of its branches.
 The escape and guard bounds that size first-return windows, and the
 conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
@@ -29,6 +35,7 @@ sides, against scalar draws in lockstep.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,10 +180,10 @@ def test_phi_estimate_golden():
 @pytest.mark.parametrize("law,seed,tol,expected", [
     (FIX_A, 0, 1e-10, SeriesValue(1.6221330723389742, 1.0691743568907673e-24, 62, True)),
     (FIX_A, 7, 1e-10, SeriesValue(2.624082674339286, 7.5884317442216e-24, 60, True)),
-    (FIX_C, 0, 1e-10, SeriesValue(469.853314013797, 5.119599736870144e-10, 112, True)),
-    (FIX_C, 7, 1e-10, SeriesValue(27.659273277718455, 4.3771110211239247e-16, 104, True)),
-    (FIX_C, 15, 1e-14, SeriesValue(12.428247659131234, 2.114996298634565e-18, 263, True)),
-    (FIX_F, 0, 1e-10, SeriesValue(83.83886660637086, 1.40688087307519e-13, 90, True)),
+    (FIX_C, 0, 1e-10, SeriesValue(469.8533140137967, 5.119599736870144e-10, 112, True)),
+    (FIX_C, 7, 1e-10, SeriesValue(27.659273277718384, 4.3771110211239247e-16, 104, True)),
+    (FIX_C, 15, 1e-14, SeriesValue(12.42824765913123, 2.114996298634565e-18, 263, True)),
+    (FIX_F, 0, 1e-10, SeriesValue(83.83886660637087, 1.40688087307519e-13, 90, True)),
     (FIX_F, 7, 1e-10, SeriesValue(36.07053904676931, 3.7332159068304234e-14, 79, True)),
     (FIX_D, 0, 1e-10, SeriesValue(5.160431009224911, 1.2941946525139559e-23, 51, True)),
     (FIX_D, 7, 1e-10, SeriesValue(1.8392525910056936, 7.348901060923155e-26, 48, True)),
@@ -187,7 +194,7 @@ def test_conditioned_return_expectation_golden(law, seed, tol, expected):
 
 
 @pytest.mark.parametrize("law,expected", [
-    (FIX_A, [0.6, 0.1793429287732827, 0.3308908200573739, 0.4095131232236078,
+    (FIX_A, [0.6, 0.17934292877328264, 0.3308908200573739, 0.4095131232236078,
              0.39386215558975013]),
     (FIX_C, [0.3333333333333333, 0.3289745048708287, 0.7466875636272972,
              0.7061491778397351, 0.33257838003636186]),
@@ -214,38 +221,39 @@ def _outcome_digest(fn, law, **kw):
 
 @pytest.mark.parametrize("law,kw,cond,decomp", [
     (FIX_A, {"tol": 1e-8},
-     "172e7b770302ab4822888425aba67813682ad6c912669027eb66df9c18ffff20",
-     "23acf1f8bcead11bcf423f94cc79330d9d6abb9caf75840624ee216ead9b18a2"),
+     "533ea36c673fd7ec97d278f8f8e7ea52f61399f989e47c88ce9cdcc5b6c7d7af",
+     "952684dd5b2a38d6a4379c3cb140bd82358e52dd621c13990ae1bca61b4102c9"),
     (FIX_A, {"tol": 1e-10},
-     "03966cf07e6e029c314af1e979931ac307c54be515fafd12f3f6556f794327df",
-     "320bfa14b1459d003113dbf20190373056d82f39763a4c88c2649088ca703d0a"),
+     "a258cd1e7b542588d6d3abe9ee4f227e88778682bdc9bc0738122f1eec179c12",
+     "7a1f1c28f5e640665c2a8c57655e2a92b442c49b53b5b0c619f5d16306bab934"),
     (FIX_C, {"tol": 1e-8},
-     "a855862584a814ac5c12d1182e33a9c0cc9ac8ec23df5d0bbd40eb9217e92df8",
-     "08e919b0e36d3b62fb8465ef6fc1f8a3316007a7c078d70b155134a10aebe032"),
+     "3f175cd8e6715cf62affb43c7b2244aa1991f804a79c0ed02d050618b90c33f1",
+     "a812d61f62150a539eb7aa729a8321f381944a05fffd4a905199812b7e31ea17"),
     (FIX_C, {"tol": 1e-10},
-     "ca205564dcfea36d2b9ed047373b8c541705a53b0511812c45ac9c2cef05cee1",
-     "8f98b467505b5bc446a09ceffbd2693fcf4228a70b0c03d7e2540de14bb9f8ea"),
+     "b82e2faa1bf48ec41dfc960fa8ef881b43afda321940c1af4efcaa0b4fef8406",
+     "269152f8318e16a035f4948f470a0cb78db21cd18c8333830ad7817c9828b264"),
     (FIX_C, {"tol": 1e-14},
-     "a6d8df8161ef1d0d7d1d4deef103653d74cd0fba9fa9faecaa4521000843f8f5",
-     "ac90cd686402f8b95d6efd6551130501ab6aa072fad8bf54d5b8c66e7b942951"),
+     "4412dae01e8c6dc9ef864f1b74cb14ae11758dd2a871fc241fef0a74e318bcd3",
+     "2742724c0a60f5c9a2e36d7089f0d12ffc8aa80761df3b454d83703fcd1c57cc"),
     (FIX_C, {"tol": 1e-8, "horizon": 40},
-     "32cbe27d0f34ef8899818b5061e04bbd8ffbed49c43525f95c8cf9fe3349bd38",
+     "ddeaf13e9685651f2d343911380bdd08cfca1a6c66d3cda8627f97fb0db5fcaf",
      "40d561d67a69eb34cfac896997c8a360734d4ce42553e70a31166dd20e6df7c8"),
     (FIX_D, {"tol": 1e-8},
-     "ac9fb81927f54cf33f65a7d91d54b4c3b129083c51f645562bc9099edfb7bc62", None),
+     "d3639736427f9d10fc1b9393574c565e929b9c6a085b9ed35ae69cb9935885c6", None),
     (FIX_D, {"tol": 1e-10},
-     "6625683294fee47ced2991a76c6163763cf5154e9fa777d4a7df8968cb740a83", None),
+     "acecc40d764e35169aedd83324ecab59936ccd625fde254906d226194adffd2d", None),
     (FIX_F, {"tol": 1e-8},
-     "adc20388385fe75cd6d90d35612f802b684d8ff42df10c0a4ff54c82f05eb196",
-     "abc451b79fb939e0f0d205cbbf96111f6e58b89456a39b21a87eb3c20d952464"),
+     "0daed50d7f7bee82cc385d02e05b0716675d8a8f8256ceb2f44d5766791f5278",
+     "6322fb2dd6dc6b77e7232748422d9962cffe664205e47c2766f3c8932823f13e"),
     (FIX_F, {"tol": 1e-10},
-     "0e767eb18599d93015977923d33b178ba820c7da319c4f15d72aacff3b575d1a",
-     "c109758a2910461547f88ffbbe50949e9e87284cb2d7d83069c1c982058ca3ad"),
+     "c1fc76e0d24ceceabc0ad7adb75630d78c872b1aabb363e66924db9605fe1f29",
+     "6f40069904d750ac4da87214d8782be837dd4966c6a8184091461f11c520ec86"),
 ], ids=["FIX-A-1e-8", "FIX-A-1e-10", "FIX-C-1e-8", "FIX-C-1e-10", "FIX-C-1e-14",
         "FIX-C-horizon-40", "FIX-D-1e-8", "FIX-D-1e-10", "FIX-F-1e-8", "FIX-F-1e-10"])
 def test_per_environment_series_digests(law, kw, cond, decomp):
     # Digests of 400 environments' outcomes, recorded before the per-environment
-    # series were evaluated in blocks of environments.  Tol 1e-14 on FIX-C has
+    # series were evaluated in blocks of environments (and re-recorded for the
+    # sweep's shifted sums, see the module docstring).  Tol 1e-14 on FIX-C has
     # rows whose sweep doubles past 256 sites; horizon 40 leaves every row
     # unconverged (return_decomposition raises for each).  FIX-D's
     # decomposition is skipped: its leftward beta-law series is slow.
@@ -306,6 +314,61 @@ def test_check_sums_equal_exactly_rounded_sums(law, seed, data):
     alt = np.exp(-np.cumsum(log_1r[:, :256] - log_r[:, 1:], axis=1))
     for i, m in enumerate(used.tolist()):
         assert got[i] == pytest.approx(math.fsum(alt[i, :m].tolist()), rel=1e-12)
+
+
+WIDE = EnvLaw.discrete([(0.5, 0.99), (0.5, 0.9)])  # E[log rho] = -3.40: 256 sites span ~870 nats
+
+
+def _exact_sweep_logs(om, log_anchor):
+    """(log R_x, log(1+R_x)) for x = 1..n+1 by the backward recursion
+    R_x = rho_x (1 + R_{x+1}) in exact rationals, on the float omegas of
+    sites 0..n and the float anchor R_{n+1} = exp(log_anchor).  Each log is
+    of the correctly rounded quotient of numerator and denominator: their
+    separate logs, for integers of ~13 000 bits, are each off by an ulp of
+    ~9 000 (1.8e-12)."""
+    def log(q):
+        return math.log(q.numerator / q.denominator)
+
+    n = om.size - 1
+    r = Fraction(math.exp(log_anchor))
+    out = np.empty((2, n + 1))
+    for x in range(n + 1, 0, -1):
+        if x <= n:
+            w = Fraction(om[x])
+            r = (1 - w) / w * (1 + r)
+        out[:, x - 1] = log(r), log(1 + r)
+    return out
+
+
+# Worst error seen on these laws is 2.5e-13 at 256 sites (400 FIX-C rows) and
+# 4.2e-13 at 1024, at the logaddexp recursion and the shifted sums alike: it
+# is the rounding that cum's running sum of logs carries, not the sums'.
+@pytest.mark.parametrize("law,n,rows,atol", [
+    (FIX_A, 256, 50, 4e-13), (FIX_C, 256, 50, 4e-13), (FIX_D, 256, 50, 4e-13),
+    (FIX_E, 256, 50, 4e-13), (FIX_F, 256, 50, 4e-13), (CONST_7, 256, 50, 4e-13),
+    (FIX_C, 1024, 8, 1e-12), (WIDE, 256, 50, 4e-13),
+], ids=["FIX-A", "FIX-C", "FIX-D", "FIX-E", "FIX-F", "CONST-7", "FIX-C-1024", "WIDE"])
+def test_sweep_logs_match_exact_rationals(monkeypatch, law, n, rows, atol):
+    # The WIDE rows exceed the shift range and take the logaddexp recursion;
+    # every other row is summed shifted.  Forcing the recursion on every row
+    # must give the same logs, up to a few ulps of the row's largest |log Pi|
+    # (both subtract log Pi_{1,x-1} from a log-sum of that size).
+    seeds = exact._seed_rows([substream_seed(11, 3, j) for j in range(rows)])
+    shift_span, logs = exact._SHIFT_SPAN, []
+    for span in (shift_span, -1.0):  # -1: every row takes the recursion
+        monkeypatch.setattr(exact, "_SHIFT_SPAN", span)
+        om, cum, log_r, ok = exact._sweep_rows(law, seeds, n, 1e-10, exact.DEFAULT_HORIZON)
+        assert ok.all()
+        logs.append(np.stack((log_r, exact._log_one_plus_r(om, log_r)), axis=1))
+    cols = np.concatenate((cum[:, 1:], cum[:, -1:] + log_r[:, -1:]), axis=1)  # the sums' terms
+    wide = np.ptp(cols, axis=1) > shift_span
+    assert wide.all() if law is WIDE else not wide.any()
+    for i in range(rows):
+        want = _exact_sweep_logs(om[i], log_r[i, n])
+        assert np.abs(logs[0][i] - want).max() <= atol
+        assert np.abs(logs[1][i] - want).max() <= atol
+    ulps = 4.0 * np.finfo(float).eps * (1.0 + np.abs(cum).max(axis=1))
+    assert (np.abs(logs[0] - logs[1]) <= ulps[:, None, None]).all()
 
 
 @pytest.mark.parametrize("law,seed,lo,hi", [

@@ -233,7 +233,7 @@ class TestEstimateReturnConditional:
     def test_fix_c_flagged_golden(self):
         # E[rho] >= 1 keeps sampling every factor; recorded with that estimator
         est = estimate_return_conditional(FIX_C, "averaged", n_env=300, seed=19)
-        assert (est.value, est.std_error, est.n) == (854.6642681954675, 232.02303743847816, 300)
+        assert (est.value, est.std_error, est.n) == (854.6642681954675, 232.02303743847813, 300)
 
 
 class TestDivergenceDiagnostic:

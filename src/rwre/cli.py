@@ -14,7 +14,8 @@ Step-law grammar for the ladder commands:
 
 Every run writes ``<out>.csv`` (one row per data point) and
 ``<out>.manifest.json`` (full config echo, versions, wall time, estimator
-side information such as dropped-environment counts under ``extras``).  Floats
+side information such as dropped-environment counts under ``extras``, and
+``anchor_delta``, the failure chance of the anchored sweeps' certificate).  Floats
 are serialized with repr, so configs and CSVs round-trip bit-identically.
 Exit codes: 0 success, 1 parse/usage error, 2 when more than
 ``--max-nonconverged`` (an ``exact`` option, default 0; no other command
@@ -42,6 +43,7 @@ import numpy as np
 from . import __version__
 from .env import EnvLaw, classify_regime, sample_window
 from .exact import (
+    ANCHOR_DELTA,
     SeriesValue,
     conditioned_env,
     conditioned_return_expectation,
@@ -406,6 +408,7 @@ def _finish(args, rows: _Rows, extras=None, **config) -> int:
         "wall_time_s": time.perf_counter() - args._t0,
         "nonconverged": rows.nonconverged,
         "extras": dict(extras or {}),
+        "anchor_delta": ANCHOR_DELTA,
     }
     _write_outputs(args.out, rows, manifest)
     if rows.nonconverged > getattr(args, "max_nonconverged", 0):

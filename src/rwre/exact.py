@@ -33,13 +33,19 @@ series are scanned by one routine, ``_scan_rows``, whose sums are exactly
 rounded (``math.fsum``), and report an explicit heuristic geometric
 remainder.  One anchored sweep per environment (``_sweep_rows``) supplies
 omega_0, R_1, the conditional-return series and the walk windows' edge bounds.
-Both run row-wise over a block of environment seeds (the keyed site
-generator draws a block at once): the averaged estimators pass blocks of
-environments, and scalar entry points are one-row calls of the same kernels.
+Its anchor R_{n+1} is no truncated series: it sums a law-sized block of sites
+past n, realized with the sweep's own, and a row is kept only when a moment
+bound certifies what the block leaves out (E[R^s] <= m(s)/(1 - m(s)) for
+m(s) = E[rho^s] < 1, then Markov at chance ``ANCHOR_DELTA``) below tol/4 of
+every R_x the caller reads.  Both run row-wise over a block of environment
+seeds (the keyed site generator draws a block at once): the averaged
+estimators pass blocks of environments, and scalar entry points are one-row
+calls of the same kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -59,9 +65,11 @@ from .rng import MASK64
 DEFAULT_TOL = 1e-10
 DEFAULT_HORIZON = 1_000_000
 QUIET_RUN = 32  # consecutive sub-threshold terms required before stopping
+ANCHOR_DELTA = 1e-6  # chance an anchor block's certified tail bound may fail
 _CHUNK = 512
 _PEEK = 128  # leading terms of a chunk tried first; most series stop within them
 _SHIFT_SPAN = 700.0  # widest row (nats) ``_log_cumsum`` sums shifted; e^-700 is a normal double
+_S_GRID = np.linspace(0.02, 1.0, 50)  # moment orders s that ``_log_x_star`` maximizes over
 
 EnvSource = Union[EnvWindow, tuple[EnvLaw, int]]
 
@@ -74,11 +82,16 @@ class ConvergenceError(RuntimeError):
 class SeriesValue:
     """Truncated value of a non-negative series.
 
-    When ``converged`` the true series lies in [value, value + remainder_bound]
-    only heuristically: the bound extrapolates the last term geometrically
-    (rate exp(E[log rho]/2)), and on weakly transient laws the quiet-run stop
-    can end far short of it (see ``r_tail``).  ``converged`` is False only
-    when the term or window budget ran out before the stopping rule was met.
+    Every series reported this way still stops on the quiet run: ``r_tail``,
+    ``expected_hit``, the left-hit series of ``return_decomposition`` and the
+    conditional-return series.  When ``converged`` the true series lies in
+    [value, value + remainder_bound] only heuristically: the bound
+    extrapolates the last term geometrically (rate exp(E[log rho]/2)), and on
+    weakly transient laws the quiet-run stop can end far short of it (see
+    ``r_tail``).  Only the R_x the conditional-return series reads are
+    certified, by the anchored sweep.  ``converged`` is False only when the
+    term or window budget ran out before the stopping rule was met, or, for
+    the conditional-return series, when its anchor could not be certified.
     """
 
     value: float
@@ -337,58 +350,169 @@ def _log_cumsum(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int):
+@functools.lru_cache(maxsize=64)
+def _log_x_star(law: EnvLaw) -> float:
+    """log x* = max over s in ``_S_GRID`` with m(s) = E[rho^s] < 1 of
+    log(ANCHOR_DELTA (1 - m(s)) / m(s)) / s, or -inf when no such s exists.
+
+    For 0 < s <= 1, (a + b)^s <= a^s + b^s gives E[R^s] <= m(s)/(1 - m(s)) for
+    a tail R = sum_{k>=i} Pi_{i,k}, so by Markov P(R > 1/x*) <= ANCHOR_DELTA.
+    Any s on the grid gives a valid bound; the grid's best is within a few
+    percent (in log) of the best s.  m(s) < 1 holds exactly on (0, kappa),
+    where P(R > x) ~ C x^-kappa (Kesten, Kozlov and Spitzer 1975)."""
+    best = -math.inf
+    for s in _S_GRID.tolist():
+        m = moment_rho(law, s)
+        if m < 1.0:
+            best = max(best, (math.log(ANCHOR_DELTA) + math.log1p(-m) - math.log(m)) / s)
+    return best
+
+
+def _anchor_sites(law: EnvLaw, n: int, reach: float, tol: float) -> int:
+    """Sites B of the anchor block past a sweep of n sites whose rows certify
+    R_x up to x = reach: at the mean drift the certificate needs the products
+    to fall (log(4/tol) - log x*) nats past reach; B is 0 when that fits in n,
+    otherwise the least power of two covering the rest."""
+    need = reach + (math.log(4.0 / tol) - _log_x_star(law)) / -mean_log_rho(law) - n
+    return 0 if need <= 0.0 else 1 << max(0, math.ceil(math.log2(need)))
+
+
+def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int, scan=None):
     """One shared rightward pass per environment seed, as row-wise 2-D arrays:
     omega on [0, n], cum[k] = log Pi_{1,k} for k in [0, n], log R_x for x in
-    [1, n+1], and whether each row's anchor converged.
+    [1, n+1]; then whether each row's anchor is certified, and, given
+    ``scan``, what it returned after its reach.
 
-    A single tail evaluation per row anchors R_{n+1}; every other R_x combines
-    the realized partial sums with the anchored remainder, so each row's
-    family is internally consistent:
+    Sites n+1..n+B, realized in the same ``omega_at_sites`` call as sites
+    0..n, form the anchor block: R_{n+1} is their max-shifted sum of
+    Pi_{n+1,k}.  Every other R_x combines the realized partial sums with it,
+    so each row's family is internally consistent:
 
         R_x = sum_{k=x..n} Pi_{x,k} + Pi_{x,n} R_{n+1} = T_x / Pi_{1,x-1},
 
     where T_x = sum_{k=x..n} Pi_{1,k} + Pi_{1,n} R_{n+1}.  Every T_x of a row
     is one suffix of a single ``_log_cumsum`` over the n+1 columns
     log Pi_{1,n} + log R_{n+1}, log Pi_{1,n}, ..., log Pi_{1,1}.
+
+    What the block leaves out of every T_x is the same Pi_{1,n+B} R', where
+    the tail R' = R_{n+B+1} is independent of every site read and exceeds
+    1/x* with chance at most ANCHOR_DELTA (``_log_x_star``).  A row is
+    certified at reach x when Pi_{1,n+B}/x* <= (tol/4) T_x, that is
+
+        log Pi_{1,n+B} - log T_x <= log x* + log(tol/4);
+
+    T decreases in x, so then every R_1..R_x is within tol/4 relative of its
+    true value.  Without ``scan`` (the window callers) the reach is n+1 and
+    R_{n+1} takes the upper end of its certified interval, block sum plus
+    Pi_{n+1,n+B}/x*, which keeps every escape bound conservative.  With it,
+    ``scan(om, cum, log_r)`` returns each row's reach (0: nothing to
+    certify) followed by per-row arrays, and R_{n+1} is the block sum.
+
+    B comes from the law (``_anchor_sites``).  Rows not certified are swept
+    again with a longer block, up to ``horizon`` sites; a row whose R_x up to
+    its reach come out bit for bit as before keeps its scan, the others are
+    scanned again.  A row still uncertified at ``horizon`` sites is not
+    anchored, nor is any row when tol <= 0 or no s on the grid has
+    E[rho^s] < 1.
     """
-    chunks = _log_pi_rows(law, seeds, n + 1, None, 1, 1.0)
-    anchor, _, _, anchored = _scan_rows(chunks, len(seeds), tol, horizon)
-    om = omega_at_sites(law, seeds[:, None], np.arange(0, n + 1, dtype=np.int64))
-    rho = (1.0 - om[:, 1:]) / om[:, 1:]
-    cum = np.zeros((len(seeds), n + 1))
-    cum[:, 1:] = np.cumsum(np.log(rho), axis=1)  # cum[:, k] = log Pi_{1,k}
-    log_anchor = np.array([math.log(v) for v in anchor.tolist()])
-    cols = np.empty((len(seeds), n + 1))
-    cols[:, 0] = cum[:, n] + log_anchor
-    cols[:, 1:] = cum[:, :0:-1]
-    log_r = _log_cumsum(cols)[:, ::-1] - cum  # log T_x - log Pi_{1,x-1}
-    log_r[:, n] = log_anchor  # R_{n+1}
-    return om, cum, log_r, anchored
+    log_x, drift = _log_x_star(law), mean_log_rho(law)
+    log_tol = math.log(tol / 4.0) if tol > 0.0 else -math.inf
+    certifiable = log_tol > -math.inf and log_x > -math.inf
+    block = 0
+    if certifiable:
+        reach = n + 1 if scan is None else max(n / 2, math.log(1.0 / tol) / -drift + QUIET_RUN)
+        block = min(horizon, _anchor_sites(law, n, reach, tol))
+
+    def sweep(rows, block):
+        """(om, cum, log_r, log Pi_{1,n+B}/x*) of ``seeds[rows]`` with a block
+        of ``block`` sites; the last bounds what the block leaves of each T_x."""
+        om = omega_at_sites(law, seeds[rows, None], np.arange(0, n + block + 1, dtype=np.int64))
+        lr = 1.0 - om[:, 1:]
+        lr /= om[:, 1:]
+        np.log(lr, out=lr)  # log rho_k, k = 1..n+B
+        om = om[:, : n + 1].copy()  # the block's sites need not outlive this pass
+        cum = np.zeros((len(rows), n + 1))
+        np.cumsum(lr[:, :n], axis=1, out=cum[:, 1:])  # cum[:, k] = log Pi_{1,k}
+        log_anchor, log_gap = np.full(len(rows), -math.inf), np.full(len(rows), -log_x)
+        if block:
+            tail = np.cumsum(lr[:, n:], axis=1)  # log Pi_{n+1,k}, k = n+1..n+B
+            log_gap += tail[:, -1]  # log Pi_{n+1,n+B}/x*: R_{n+1} is short of at most this
+            top = tail.max(axis=1)
+            tail -= top[:, None]
+            log_anchor = np.log(np.exp(tail, out=tail).sum(axis=1)) + top
+            del tail
+        del lr
+        if scan is None and certifiable:
+            log_anchor = np.logaddexp(log_anchor, log_gap)
+        cols = np.empty((len(rows), n + 1))
+        cols[:, 1:] = cum[:, :0:-1]
+        if block or scan is None:
+            cols[:, 0] = cum[:, n] + log_anchor
+            sums = _log_cumsum(cols)
+        else:  # R_{n+1} = 0, a column that would send every row to the recursion
+            cols[:, 0] = -math.inf
+            cols[:, 1:] = _log_cumsum(cols[:, 1:])
+            sums = cols
+        log_r = sums[:, ::-1] - cum  # log T_x - log Pi_{1,x-1}
+        log_r[:, n] = log_anchor  # R_{n+1}
+        return [om, cum, log_r, cum[:, n] + log_gap]
+
+    def shortfall(rows):
+        """Nats by which each row's bound exceeds tol/4 of its T_reach."""
+        if not certifiable:
+            return np.full(len(rows), math.inf)
+        reach = rides[0][rows]
+        x = np.maximum(reach, 1) - 1
+        log_t = out[1][rows, x] + out[2][rows, x]
+        return np.where(reach > 0, out[3][rows] - log_t - log_tol, -math.inf)
+
+    everyone = np.arange(len(seeds))
+    out = sweep(everyone, block)
+    rides = list(scan(*out[:3])) if scan is not None else [np.full(len(seeds), n + 1)]
+    short = shortfall(everyone)
+    redo = np.flatnonzero(short > 0.0)
+    while redo.size and certifiable and block < horizon:
+        # Grow by twice the sites the worst row lacks at the mean drift.
+        lack = min(short[redo].max(), math.log(4.0 / tol) - log_x) / -drift
+        block = min(horizon, 1 << math.ceil(math.log2(block + max(QUIET_RUN, 2.0 * lack))))
+        part = sweep(redo, block)
+        read = np.arange(n + 1) < rides[0][redo, None]  # the columns x <= reach
+        moved = ((part[2] != out[2][redo]) & read).any(axis=1)
+        out[3][redo] = part[3]
+        for whole, new in zip(out[:3], part[:3]):
+            whole[redo[moved]] = new[moved]
+        if scan is not None and moved.any():
+            for whole, new in zip(rides, scan(*(a[moved] for a in part[:3]))):
+                whole[redo[moved]] = new
+        short[redo] = shortfall(redo)
+        redo = redo[short[redo] > 0.0]
+    return (*out[:3], short <= 0.0, *rides[1:])
 
 
 def _sweep_log_r(law, seed, n, tol, horizon=DEFAULT_HORIZON):
-    """``_sweep_rows`` for one environment, its anchor checked: (omega, cum, log_r)."""
-    om, cum, log_r, ok = (a[0] for a in _sweep_rows(law, _seed_rows([seed]), n, tol, horizon))
-    if not ok:
-        raise ConvergenceError(f"anchor tail sum at site {n + 1} did not converge")
-    return om, cum, log_r
+    """``_sweep_rows`` for one window, its anchor checked: (omega, cum, log_r)."""
+    om, cum, log_r, ok = _sweep_rows(law, _seed_rows([seed]), n, tol, horizon)
+    if not ok[0]:
+        raise ConvergenceError(f"anchor tail sum at site {n + 1} could not be certified")
+    return om[0], cum[0], log_r[0]
 
 
 def _log_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
     """log P^M(T_0 < inf) = log[Pi_{1,M-1} R_M / (1 + R_1)] (rho_0 cancels) at
-    entry M-1 for M = 1..n+1, from one sweep anchored at n+1.  Exact up to the
-    anchor's truncation, which errs optimistic (a truncated tail underestimates
-    R_M, and P^M increases in R_M) and, the quiet-run stop being heuristic, can
-    exceed tol: 4.8e-9 relative at tol 1e-10 on a weakly transient fixture."""
+    entry M-1 for M = 1..n+1, from one sweep anchored at n+1.  P^M increases
+    in the anchor R_{n+1} (the derivative of R_M/(1 + R_1) in it is
+    Pi_{M,n} (1 + R_{1,M-1}) > 0), so the sweep's upper anchor makes every
+    entry an upper bound, at most tol/4 relative above the exact value, with
+    chance at least 1 - ANCHOR_DELTA over the sites past the block."""
     _, cum, log_r = _sweep_log_r(law, seed, n, tol)
     return cum + log_r - np.logaddexp(0.0, log_r[0])
 
 
 def _log_h_escape_bounds(law, seed, n, tol=DEFAULT_TOL):
     """log P~^1(T_M < T_0) = log[Pi_{1,M-1} R_M / (R_1 (1 + R_{1,M-1}))] under
-    ``conditioned_env``, laid out and caveated as ``_log_escape_bounds``: the anchor's
-    truncation errs optimistic (R_{1,M-1} is exact and the bound increases in R_M)."""
+    ``conditioned_env``, laid out and certified as ``_log_escape_bounds``:
+    R_{1,M-1} is exact and the bound increases in R_M, so the upper anchor
+    keeps it an upper bound."""
     _, cum, log_r = _sweep_log_r(law, seed, n, tol)
     return cum + log_r - log_r[0] - _log_cumsum(cum)
 
@@ -412,9 +536,11 @@ def conditioned_env(
 
     omega~_x = omega_x R_{x+1}/(1 + R_{x+1}) for x >= 1 and omega~_0 =
     omega_0.  All R values come from one right-to-left sweep sharing a
-    single far-right tail anchor, not hi independent tail sums.  The
-    returned window keeps the base (law, seed) for provenance; it is a
-    transform of the base environment, not itself resampleable.
+    single certified anchor at hi + 1 (``_sweep_rows``; the upper end of its
+    interval, as for the edge bound ``_log_h_escape_bounds`` that sizes hi),
+    not hi independent tail sums.  The returned window keeps the base (law,
+    seed) for provenance; it is a transform of the base environment, not
+    itself resampleable.
     """
     if hi < 1:
         raise ValueError("conditioned_env needs hi >= 1")
@@ -450,8 +576,10 @@ def _first_sweep_sites(drift: float, tol: float) -> int:
     drift ``drift`` < 0: the least power of two, within [32, 256], at least
     (ln(1/tol) + 40)/|drift| + QUIET_RUN, or 256 when tol <= 0 or that reach
     is not finite.  At the mean drift a series meets tol * (its sum) within
-    ln(1/tol)/|drift| terms and stops QUIET_RUN later; 40/|drift| more sites
-    put the anchored tail below e^-40 of every R_x the series reads."""
+    ln(1/tol)/|drift| terms and stops QUIET_RUN later.  The 40/|drift| sites
+    past that are a cost choice only, since the anchor block certifies every
+    row whatever its n: on ballistic laws they leave room for the
+    certificate's own decay, so those sweeps need no anchor sites at all."""
     if not tol > 0.0:
         return 256
     reach = (math.log(1.0 / tol) + 40.0) / abs(drift) + QUIET_RUN
@@ -468,11 +596,11 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     The first sweep has ``_first_sweep_sites`` sites: 128 at tol 1e-8 and
     1e-10 for Beta(5,2), constant 0.7 and omega uniform on {0.8, 0.6}; 256 for
     laws of smaller drift such as the weakly transient ones.  Rows not
-    converged in an n-site sweep (anchor converged, n < horizon) redo 2n.  At
-    the mean drift the anchored tail Pi_{x,n} R_{n+1} past that first n is
-    below e^-40 of every R_x a converged series reads, far under half an ulp,
-    so each row's doubles equal those of a 256-site first sweep (checked row
-    by row on 2000 environments of each of those three laws)."""
+    converged in an n-site sweep (anchor certified, n < horizon) redo 2n.  A
+    converged row of u terms is certified at reach u + 1: every R_x it reads
+    is within tol/4 relative of its value (with chance at least 1 -
+    ANCHOR_DELTA), so each term's ratio of R's within tol/2.  The series
+    itself still stops on the quiet run."""
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError("conditioned_return_expectation needs a right-transient law")
@@ -481,14 +609,22 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     out: list = [None] * len(seeds)
     todo = np.arange(len(seeds))
     n = _first_sweep_sites(drift, tol)
-    while todo.size:
-        om, cum, log_r, anchored = _sweep_rows(law, seeds[todo], n, tol, horizon)
+
+    def scan(om, cum, log_r):
+        """The series of each row and its reach: R_{u+1} for a converged
+        series of u terms, none for one that runs on."""
         log_1r = _log_one_plus_r(om, log_r)
         log_w = log_r + log_1r  # log[(1+R_x) R_x]
         with np.errstate(over="ignore"):
             terms = np.exp(cum[:, 1:] + log_w[:, 1:] - log_w[:, :1])  # n = 1..n
         sums, last, used, ok = _scan_rows(
-            lambda live, k, width: None if k else terms[live, :width], len(todo), tol, horizon
+            lambda live, k, width: None if k else terms[live, :width], len(om), tol, horizon
+        )
+        return np.where(ok, used + 1, 0), log_1r, sums, last, used, ok
+
+    while todo.size:
+        om, _, log_r, anchored, log_1r, sums, last, used, ok = _sweep_rows(
+            law, seeds[todo], n, tol, horizon, scan
         )
         final = ok | ~anchored | (n >= horizon)
         ok &= anchored  # an unconverged anchor taints every R_x of the sweep

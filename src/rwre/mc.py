@@ -88,9 +88,11 @@ _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
 _HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
 _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
 _ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of environments
-# Peak bytes of one environment's row in that work, measured on a 256-site first
-# sweep: an upper bound for laws whose first sweep is shorter
-# (``exact._first_sweep_sites``).
+# Peak bytes of one environment's row in that work (tracemalloc, blocks of 40
+# rows), measured on the widest rows the sweep builds: FIX-C, 257 sweep sites
+# plus a 256-site anchor block, and longer blocks for the rows that fail the
+# certificate.  21.1 KiB at tol 1e-8, 22.9 at 1e-10, 24.7 at 1e-12: an upper
+# bound for laws with shorter sweeps or no anchor block (``exact._first_sweep_sites``).
 _ENV_ROW_BYTES = 25 << 10
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows

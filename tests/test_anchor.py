@@ -1,0 +1,197 @@
+"""The certified anchor block of ``exact._sweep_rows``.
+
+The sweep sums the anchor R_{n+1} over a block of B sites past n and accepts
+a row only when what the block leaves out, Pi_{1,n+B} R' with
+P(R' > 1/x*) <= ANCHOR_DELTA, is at most tol/4 of T_reach.  These tests pin
+the constant x* against an independent maximization, check the truncation
+against the exact tail of a constant law and against a 4096-site reference
+anchored by a tol-1e-14 scan, pin that every ``terms_used``, ``converged``
+flag and ConvergenceError is the one the quiet-run anchor gave, and force
+blocks that are too short to see the failing rows extend.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from scipy.special import gammaln
+
+from rwre import exact
+from rwre.env import omega_at_sites
+from rwre.exact import ConvergenceError
+from rwre.rng import _substream_seeds, substream_seed
+
+from laws import CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_D, FIX_F
+
+LAWS = {"FIX-A": FIX_A, "FIX-C": FIX_C, "FIX-D": FIX_D, "FIX-F": FIX_F, "CONST-7": CONST_7}
+
+
+def _moments(law, s):
+    """E[rho^s] on an array of s: support sums, or the Beta closed form by
+    scipy's log-gamma (independent of ``env.moment_rho``)."""
+    if law.kind == "beta":
+        a, b = law.alpha, law.beta
+        return np.exp(gammaln(a - s) + gammaln(b + s) - gammaln(a) - gammaln(b))
+    rho = (1.0 - np.array(law.omegas)) / np.array(law.omegas)
+    return np.array(law.weights) @ rho[:, None] ** s[None, :]
+
+
+@pytest.mark.parametrize("law,x_star,s_star", [
+    (FIX_C, 1.79e-17, 0.50), (FIX_A, 1.18e-6, 1.0), (FIX_D, 1.0e-6, 1.0),
+], ids=["FIX-C", "FIX-A", "FIX-D"])
+def test_certificate_constant_matches_a_fine_grid(law, x_star, s_star):
+    s = np.linspace(1e-4, 1.0, 100_001)
+    m = _moments(law, s)
+    ok = m < 1.0
+    fine = (math.log(exact.ANCHOR_DELTA) + np.log1p(-m[ok]) - np.log(m[ok])) / s[ok]
+    got = exact._log_x_star(law)
+    # The 50-point grid can only lose to the fine one, and by little.
+    assert fine.max() - 0.01 <= got <= fine.max() + 1e-12
+    assert math.exp(got) == pytest.approx(x_star, rel=0.01)
+    assert s[ok][fine.argmax()] == pytest.approx(s_star, abs=0.01)
+    # Some grid order certifies it: m/(1 - m) x*^s <= delta (Markov on E[R^s]).
+    grid = exact._S_GRID
+    mg = _moments(law, grid)
+    bound = mg / (1.0 - mg) * np.exp(got * grid)
+    assert bound[mg < 1.0].min() <= exact.ANCHOR_DELTA * (1.0 + 1e-12)
+
+
+def test_no_certificate_without_a_moment_below_one():
+    # E[log rho] >= 0 makes E[rho^s] >= 1 for every s: nothing is certified,
+    # and a window on such a law raises instead of reading sites.
+    assert exact._log_x_star(CONST_HALF) == -math.inf
+    with pytest.raises(ConvergenceError, match="could not be certified"):
+        exact._log_escape_bounds(CONST_HALF, 1, 64)
+    with pytest.raises(ConvergenceError, match="could not be certified"):
+        exact._sweep_log_r(FIX_A, 1, 64, 0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_certified_truncation_of_the_exact_constant_tail(tol):
+    # rho = 3/7 everywhere, so every R_x is exactly rho/(1 - rho) = 3/4.  The
+    # windows' upper anchor may only err high, a scanned row's block sum only
+    # low, each by at most tol/4 relative up to its reach (beyond rounding:
+    # cum's running sum of logs carries a few ulps of 128 log(3/7)).
+    exact_r, n, reach, ulps = 0.75, 128, 100, 1e-13
+    seeds = _substream_seeds(1, 2, 0, 8)
+    _, _, log_r, ok = exact._sweep_rows(CONST_7, seeds, n, tol, exact.DEFAULT_HORIZON)
+    assert ok.all()
+    rel = np.exp(log_r) / exact_r - 1.0
+    assert (rel >= -ulps).all() and (rel <= tol / 4.0 + ulps).all()
+
+    def scan(om, cum, log_r):
+        return (np.full(len(om), reach),)
+
+    _, _, log_r, ok = exact._sweep_rows(CONST_7, seeds, n, tol, exact.DEFAULT_HORIZON, scan)
+    assert ok.all()
+    rel = np.exp(log_r[:, :reach]) / exact_r - 1.0
+    assert (rel <= ulps).all() and (rel >= -tol / 4.0 - ulps).all()
+    # The bound the certificate charges, 1/x*, covers the true tail 3/4.
+    assert exact_r <= math.exp(-exact._log_x_star(CONST_7))
+
+
+_REF_SITES = 4096
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Per law, (cum, log R_x) of a 4096-site sweep of the 400 digest
+    environments, anchored at site 4097 by a tol-1e-14 quiet-run scan and
+    summed by the logaddexp recursion."""
+    seeds = _substream_seeds(3, 7, 0, 400)
+    out = {}
+    for name, law in LAWS.items():
+        om = omega_at_sites(law, seeds[:, None], np.arange(0, _REF_SITES + 1, dtype=np.int64))
+        cum = np.zeros((len(seeds), _REF_SITES + 1))
+        cum[:, 1:] = np.cumsum(np.log((1.0 - om[:, 1:]) / om[:, 1:]), axis=1)
+        chunks = exact._log_pi_rows(law, seeds, _REF_SITES + 1, None, 1, 1.0)
+        anchor, _, _, ok = exact._scan_rows(chunks, len(seeds), 1e-14, exact.DEFAULT_HORIZON)
+        assert ok.all()
+        cols = np.concatenate((cum[:, -1:] + np.log(anchor)[:, None], cum[:, :0:-1]), axis=1)
+        out[name] = cum, np.logaddexp.accumulate(cols, axis=1)[:, ::-1] - cum
+    return seeds, out
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_anchor_agrees_with_a_long_reference(reference, name, tol):
+    # R_1 and the conditional value (its first terms_used terms, from the
+    # reference's R_x) within tol/4 relative of the reference, on every row.
+    seeds, refs = reference
+    cum, log_r = refs[name]
+    log_w = log_r + np.logaddexp(0.0, log_r)
+    for i, row in enumerate(exact._conditional_rows(LAWS[name], seeds, tol)):
+        series, _, r1 = row
+        assert series.converged
+        u = series.terms_used
+        terms = np.exp(cum[i, 1 : u + 1] + log_w[i, 1 : u + 1] - log_w[i, 0])
+        value = 1.0 + 2.0 * math.fsum(terms.tolist())
+        assert abs(r1 - math.exp(log_r[i, 0])) <= tol / 4.0 * math.exp(log_r[i, 0])
+        assert abs(series.value - value) <= tol / 4.0 * value
+
+
+def _meta_digest(law, tol, **kw):
+    """SHA-256 of each digest environment's terms_used and converged, or its
+    ConvergenceError, from ``_conditional_rows``."""
+    rows = exact._conditional_rows(law, [substream_seed(3, 7, j) for j in range(400)], tol, **kw)
+    lines = [f"ConvergenceError({r})" if isinstance(r, ConvergenceError)
+             else f"{r[0].terms_used} {r[0].converged}" for r in rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("law,kw,digest", [
+    (FIX_A, {"tol": 1e-8}, "cac3c1c3d5523b56f4bd2628ab66403253cf5182413976382922447a8ada84c1"),
+    (FIX_A, {"tol": 1e-10}, "aa5038060865f72b210606e2b5e9666f6cc149a85d85d28586dd3467a768669d"),
+    (FIX_C, {"tol": 1e-8}, "6bedc629eeb7fa27a081bad0bf87f3c00d0f306302484f76a8116a1975396b1b"),
+    (FIX_C, {"tol": 1e-10}, "ff615b2a9ee4427c22741d85cd7d9c741ce663ea9027754d129fd10d0fdd7d6d"),
+    (FIX_C, {"tol": 1e-14}, "498edb1a1579dd53948aa787ef47e4080cb84e6a48dc439e837a90a7d3c760d0"),
+    (FIX_C, {"tol": 1e-8, "horizon": 40},
+     "8b43679cc563f89d8c2b5808d0205fe047189f391073fadfb03ec34e4ad9980c"),
+    (FIX_D, {"tol": 1e-8}, "e9d2a0e9cb2e820f3bc15dd2592fffd9b26fc4c78aaa66441b2fb89bb1e310c0"),
+    (FIX_D, {"tol": 1e-10}, "62607cbdf07210bd9170d70f8b22487b818be10d52b092059cf3c64b82752c6b"),
+    (FIX_F, {"tol": 1e-8}, "9aa3bf3bb02473f51c8b3a1037f242451b4c4eaea39dafd5368acfdb912cc2c9"),
+    (FIX_F, {"tol": 1e-10}, "9f9b4cf3ec40c21753aca98365c28df3cc62a6b7fa68ac3776b7ab29d6c2a5d2"),
+    (CONST_7, {"tol": 1e-8}, "f8c56166226bc6677ba5343644268c820df8e53da9bf000a2b40bafbc79ed559"),
+    (CONST_7, {"tol": 1e-10}, "d829df7e88016b3ead9fb5b9f1a14be2bae01d4a9f772f396a72b4cd288715d9"),
+], ids=["FIX-A-1e-8", "FIX-A-1e-10", "FIX-C-1e-8", "FIX-C-1e-10", "FIX-C-1e-14",
+        "FIX-C-horizon-40", "FIX-D-1e-8", "FIX-D-1e-10", "FIX-F-1e-8", "FIX-F-1e-10",
+        "CONST-7-1e-8", "CONST-7-1e-10"])
+def test_terms_and_convergence_equal_the_quiet_run_anchor(law, kw, digest):
+    # Recorded while the anchor was still a quiet-run scan of R_{n+1}: the
+    # certified block leaves every stop, flag and failure where it was.
+    assert _meta_digest(law, **kw) == digest
+
+
+@pytest.mark.parametrize("law,tol", [(FIX_C, 1e-8), (FIX_F, 1e-10), (FIX_A, 1e-10)],
+                         ids=["FIX-C", "FIX-F", "FIX-A"])
+@pytest.mark.parametrize("short", [0, 1])
+def test_too_short_blocks_extend_to_the_same_values(monkeypatch, law, tol, short):
+    # FIX-A's conditional rows need no block (their n = 128 already certify),
+    # so they must come out bit for bit; its windows still need one.
+    seeds = _substream_seeds(4, 2, 0, 120)
+    base = exact._conditional_rows(law, seeds, tol)
+    windows = [np.exp(exact._log_escape_bounds(law, s, 200, tol)) for s in range(3)]
+    draws = []
+    real = exact.omega_at_sites
+
+    def counted(law, rows, sites):
+        draws.append(np.shape(rows)[0])
+        return real(law, rows, sites)
+
+    monkeypatch.setattr(exact, "_anchor_sites", lambda law, n, reach, tol: short)
+    monkeypatch.setattr(exact, "omega_at_sites", counted)
+    got = exact._conditional_rows(law, seeds, tol)
+    if law is FIX_A:
+        assert got == base and draws == [len(seeds)]
+    else:
+        assert len(draws) > 1  # rows that failed the certificate were swept again
+    for (s0, om0, r0), (s1, om1, r1) in zip(base, got):
+        assert (s1.terms_used, s1.converged, om1) == (s0.terms_used, s0.converged, om0)
+        assert s1.value == pytest.approx(s0.value, rel=tol / 4.0, abs=0.0)
+        assert r1 == pytest.approx(r0, rel=tol / 4.0, abs=0.0)
+    for seed, bound in enumerate(windows):
+        draws.clear()
+        again = np.exp(exact._log_escape_bounds(law, seed, 200, tol))
+        assert len(draws) > 1
+        assert again == pytest.approx(bound, rel=tol / 4.0, abs=0.0)

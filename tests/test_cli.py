@@ -416,6 +416,12 @@ class TestManifestAndDeterminism:
         assert set(manifest["versions"]) == {"rwre", "numpy", "python"}
         assert manifest["wall_time_s"] >= 0.0
 
+    def test_manifest_echoes_the_anchor_delta(self, tmp_path):
+        out = str(tmp_path / "a")
+        assert main(["exact", "--law", "constant:0.7", "--cond-return", "--seed", "1",
+                     "--out", out]) == 0
+        assert read_manifest(out + ".manifest.json")["anchor_delta"] == 1e-6
+
 
 class TestDivergeCommand:
     def test_too_few_environments_exit_1(self, tmp_path, capsys):

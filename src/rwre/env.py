@@ -18,7 +18,8 @@ Beta laws need no special-function library.  ``_beta_inverse`` turns site
 uniforms into Beta(alpha, beta) quantiles: a cubic Hermite first guess from
 a table of exact incomplete-beta values, then Halley steps on the same
 continued fraction (after DiDonato & Morris, ACM TOMS 18 (1992), Algorithm
-708).  ``_digamma`` serves the log-moments, ``math.lgamma`` the power moments.
+708).  ``_digamma`` and ``_trigamma`` serve the log-moments, ``math.lgamma``
+the power moments.
 """
 
 from __future__ import annotations
@@ -379,6 +380,20 @@ def _digamma(x: float) -> float:
     return math.fsum([math.log(z), -0.5 / z, -tail] + [-1.0 / (x + k) for k in range(n)])
 
 
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x^2 up to
+    z = x + n >= 10, then the asymptotic series 1/z + 1/(2 z^2) + sum_k
+    B_2k / z^(2k+1) through z^-15 (its next term is below 1e-16), summed
+    exactly rounded."""
+    n = max(0, math.ceil(10.0 - x))
+    z = x + n
+    w = 1.0 / (z * z)
+    tail = 0.0
+    for c in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):  # B_2k, k = 7..1
+        tail = (tail + c) * w
+    return math.fsum([1.0 / z, 0.5 * w, tail / z] + [1.0 / (x + k) ** 2 for k in range(n)])
+
+
 def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
     """Sample omega at arbitrary integer sites via the keyed site RNG; a
     column of seeds gives one row per seed (see ``site_uniforms``).  A
@@ -387,8 +402,9 @@ def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
         return _beta_inverse(law.alpha, law.beta, site_uniforms(seed, sites))
     if len(law.omegas) == 1:
         return np.full(np.broadcast_shapes(np.shape(seed), np.shape(sites)), law.omegas[0])
-    u = site_uniforms(seed, sites)
-    return np.asarray(law.omegas, dtype=np.float64)[_categories(_thresholds(law.weights), u)]
+    # The uniforms are freed before the gather, which casts the categories to intp.
+    k = _categories(_thresholds(law.weights), site_uniforms(seed, sites))
+    return np.take(np.asarray(law.omegas, dtype=np.float64), k)
 
 
 def sample_window(law: EnvLaw, seed: int, lo: int, hi: int) -> EnvWindow:
@@ -430,6 +446,16 @@ def mean_log_rho(law: EnvLaw) -> float:
     if law.kind == _KIND_BETA:
         return _digamma(law.beta) - _digamma(law.alpha)
     return math.fsum(w * math.log(rho) for w, rho in law.rho_support())
+
+
+def _var_log_rho(law: EnvLaw) -> float:
+    """Var[log rho_0] = d^2/ds^2 log E[rho_0^s] at s = 0: the exactly rounded
+    support sums E[log^2 rho] - E[log rho]^2, or psi'(alpha) + psi'(beta)
+    for Beta laws (log rho = log(1 - omega) - log omega)."""
+    if law.kind == _KIND_BETA:
+        return _trigamma(law.alpha) + _trigamma(law.beta)
+    mean = mean_log_rho(law)
+    return max(0.0, math.fsum(w * math.log(rho) ** 2 for w, rho in law.rho_support()) - mean * mean)
 
 
 def moment_rho_log_rho(law: EnvLaw) -> float:

@@ -56,6 +56,7 @@ from .env import (
     EnvLaw,
     EnvWindow,
     _speed_from_moments,
+    _var_log_rho,
     mean_log_rho,
     moment_rho,
     omega_at_sites,
@@ -66,6 +67,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_HORIZON = 1_000_000
 QUIET_RUN = 32  # consecutive sub-threshold terms required before stopping
 ANCHOR_DELTA = 1e-6  # chance an anchor block's certified tail bound may fail
+_ANCHOR_Z = 2.0  # standard deviations of log Pi an anchor block allows for
+_ANCHOR_STEP = 32  # anchor blocks are multiples of this many sites
 _CHUNK = 512
 _PEEK = 128  # leading terms of a chunk tried first; most series stop within them
 _SHIFT_SPAN = 700.0  # widest row (nats) ``_log_cumsum`` sums shifted; e^-700 is a normal double
@@ -164,10 +167,16 @@ def _scan_rows(chunk, rows: int, tol: float, horizon: int):
     def settle(terms):
         """End the rows stopping in ``terms``; return the others' terms and runs."""
         nonlocal live
-        cs = total[live, None] + np.cumsum(terms, axis=1)
         pos = np.arange(terms.shape[1])
-        last_noisy = np.maximum.accumulate(np.where(terms < tol * cs, -1, pos), axis=1)
-        runlen = np.where(last_noisy < 0, pos + 1 + carry[live, None], pos - last_noisy)
+        bar = np.cumsum(terms, axis=1)  # built in place: tol * (running sum)
+        bar += total[live, None]
+        bar *= tol
+        runlen = np.where(terms < bar, -1, pos)
+        del bar
+        np.maximum.accumulate(runlen, axis=1, out=runlen)  # the last noisy term so far
+        fresh = runlen < 0  # none yet in this chunk: the run carried in goes on
+        np.subtract(pos, runlen, out=runlen)
+        np.add(runlen, carry[live, None], out=runlen, where=fresh)
         hit = runlen >= QUIET_RUN
         stopped = hit.any(axis=1)
         idx = np.flatnonzero(stopped)
@@ -370,11 +379,20 @@ def _log_x_star(law: EnvLaw) -> float:
 
 def _anchor_sites(law: EnvLaw, n: int, reach: float, tol: float) -> int:
     """Sites B of the anchor block past a sweep of n sites whose rows certify
-    R_x up to x = reach: at the mean drift the certificate needs the products
-    to fall (log(4/tol) - log x*) nats past reach; B is 0 when that fits in n,
-    otherwise the least power of two covering the rest."""
-    need = reach + (math.log(4.0 / tol) - _log_x_star(law)) / -mean_log_rho(law) - n
-    return 0 if need <= 0.0 else 1 << max(0, math.ceil(math.log2(need)))
+    R_x up to x = reach.  The certificate needs log Pi to fall
+    g = log(4/tol) - log x* nats past reach.  Over L sites log Pi falls by
+    |d| L on average, d = E[log rho], with standard deviation sigma sqrt(L),
+    sigma^2 = Var[log rho]; the block covers the least L with
+    |d| L - ``_ANCHOR_Z`` sigma sqrt(L) >= g, so most rows pass at the first
+    sweep.  B is 0 when reach + L fits in n, otherwise the rest rounded up to
+    a multiple of ``_ANCHOR_STEP``."""
+    drop, spread = -mean_log_rho(law), _ANCHOR_Z * math.sqrt(_var_log_rho(law))
+    gap = math.log(4.0 / tol) - _log_x_star(law)
+    root = 0.0  # sqrt(L): the larger root of |d| t^2 - spread t = gap
+    if gap > 0.0:
+        root = (spread + math.sqrt(spread * spread + 4.0 * drop * gap)) / (2.0 * drop)
+    need = reach + root * root - n
+    return 0 if need <= 0.0 else _ANCHOR_STEP * math.ceil(need / _ANCHOR_STEP)
 
 
 def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int, scan=None):
@@ -405,10 +423,12 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     true value.  Without ``scan`` (the window callers) the reach is n+1 and
     R_{n+1} takes the upper end of its certified interval, block sum plus
     Pi_{n+1,n+B}/x*, which keeps every escape bound conservative.  With it,
-    ``scan(om, cum, log_r)`` returns each row's reach (0: nothing to
-    certify) followed by per-row arrays, and R_{n+1} is the block sum.
+    ``scan(om, cum, log_r, log_rho)``, log_rho the sweep's log rho_1..n,
+    returns each row's reach (0: nothing to certify) followed by per-row
+    arrays, and R_{n+1} is the block sum.
 
-    B comes from the law (``_anchor_sites``).  Rows not certified are swept
+    B comes from the law (``_anchor_sites``), with a margin for the spread
+    of log rho that lets most rows pass at once.  Rows not certified are swept
     again with a longer block, up to ``horizon`` sites; a row whose R_x up to
     its reach come out bit for bit as before keeps its scan, the others are
     scanned again.  A row still uncertified at ``horizon`` sites is not
@@ -424,8 +444,9 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         block = min(horizon, _anchor_sites(law, n, reach, tol))
 
     def sweep(rows, block):
-        """(om, cum, log_r, log Pi_{1,n+B}/x*) of ``seeds[rows]`` with a block
-        of ``block`` sites; the last bounds what the block leaves of each T_x."""
+        """[om, cum, log_r, log Pi_{1,n+B}/x*] of ``seeds[rows]`` with a block
+        of ``block`` sites, the last bounding what the block leaves of each
+        T_x, and log rho_1..n for ``scan``."""
         om = omega_at_sites(law, seeds[rows, None], np.arange(0, n + block + 1, dtype=np.int64))
         lr = 1.0 - om[:, 1:]
         lr /= om[:, 1:]
@@ -441,7 +462,7 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
             tail -= top[:, None]
             log_anchor = np.log(np.exp(tail, out=tail).sum(axis=1)) + top
             del tail
-        del lr
+            lr = lr[:, :n].copy()  # the scan reads log rho_1..n alone
         if scan is None and certifiable:
             log_anchor = np.logaddexp(log_anchor, log_gap)
         cols = np.empty((len(rows), n + 1))
@@ -455,7 +476,7 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
             sums = cols
         log_r = sums[:, ::-1] - cum  # log T_x - log Pi_{1,x-1}
         log_r[:, n] = log_anchor  # R_{n+1}
-        return [om, cum, log_r, cum[:, n] + log_gap]
+        return [om, cum, log_r, cum[:, n] + log_gap], lr
 
     def shortfall(rows):
         """Nats by which each row's bound exceeds tol/4 of its T_reach."""
@@ -467,22 +488,23 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         return np.where(reach > 0, out[3][rows] - log_t - log_tol, -math.inf)
 
     everyone = np.arange(len(seeds))
-    out = sweep(everyone, block)
-    rides = list(scan(*out[:3])) if scan is not None else [np.full(len(seeds), n + 1)]
+    out, log_rho = sweep(everyone, block)
+    rides = list(scan(*out[:3], log_rho)) if scan is not None else [np.full(len(seeds), n + 1)]
+    del log_rho
     short = shortfall(everyone)
     redo = np.flatnonzero(short > 0.0)
     while redo.size and certifiable and block < horizon:
         # Grow by twice the sites the worst row lacks at the mean drift.
         lack = min(short[redo].max(), math.log(4.0 / tol) - log_x) / -drift
         block = min(horizon, 1 << math.ceil(math.log2(block + max(QUIET_RUN, 2.0 * lack))))
-        part = sweep(redo, block)
+        part, log_rho = sweep(redo, block)
         read = np.arange(n + 1) < rides[0][redo, None]  # the columns x <= reach
         moved = ((part[2] != out[2][redo]) & read).any(axis=1)
         out[3][redo] = part[3]
         for whole, new in zip(out[:3], part[:3]):
             whole[redo[moved]] = new[moved]
         if scan is not None and moved.any():
-            for whole, new in zip(rides, scan(*(a[moved] for a in part[:3]))):
+            for whole, new in zip(rides, scan(*(a[moved] for a in part[:3]), log_rho[moved])):
                 whole[redo[moved]] = new
         short[redo] = shortfall(redo)
         redo = redo[short[redo] > 0.0]
@@ -561,13 +583,13 @@ def _check_sums(log_r, log_1r, used):
     return np.cumsum(alt, axis=1, out=alt)[np.arange(used.size), used - 1]
 
 
-def _log_one_plus_r(om, log_r):
-    """log(1+R_x) for x = 1..n+1 from a sweep's omega and log R_x, row-wise.
-    R_{x-1} = rho_{x-1} (1+R_x) gives every column but the first from the
-    sweep's own sums; only log(1+R_1) takes a logaddexp."""
+def _log_one_plus_r(log_rho, log_r):
+    """log(1+R_x) for x = 1..n+1 from a sweep's log rho_1..n and log R_x,
+    row-wise.  R_{x-1} = rho_{x-1} (1+R_x) gives every column but the first
+    from the sweep's own sums; only log(1+R_1) takes a logaddexp."""
     log_1r = np.empty_like(log_r)
     log_1r[:, 0] = np.logaddexp(0.0, log_r[:, 0])
-    log_1r[:, 1:] = log_r[:, :-1] - np.log((1.0 - om[:, 1:]) / om[:, 1:])
+    np.subtract(log_r[:, :-1], log_rho, out=log_1r[:, 1:])
     return log_1r
 
 
@@ -610,13 +632,16 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     todo = np.arange(len(seeds))
     n = _first_sweep_sites(drift, tol)
 
-    def scan(om, cum, log_r):
+    def scan(om, cum, log_r, log_rho):
         """The series of each row and its reach: R_{u+1} for a converged
         series of u terms, none for one that runs on."""
-        log_1r = _log_one_plus_r(om, log_r)
+        log_1r = _log_one_plus_r(log_rho, log_r)
         log_w = log_r + log_1r  # log[(1+R_x) R_x]
+        terms = log_w[:, 1:]  # built in place: terms n = 1..n
+        terms += cum[:, 1:]
+        terms -= log_w[:, :1]
         with np.errstate(over="ignore"):
-            terms = np.exp(cum[:, 1:] + log_w[:, 1:] - log_w[:, :1])  # n = 1..n
+            np.exp(terms, out=terms)
         sums, last, used, ok = _scan_rows(
             lambda live, k, width: None if k else terms[live, :width], len(om), tol, horizon
         )

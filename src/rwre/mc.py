@@ -87,12 +87,21 @@ DEFAULT_ESCAPE_EPS = 1e-9
 _FAIL_FRACTION = 1e-3  # tolerated fraction of non-convergent environments
 _HILL_TOP = 10  # fewest order statistics in the Hill tail-index estimate
 _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
-_ENV_BUDGET = 1 << 20  # bytes of per-environment series work per block of environments
-# Peak bytes of one environment's row in that work (tracemalloc, blocks of 40
-# rows), measured on the widest rows the sweep builds: FIX-C, 257 sweep sites
-# plus a 256-site anchor block, and longer blocks for the rows that fail the
-# certificate.  21.1 KiB at tol 1e-8, 22.9 at 1e-10, 24.7 at 1e-12: an upper
-# bound for laws with shorter sweeps or no anchor block (``exact._first_sweep_sites``).
+# Bytes of per-environment series work per block of environments: 81 rows.
+# A block's fixed cost (its many small numpy calls, and a second sweep for
+# the rows that fail their anchor certificate) is paid once a block: in one
+# interpreter FIX-C rows ran 11% faster in blocks of 81 than of 40.  In a
+# fresh process glibc can trim and refault the heap after every such block,
+# which takes that gain back.
+_ENV_BUDGET = 2 << 20
+# Peak bytes of one environment's row in that work (tracemalloc, blocks of 81
+# rows, the most over 25 blocks), measured on the widest rows the sweep
+# builds: FIX-C, 257 sweep sites plus a 384- to 480-site anchor block, and
+# longer blocks for the rows that fail the certificate.  17.2 KiB at tol
+# 1e-8, 18.4 at 1e-10, 19.5 at 1e-12; FIX-A 10.1 and Beta(5,2) 16.6 at 1e-10.
+# 25 KiB covers these with room.  Beta laws whose blocks run longer cost
+# more (Beta(2,1.5): 44 KiB, mostly the quantile's temporaries in
+# ``env.omega_at_sites``).
 _ENV_ROW_BYTES = 25 << 10
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows

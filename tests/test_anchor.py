@@ -7,18 +7,22 @@ the constant x* against an independent maximization, check the truncation
 against the exact tail of a constant law and against a 4096-site reference
 anchored by a tol-1e-14 scan, pin that every ``terms_used``, ``converged``
 flag and ConvergenceError is the one the quiet-run anchor gave, and force
-blocks that are too short to see the failing rows extend.
+blocks that are too short to see the failing rows extend.  The block sizes
+are pinned with their margin for the spread of log rho, the rows swept a
+second time are counted, and a block of environment rows is held to the
+bytes per row that the averaged estimators budget for it.
 """
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, polygamma
 
-from rwre import exact
-from rwre.env import omega_at_sites
+from rwre import exact, mc
+from rwre.env import _var_log_rho, omega_at_sites
 from rwre.exact import ConvergenceError
 from rwre.rng import _substream_seeds, substream_seed
 
@@ -80,7 +84,7 @@ def test_certified_truncation_of_the_exact_constant_tail(tol):
     rel = np.exp(log_r) / exact_r - 1.0
     assert (rel >= -ulps).all() and (rel <= tol / 4.0 + ulps).all()
 
-    def scan(om, cum, log_r):
+    def scan(om, cum, log_r, log_rho):
         return (np.full(len(om), reach),)
 
     _, _, log_r, ok = exact._sweep_rows(CONST_7, seeds, n, tol, exact.DEFAULT_HORIZON, scan)
@@ -195,3 +199,88 @@ def test_too_short_blocks_extend_to_the_same_values(monkeypatch, law, tol, short
         again = np.exp(exact._log_escape_bounds(law, seed, 200, tol))
         assert len(draws) > 1
         assert again == pytest.approx(bound, rel=tol / 4.0, abs=0.0)
+
+
+@pytest.mark.parametrize("law", [FIX_A, FIX_C, FIX_D, FIX_F, CONST_7],
+                         ids=["FIX-A", "FIX-C", "FIX-D", "FIX-F", "CONST-7"])
+def test_spread_is_the_variance_of_log_rho(law):
+    # sigma^2 = Var[log rho] = d^2/ds^2 log E[rho^s] at s = 0: the support
+    # sums for finite laws, trigamma(alpha) + trigamma(beta) for Beta, and
+    # both a central difference of the independent moments at s = 0.
+    if law.kind == "beta":
+        exact_var = float(polygamma(1, law.alpha) + polygamma(1, law.beta))
+    else:
+        w, om = np.array(law.weights), np.array(law.omegas)
+        lr = np.log((1.0 - om) / om)
+        exact_var = w @ lr**2 - (w @ lr) ** 2
+    assert _var_log_rho(law) == pytest.approx(exact_var, rel=1e-14, abs=1e-15)
+    h = 1e-3
+    curvature = np.log(_moments(law, np.array([h, -h]))).sum() / h**2
+    assert _var_log_rho(law) == pytest.approx(curvature, rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("law,tol,block", [
+    (FIX_C, 1e-8, 384), (FIX_C, 1e-10, 416), (FIX_C, 1e-12, 480),
+    (FIX_F, 1e-8, 128), (FIX_F, 1e-10, 128), (FIX_F, 1e-12, 160),
+    (FIX_A, 1e-8, 0), (FIX_A, 1e-10, 0), (FIX_A, 1e-12, 0),
+    (FIX_D, 1e-8, 0), (FIX_D, 1e-10, 0), (FIX_D, 1e-12, 0),
+], ids=["FIX-C-1e-8", "FIX-C-1e-10", "FIX-C-1e-12", "FIX-F-1e-8", "FIX-F-1e-10",
+        "FIX-F-1e-12", "FIX-A-1e-8", "FIX-A-1e-10", "FIX-A-1e-12", "FIX-D-1e-8",
+        "FIX-D-1e-10", "FIX-D-1e-12"])
+def test_first_anchor_block_covers_the_spread(monkeypatch, law, tol, block):
+    # The first block of a conditional-rows sweep is the least multiple of 32
+    # sites B with |d| L - z sigma sqrt(L) >= log(4/tol) - log x* for
+    # L = n + B - reach.  At the mean drift alone (z = 0) FIX-C took 256 at
+    # tol 1e-8; FIX-A and Beta(5,2) fit their reach in n and read no block.
+    sizes, real = [], exact._anchor_sites
+
+    def spy(law, n, reach, tol):
+        sizes.append((n, reach, real(law, n, reach, tol)))
+        return sizes[-1][2]
+
+    monkeypatch.setattr(exact, "_anchor_sites", spy)
+    exact._conditional_rows(law, _substream_seeds(4, 2, 0, 8), tol)
+    n, reach, got = sizes[0]
+    assert got == block
+    drop, sigma = -exact.mean_log_rho(law), math.sqrt(_var_log_rho(law))
+    gap = math.log(4.0 / tol) - exact._log_x_star(law)
+
+    def covers(b):
+        sites = n + b - reach
+        return sites >= 0 and drop * sites - exact._ANCHOR_Z * sigma * math.sqrt(sites) >= gap
+
+    assert covers(block) and (block == 0 or not covers(block - exact._ANCHOR_STEP))
+
+
+@pytest.mark.parametrize("tol,ceiling", [(1e-8, 40), (1e-10, 100), (1e-12, 190)])
+def test_few_rows_are_swept_again(monkeypatch, tol, ceiling):
+    # 2000 FIX-C environments in the averaged estimators' blocks of 81: 27,
+    # 71 and 138 sweeps of a row past its first.  Anchor blocks sized at the
+    # mean drift alone, in blocks of 40 environments, took 215, 483 and 891.
+    rows, drawn, real = mc._ENV_BUDGET // mc._ENV_ROW_BYTES, [], exact.omega_at_sites
+
+    def counted(law, seeds, sites):
+        drawn.append(np.shape(seeds)[0])
+        return real(law, seeds, sites)
+
+    monkeypatch.setattr(exact, "omega_at_sites", counted)
+    for start in range(0, 2000, rows):
+        exact._conditional_rows(FIX_C, _substream_seeds(4, 2, start, min(start + rows, 2000)), tol)
+    assert sum(drawn) - 2000 <= ceiling
+
+
+@pytest.mark.parametrize("law,tol", [(FIX_C, 1e-8), (FIX_C, 1e-12), (FIX_A, 1e-10),
+                                     (FIX_D, 1e-10)],
+                         ids=["FIX-C-1e-8", "FIX-C-1e-12", "FIX-A-1e-10", "FIX-D-1e-10"])
+def test_a_block_of_rows_fits_its_budget(law, tol):
+    # The averaged estimators size their blocks by mc._ENV_ROW_BYTES a row.
+    rows = mc._ENV_BUDGET // mc._ENV_ROW_BYTES
+    for start in range(0, 4 * rows, rows):
+        seeds = _substream_seeds(3, 11, start, start + rows)
+        tracemalloc.start()
+        try:
+            exact._conditional_rows(law, seeds, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * mc._ENV_ROW_BYTES

@@ -16,7 +16,7 @@ from rwre import (
     moment_rho_log_rho,
     sample_window,
 )
-from rwre.env import _beta_inverse, _digamma, _mean_omega, omega_at_sites
+from rwre.env import _beta_inverse, _digamma, _mean_omega, _trigamma, omega_at_sites
 from rwre.rng import site_uniforms
 
 from laws import CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
@@ -289,6 +289,12 @@ class TestBetaWithoutScipy:
         xs = np.concatenate([np.linspace(0.05, 50.0, 1999), [9.0, 10.0, 11.0]])
         got = np.array([_digamma(float(x)) for x in xs])
         assert np.max(np.abs(got - special.digamma(xs))) <= 1e-14
+
+    def test_trigamma_matches_scipy(self):
+        xs = np.concatenate([np.linspace(0.05, 50.0, 1999), [9.0, 10.0, 11.0]])
+        got = np.array([_trigamma(float(x)) for x in xs])
+        ref = special.polygamma(1, xs)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
 class TestEnvLawValidation:

@@ -49,6 +49,7 @@ _DRAWS_PER_PASS = 256
 _BETA_NODES = 2048
 _HALLEY_TOL = 1e-7
 _HALLEY_MAX = 16
+_BETA_STRIP = 1 << 13  # uniforms per strip of ``_beta_inverse``; see its docstring
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -353,17 +354,28 @@ def _beta_lower_inverse(p: float, q: float, v: np.ndarray) -> np.ndarray:
     raise ArithmeticError(f"Beta({p}, {q}) quantiles did not converge")
 
 
-def _beta_inverse(a: float, b: float, u: np.ndarray) -> np.ndarray:
+def _beta_inverse(a: float, b: float, u: np.ndarray, out=None) -> np.ndarray:
     """Beta(a, b) quantiles of the uniforms u in (0, 1]: x with I_x(a, b) = u,
     clipped strictly inside (0, 1) (u = 1 gives the largest double below 1).
     Uniforms below the split point solve I_x(a, b) = u, the others
-    I_{1-x}(b, a) = 1 - u, so that both tails keep their relative accuracy."""
+    I_{1-x}(b, a) = 1 - u, so that both tails keep their relative accuracy.
+    The uniforms go through in strips of ``_BETA_STRIP``, which bounds the
+    temporaries; each quantile depends on its own uniform alone, so the
+    strips change no bit.  ``out``, C-contiguous and of u's shape, receives
+    the quantiles and may be u itself."""
     u = np.asarray(u, dtype=np.float64)
-    x = np.empty(u.shape)
-    low = u < _beta_table(a, b).split
-    x[low] = _beta_lower_inverse(a, b, u[low])
-    high = ~low
-    x[high] = 1.0 - _beta_lower_inverse(b, a, 1.0 - u[high])
+    x = np.empty(u.shape) if out is None else out
+    split = _beta_table(a, b).split
+    flat_u, flat_x = u.reshape(-1), x.reshape(-1)
+    for start in range(0, flat_u.size, _BETA_STRIP):
+        us, xs = flat_u[start : start + _BETA_STRIP], flat_x[start : start + _BETA_STRIP]
+        low = us < split
+        high = ~low
+        lower = _beta_lower_inverse(a, b, us[low])
+        upper = _beta_lower_inverse(b, a, 1.0 - us[high])  # read before xs overwrites us
+        xs[low] = lower
+        np.subtract(1.0, upper, out=upper)
+        xs[high] = upper
     return np.clip(x, _TINY, _BELOW_ONE, out=x)
 
 
@@ -394,17 +406,27 @@ def _trigamma(x: float) -> float:
     return math.fsum([1.0 / z, 0.5 * w, tail / z] + [1.0 / (x + k) ** 2 for k in range(n)])
 
 
-def omega_at_sites(law: EnvLaw, seed, sites) -> np.ndarray:
+def omega_at_sites(law: EnvLaw, seed, sites, out=None, state=None) -> np.ndarray:
     """Sample omega at arbitrary integer sites via the keyed site RNG; a
     column of seeds gives one row per seed (see ``site_uniforms``).  A
-    one-atom law draws no site uniforms."""
+    one-atom law draws no site uniforms.  ``out`` (float64, C-contiguous)
+    receives omega and is returned, the site uniforms being drawn into it
+    first; ``state`` holds their hash state (``site_uniforms``).  Each has
+    the result's shape and is allocated when None."""
+    # Without buffers the uniforms come from the plain two-argument call.
+    draw = {} if out is None and state is None else {"out": out, "state": state}
     if law.kind == _KIND_BETA:
-        return _beta_inverse(law.alpha, law.beta, site_uniforms(seed, sites))
+        u = site_uniforms(seed, sites, **draw)
+        return _beta_inverse(law.alpha, law.beta, u, out=u)
     if len(law.omegas) == 1:
-        return np.full(np.broadcast_shapes(np.shape(seed), np.shape(sites)), law.omegas[0])
-    # The uniforms are freed before the gather, which casts the categories to intp.
-    k = _categories(_thresholds(law.weights), site_uniforms(seed, sites))
-    return np.take(np.asarray(law.omegas, dtype=np.float64), k)
+        shape = np.broadcast_shapes(np.shape(seed), np.shape(sites))
+        out = np.empty(shape) if out is None else out
+        out.fill(law.omegas[0])
+        return out
+    # The uniforms are freed (or overwritten) by the gather, which casts the
+    # categories to intp; "clip" gathers unbuffered, and every category is in range.
+    k = _categories(_thresholds(law.weights), site_uniforms(seed, sites, **draw))
+    return np.take(np.asarray(law.omegas, dtype=np.float64), k, out=out, mode="clip")
 
 
 def sample_window(law: EnvLaw, seed: int, lo: int, hi: int) -> EnvWindow:

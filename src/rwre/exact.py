@@ -39,8 +39,9 @@ bound certifies what the block leaves out (E[R^s] <= m(s)/(1 - m(s)) for
 m(s) = E[rho^s] < 1, then Markov at chance ``ANCHOR_DELTA``) below tol/4 of
 every R_x the caller reads.  Both run row-wise over a block of environment
 seeds (the keyed site generator draws a block at once): the averaged
-estimators pass blocks of environments, and scalar entry points are one-row
-calls of the same kernels.
+estimators pass blocks of environments, whose sweeps take their large arrays
+from one ``_Workspace`` per estimator call, and scalar entry points are
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -214,6 +215,37 @@ def _seed_rows(seeds) -> np.ndarray:
     return np.array([s & MASK64 for s in seeds], dtype=np.uint64)
 
 
+class _Workspace:
+    """Buffers that every block of one averaged-estimator call reuses.
+
+    A block's large arrays are taken from named slots instead of being
+    allocated afresh, so the heap they occupy is made once per call (not
+    once per block, where the allocator may hand it back to the system and
+    fault it in again for the next block).  ``take`` returns an
+    uninitialised C-contiguous array on a slot's bytes, growing the slot
+    when the block needs more; an array taken from a slot is valid until
+    the slot is taken again, and different slots never overlap.  A
+    workspace lives for one call of ``mc._env_pairs`` and is never shared
+    between calls, so its size follows that call's blocks alone.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self._slots[slot] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _buffer(work: Optional[_Workspace], slot: str, shape: tuple, dtype=np.float64):
+    """``work.take(slot, shape, dtype)``, or a new array when ``work`` is None."""
+    return np.empty(shape, dtype=dtype) if work is None else work.take(slot, shape, dtype)
+
+
 def _log_pi_rows(law, seeds, start, window, step, sign):
     """``_scan_rows`` source of exp(sign * log Pi) over start, start+step, ...
 
@@ -342,20 +374,26 @@ def expected_hit(
     return SeriesValue(value=1.0 + 2.0 * total, remainder_bound=bound, terms_used=used, converged=ok)
 
 
-def _log_cumsum(v: np.ndarray) -> np.ndarray:
+def _log_cumsum(v: np.ndarray, out=None) -> np.ndarray:
     """log of the running sums of exp(v) along the last axis, row by row.
 
     Each row is shifted by its maximum, summed in linear space and taken
     back by one log per element.  A row spanning more than ``_SHIFT_SPAN``
     nats (or holding a non-finite value) would lose its smallest terms to
     underflow once shifted; such rows take the exact logaddexp recursion.
+    ``out``, of v's shape, receives the sums and may be v itself.
     """
     top = v.max(axis=-1, keepdims=True)
     wide = ~(top - v.min(axis=-1, keepdims=True) <= _SHIFT_SPAN)[..., 0]
+    exact = np.logaddexp.accumulate(v[wide], axis=-1) if wide.any() else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.cumsum(np.exp(v - top), axis=-1)) + top
-    if wide.any():
-        out[wide] = np.logaddexp.accumulate(v[wide], axis=-1)
+        out = np.subtract(v, top, out=out)
+        np.exp(out, out=out)
+        np.cumsum(out, axis=-1, out=out)
+        np.log(out, out=out)
+        out += top
+    if exact is not None:
+        out[wide] = exact
     return out
 
 
@@ -395,7 +433,9 @@ def _anchor_sites(law: EnvLaw, n: int, reach: float, tol: float) -> int:
     return 0 if need <= 0.0 else _ANCHOR_STEP * math.ceil(need / _ANCHOR_STEP)
 
 
-def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int, scan=None):
+def _sweep_rows(
+    law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int, scan=None, work=None
+):
     """One shared rightward pass per environment seed, as row-wise 2-D arrays:
     omega on [0, n], cum[k] = log Pi_{1,k} for k in [0, n], log R_x for x in
     [1, n+1]; then whether each row's anchor is certified, and, given
@@ -423,9 +463,9 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     true value.  Without ``scan`` (the window callers) the reach is n+1 and
     R_{n+1} takes the upper end of its certified interval, block sum plus
     Pi_{n+1,n+B}/x*, which keeps every escape bound conservative.  With it,
-    ``scan(om, cum, log_r, log_rho)``, log_rho the sweep's log rho_1..n,
-    returns each row's reach (0: nothing to certify) followed by per-row
-    arrays, and R_{n+1} is the block sum.
+    ``scan(om, cum, log_r, log_rho, work)``, log_rho the sweep's log
+    rho_1..n, returns each row's reach (0: nothing to certify) followed by
+    per-row arrays, and R_{n+1} is the block sum.
 
     B comes from the law (``_anchor_sites``), with a margin for the spread
     of log rho that lets most rows pass at once.  Rows not certified are swept
@@ -434,6 +474,19 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
     scanned again.  A row still uncertified at ``horizon`` sites is not
     anchored, nor is any row when tol <= 0 or no s on the grid has
     E[rho^s] < 1.
+
+    Given ``work`` (an averaged estimator's ``_Workspace``), the first pass
+    takes every block-sized array from its slots: "omega" holds the site
+    draw's uniforms and omega, then (when B > 0) log rho_1..n for the scan;
+    "state" the draw's hash state, then the anchor block's log Pi, then the
+    ``_log_cumsum`` columns, summed in place; "log_rho" log rho_1..n+B,
+    which the scan reads when B = 0; "om", "cum" and "log_r" the arrays
+    returned.  ``scan`` gets ``work`` too, and may take "state" and slots of
+    its own.  So the returned om, cum and log_r are views into ``work``,
+    valid until its next sweep.  The passes for rows not certified, rare,
+    allocate their own arrays and give ``scan`` None.  Without ``work``
+    every array is allocated, as for the window callers: nothing they return
+    is a view into a workspace.
     """
     log_x, drift = _log_x_star(law), mean_log_rho(law)
     log_tol = math.log(tol / 4.0) if tol > 0.0 else -math.inf
@@ -443,38 +496,52 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         reach = n + 1 if scan is None else max(n / 2, math.log(1.0 / tol) / -drift + QUIET_RUN)
         block = min(horizon, _anchor_sites(law, n, reach, tol))
 
-    def sweep(rows, block):
+    def sweep(rows, block, work):
         """[om, cum, log_r, log Pi_{1,n+B}/x*] of ``seeds[rows]`` with a block
         of ``block`` sites, the last bounding what the block leaves of each
         T_x, and log rho_1..n for ``scan``."""
-        om = omega_at_sites(law, seeds[rows, None], np.arange(0, n + block + 1, dtype=np.int64))
-        lr = 1.0 - om[:, 1:]
-        lr /= om[:, 1:]
+        r, width = len(rows), n + block + 1
+        sites = np.arange(width, dtype=np.int64)
+        if work is None:
+            om_all = omega_at_sites(law, seeds[rows, None], sites)
+        else:
+            om_all = omega_at_sites(
+                law, seeds[rows, None], sites,
+                out=work.take("omega", (r, width)), state=work.take("state", (r, width), np.uint64),
+            )
+        lr = np.subtract(1.0, om_all[:, 1:], out=_buffer(work, "log_rho", (r, width - 1)))
+        lr /= om_all[:, 1:]
         np.log(lr, out=lr)  # log rho_k, k = 1..n+B
-        om = om[:, : n + 1].copy()  # the block's sites need not outlive this pass
-        cum = np.zeros((len(rows), n + 1))
+        om = _buffer(work, "om", (r, n + 1))
+        om[...] = om_all[:, : n + 1]  # the block's sites need not outlive this pass
+        del om_all
+        cum = _buffer(work, "cum", (r, n + 1))
+        cum[:, 0] = 0.0
         np.cumsum(lr[:, :n], axis=1, out=cum[:, 1:])  # cum[:, k] = log Pi_{1,k}
-        log_anchor, log_gap = np.full(len(rows), -math.inf), np.full(len(rows), -log_x)
+        log_anchor, log_gap = np.full(r, -math.inf), np.full(r, -log_x)
         if block:
-            tail = np.cumsum(lr[:, n:], axis=1)  # log Pi_{n+1,k}, k = n+1..n+B
+            # log Pi_{n+1,k}, k = n+1..n+B
+            tail = np.cumsum(lr[:, n:], axis=1, out=_buffer(work, "state", (r, block)))
             log_gap += tail[:, -1]  # log Pi_{n+1,n+B}/x*: R_{n+1} is short of at most this
             top = tail.max(axis=1)
             tail -= top[:, None]
             log_anchor = np.log(np.exp(tail, out=tail).sum(axis=1)) + top
             del tail
-            lr = lr[:, :n].copy()  # the scan reads log rho_1..n alone
+            head = _buffer(work, "omega", (r, n))
+            head[...] = lr[:, :n]  # the scan reads log rho_1..n alone
+            lr = head
         if scan is None and certifiable:
             log_anchor = np.logaddexp(log_anchor, log_gap)
-        cols = np.empty((len(rows), n + 1))
+        cols = _buffer(work, "state", (r, n + 1))  # their sums replace them
         cols[:, 1:] = cum[:, :0:-1]
         if block or scan is None:
             cols[:, 0] = cum[:, n] + log_anchor
-            sums = _log_cumsum(cols)
+            _log_cumsum(cols, out=cols)
         else:  # R_{n+1} = 0, a column that would send every row to the recursion
             cols[:, 0] = -math.inf
-            cols[:, 1:] = _log_cumsum(cols[:, 1:])
-            sums = cols
-        log_r = sums[:, ::-1] - cum  # log T_x - log Pi_{1,x-1}
+            _log_cumsum(cols[:, 1:], out=cols[:, 1:])
+        # log T_x - log Pi_{1,x-1}
+        log_r = np.subtract(cols[:, ::-1], cum, out=_buffer(work, "log_r", (r, n + 1)))
         log_r[:, n] = log_anchor  # R_{n+1}
         return [om, cum, log_r, cum[:, n] + log_gap], lr
 
@@ -488,8 +555,8 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         return np.where(reach > 0, out[3][rows] - log_t - log_tol, -math.inf)
 
     everyone = np.arange(len(seeds))
-    out, log_rho = sweep(everyone, block)
-    rides = list(scan(*out[:3], log_rho)) if scan is not None else [np.full(len(seeds), n + 1)]
+    out, log_rho = sweep(everyone, block, work)
+    rides = [np.full(len(seeds), n + 1)] if scan is None else list(scan(*out[:3], log_rho, work))
     del log_rho
     short = shortfall(everyone)
     redo = np.flatnonzero(short > 0.0)
@@ -497,14 +564,14 @@ def _sweep_rows(law: EnvLaw, seeds: np.ndarray, n: int, tol: float, horizon: int
         # Grow by twice the sites the worst row lacks at the mean drift.
         lack = min(short[redo].max(), math.log(4.0 / tol) - log_x) / -drift
         block = min(horizon, 1 << math.ceil(math.log2(block + max(QUIET_RUN, 2.0 * lack))))
-        part, log_rho = sweep(redo, block)
+        part, log_rho = sweep(redo, block, None)
         read = np.arange(n + 1) < rides[0][redo, None]  # the columns x <= reach
         moved = ((part[2] != out[2][redo]) & read).any(axis=1)
         out[3][redo] = part[3]
         for whole, new in zip(out[:3], part[:3]):
             whole[redo[moved]] = new[moved]
         if scan is not None and moved.any():
-            for whole, new in zip(rides, scan(*(a[moved] for a in part[:3]), log_rho[moved])):
+            for whole, new in zip(rides, scan(*(a[moved] for a in part[:3]), log_rho[moved], None)):
                 whole[redo[moved]] = new
         short[redo] = shortfall(redo)
         redo = redo[short[redo] > 0.0]
@@ -573,21 +640,32 @@ def conditioned_env(
     return EnvWindow(lo=0, hi=hi, omega=omega_tilde, law=law, seed=seed)
 
 
-def _check_sums(log_r, log_1r, used):
-    """Each row's first ``used`` conditional-series terms again, through the
-    conditioned environment's inverse products, summed in order by one
-    row-wise cumsum (n positive terms: within about n 2^-53 relative)."""
+def _check_sums(log_r, log_1r, used, rows=None, work=None):
+    """Each of the rows ``rows`` (every row when None) again through its first
+    ``used`` conditional-series terms, by the conditioned environment's
+    inverse products, summed in order by one row-wise cumsum (n positive
+    terms: within about n 2^-53 relative).  The terms are built and summed
+    in place, in ``work``'s "state" slot, with its "omega" slot for log R."""
     w = int(used.max())
+    rows = np.arange(len(log_r)) if rows is None else rows
+    shape = (rows.size, w)
+    alt = np.take(log_1r[:, :w], rows, axis=0, out=_buffer(work, "state", shape), mode="clip")
+    alt -= np.take(
+        log_r[:, 1 : w + 1], rows, axis=0, out=_buffer(work, "omega", shape), mode="clip"
+    )
+    np.cumsum(alt, axis=1, out=alt)
+    np.negative(alt, out=alt)
     with np.errstate(over="ignore"):
-        alt = np.exp(-np.cumsum(log_1r[:, :w] - log_r[:, 1 : w + 1], axis=1))
+        np.exp(alt, out=alt)
     return np.cumsum(alt, axis=1, out=alt)[np.arange(used.size), used - 1]
 
 
-def _log_one_plus_r(log_rho, log_r):
+def _log_one_plus_r(log_rho, log_r, out=None):
     """log(1+R_x) for x = 1..n+1 from a sweep's log rho_1..n and log R_x,
-    row-wise.  R_{x-1} = rho_{x-1} (1+R_x) gives every column but the first
-    from the sweep's own sums; only log(1+R_1) takes a logaddexp."""
-    log_1r = np.empty_like(log_r)
+    row-wise, into ``out`` when given.  R_{x-1} = rho_{x-1} (1+R_x) gives
+    every column but the first from the sweep's own sums; only log(1+R_1)
+    takes a logaddexp."""
+    log_1r = np.empty_like(log_r) if out is None else out
     log_1r[:, 0] = np.logaddexp(0.0, log_r[:, 0])
     np.subtract(log_r[:, :-1], log_rho, out=log_1r[:, 1:])
     return log_1r
@@ -610,7 +688,7 @@ def _first_sweep_sites(drift: float, tol: float) -> int:
     return min(256, max(32, 1 << math.ceil(math.log2(reach))))
 
 
-def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
+def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON, work=None):
     """Per seed, (E^1[T_0 | T_0 < inf] series, omega_0, R_1) from its final
     sweep, or the ConvergenceError of its consistency check: ``_check_sums``
     of a converged row must agree with its series sum to 1e-6 relative.
@@ -622,7 +700,11 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     converged row of u terms is certified at reach u + 1: every R_x it reads
     is within tol/4 relative of its value (with chance at least 1 -
     ANCHOR_DELTA), so each term's ratio of R's within tol/2.  The series
-    itself still stops on the quiet run."""
+    itself still stops on the quiet run.  Every sweep, the 2n ones too, runs
+    on ``work`` when given (``_sweep_rows``): the scan builds log(1+R_x) in
+    its "log_1r" slot and the series terms in "state", and ``_check_sums``
+    works in "state" and "omega".  The rows returned hold Python numbers
+    only, so none refers to ``work``."""
     drift = mean_log_rho(law)
     if not drift < 0.0:
         raise ValueError("conditioned_return_expectation needs a right-transient law")
@@ -632,14 +714,14 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
     todo = np.arange(len(seeds))
     n = _first_sweep_sites(drift, tol)
 
-    def scan(om, cum, log_r, log_rho):
+    def scan(om, cum, log_r, log_rho, work):
         """The series of each row and its reach: R_{u+1} for a converged
         series of u terms, none for one that runs on."""
-        log_1r = _log_one_plus_r(log_rho, log_r)
-        log_w = log_r + log_1r  # log[(1+R_x) R_x]
-        terms = log_w[:, 1:]  # built in place: terms n = 1..n
+        log_1r = _log_one_plus_r(log_rho, log_r, out=_buffer(work, "log_1r", log_r.shape))
+        # terms n = 1..n, built in place from log[(1+R_x) R_x]
+        terms = np.add(log_r[:, 1:], log_1r[:, 1:], out=_buffer(work, "state", cum[:, 1:].shape))
         terms += cum[:, 1:]
-        terms -= log_w[:, :1]
+        terms -= log_r[:, :1] + log_1r[:, :1]
         with np.errstate(over="ignore"):
             np.exp(terms, out=terms)
         sums, last, used, ok = _scan_rows(
@@ -649,14 +731,14 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON):
 
     while todo.size:
         om, _, log_r, anchored, log_1r, sums, last, used, ok = _sweep_rows(
-            law, seeds[todo], n, tol, horizon, scan
+            law, seeds[todo], n, tol, horizon, scan, work
         )
         final = ok | ~anchored | (n >= horizon)
         ok &= anchored  # an unconverged anchor taints every R_x of the sweep
         chk = np.flatnonzero(final & ok)
         check = np.full(len(todo), math.nan)
         if chk.size:
-            check[chk] = _check_sums(log_r[chk], log_1r[chk], used[chk])
+            check[chk] = _check_sums(log_r, log_1r, used[chk], chk, work)
         cols = (todo, sums, last, used, ok, check, om[:, 0], np.exp(log_r[:, 0]))
         for j, total, tail, m, conv, chk_sum, om0, r1 in zip(*(c[final].tolist() for c in cols)):
             if conv and not math.isclose(chk_sum, total, rel_tol=1e-6, abs_tol=1e-300):
@@ -703,11 +785,11 @@ def conditioned_return_expectation(
     return _conditional_return(law, seed, tol, horizon)[0]
 
 
-def _decompositions(law, seeds, tol, horizon=DEFAULT_HORIZON):
+def _decompositions(law, seeds, tol, horizon=DEFAULT_HORIZON, work=None):
     """Per environment seed, its ReturnDecomposition or the ConvergenceError
     that stopped it; the left-hit series E^{-1}[T_0] of every seed is one
-    leftward ``_scan_rows`` block."""
-    conds = _conditional_rows(law, seeds, tol, horizon)
+    leftward ``_scan_rows`` block.  ``work`` goes to ``_conditional_rows``."""
+    conds = _conditional_rows(law, seeds, tol, horizon, work)
     chunks = _log_pi_rows(law, _seed_rows(seeds), -1, None, -1, 1.0)
     left, _, _, left_ok = _scan_rows(chunks, len(conds), tol, horizon)
     out = []

@@ -68,6 +68,7 @@ from .env import (
 from .estimate import Estimate, Tally, merge_mean, ratio_of_means, ratio_of_samples
 from .exact import (
     ConvergenceError,
+    _Workspace,
     _conditional_rows,
     _decompositions,
     _log_escape_bounds,
@@ -90,18 +91,22 @@ _SITE_BUDGET = 1 << 26  # bytes of realized sites per speed_estimate batch
 # Bytes of per-environment series work per block of environments: 81 rows.
 # A block's fixed cost (its many small numpy calls, and a second sweep for
 # the rows that fail their anchor certificate) is paid once a block: in one
-# interpreter FIX-C rows ran 11% faster in blocks of 81 than of 40.  In a
-# fresh process glibc can trim and refault the heap after every such block,
-# which takes that gain back.
+# interpreter FIX-C rows ran 11% faster in blocks of 81 than of 40.  The
+# blocks of one call share one workspace (``_env_pairs``), so a block's large
+# arrays do not go back to the allocator between blocks: when each block
+# allocated its own, glibc trimmed the 1.4 MB they took from the top of the
+# heap after every 81-row FIX-C block, and the next block faulted it back in.
 _ENV_BUDGET = 2 << 20
 # Peak bytes of one environment's row in that work (tracemalloc, blocks of 81
 # rows, the most over 25 blocks), measured on the widest rows the sweep
 # builds: FIX-C, 257 sweep sites plus a 384- to 480-site anchor block, and
 # longer blocks for the rows that fail the certificate.  17.2 KiB at tol
-# 1e-8, 18.4 at 1e-10, 19.5 at 1e-12; FIX-A 10.1 and Beta(5,2) 16.6 at 1e-10.
-# 25 KiB covers these with room.  Beta laws whose blocks run longer cost
-# more (Beta(2,1.5): 44 KiB, mostly the quantile's temporaries in
-# ``env.omega_at_sites``).
+# 1e-8, 18.4 at 1e-10, 19.5 at 1e-12; FIX-A 10.1, Beta(5,2) 13.1 at 1e-10
+# and Beta(2,1.5) 17.7 at 1e-8 (its Beta quantiles run in strips, whose
+# temporaries no longer grow with the block).  25 KiB covers these with
+# room.  These are the peaks of a block with no workspace.  In ``_env_pairs``
+# the workspace holds 1.9 MB for FIX-C at tol 1e-8 (23 KiB a row) from the
+# first block to the last, and each later block adds a fifth of that.
 _ENV_ROW_BYTES = 25 << 10
 _DRAW_BLOCK = 1 << 16  # uniforms per block drawn ahead by a walk without stop sites
 _ROW_REACH = 32  # sites on each side of a speed_estimate row before it grows
@@ -717,18 +722,25 @@ def _env_pairs(kernel, pair, law: EnvLaw, seed: int, tag: int, n_env: int, tol: 
     estimators: (a, b, failures).
 
     Environment j is keyed by ``substream_seed(seed, tag, j)``; the seeds go
-    through the row kernel ``kernel(law, seeds, tol)`` in blocks of
-    ``_ENV_BUDGET // _ENV_ROW_BYTES`` environments, each block's seeds made
-    as one uint64 array by ``rng._substream_seeds``.  An output that is a
-    ``ConvergenceError``, or for which ``pair(output)`` is None, is a failed
-    environment and is dropped alone; the others give ``pair(output)``,
-    kept in environment order as the float arrays a and b.  More than
-    ``_FAIL_FRACTION`` of n_env failures raise ConvergenceError.
+    through the row kernel ``kernel(law, seeds, tol, work=work)`` in blocks
+    of ``_ENV_BUDGET // _ENV_ROW_BYTES`` environments, each block's seeds
+    made as one uint64 array by ``rng._substream_seeds``.  ``work`` is one
+    ``exact._Workspace`` made for this call and dropped when it returns:
+    every block takes its large arrays from it, so the memory of the first
+    block serves the rest, and no workspace outlives the call (nor grows
+    across calls).  The kernel's outputs are Python numbers and hold no view
+    into it.  An output that is a ``ConvergenceError``, or for which
+    ``pair(output)`` is None, is a failed environment and is dropped alone;
+    the others give ``pair(output)``, kept in environment order as the float
+    arrays a and b.  More than ``_FAIL_FRACTION`` of n_env failures raise
+    ConvergenceError.
     """
     rows = max(1, _ENV_BUDGET // _ENV_ROW_BYTES)
     a, b, failures = array("d"), array("d"), 0
+    work = _Workspace()
     for start in range(0, n_env, rows):
-        for out in kernel(law, _substream_seeds(seed, tag, start, min(start + rows, n_env)), tol):
+        seeds = _substream_seeds(seed, tag, start, min(start + rows, n_env))
+        for out in kernel(law, seeds, tol, work=work):
             both = None if isinstance(out, ConvergenceError) else pair(out)
             if both is None:
                 failures += 1

@@ -49,7 +49,7 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def site_uniforms(seed, sites) -> np.ndarray:
+def site_uniforms(seed, sites, out=None, state=None) -> np.ndarray:
     """Uniform(0,1) variates keyed by (seed, site), vectorized over sites.
 
     ``seed`` is one integer, or a column of seeds (shape (E, 1)) giving one
@@ -57,14 +57,17 @@ def site_uniforms(seed, sites) -> np.ndarray:
     Values lie in (0, 1] (offset-by-half mantissa mapping): never 0, and
     1.0 for the top 53-bit value alone, where 2^53 - 1 + 0.5 rounds up to
     2^53.  Inverse CDFs with an unbounded upper tail must clip that one.
+    As for a numpy ufunc, ``out`` (float64) receives the result and is
+    returned; ``state`` (uint64) holds the hash state.  Each has the
+    result's shape and is allocated when None.
     """
     xs = np.asarray(sites, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
         key = _avalanche(np.asarray(seed & MASK64, dtype=np.uint64))
-        z = key + xs * _GOLDEN
+        z = np.add(key, xs * _GOLDEN, out=state)
         # The avalanche and the mantissa shift run in place on z, with the
         # result array as the shift scratch: two arrays of the output's size.
-        out = np.empty(z.shape)
+        out = np.empty(z.shape) if out is None else out
         scratch = out.view(np.uint64)
         for shift, mult in ((_S30, _MIX1), (_S27, _MIX2), (_S31, None)):
             z ^= np.right_shift(z, shift, out=scratch)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, polygamma
 
-from rwre import exact, mc
+from rwre import EnvLaw, exact, mc
 from rwre.env import _var_log_rho, omega_at_sites
 from rwre.exact import ConvergenceError
 from rwre.rng import _substream_seeds, substream_seed
@@ -29,6 +29,7 @@ from rwre.rng import _substream_seeds, substream_seed
 from laws import CONST_7, CONST_HALF, FIX_A, FIX_C, FIX_D, FIX_F
 
 LAWS = {"FIX-A": FIX_A, "FIX-C": FIX_C, "FIX-D": FIX_D, "FIX-F": FIX_F, "CONST-7": CONST_7}
+BETA_LONG = EnvLaw.beta_law(2.0, 1.5)  # E[log rho] = -0.39: a long first sweep and anchor block
 
 
 def _moments(law, s):
@@ -84,7 +85,7 @@ def test_certified_truncation_of_the_exact_constant_tail(tol):
     rel = np.exp(log_r) / exact_r - 1.0
     assert (rel >= -ulps).all() and (rel <= tol / 4.0 + ulps).all()
 
-    def scan(om, cum, log_r, log_rho):
+    def scan(om, cum, log_r, log_rho, work):
         return (np.full(len(om), reach),)
 
     _, _, log_r, ok = exact._sweep_rows(CONST_7, seeds, n, tol, exact.DEFAULT_HORIZON, scan)
@@ -270,10 +271,13 @@ def test_few_rows_are_swept_again(monkeypatch, tol, ceiling):
 
 
 @pytest.mark.parametrize("law,tol", [(FIX_C, 1e-8), (FIX_C, 1e-12), (FIX_A, 1e-10),
-                                     (FIX_D, 1e-10)],
-                         ids=["FIX-C-1e-8", "FIX-C-1e-12", "FIX-A-1e-10", "FIX-D-1e-10"])
+                                     (FIX_D, 1e-10), (BETA_LONG, 1e-8)],
+                         ids=["FIX-C-1e-8", "FIX-C-1e-12", "FIX-A-1e-10", "FIX-D-1e-10",
+                              "Beta(2,1.5)-1e-8"])
 def test_a_block_of_rows_fits_its_budget(law, tol):
     # The averaged estimators size their blocks by mc._ENV_ROW_BYTES a row.
+    # Beta(2,1.5) took 44 KiB a row while its quantiles ran on a whole block
+    # at once; in strips it takes 18.
     rows = mc._ENV_BUDGET // mc._ENV_ROW_BYTES
     for start in range(0, 4 * rows, rows):
         seeds = _substream_seeds(3, 11, start, start + rows)
@@ -284,3 +288,80 @@ def test_a_block_of_rows_fits_its_budget(law, tol):
         finally:
             tracemalloc.stop()
         assert peak <= rows * mc._ENV_ROW_BYTES
+
+
+def _bits(rows):
+    """Every number of each ``_conditional_rows`` row as exact hex, or the
+    text of its ConvergenceError."""
+    return [f"ConvergenceError({r})" if isinstance(r, ConvergenceError) else
+            (r[0].value.hex(), r[0].remainder_bound.hex(), r[0].terms_used, r[0].converged,
+             r[1].hex(), r[2].hex()) for r in rows]
+
+
+@pytest.mark.parametrize("law,tol", [(FIX_C, 1e-8), (FIX_C, 1e-12), (FIX_A, 1e-10)],
+                         ids=["FIX-C-1e-8", "FIX-C-1e-12", "FIX-A-1e-10"])
+def test_a_reused_workspace_keeps_every_bit(monkeypatch, law, tol):
+    # One workspace through blocks of 81, 5, 81 and 120 seeds, whose arrays
+    # shrink and grow between blocks: every row equals that of a call with
+    # none.  On FIX-C the blocks also reach the passes for rows not certified
+    # (drawn without the workspace) and the 2n sweeps (drawn with it).
+    real_sweep, real_draw, sweeps, draws = exact._sweep_rows, exact.omega_at_sites, [], []
+
+    def sweep(law, seeds, n, tol, horizon, scan=None, work=None):
+        sweeps.append(n)
+        return real_sweep(law, seeds, n, tol, horizon, scan, work)
+
+    def draw(law, seeds, sites, **buffers):
+        draws.append(bool(buffers))
+        return real_draw(law, seeds, sites, **buffers)
+
+    work, start = exact._Workspace(), 0
+    for size in (81, 5, 81, 120):
+        seeds = _substream_seeds(5, 7, start, start + size)
+        fresh = exact._conditional_rows(law, seeds, tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_sweep_rows", sweep)
+            patch.setattr(exact, "omega_at_sites", draw)
+            reused = exact._conditional_rows(law, seeds, tol, work=work)
+        assert _bits(reused) == _bits(fresh)
+        start += size
+    if law is FIX_C:
+        assert max(sweeps) > min(sweeps)  # some row ran a 2n sweep
+        assert True in draws and False in draws  # and some row a second pass
+
+
+def test_window_results_are_no_views_into_a_workspace():
+    # The window callers take no workspace: what they returned stays as it
+    # was while an averaged estimator runs its blocks through one, also after
+    # an earlier run (a workspace kept between calls would be large enough
+    # by then to hold the windows' arrays).
+    mc.divergence_diagnostic(FIX_C, (100, 400), seed=3)
+    env = exact.conditioned_env(FIX_C, 101, 200)
+    sweep = exact._sweep_log_r(FIX_C, 101, 200, 1e-10)
+    bounds = exact._log_escape_bounds(FIX_C, 101, 200)
+    kept = [a.tobytes() for a in (env.omega, *sweep, bounds)]
+    mc.divergence_diagnostic(FIX_C, (100, 400), seed=3)
+    assert [a.tobytes() for a in (env.omega, *sweep, bounds)] == kept
+
+
+def test_later_blocks_reuse_the_first_blocks_memory():
+    # tracemalloc, not the allocator: over one _env_pairs run on FIX-C the
+    # first block takes the workspace, and each later block's peak is at
+    # most a quarter of the first's (each peaked as high as the first when
+    # every block allocated its own arrays).
+    rows, peaks = mc._ENV_BUDGET // mc._ENV_ROW_BYTES, []
+
+    def kernel(law, seeds, tol, work):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = exact._conditional_rows(law, seeds, tol, work=work)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    tracemalloc.start()
+    try:
+        mc._env_pairs(kernel, lambda out: (out[2], out[0].value), FIX_C, 3, 7, 4 * rows, 1e-8)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[1:]) <= peaks[0] / 4

@@ -285,6 +285,14 @@ class TestBetaWithoutScipy:
                          for lo in range(-1000, 1000, width)]
                 np.testing.assert_array_equal(np.concatenate(parts), full)
 
+    def test_strips_change_no_bit(self, monkeypatch):
+        # One strip of 4200 uniforms against strips of 37: each quantile
+        # stops its own Halley steps, so where the strips end changes nothing.
+        law, seeds = EnvLaw.beta_law(2.0, 1.5), np.arange(3, dtype=np.uint64)[:, None]
+        whole = omega_at_sites(law, seeds, np.arange(-700, 700))
+        monkeypatch.setattr("rwre.env._BETA_STRIP", 37)
+        assert omega_at_sites(law, seeds, np.arange(-700, 700)).tobytes() == whole.tobytes()
+
     def test_digamma_matches_scipy(self):
         xs = np.concatenate([np.linspace(0.05, 50.0, 1999), [9.0, 10.0, 11.0]])
         got = np.array([_digamma(float(x)) for x in xs])

@@ -295,14 +295,14 @@ def test_consistency_check_catches_a_perturbed_row(monkeypatch, law, tol):
     base = exact._conditional_rows(law, seeds, tol)
     sweep, bad = exact._sweep_rows, seeds[17] & MASK64
 
-    def perturbed(law, rows, n, tol, horizon, scan):
-        def shifted(om, cum, log_r, log_rho):  # the series reads cum; the check does not
+    def perturbed(law, rows, n, tol, horizon, scan, work):
+        def shifted(om, cum, log_r, log_rho, work):  # the series reads cum; the check does not
             hit = (om == omega_at_sites(law, bad, np.arange(n + 1, dtype=np.int64))).all(axis=1)
             cum = cum.copy()
             cum[hit, 1:] += 1e-3
-            return scan(om, cum, log_r, log_rho)
+            return scan(om, cum, log_r, log_rho, work)
 
-        return sweep(law, rows, n, tol, horizon, shifted)
+        return sweep(law, rows, n, tol, horizon, shifted, work)
 
     monkeypatch.setattr(exact, "_sweep_rows", perturbed)
     out = exact._conditional_rows(law, seeds, tol)

@@ -267,9 +267,9 @@ def _failing(monkeypatch, name, seed, tag, failed=(), unconverged=(), omit=False
     bad = {substream_seed(seed, tag, j): "error" for j in failed}
     bad.update({substream_seed(seed, tag, j): "series" for j in unconverged})
 
-    def patched(law, seeds, tol):
+    def patched(law, seeds, tol, work=None):
         out = []
-        for s, row in zip(seeds, kernel(law, seeds, tol)):
+        for s, row in zip(seeds, kernel(law, seeds, tol, work=work)):
             if s not in bad:
                 out.append(row)
             elif omit:

@@ -4,7 +4,11 @@ Estimators shard replicates across worker streams; each worker reports
 exact per-worker aggregates (count, sum, sum of squares, min, max) which
 are merged with exactly rounded summation (math.fsum), so the final result
 is bit-identical for a given (seed, worker count) regardless of execution
-order.  Ratio estimators are not sharded: ``ratio_of_samples`` takes all
+order.  A sample array with no negative value is summed without Python
+objects: its in-order running sum and the sum of that running sum's TwoSum
+errors give a value that ``_certified_sums`` proves correctly rounded (the
+value math.fsum gives) or hands back to math.fsum; ``exact`` sums its series
+rows by the same certificate.  Ratio estimators are not sharded: ``ratio_of_samples`` takes all
 paired samples at once and hands their exactly rounded sums to
 ``ratio_of_means``.  Certified censoring biases are carried in
 ``error_budget`` and are never folded into the statistical standard error.
@@ -20,13 +24,71 @@ from typing import Mapping
 import numpy as np
 
 
-_FSUM_BLOCK = 2**14  # floats converted to Python objects at a time
+_FSUM_BLOCK = 2**14  # floats summed (or converted to Python objects) at a time
+_EXACT_RANGE = (2.0**-900, 2.0**1000)  # certified sums: their slack and neighbours stay normal and finite
+
+
+def _two_sum_errors(a, b, s, out=None):
+    """The exact rounding errors a + b - s of the float additions
+    s = fl(a + b) of non-negative a and b, elementwise: with the larger
+    first, fl(s - max(a, b)) is exact and so is min(a, b) minus it (Dekker's
+    Fast2Sum; exact whenever nothing overflows).  ``out`` must not overlap a,
+    b or s."""
+    err = np.maximum(a, b, out=out)
+    np.subtract(s, err, out=err)
+    return np.subtract(np.minimum(a, b), err, out=err)
+
+
+def _certified_sums(hi, lo, count):
+    """(r, exact), elementwise, for sums of ``count`` non-negative floats
+    given as hi, the in-order running sum s_k = fl(s_{k-1} + x_k) at the last
+    term, and lo, any float sum of the errors s_{k-1} + x_k - s_k
+    (``_two_sum_errors``).
+
+    The exact sum is hi + E, E the exact sum of those errors; r = fl(hi + lo)
+    and t = hi + lo - r exactly (Fast2Sum: |lo| < hi).  Each error is at most
+    2^-53 s_k <= 2^-53 hi, so lo is within about count^2 2^-106 hi of E
+    (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 2005).  Where |t| + count^2 2^-104 r is below half the gap from r
+    down to its lower neighbour (never wider than the gap above it), the
+    exact sum lies strictly inside r's rounding interval, so r is its
+    correctly rounded value, the one ``math.fsum`` returns, and ``exact`` is
+    True.  Elsewhere (a tie or near-tie, r non-finite, zero, or outside
+    ``_EXACT_RANGE``) ``exact`` is False: the caller sums again by
+    ``math.fsum``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = np.add(hi, lo)
+        slack = np.abs(lo - (r - hi))
+        slack += np.square(count, dtype=np.float64) * 2.0**-104 * r
+        gap = r - np.nextafter(r, 0.0)
+        exact = (r >= _EXACT_RANGE[0]) & (r <= _EXACT_RANGE[1]) & (slack < 0.5 * gap)
+    return r, exact
 
 
 def _fsum(xs: np.ndarray) -> float:
-    """``math.fsum`` of a 1-D float64 array, fed block by block: the same
-    exactly rounded sum as ``math.fsum(xs.tolist())`` without a list of the
-    whole array."""
+    """What ``math.fsum(xs.tolist())`` returns for a 1-D float64 array.
+
+    An array with no negative value is summed by one running cumsum carried
+    across ``_FSUM_BLOCK``-float pieces, with its TwoSum errors beside it,
+    and certified by ``_certified_sums``; any other array, and one whose sum
+    is not certified, is fed to ``math.fsum`` block by block.  No temporary
+    grows with the array."""
+    if xs.size and xs.min() >= 0.0:
+        width = min(xs.size, _FSUM_BLOCK)
+        run, err = np.empty(width + 1), np.empty(width)
+        hi, lo = 0.0, 0.0
+        for i in range(0, xs.size, _FSUM_BLOCK):
+            x = xs[i : i + _FSUM_BLOCK]
+            s = run[: x.size + 1]
+            s[0], s[1:] = hi, x
+            with np.errstate(over="ignore"):
+                np.cumsum(s, out=s)
+            with np.errstate(invalid="ignore"):
+                lo += float(_two_sum_errors(s[:-1], x, s[1:], out=err[: x.size]).sum())
+            hi = float(s[-1])
+        r, exact = _certified_sums(np.array([hi]), np.array([lo]), np.array([xs.size]))
+        if exact[0]:
+            return r.item()
     return math.fsum(
         itertools.chain.from_iterable(
             xs[i : i + _FSUM_BLOCK].tolist() for i in range(0, xs.size, _FSUM_BLOCK)

@@ -29,9 +29,12 @@ prefix sums behind the window edge bounds) go through one helper,
 space, one exp and one log per element; only a row spanning more than
 ``_SHIFT_SPAN`` nats, whose smallest terms would underflow once shifted,
 takes the exact logaddexp recursion.  Truncated
-series are scanned by one routine, ``_scan_rows``, whose sums are exactly
-rounded (``math.fsum``), and report an explicit heuristic geometric
-remainder.  One anchored sweep per environment (``_sweep_rows``) supplies
+series are scanned by one routine, ``_scan_rows``, and report an explicit
+heuristic geometric remainder.  Their sums are exactly rounded, the values
+``math.fsum`` gives: a row that stops in its first chunk takes fl(hi + lo),
+hi its in-order running sum and lo the sum of that running sum's TwoSum
+errors, when a bound proves it correctly rounded
+(``estimate._certified_sums``), and ``math.fsum`` of its terms otherwise.  One anchored sweep per environment (``_sweep_rows``) supplies
 omega_0, R_1, the conditional-return series and the walk windows' edge bounds.
 Its anchor R_{n+1} is no truncated series: it sums a law-sized block of sites
 past n, realized with the sweep's own, and a row is kept only when a moment
@@ -62,6 +65,7 @@ from .env import (
     moment_rho,
     omega_at_sites,
 )
+from .estimate import _certified_sums, _two_sum_errors
 from .rng import MASK64
 
 DEFAULT_TOL = 1e-10
@@ -144,50 +148,107 @@ def _source(env_or_law: EnvSource) -> tuple[EnvLaw, int, Optional[EnvWindow]]:
     return law, seed, None
 
 
+def _row_sums(terms, run, idx, end, scratch):
+    """Exactly rounded sums of the rows ``terms[idx[j], :end[j] + 1]``,
+    non-negative, from their in-order running sums ``run`` (``np.cumsum``
+    along each row).  The TwoSum errors of ``run`` are built over the whole
+    block, flattened (an error that straddles two rows is never read), in
+    ``scratch``, an unused float array of ``terms``' size, and summed over
+    each row's span by one ``np.add.reduceat``; each sum is then certified by
+    ``estimate._certified_sums``, and a row it does not certify is summed by
+    ``math.fsum``."""
+    w = terms.shape[1]
+    flat, x = run.reshape(-1), np.ascontiguousarray(terms).reshape(-1)
+    err = scratch.reshape(-1)  # entry j: the error of adding flat term j + 1
+    err[-1] = 0.0
+    with np.errstate(invalid="ignore"):
+        _two_sum_errors(flat[:-1], x[1:], flat[1:], out=err[:-1])
+    spans = np.empty(2 * idx.size, dtype=np.intp)  # row j's errors: [idx[j] w, idx[j] w + end[j])
+    spans[0::2] = idx * w
+    spans[1::2] = spans[0::2] + end
+    lo = np.add.reduceat(err, spans)[::2]  # an empty span reads one error, not 0
+    lo[end == 0] = 0.0
+    sums, exact = _certified_sums(run[idx, end], lo, end + 1)
+    for j in np.flatnonzero(~exact).tolist():
+        sums[j] = math.fsum(terms[idx[j], : end[j] + 1].tolist())
+    return sums
+
+
+def _quiet_stops(quiet, carry):
+    """hit[:, k], row-wise: the run of consecutive quiet terms that ends at
+    term k of this chunk (``carry`` of them carried in before it) reaches
+    ``QUIET_RUN``.  Each row is prefixed by ``QUIET_RUN`` - 1 flags for the
+    run carried in, and the windows are ANDed by doubling over the flattened
+    block (a window that starts inside a row's chunk never leaves its row).
+    Also returns each row's flags, prefix included."""
+    r, w = quiet.shape
+    p = QUIET_RUN - 1
+    ext = np.zeros(r * (p + w) + p, dtype=bool)
+    grid = ext[: r * (p + w)].reshape(r, p + w)
+    grid[:, p:] = quiet
+    grid[:, :p] = np.arange(p, 0, -1) <= carry[:, None]
+    span = 1
+    while span < QUIET_RUN:
+        step = min(span, QUIET_RUN - span)
+        ext = ext[:-step] & ext[step:]
+        span += step
+    return ext.reshape(r, p + w)[:, :w], grid
+
+
 def _scan_rows(chunk, rows: int, tol: float, horizon: int):
-    """Quiet-run scan of ``rows`` positive series at once, one row each.
+    """Quiet-run scan of ``rows`` non-negative series at once, one row each.
 
     ``chunk(live, used, width)`` gives the next chunk of the rows ``live``
     after ``used`` terms, as a 2-D block (its first ``width`` columns; all for
     None), or None once the supply is exhausted.  A row stops once ``QUIET_RUN``
     consecutive terms fall below tol * (its running sum), or at the horizon
     or supply's end; only running rows are extended, and the first chunk is
-    tried on its leading ``_PEEK`` terms before it is read whole.  A row's sum
-    is one ``math.fsum`` over its terms; its running sum merges chunks by fsum.
-    Returns per-row arrays (sum, last_term, terms_used, converged).
+    tried on its leading ``_PEEK`` terms before it is read whole.
+
+    Each chunk is settled in one vectorized pass.  One row-wise ``np.cumsum``
+    s of its terms gives the stop rule's running sums (plus, past the first
+    chunk, the row's exact total so far), and runs of quiet terms are found
+    by ``_quiet_stops``.  A row that stops in its first chunk takes its sum
+    from the same s, with no Python work per row (``_row_sums``): hi = s at
+    its last term, lo = the sum of the TwoSum errors of s up to it, and
+    r = fl(hi + lo) is accepted when ``estimate._certified_sums`` proves it
+    the correctly rounded sum, the value ``math.fsum`` gives; a row it does
+    not prove (a near-tie, or a sum that is not finite) is summed by
+    ``math.fsum``.  Only a row that runs past its first chunk keeps its terms
+    in a list, merges its running sum by fsum and is summed by one
+    ``math.fsum`` at the end.  Returns per-row arrays (sum, last_term,
+    terms_used, converged).
     """
     last = np.full(rows, math.nan)
     used = np.zeros(rows, dtype=np.int64)
     ok = np.zeros(rows, dtype=bool)
+    sums = np.zeros(rows)
     total = np.zeros(rows)
     carry = np.zeros(rows, dtype=np.int64)
-    kept: list[list[np.ndarray]] = [[] for _ in range(rows)]
+    kept: dict[int, list[np.ndarray]] = {}  # the terms of the rows past their first chunk
     live = np.arange(rows)
     done = 0
 
     def settle(terms):
         """End the rows stopping in ``terms``; return the others' terms and runs."""
         nonlocal live
-        pos = np.arange(terms.shape[1])
-        bar = np.cumsum(terms, axis=1)  # built in place: tol * (running sum)
-        bar += total[live, None]
-        bar *= tol
-        runlen = np.where(terms < bar, -1, pos)
-        del bar
-        np.maximum.accumulate(runlen, axis=1, out=runlen)  # the last noisy term so far
-        fresh = runlen < 0  # none yet in this chunk: the run carried in goes on
-        np.subtract(pos, runlen, out=runlen)
-        np.add(runlen, carry[live, None], out=runlen, where=fresh)
-        hit = runlen >= QUIET_RUN
+        run = np.cumsum(terms, axis=1)  # in order: s_k = fl(s_{k-1} + x_k)
+        bar = run * tol if not done else (run + total[live, None]) * tol
+        hit, flags = _quiet_stops(terms < bar, carry[live])
         stopped = hit.any(axis=1)
         idx = np.flatnonzero(stopped)
         first = hit[idx].argmax(axis=1)
         ended = live[idx]
         last[ended], used[ended], ok[ended] = terms[idx, first], done + first + 1, True
-        for i, r, s in zip(idx.tolist(), ended.tolist(), first.tolist()):
-            kept[r].append(terms[i, : s + 1])
+        if done:
+            for i, r, s in zip(idx.tolist(), ended.tolist(), first.tolist()):
+                kept[r].append(terms[i, : s + 1])
+        elif idx.size:
+            sums[ended] = _row_sums(terms, run, idx, first, bar)
+        del bar
         live = live[~stopped]
-        return terms[~stopped], runlen[~stopped, -1]
+        runlen = (~flags[~stopped, ::-1]).argmax(axis=1)  # the quiet run carried on
+        return terms[~stopped], runlen
 
     while live.size and done < horizon:
         terms = chunk(live, done, _PEEK if done == 0 else None)
@@ -198,12 +259,13 @@ def _scan_rows(chunk, rows: int, tol: float, horizon: int):
             break
         terms, runlen = settle(terms[:, : horizon - done])
         for i, r in enumerate(live.tolist()):
-            kept[r].append(terms[i])
+            kept.setdefault(r, []).append(terms[i])
             total[r] = math.fsum([total[r], *terms[i].tolist()])
         last[live], carry[live] = terms[:, -1], runlen
         done += terms.shape[1]
         used[live] = done
-    sums = np.array([math.fsum(np.concatenate(p).tolist()) if p else 0.0 for p in kept])
+    for r, p in kept.items():
+        sums[r] = total[r] if len(p) == 1 else math.fsum(np.concatenate(p).tolist())
     return sums, last, used, ok
 
 
@@ -724,9 +786,14 @@ def _conditional_rows(law, seeds, tol, horizon=DEFAULT_HORIZON, work=None):
         terms -= log_r[:, :1] + log_1r[:, :1]
         with np.errstate(over="ignore"):
             np.exp(terms, out=terms)
-        sums, last, used, ok = _scan_rows(
-            lambda live, k, width: None if k else terms[live, :width], len(om), tol, horizon
-        )
+
+        def chunk(live, k, width):
+            """The built block, once; a view when every row reads it."""
+            if k:
+                return None
+            return terms[:, :width] if live.size == len(terms) else terms[live, :width]
+
+        sums, last, used, ok = _scan_rows(chunk, len(om), tol, horizon)
         return np.where(ok, used + 1, 0), log_1r, sums, last, used, ok
 
     while todo.size:

@@ -64,6 +64,9 @@ def test_blockwise_fsum_equals_one_list_fsum(size):
     g = np.random.default_rng(size)
     xs = np.where(g.random(size) < 0.5, -1.0, 1.0) * 10.0 ** g.uniform(-300, 300, size)
     assert estimate._fsum(xs) == math.fsum(xs.tolist())
+    # With no negative value the sum is certified from one running cumsum.
+    for xs in (np.abs(xs), g.random(size), np.abs(g.standard_normal(size))):
+        assert estimate._fsum(xs) == math.fsum(xs.tolist())
     # Tallies also sum squares and products, so keep those finite.
     xs = g.standard_normal(size) * 10.0 ** g.uniform(-150, 150, size)
     ys = g.standard_normal(size) * 10.0 ** g.uniform(-150, 150, size)

@@ -14,14 +14,18 @@ converge to a constant (a renewal-theory age limit), which
 ``overshoot_constant`` probes empirically.  ``phi_estimate`` targets
 phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
-All four estimators (the importance and naive ``sup_tail`` estimators,
-``overshoot_constant`` and ``phi_estimate``) run on one lockstep first-exit
-kernel, ``_first_exit``.  It keeps only the partial sums of the paths still
-inside.  Float walks return their exit values in exit order (by exit step,
-path order within a step), and every consumer (exactly rounded tallies,
-min/max) is order-free; lattice walks return how many paths left at each
-value, tallied as each step's paths leave, with no per-path array.  An
-overshoot scan is one walk, to its top level K:
+A lattice ``sup_tail`` estimate (importance or naive) needs only how many
+paths leave at each value, and that depends on the paths only through how
+many sit at each value: those occupation counts form a Markov chain with
+multinomial steps.  ``_count_exit`` walks that chain, one multinomial split
+per occupied value per step: its exit counts have exactly the law that n
+per-path walks give, from other draws.  The other walks need per-path
+maxima or sums: float ``sup_tail`` walks, ``overshoot_constant`` and
+``phi_estimate`` run on one lockstep first-exit kernel, ``_first_exit``.
+It keeps only the partial sums of the paths still inside.  Float walks
+return their exit values in exit order (by exit step, path order within a
+step), and every consumer (exactly rounded tallies, min/max) is
+order-free.  An overshoot scan is one walk, to its top level K:
 the tilted drift is positive, so each path passes every lower level on its
 way up, and the kernel also keeps each path's running maximum and counts
 its rises to a new maximum, from which every level's first passage and
@@ -32,10 +36,10 @@ estimates from the same paths, correlated across k.  A phi walk has a lower
 level only, and each path carries its running sum of e^{-S_n} beside its
 partial sum; the kernel returns those sums at exit, in exit order.
 
-The kernel turns each uniform into an increment by the package's one
+``_first_exit`` turns each uniform into an increment by the package's one
 categorical rule, ``env._categories``.  Lattice laws are simulated in exact
-integer units so that skip-free importance weights are bit-identical across
-paths.  Each step goes through ``_step``, which
+integer units, on both kernels, so that skip-free importance weights are
+bit-identical across paths.  Each step goes through ``_step``, which
 draws each step's uniforms ``_STEP_CHUNK`` paths at a time into one
 chunk-sized buffer per shard and advances each chunk before drawing the
 next; PCG64 draws its doubles in sequence, so the chunks make exactly the
@@ -264,11 +268,12 @@ def _first_exit(
     levels: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
 ):
-    """Walk n >= 1 paths until S >= up or S <= down.  Float walks return S
-    at exit in exit order: the paths that left at step 1 in path order, then
-    those that left at step 2, and so on.  Lattice walks, in integer units
-    with integer ``up`` and ``down``, return (lo, counts): counts[i] paths
-    left at S = lo + i, tallied step by step.
+    """Walk n >= 1 paths until S >= up or S <= down, one partial sum a
+    path.  Without ``levels`` or ``scale`` it returns S at exit in exit
+    order: the paths that left at step 1 in path order, then those that left
+    at step 2, and so on.  That is the float ``sup_tail`` walk; lattice
+    ``sup_tail`` walks need only how many paths leave at each value and run
+    on ``_count_exit``.
 
     down = -inf walks every path to its first crossing of ``up``, up = +inf
     to its first drop to ``down``.  Each step draws one uniform for each path
@@ -287,9 +292,7 @@ def _first_exit(
     [min_inc, max_inc]; ``range_at(k)`` gives both bounds.  With down = -inf
     the floor falls with k, with up = +inf the ceiling rises, and one
     ``astype`` widens the sums just before either bound would leave the
-    dtype.  The same ranges size counts from a finite ``up``: every exit
-    lies in [lo, max(0, up - 1) + max_inc], with lo = max(up, min_inc) for
-    down = -inf and lo = min(0, down + 1) + min_inc otherwise.
+    dtype.
 
     ``scale`` gives each path one float total, started at 1 (S_0 = 0) and
     compacted with its partial sum; after each exit test the paths still
@@ -321,9 +324,6 @@ def _first_exit(
                     max(max(0, min(up - 1, k * hi_inc)) + hi_inc, spread))
 
         live = np.zeros(n, dtype=_sum_dtype(*range_at(0)))
-        if levels is None and scale is None:  # exits counted by value
-            lo = max(up, lo_inc) if down == -math.inf else min(0, down + 1) + lo_inc
-            left = np.zeros(max(0, up - 1) + hi_inc - lo + 1, dtype=np.int64)  # [i]: out at lo + i
     else:
         live = np.zeros(n)
     if scale is not None:
@@ -355,8 +355,6 @@ def _first_exit(
             done |= live <= down
         if levels is not None:
             exits.append(np.count_nonzero(done))
-        elif integer_units and scale is None:
-            left += np.bincount(np.subtract(live[done], lo, dtype=np.intp), minlength=left.size)
         else:
             exits.append((live if scale is None else total)[done])
         keep = np.logical_not(done, out=hit)
@@ -373,25 +371,76 @@ def _first_exit(
         over = np.arange(width)
         counts = above[(levels - first)[:, None] + over, over + 1]
         return counts, np.array(exits, dtype=np.int64)
-    if integer_units and scale is None:
-        return lo, left
     # Free the step buffers before the exits are joined: it lowers the peak
     # memory of two threaded shards.
     del hit, done, keep, u_buf, hit_buf
     return np.concatenate(exits)
 
 
-def _exit_tallies(cumw, incs, up, down, sample, lattice, seed, n, workers) -> list[Tally]:
-    """Per-shard tallies of ``sample`` of the exit values S of ``_first_exit``.
+def _count_exit(cumw: np.ndarray, incs: np.ndarray, up: int, down, n: int,
+                rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Walk n >= 1 lattice paths, in integer units, until S >= up or
+    S <= down (an integer or -inf), and return (lo, left):
+    left[i] paths left at S = lo + i.
 
-    Lattice shards return only how many paths left at each value, and
-    ``sample`` of those values goes into ``Tally.of_counts``, which equals
-    ``Tally.of`` on the per-path samples bit for bit.  Float shards return
-    their exits, sampled into ``Tally.of``.
+    The walk tracks how many paths sit at each value, not the paths: n
+    i.i.d. paths leave at each value in the same joint law as this chain of
+    occupation counts.  occ[i] paths sit at base + i, over the span from the
+    lowest occupied value to the highest.  Each step splits every value's
+    paths over the increments with one ``rng.multinomial(occ, p)`` call, p
+    being the step weights, the differences of ``cumw``; a value with no
+    paths draws nothing.  Column j, shifted by incs[j], adds into the next
+    vector; the values at or above ``up`` and at or below ``down`` move into
+    ``left``, and the zero ends are trimmed.  Each step adds its live paths
+    to the ``_STEP_GUARD`` budget of path-steps, as ``_first_exit`` does.
+
+    Every exit lies in [lo, max(0, up - 1) + max_inc], with
+    lo = max(up, min_inc) for down = -inf and lo = min(0, down + 1) + min_inc
+    otherwise: a path leaves from 0 or from a value inside, by one increment.
     """
-    shards = _map_shards(
-        lambda rng, n_w: _first_exit(cumw, incs, up, down, n_w, rng, lattice), seed, n, workers
-    )
+    lo_inc, hi_inc = int(incs.min()), int(incs.max())
+    lo = max(up, lo_inc) if down == -math.inf else min(0, down + 1) + lo_inc
+    left = np.zeros(max(0, up - 1) + hi_inc - lo + 1, dtype=np.int64)
+    p = np.maximum(np.diff(cumw, prepend=0.0), 0.0)  # a last weight lost to rounding is 0
+    shifts = (incs - lo_inc).tolist()
+    occ, base = np.array([n], dtype=np.int64), 0  # occ[i]: paths at base + i
+    guard = 0
+    while True:
+        guard += int(occ.sum())
+        if guard > _STEP_GUARD:
+            raise RuntimeError("first-exit simulation exceeded the step budget")
+        split = rng.multinomial(occ, p)  # split[i, j]: paths at base + i that step incs[j]
+        nxt = np.zeros(occ.size + hi_inc - lo_inc, dtype=np.int64)
+        for j, d in enumerate(shifts):
+            nxt[d : d + occ.size] += split[:, j]
+        base += lo_inc  # nxt[i]: paths at base + i
+        # nxt[:a] lies at or below down, nxt[b:] at or above up
+        a = min(max(down + 1 - base, 0), nxt.size)  # 0 for down = -inf
+        b = min(max(up - base, a), nxt.size)
+        left[base - lo : base - lo + a] += nxt[:a]
+        left[base - lo + b : base - lo + nxt.size] += nxt[b:]
+        inside = np.flatnonzero(nxt[a:b])
+        if not inside.size:
+            return lo, left
+        occ = nxt[a + inside[0] : a + inside[-1] + 1]
+        base += a + int(inside[0])
+
+
+def _exit_tallies(cumw, incs, up, down, sample, lattice, seed, n, workers) -> list[Tally]:
+    """Per-shard tallies of ``sample`` of the exit values S of a first-exit walk.
+
+    Lattice shards walk on ``_count_exit`` and return only how many paths
+    left at each value; ``sample`` of those values goes into
+    ``Tally.of_counts``, which equals ``Tally.of`` on the per-path samples
+    bit for bit.  Float shards return their exits from ``_first_exit``,
+    sampled into ``Tally.of``.
+    """
+    def walk(rng, n_w):
+        if lattice:
+            return _count_exit(cumw, incs, up, down, n_w, rng)
+        return _first_exit(cumw, incs, up, down, n_w, rng, False)
+
+    shards = _map_shards(walk, seed, n, workers)
     if lattice:
         return [Tally.of_counts(sample(np.arange(lo, lo + c.size)), c) for lo, c in shards]
     return [Tally.of(sample(s)) for s in shards]
@@ -417,6 +466,10 @@ def sup_tail(
     a certified miss once it falls to a level -m with
     e^{-gamma (t+m)} < censor_eps; the censoring bias bound is reported in
     ``error_budget``, never mixed into the standard error.
+
+    On a lattice law both methods walk occupation counts (``_count_exit``):
+    the estimate has the law of the per-path estimator, from other draws.
+    Float laws walk path by path (``_first_exit``).
     """
     if not step.mean < 0.0:
         raise ValueError("sup_tail needs E[xi] < 0")

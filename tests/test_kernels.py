@@ -27,7 +27,11 @@ digests were re-recorded once more when the anchor R_{n+1} became a
 certified block of sites: values moved by at most 1.5e-15 relative and the
 heuristic remainder bounds, which read R_x at the series' reach, by at most
 5.8e-9, with every ``terms_used``, ``converged`` flag and ConvergenceError
-the same (``tests/test_anchor.py`` pins those).  The sweep's logs are
+the same (``tests/test_anchor.py`` pins those).  The lattice naive
+``sup_tail`` literal was re-recorded once, when lattice sup-tail walks moved
+onto occupation counts (``ladder._count_exit``), which draw the same law
+from different draws; over 400 seeds its z-scores against the exact
+(3/7)^4 kept mean -0.02, SD 1.01 and 2 of 400 beyond 3 SE.  The sweep's logs are
 checked against an exact rational recursion, on both of its branches.
 The escape and guard bounds that size first-return windows, and the
 conditioned-walk edge bound that sizes the h-transform window, are also
@@ -115,7 +119,7 @@ def test_sup_tail_golden():
     imp = sup_tail(SKIP_FREE, 4.0, 2000, method="importance", seed=8)
     flt = sup_tail(GENERAL, 6.0, 2000, method="importance", seed=8)
     flt_naive = sup_tail(GENERAL, 6.0, 2000, method="naive", seed=8)
-    assert (naive.value, naive.std_error, naive.n) == (0.0275, 0.003657671975743734, 2000)
+    assert (naive.value, naive.std_error, naive.n) == (0.037, 0.004221896754552751, 2000)
     assert (imp.value, imp.std_error, imp.n) == (0.033735943356934514, 0.0, 2000)
     assert (flt.value, flt.std_error) == (0.03897928930836969, 9.131540394552779e-05)
     assert (flt_naive.value, flt_naive.std_error) == (0.039, 0.004329997048176663)

@@ -9,12 +9,15 @@ busy shard, and pool threads must run no public ``rwre`` function (the
 benchmark tracer keeps one span stack and wraps public functions only).
 ``_first_exit`` is checked against the per-path kernel it replaced, which
 kept S and tau in path order (``walks._per_path_first_exit``): float exits
-in exit order, lattice exits counted by value, also where its narrow
-partial sums must widen; phi's per-path totals against the loop
-``phi_estimate`` ran before (``walks._per_path_phi``); lattice ``sup_tail``
-estimates, tallied from exit counts, against per-path tallies.  The walks draw each step's uniforms
-``ladder._STEP_CHUNK`` paths at a time, and no chunk size may change a
-result.
+in exit order, and narrow lattice partial sums that widen when they must;
+phi's per-path totals against the loop ``phi_estimate`` ran before
+(``walks._per_path_phi``).  Lattice ``sup_tail`` walks run on occupation
+counts (``ladder._count_exit``), which draw the same law from other draws,
+so they are checked in law: against the exact exit law of a band, solved
+from its absorbing chain, against per-path exits in a two-sample test,
+and as ``sup_tail`` estimates against per-path tallies.  The per-path walks
+draw each step's uniforms ``ladder._STEP_CHUNK`` paths at a time, and no
+chunk size may change a result.
 """
 
 import concurrent.futures
@@ -29,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from rwre import (
     Estimate,
@@ -147,21 +151,21 @@ KERNEL_CASES = {
     "lattice-deep-band": (SKIP_FREE, False, 4, -200),
     "lattice-long-up": (SKIP_FREE, True, 60, -math.inf),
 }
+FLOAT_CASES = sorted(c for c, (step, *_) in KERNEL_CASES.items() if step.lattice is None)
+LATTICE_CASES = sorted(c for c, (step, *_) in KERNEL_CASES.items() if step.lattice is not None)
+BAND_CASES = [c for c in LATTICE_CASES if KERNEL_CASES[c][3] > -math.inf]
+UP_CASES = [c for c in LATTICE_CASES if KERNEL_CASES[c][3] == -math.inf]
 
 
 @pytest.mark.parametrize("n", [1, 7, 3000])
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("case", FLOAT_CASES)
 def test_first_exit_equals_per_path_kernel(case, n):
     cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES[case])
     ref_rng, new_rng = worker_streams(17, 1)[0], worker_streams(17, 1)[0]
     s_ref, tau_ref = _per_path_first_exit(cumw, incs, up, down, n, ref_rng, lattice)
     got = ladder._first_exit(cumw, incs, up, down, n, new_rng, lattice)
-    if lattice:  # how many paths left at each value lo, lo + 1, ...
-        lo, counts = got
-        np.testing.assert_array_equal(np.repeat(np.arange(lo, lo + counts.size), counts),
-                                      np.sort(s_ref))
-    else:  # the exits in exit order: by exit step, in path order within a step
-        np.testing.assert_array_equal(got, s_ref[np.argsort(tau_ref, kind="stable")])
+    # the exits in exit order: by exit step, in path order within a step
+    np.testing.assert_array_equal(got, s_ref[np.argsort(tau_ref, kind="stable")])
     assert new_rng.random() == ref_rng.random()  # the same draws were made
 
 
@@ -193,14 +197,15 @@ def test_first_exit_totals_equal_per_path_phi(case, n):
 
 
 @pytest.mark.parametrize("case, widest", [
-    ("lattice-up", np.int8), ("lattice-deep-band", np.int16), ("lattice-long-up", np.int16),
-    ("phi-jumpy", np.int16),
+    ("lattice-up", np.int8), ("lattice-long-up", np.int16), ("phi-jumpy", np.int16),
 ])
 def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, widest):
     if case in PHI_CASES:
         cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
-    else:
+        levels = None
+    else:  # the level walk of ``overshoot_constant``, to the one level ``up``
         (cumw, incs, up, down, lattice), scale = _kernel_args(*KERNEL_CASES[case]), None
+        levels = np.array([up])
     seen = []
     advance = ladder._advance
 
@@ -209,13 +214,97 @@ def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, w
         return advance(live, *args)
 
     monkeypatch.setattr(ladder, "_advance", spy)
-    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, scale=scale)
+    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, levels, scale)
     assert seen[0] == np.int8 and max(seen, key=lambda dt: dt.itemsize) == widest
     assert seen[: seen.index(widest)] == [np.int8] * seen.index(widest)
     if case in PHI_CASES:  # widened just before the ceiling 2k + 2 passes 127
         assert seen.index(widest) == 63
     elif widest == np.int16:  # widened just before a position below -128 could occur
         assert seen.index(widest) == 128
+
+
+def test_first_exit_step_guard_still_trips(monkeypatch):
+    monkeypatch.setattr(ladder, "_STEP_GUARD", 500)
+    cumw, incs, _, down, lattice = _kernel_args(*KERNEL_CASES["float-up"])
+    with pytest.raises(RuntimeError, match="step budget"):
+        ladder._first_exit(cumw, incs, 40.0, down, 100, worker_streams(1, 1)[0], lattice)
+
+
+# -------------------------------------------------- occupation-count kernel
+
+def _g_pvalue(observed, expected):
+    """p-value of the G statistic 2 sum O log(O / E) of counts against
+    expected counts, both of shape (rows, cells), on cells - 1 degrees of
+    freedom: one row fitted to a known law, or two rows tested for one law.
+    Cells whose smallest expected count is below 5 are pooled into one."""
+    observed = np.atleast_2d(observed).astype(np.float64)
+    expected = np.atleast_2d(expected).astype(np.float64)
+    rare = expected.min(axis=0) < 5.0
+    if rare.any():
+        observed = np.column_stack([observed[:, ~rare], observed[:, rare].sum(axis=1)])
+        expected = np.column_stack([expected[:, ~rare], expected[:, rare].sum(axis=1)])
+    seen = observed > 0
+    g = 2.0 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+    dof = observed.shape[1] - 1
+    return chi2.sf(g, dof) if dof else float(abs(g) < 1e-9)
+
+
+def _band_exit_law(step, up, down):
+    """Exit values of the walk from 0 in ``step``'s units, absorbed at
+    S >= up or S <= down, with their probabilities: row 0 of N, where
+    (I - Q) N = R over the values inside (down, up)."""
+    units = step.units
+    inside = range(down + 1, up)
+    exits = [*range(down + 1 + min(units), down + 1), *range(up, up + max(units))]
+    q, r = np.zeros((len(inside), len(inside))), np.zeros((len(inside), len(exits)))
+    for i, x in enumerate(inside):
+        for w, d in zip(step.weights, units):
+            if down < x + d < up:
+                q[i, x + d - down - 1] += w
+            else:
+                r[i, exits.index(x + d)] += w
+    law = np.linalg.solve(np.eye(len(inside)) - q, r)[-down - 1]
+    return np.array(exits), law
+
+
+@pytest.mark.parametrize("n", [1, 7, 3000])
+@pytest.mark.parametrize("case", LATTICE_CASES)
+def test_count_exit_counts_every_path_once_where_it_can_leave(case, n):
+    cumw, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
+    lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(17, 1)[0])
+    assert left.dtype == np.int64 and left.sum() == n and (left >= 0).all()
+    values = np.arange(lo, lo + left.size)
+    above = (up <= values) & (values <= up - 1 + incs.max())
+    below = (down + incs.min() <= values) & (values <= down)
+    assert not left[~(above | below)].any()
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_count_exit_follows_the_exact_exit_law_of_a_band(case):
+    step, tilted, up, down = KERNEL_CASES[case]
+    assert not tilted
+    cumw, incs, *_ = _kernel_args(*KERNEL_CASES[case])
+    values, law = _band_exit_law(step, up, down)
+    assert abs(law.sum() - 1.0) <= 1e-12 and law.min() > 1e-4
+    n = 20_000
+    for seed in range(6):
+        lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(seed, 1)[0])
+        assert left[values - lo].sum() == n  # no path left anywhere else
+        assert _g_pvalue(left[values - lo], n * law) > 1e-6
+
+
+@pytest.mark.parametrize("case", UP_CASES)
+def test_count_exit_matches_per_path_exits_in_law(case):
+    cumw, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
+    n = 5000
+    for seed in range(4):
+        lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(seed, 1)[0])
+        s, _ = _per_path_first_exit(cumw, incs, up, down, n, worker_streams(seed + 100, 1)[0], True)
+        ref = np.bincount(s - lo, minlength=left.size)
+        assert ref.size == left.size  # the per-path exits lie in the kernel's range too
+        table = np.array([left, ref])[:, (left + ref) > 0]
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / (2 * n)
+        assert _g_pvalue(table, expected) > 1e-6
 
 
 def _per_path_sup_tail(step, t, n, method, seed, workers, censor_eps=1e-12):
@@ -242,17 +331,37 @@ def _per_path_sup_tail(step, t, n, method, seed, workers, censor_eps=1e-12):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("method", ["importance", "naive"])
 @pytest.mark.parametrize("law", ["skip-free", "jumpy", "fix-f"])
-def test_lattice_sup_tail_tallies_from_counts_equal_per_path_tallies(law, method, workers):
+def test_lattice_sup_tail_on_count_exit_agrees_with_per_path_tallies(law, method, workers):
     step = {"skip-free": SKIP_FREE, "jumpy": JUMPY, "fix-f": FIX_F_STEP}[law]
     est = sup_tail(step, 4.0, 2000, method, seed=6, workers=workers)
-    assert est == _per_path_sup_tail(step, 4.0, 2000, method, 6, workers)
+    ref = _per_path_sup_tail(step, 4.0, 2000, method, 6, workers)
+    assert (est.n, est.method, est.error_budget) == (ref.n, ref.method, ref.error_budget)
+    assert est.extras.keys() == ref.extras.keys() and est.extras["gamma"] == ref.extras["gamma"]
+    assert abs(est.value - ref.value) <= 3.0 * math.hypot(est.std_error, ref.std_error)
+    if method == "importance" and law != "jumpy":  # skip-free upward: every path exits at up
+        assert est == ref
+    if method == "importance" and law == "skip-free":
+        assert est.value == pytest.approx((3.0 / 7.0) ** 4, rel=1e-12, abs=1e-12)
+        assert est.std_error == 0.0
 
 
-def test_first_exit_step_guard_still_trips(monkeypatch):
+def test_count_exit_takes_a_last_weight_lost_to_rounding_as_zero():
+    # The weights sum to 1 within 1e-12, but the thresholds pass 1 before
+    # the last one: no uniform in [0, 1) picks it, and a step weight of
+    # -5e-13 would make ``rng.multinomial`` raise.
+    step = StepLaw.of([(0.3, 1.0), (0.7 + 5e-13, -1.0), (1e-13, -2.0)])
+    cumw = _thresholds(step.weights)
+    assert cumw[-2] > 1.0
+    lo, left = ladder._count_exit(cumw, np.asarray(step.units), 4, -12, 3000,
+                                  worker_streams(2, 1)[0])
+    assert left.sum() == 3000 and left[-13 - lo] == 0  # -13 only by a step of -2
+
+
+def test_count_exit_step_guard_still_trips(monkeypatch):
     monkeypatch.setattr(ladder, "_STEP_GUARD", 500)
-    cumw, incs, up, down, lattice = _kernel_args(*KERNEL_CASES["lattice-up"])
+    cumw, incs, _, down, _ = _kernel_args(*KERNEL_CASES["lattice-up"])
     with pytest.raises(RuntimeError, match="step budget"):
-        ladder._first_exit(cumw, incs, 40, down, 100, worker_streams(1, 1)[0], lattice)
+        ladder._count_exit(cumw, incs, 40, down, 100, worker_streams(1, 1)[0])
 
 
 # ------------------------------------------------------------------- pool
@@ -353,7 +462,7 @@ def test_step_guard_error_from_a_pool_thread_reaches_the_caller(monkeypatch, tmp
     made = _pools(monkeypatch, 2)
     monkeypatch.setattr(ladder, "_STEP_GUARD", 100)
     raised = []
-    kernel = ladder._first_exit
+    kernel = ladder._count_exit
 
     def spy(*args):
         try:
@@ -362,7 +471,7 @@ def test_step_guard_error_from_a_pool_thread_reaches_the_caller(monkeypatch, tmp
             raised.append((threading.current_thread(), exc))
             raise
 
-    monkeypatch.setattr(ladder, "_first_exit", spy)
+    monkeypatch.setattr(ladder, "_count_exit", spy)
     with pytest.raises(RuntimeError, match="step budget") as info:
         sup_tail(SKIP_FREE, 50, 1000, "importance", seed=1, workers=2)
     assert made == [2]
@@ -413,7 +522,8 @@ def test_pool_threads_run_no_public_function(monkeypatch):
     finally:
         threading.setprofile(None)
     assert made and set(made) == {3}
-    assert ladder._first_exit.__code__ in seen  # the kernel did run in the pool
+    assert ladder._first_exit.__code__ in seen  # the kernels did run in the pool
+    assert ladder._count_exit.__code__ in seen
     leaked = {f"{c.co_filename}:{c.co_name}" for c in seen & public}
     assert not leaked
 
@@ -495,27 +605,29 @@ def test_step_chunk_never_changes_a_result(monkeypatch, name, chunk):
     monkeypatch.setattr(ladder, "_STEP_CHUNK", chunk)
     monkeypatch.setattr(ladder, "_advance", spy)
     assert run(3000, 2) == expected
-    assert max(sizes) == chunk
+    if name in ("sup-naive", "sup-importance"):  # lattice walks on _count_exit draw no uniforms
+        assert sizes == []
+    else:
+        assert max(sizes) == chunk
 
 
 # ----------------------------------------------------------------- memory
 
-def test_first_exit_peak_memory_of_a_sup_naive_shard():
+def test_count_exit_peak_memory_of_a_sup_naive_shard():
     # One 5x10^5-path shard of the benchmark's sup_naive: 5.2 MiB traced with
-    # an n-float uniform buffer, 1.9 MiB with chunk-sized draws.
+    # an n-float uniform buffer, 1.9 MiB with chunk-sized draws, and a few
+    # KiB as occupation counts, which do not grow with the paths.
     step = SKIP_FREE
     m = -math.log(1e-12) / gamma_root(step) - 4.0
-    cumw, incs, up, down, lattice = _kernel_args(step, False, 4, math.floor(-m + 1e-9))
+    cumw, incs, up, down, _ = _kernel_args(step, False, 4, math.floor(-m + 1e-9))
     tracemalloc.start()
     try:
-        _, counts = ladder._first_exit(
-            cumw, incs, up, down, 500_000, worker_streams(3, 1)[0], lattice
-        )
+        _, counts = ladder._count_exit(cumw, incs, up, down, 500_000, worker_streams(3, 1)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert counts.sum() == 500_000
-    assert peak < 3.5 * 2**20
+    assert peak < 0.1 * 2**20
 
 
 @pytest.mark.parametrize("method, limit_mib", [("naive", 12), ("importance", 15)])

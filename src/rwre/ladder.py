@@ -14,27 +14,29 @@ converge to a constant (a renewal-theory age limit), which
 ``overshoot_constant`` probes empirically.  ``phi_estimate`` targets
 phi(t) = E[ sum_{n=0}^{nu(t)-1} e^{-S_n} ] with nu(t) = inf{n>=1: S_n <= -t}.
 
-A lattice ``sup_tail`` estimate (importance or naive) needs only how many
-paths leave at each value, and that depends on the paths only through how
-many sit at each value: those occupation counts form a Markov chain with
-multinomial steps.  ``_count_exit`` walks that chain, one multinomial split
-per occupied value per step: its exit counts have exactly the law that n
-per-path walks give, from other draws.  The other walks need per-path
-maxima or sums: float ``sup_tail`` walks, ``overshoot_constant`` and
-``phi_estimate`` run on one lockstep first-exit kernel, ``_first_exit``.
-It keeps only the partial sums of the paths still inside.  Float walks
-return their exit values in exit order (by exit step, path order within a
-step), and every consumer (exactly rounded tallies, min/max) is
-order-free.  An overshoot scan is one walk, to its top level K:
-the tilted drift is positive, so each path passes every lower level on its
-way up, and the kernel also keeps each path's running maximum and counts
-its rises to a new maximum, from which every level's first passage and
-overshoot are read.  The scan's tallies come from those counts alone.  For
-laws that are skip-free upward each entry equals a separate walk to its
-level; for other lattice laws the entries below K are common-random-number
-estimates from the same paths, correlated across k.  A phi walk has a lower
-level only, and each path carries its running sum of e^{-S_n} beside its
-partial sum; the kernel returns those sums at exit, in exit order.
+Every lattice estimate (``sup_tail`` by either method, ``overshoot_constant``)
+needs only how many paths first pass each level at each overshoot, how many
+leave at each step and how many fall out below.  Those depend on the paths
+only through how many sit at each pair (M, D), M the running maximum of
+S_1..S_k (floored just below the lowest level) and D = M - S, and those
+occupation counts form a Markov chain with multinomial steps.  One kernel,
+``_count_exit``, walks that chain with one multinomial split of the occupied
+cells per step: its counts have exactly the law that n per-path walks give,
+from other draws.  An overshoot scan is one walk, to its top level K: the
+tilted drift is positive, so each path passes every lower level on its way
+up, and the rises to a new maximum give every level's first passage and
+overshoot.  The level counts have the law of separate walks to each level,
+but come from the same paths, so the entries are correlated across k.
+Lattice walks run as one chain on the caller's thread, from the stream of
+``worker_streams(seed, 1)``, so their results depend on the seed alone.
+
+Float ``sup_tail`` walks and ``phi_estimate`` need per-path values and run on
+one lockstep first-exit kernel, ``_first_exit``.  It keeps only the partial
+sums of the paths still inside and returns their exit values in exit order
+(by exit step, path order within a step); every consumer (exactly rounded
+tallies, min/max) is order-free.  A phi walk has a lower level only, and each
+path carries its running sum of e^{-S_n} beside its partial sum; the kernel
+returns those sums at exit, in exit order.
 
 ``_first_exit`` turns each uniform into an increment by the package's one
 categorical rule, ``env._categories``.  Lattice laws are simulated in exact
@@ -51,11 +53,11 @@ Integer partial sums sit in the narrowest signed dtype that holds the next
 step's positions (int8 while they stay within -128..127), widening once a
 falling floor or a rising ceiling needs it.
 
-Worker shards run through ``rng._map_shards``, on up to usable-CPU threads.
-A shard's thread runs only the private walk and numpy; the tallies are taken
-afterwards in the caller's thread, in shard order, so every result depends
-on (seed, workers) only.  Lattice tallies come from exit counts
-(``Tally.of_counts``), never from a per-path sample array.
+The worker shards of ``_first_exit`` run through ``rng._map_shards``, on up
+to usable-CPU threads.  A shard's thread runs only the private walk and
+numpy; the tallies are taken afterwards in the caller's thread, in shard
+order, so those results depend on (seed, workers) only.  Lattice tallies
+come from counts (``Tally.of_counts``), never from a per-path sample array.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ import numpy as np
 
 from .env import EnvLaw, _add_steps, _categories, _positive_root, _thresholds
 from .estimate import Estimate, Tally, merge_mean
-from .rng import _map_shards
+from .rng import _map_shards, worker_streams
 
 LATTICE_ATOL = 1e-9
-_STEP_GUARD = 10_000_000_000  # total step budget per worker; trips on misuse
+_STEP_GUARD = 10_000_000_000  # total step budget per walk; trips on misuse
 _STEP_CHUNK = 1 << 16  # paths drawn and advanced at a time: bounds the uniform buffer
 
 
@@ -265,15 +267,13 @@ def _first_exit(
     n: int,
     rng: np.random.Generator,
     integer_units: bool,
-    levels: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
 ):
     """Walk n >= 1 paths until S >= up or S <= down, one partial sum a
-    path.  Without ``levels`` or ``scale`` it returns S at exit in exit
-    order: the paths that left at step 1 in path order, then those that left
-    at step 2, and so on.  That is the float ``sup_tail`` walk; lattice
-    ``sup_tail`` walks need only how many paths leave at each value and run
-    on ``_count_exit``.
+    path.  Without ``scale`` it returns S at exit in exit order: the paths
+    that left at step 1 in path order, then those that left at step 2, and
+    so on.  That is the float ``sup_tail`` walk; lattice estimates need only
+    counts and run on ``_count_exit``.
 
     down = -inf walks every path to its first crossing of ``up``, up = +inf
     to its first drop to ``down``.  Each step draws one uniform for each path
@@ -298,20 +298,6 @@ def _first_exit(
     compacted with its partial sum; after each exit test the paths still
     inside add e^{-S scale}.  The walk then returns every path's total at
     exit, in exit order, for lattice and float walks alike.
-
-    ``levels`` (lattice only: sorted distinct integer levels, the last one
-    ``up``, with down = -inf) records every level's first passage instead.
-    Each path keeps its running maximum beside its partial sum, started just
-    below levels[0] so that only steps n >= 1 count, and a rise from ``old``
-    to ``new`` is the first passage of every level in (old, new].  Each step
-    counts the rises of the paths at a new running maximum (``live > top``)
-    by (new, new - old), in one ``bincount``.  Level k was first passed at
-    k + o by the rises to k + o of size above o, so after the walk the level
-    counts are suffix sums of that histogram over rise size.  Returns
-    (counts, exits) with no per-path array: counts[i, o] paths first crossed
-    levels[i] at levels[i] + o, and exits[k-1] paths reached ``up`` at step
-    k.  The walk draws exactly what the walk to ``up`` without ``levels``
-    draws.
     """
     u_buf = np.empty(min(n, _STEP_CHUNK))
     hit_buf = np.empty(n, dtype=bool)
@@ -328,13 +314,7 @@ def _first_exit(
         live = np.zeros(n)
     if scale is not None:
         total = np.ones(n)  # each path's sum of e^{-S_j scale} so far, S_0 = 0 included
-    if levels is not None:
-        first = int(levels[0])
-        top = np.full(n, first - 1, dtype=np.int64)  # running max, floored just below levels[0]
-        width = int(incs.max()) - min(0, first - 1)  # rises lie in 1..width, overshoots below
-        # rises[(new - first) * (width + 1) + r]: rises of size r to a new maximum new
-        rises = np.zeros((int(levels[-1]) - first + width) * (width + 1), dtype=np.int64)
-    exits = []  # exits[k-1]: S or total of each path out at step k (their count with levels)
+    exits = []  # exits[k-1]: S or total of each path out at step k
     steps = guard = 0
     while live.size:
         if integer_units and (dtype := _sum_dtype(*range_at(steps))) != live.dtype:
@@ -343,107 +323,90 @@ def _first_exit(
         _step(live, cumw, incs, rng, u_buf, hit)
         steps += 1
         guard += live.size
-        if levels is not None:
-            rise = np.flatnonzero(live > top)  # the paths at a new running maximum
-            if rise.size:
-                old = top[rise]
-                top[rise] = live[rise]
-                new = top[rise]
-                rises += np.bincount((new - first) * (width + 1) + (new - old), minlength=rises.size)
         done = np.greater_equal(live, up, out=hit)
         if down > -math.inf:
             done |= live <= down
-        if levels is not None:
-            exits.append(np.count_nonzero(done))
-        else:
-            exits.append((live if scale is None else total)[done])
+        exits.append((live if scale is None else total)[done])
         keep = np.logical_not(done, out=hit)
-        if levels is not None:
-            top = top[keep]
         live = live[keep]
         if scale is not None:
             total = total[keep]
             total += np.exp(-(live * scale))
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
-    if levels is not None:
-        above = np.cumsum(rises.reshape(-1, width + 1)[:, ::-1], axis=1)[:, ::-1]
-        over = np.arange(width)
-        counts = above[(levels - first)[:, None] + over, over + 1]
-        return counts, np.array(exits, dtype=np.int64)
     # Free the step buffers before the exits are joined: it lowers the peak
     # memory of two threaded shards.
     del hit, done, keep, u_buf, hit_buf
     return np.concatenate(exits)
 
 
-def _count_exit(cumw: np.ndarray, incs: np.ndarray, up: int, down, n: int,
-                rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Walk n >= 1 lattice paths, in integer units, until S >= up or
-    S <= down (an integer or -inf), and return (lo, left):
-    left[i] paths left at S = lo + i.
+def _count_exit(cumw: np.ndarray, incs: np.ndarray, levels: np.ndarray, down, n: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk n >= 1 lattice paths, in integer units, until they reach
+    levels[-1] or fall to S <= down (an integer or -inf), and return
+    (counts, exits, below): counts[i, o] paths first passed levels[i] at
+    levels[i] + o, exits[k-1] paths reached levels[-1] at step k, and
+    ``below`` paths fell to S <= down first.  ``levels`` are sorted distinct
+    integers; a first passage is the first step k >= 1 with S_k >= level.
 
-    The walk tracks how many paths sit at each value, not the paths: n
-    i.i.d. paths leave at each value in the same joint law as this chain of
-    occupation counts.  occ[i] paths sit at base + i, over the span from the
-    lowest occupied value to the highest.  Each step splits every value's
+    The walk tracks how many paths sit at each pair (M, D), not the paths:
+    M is the running maximum of S_1..S_k, floored at levels[0] - 1, and
+    D = M - S.  n i.i.d. paths give the same joint law of counts as this
+    chain of occupation counts.  Each step splits every occupied cell's
     paths over the increments with one ``rng.multinomial(occ, p)`` call, p
-    being the step weights, the differences of ``cumw``; a value with no
-    paths draws nothing.  Column j, shifted by incs[j], adds into the next
-    vector; the values at or above ``up`` and at or below ``down`` move into
-    ``left``, and the zero ends are trimmed.  Each step adds its live paths
-    to the ``_STEP_GUARD`` budget of path-steps, as ``_first_exit`` does.
-
-    Every exit lies in [lo, max(0, up - 1) + max_inc], with
-    lo = max(up, min_inc) for down = -inf and lo = min(0, down + 1) + min_inc
-    otherwise: a path leaves from 0 or from a value inside, by one increment.
+    being the step weights, the differences of ``cumw``.  A step by more
+    than D is a rise to a new maximum, and a rise from old to new is the
+    first passage of every level in (old, new]: one ``bincount`` adds the
+    rises into a (new maximum, rise size) histogram.  The cells at or above
+    levels[-1] leave into ``exits`` and those at or below ``down`` into
+    ``below``; one ``bincount`` on a dense (M, D) key merges the rest.
+    Level k was first passed at k + o by the rises to k + o of size above o,
+    so after the walk the level counts are suffix sums of the histogram over
+    rise size.  Each step adds its live paths to the ``_STEP_GUARD`` budget
+    of path-steps, as ``_first_exit`` does.
     """
-    lo_inc, hi_inc = int(incs.min()), int(incs.max())
-    lo = max(up, lo_inc) if down == -math.inf else min(0, down + 1) + lo_inc
-    left = np.zeros(max(0, up - 1) + hi_inc - lo + 1, dtype=np.int64)
+    first, top = int(levels[0]), int(levels[-1])
+    floor = first - 1  # M before the first step: only steps k >= 1 pass a level
+    width = int(incs.max()) - min(0, floor)  # rises lie in 1..width, overshoots below
+    fall = -min(0, int(incs.min()))  # the most D grows in one step
+    # rises[(new - floor) * (width + 1) + r]: paths that rose by r to a new
+    # maximum new; r = 0 gathers the steps that made no rise
+    rises = np.zeros((top - floor + width) * (width + 1))
     p = np.maximum(np.diff(cumw, prepend=0.0), 0.0)  # a last weight lost to rounding is 0
-    shifts = (incs - lo_inc).tolist()
-    occ, base = np.array([n], dtype=np.int64), 0  # occ[i]: paths at base + i
-    guard = 0
-    while True:
-        guard += int(occ.sum())
+    m = d = np.array([floor])  # occ[i] paths sit at (m[i], d[i])
+    occ, live = np.array([n]), n
+    exits, below, guard = [], 0, 0
+    while live:
+        guard += live
         if guard > _STEP_GUARD:
             raise RuntimeError("first-exit simulation exceeded the step budget")
-        split = rng.multinomial(occ, p)  # split[i, j]: paths at base + i that step incs[j]
-        nxt = np.zeros(occ.size + hi_inc - lo_inc, dtype=np.int64)
-        for j, d in enumerate(shifts):
-            nxt[d : d + occ.size] += split[:, j]
-        base += lo_inc  # nxt[i]: paths at base + i
-        # nxt[:a] lies at or below down, nxt[b:] at or above up
-        a = min(max(down + 1 - base, 0), nxt.size)  # 0 for down = -inf
-        b = min(max(up - base, a), nxt.size)
-        left[base - lo : base - lo + a] += nxt[:a]
-        left[base - lo + b : base - lo + nxt.size] += nxt[b:]
-        inside = np.flatnonzero(nxt[a:b])
-        if not inside.size:
-            return lo, left
-        occ = nxt[a + inside[0] : a + inside[-1] + 1]
-        base += a + int(inside[0])
-
-
-def _exit_tallies(cumw, incs, up, down, sample, lattice, seed, n, workers) -> list[Tally]:
-    """Per-shard tallies of ``sample`` of the exit values S of a first-exit walk.
-
-    Lattice shards walk on ``_count_exit`` and return only how many paths
-    left at each value; ``sample`` of those values goes into
-    ``Tally.of_counts``, which equals ``Tally.of`` on the per-path samples
-    bit for bit.  Float shards return their exits from ``_first_exit``,
-    sampled into ``Tally.of``.
-    """
-    def walk(rng, n_w):
-        if lattice:
-            return _count_exit(cumw, incs, up, down, n_w, rng)
-        return _first_exit(cumw, incs, up, down, n_w, rng, False)
-
-    shards = _map_shards(walk, seed, n, workers)
-    if lattice:
-        return [Tally.of_counts(sample(np.arange(lo, lo + c.size)), c) for lo, c in shards]
-    return [Tally.of(sample(s)) for s in shards]
+        split = rng.multinomial(occ, p)  # split[i, j]: paths of cell i that step incs[j]
+        d2 = d[:, None] - incs
+        rise = np.minimum(d2, 0)  # minus the rise to a new maximum
+        d2 -= rise
+        m2 = m[:, None] - rise - floor  # the new M - floor
+        # Weighted bincounts count in float64, exactly while counts stay below 2^53.
+        rises += np.bincount((m2 * (width + 1) - rise).ravel(), split.ravel(),
+                             minlength=rises.size)
+        stay = m2 < top - floor
+        if down > -math.inf:
+            low = m2 - d2 <= down - floor  # S <= down
+            fell = int(split[low].sum())
+            below += fell
+            live -= fell
+            stay &= ~low
+        span = max(int(d.max()), 0) + fall + 1  # above every new D
+        merged = np.bincount((m2 * span + d2)[stay], split[stay])
+        cells = np.flatnonzero(merged)
+        occ = merged[cells].astype(np.int64)
+        m, d = np.divmod(cells, span)
+        m += floor
+        exits.append(live - int(occ.sum()))
+        live -= exits[-1]
+    above = np.cumsum(rises.reshape(-1, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    over = np.arange(width)
+    counts = above[(levels - floor)[:, None] + over, over + 1].astype(np.int64)
+    return counts, np.array(exits, dtype=np.int64), below
 
 
 def sup_tail(
@@ -467,9 +430,11 @@ def sup_tail(
     e^{-gamma (t+m)} < censor_eps; the censoring bias bound is reported in
     ``error_budget``, never mixed into the standard error.
 
-    On a lattice law both methods walk occupation counts (``_count_exit``):
-    the estimate has the law of the per-path estimator, from other draws.
-    Float laws walk path by path (``_first_exit``).
+    On a lattice law both methods walk occupation counts (``_count_exit``)
+    as one chain from the stream of ``worker_streams(seed, 1)``: the
+    estimate has the law of the per-path estimator, from other draws, and
+    depends on the seed alone.  Float laws walk path by path
+    (``_first_exit``) in ``workers`` shards.
     """
     if not step.mean < 0.0:
         raise ValueError("sup_tail needs E[xi] < 0")
@@ -479,32 +444,17 @@ def sup_tail(
         raise ValueError(f"sup_tail needs a finite level t, got {t}")
     gamma = gamma_root(step)
     lattice = step.lattice is not None
-
+    incs = np.asarray(step.units if lattice else step.values)
     if method == "importance":
-        q = tilt(step, gamma)
-        cumw = _thresholds(q.q_weights)
-        incs = np.asarray(step.units if lattice else step.values)
-        level = _unit_level(t, step.lattice) if lattice else t
+        cumw = _thresholds(tilt(step, gamma).q_weights)
+        up, down = (_unit_level(t, step.lattice) if lattice else t), -math.inf
 
-        def weights(x):
+        def sample(x):
             x = -gamma * (x * step.lattice if lattice else x)
             return np.exp(x, out=x)
-
-        tallies = _exit_tallies(cumw, incs, level, -math.inf, weights, lattice, seed, n, workers)
-        n_tot, mean, se, lo, hi = merge_mean(tallies)
-        return Estimate(
-            value=mean,
-            std_error=se,
-            n=n_tot,
-            method="sup-tail-importance",
-            seed=seed,
-            extras={"gamma": gamma, "weight_spread": hi - lo},
-        )
-
-    if method == "naive":
+    elif method == "naive":
         m = max(0.0, -math.log(censor_eps) / gamma - t)
         cumw = _thresholds(step.weights)
-        incs = np.asarray(step.units if lattice else step.values)
         if lattice:
             up = _unit_level(t, step.lattice)
             down = min(-1, math.floor(-m / step.lattice + 1e-9))
@@ -513,19 +463,40 @@ def sup_tail(
             # already certifies the miss, so the level just excludes 0 itself
             up, down = t, min(-1e-300, -m)
 
-        tallies = _exit_tallies(cumw, incs, up, down, lambda x: x >= up, lattice, seed, n, workers)
-        n_tot, mean, se, _, _ = merge_mean(tallies)
+        def sample(x):
+            return x >= up
+    else:
+        raise ValueError("method must be 'importance' or 'naive'")
+
+    if lattice:
+        counts, _, below = _count_exit(cumw, incs, np.array([up]), down, n,
+                                       worker_streams(seed, 1)[0])
+        # the paths that fell below are pooled at ``down``; only naive has any
+        values = np.append(float(down), up + np.arange(counts.shape[1]))
+        tallies = [Tally.of_counts(sample(values), np.append(below, counts[0]))]
+    else:
+        exits = _map_shards(lambda rng, n_w: _first_exit(cumw, incs, up, down, n_w, rng, False),
+                            seed, n, workers)
+        tallies = [Tally.of(sample(s)) for s in exits]
+    n_tot, mean, se, lo, hi = merge_mean(tallies)
+    if method == "importance":
         return Estimate(
             value=mean,
             std_error=se,
             n=n_tot,
-            method="sup-tail-naive",
+            method="sup-tail-importance",
             seed=seed,
-            error_budget=censor_eps,
-            extras={"gamma": gamma, "censor_level": -m},
+            extras={"gamma": gamma, "weight_spread": hi - lo},
         )
-
-    raise ValueError("method must be 'importance' or 'naive'")
+    return Estimate(
+        value=mean,
+        std_error=se,
+        n=n_tot,
+        method="sup-tail-naive",
+        seed=seed,
+        error_budget=censor_eps,
+        extras={"gamma": gamma, "censor_level": -m},
+    )
 
 
 @dataclass(frozen=True)
@@ -572,15 +543,17 @@ def overshoot_constant(
     at the largest k.  Non-lattice laws are rejected: only the lattice
     limit is probed here.
 
-    One scan is one walk of n tilted paths to K = max(k_range): the drift is
-    positive under Q, so each path passes every lower level on its way up,
-    and ``_first_exit`` records each level's first passage and overshoot as
-    counts.  The walk to K draws what a walk to K alone draws, so the k = K
-    entry, the Wald data and the overshoot law do not depend on the other
-    levels.  For laws that are skip-free upward every path crosses level k
-    exactly at k, so every entry equals a separate walk to its own level;
-    for other laws the lower entries are common-random-number estimates from
-    the same paths, correlated across k.
+    One scan is one walk of n tilted paths to K = max(k_range), as one
+    chain of occupation counts (``_count_exit``) from the stream of
+    ``worker_streams(seed, 1)``, so the scan depends on the seed alone;
+    ``workers`` is accepted and not used.  The drift is positive under Q, so each path
+    passes every lower level on its way up, and the walk counts each
+    level's first passages by overshoot.  Each level's counts have the law
+    of a separate walk to that level, so in law the k = K entry, the Wald
+    data and the overshoot law do not depend on the other levels.  For laws
+    that are skip-free upward every path crosses level k exactly at k, so
+    every entry is exact; for other laws the entries come from the same
+    paths and are correlated across k.
     """
     if step.lattice is None:
         raise ValueError("overshoot_constant needs a lattice step law")
@@ -596,32 +569,24 @@ def overshoot_constant(
     a = step.lattice
     levels = np.array(sorted(set(ks)))
     top = ks[-1]
-    shards = _map_shards(
-        lambda rng, n_w: _first_exit(cumw, incs, top, -math.inf, n_w, rng, True, levels),
-        seed, n, workers,
-    )
-    over = np.arange(shards[0][0].shape[1])  # overshoot in lattice units
+    counts, exits, _ = _count_exit(cumw, incs, levels, -math.inf, n, worker_streams(seed, 1)[0])
+    over = np.arange(counts.shape[1])  # overshoot in lattice units
 
-    def merged(pairs):  # (values, counts) per shard
-        return merge_mean([Tally.of_counts(values, counts) for values, counts in pairs])
+    def mean(values, counts):  # (mean, SE) of counts[i] copies of values[i]
+        return merge_mean([Tally.of_counts(values, counts)])[1:3]
 
     entry = {}
     for row, k in enumerate(levels.tolist()):
-        weights = np.exp(-gamma * ((k + over) * a))
-        _, mean, se, _, _ = merged((weights, counts[row]) for counts, _ in shards)
+        m, se = mean(np.exp(-gamma * ((k + over) * a)), counts[row])
         scale = math.exp(gamma * a * k)
-        entry[k] = OvershootEntry(k=k, level=a * k, scaled=scale * mean, scaled_se=scale * se)
-    _, ms, ses, _, _ = merged(((top + over) * a, counts[-1]) for counts, _ in shards)
-    _, mt, set_, _, _ = merged(
-        (np.arange(1, exits.size + 1, dtype=np.float64), exits) for _, exits in shards
-    )
-    hits = sum(counts[-1] for counts, _ in shards)
-    total = int(hits.sum())
+        entry[k] = OvershootEntry(k=k, level=a * k, scaled=scale * m, scaled_se=scale * se)
+    ms, ses = mean((top + over) * a, counts[-1])
+    mt, set_ = mean(np.arange(1, exits.size + 1, dtype=np.float64), exits)
     return OvershootScan(
         gamma=gamma,
         lattice_a=a,
         entries=tuple(entry[k] for k in ks),
-        overshoot_pmf={int(u): int(c) / total for u, c in zip(over, hits) if c},
+        overshoot_pmf={int(u): int(c) / n for u, c in zip(over, counts[-1]) if c},
         wald=WaldCheck(
             k=top, mean_s_tau=ms, se_s_tau=ses, mean_tau=mt, se_tau=set_, drift_q=q.mean
         ),

@@ -10,7 +10,6 @@ from rwre import (
     StepLaw,
     gamma_root,
     kappa_root,
-    ladder,
     overshoot_constant,
     phi_estimate,
     step_from_env,
@@ -20,7 +19,7 @@ from rwre import (
 from rwre.env import _thresholds
 from rwre.estimate import Tally, merge_mean
 from rwre.ladder import OvershootEntry, OvershootScan, WaldCheck
-from rwre.rng import _busy_shards, _map_shards
+from rwre.rng import worker_streams
 
 from laws import FIX_C, FIX_D, FIX_F
 from walks import _per_path_first_exit
@@ -156,9 +155,8 @@ class TestSupTail:
         b = sup_tail(SKIP_FREE, t=6, n=4000, method="naive", seed=9, workers=4)
         assert a == b
         c = sup_tail(SKIP_FREE, t=6, n=4000, method="naive", seed=9, workers=2)
-        d = sup_tail(SKIP_FREE, t=6, n=4000, method="naive", seed=9, workers=2)
-        assert c == d
-        assert c.value != a.value  # the shards draw from other streams
+        assert c == a  # a lattice walk is one chain, whatever the workers
+        assert sup_tail(SKIP_FREE, t=6, n=4000, method="naive", seed=10).value != a.value
 
 
 class TestOvershoot:
@@ -190,28 +188,25 @@ class TestOvershoot:
             overshoot_constant(step_from_env(FIX_C), range(3, 5), n=10)
 
 
-def _per_level_scan(step, k_range, n, seed=0, workers=1):
+def _per_level_scan(step, k_range, n, seed=0):
     """The scan as n fresh tilted paths walked to each level k in turn, on
-    the same worker streams each time: the reference for the one-walk scan."""
+    the same stream each time: the reference for the one-walk scan."""
     ks = sorted(int(k) for k in k_range)
     gamma = gamma_root(step)
     q = tilt(step, gamma)
     cumw, incs, a = _thresholds(q.q_weights), np.asarray(step.units), step.lattice
     entries, pmf, wald = [], {}, None
     for k in ks:
-        exits = _map_shards(
-            lambda rng, n_w: _per_path_first_exit(cumw, incs, k, -math.inf, n_w, rng, True),
-            seed, n, workers,
-        )
-        _, mean, se, _, _ = merge_mean([Tally.of(np.exp(-gamma * (s * a))) for s, _ in exits])
+        s, tau = _per_path_first_exit(cumw, incs, k, -math.inf, n, worker_streams(seed, 1)[0], True)
+        _, mean, se, _, _ = merge_mean([Tally.of(np.exp(-gamma * (s * a)))])
         scale = math.exp(gamma * a * k)
         entries.append(OvershootEntry(k=k, level=a * k, scaled=scale * mean, scaled_se=scale * se))
         if k == ks[-1]:
-            _, ms, ses, _, _ = merge_mean([Tally.of(s * a) for s, _ in exits])
-            _, mt, set_, _, _ = merge_mean([Tally.of(t.astype(np.float64)) for _, t in exits])
+            _, ms, ses, _, _ = merge_mean([Tally.of(s * a)])
+            _, mt, set_, _, _ = merge_mean([Tally.of(tau.astype(np.float64))])
             wald = WaldCheck(k=k, mean_s_tau=ms, se_s_tau=ses, mean_tau=mt, se_tau=set_,
                              drift_q=q.mean)
-            over, counts = np.unique(np.concatenate([s for s, _ in exits]) - k, return_counts=True)
+            over, counts = np.unique(s - k, return_counts=True)
             pmf = {int(u): int(c) / n for u, c in zip(over, counts)}
     return OvershootScan(gamma=gamma, lattice_a=a, entries=tuple(entries), overshoot_pmf=pmf,
                          wald=wald, n_per_level=n, seed=seed)
@@ -224,25 +219,27 @@ JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])
 class TestOvershootScan:
     """``overshoot_constant`` walks once, to the top level, and records every
     lower level's first passage on the way; ``_per_level_scan`` above is the
-    design it replaced."""
+    design it replaced.  Its counts are checked against the exact laws in
+    ``tests/test_shards.py``."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("k_range", [range(1, 5), range(-2, 3), [3, 7, 12]])
     @pytest.mark.parametrize("law", ["fix-f", "skip-free"])
-    def test_skip_free_up_scan_equals_per_level_walks(self, law, k_range, workers):
+    def test_skip_free_up_scan_equals_per_level_walks(self, law, k_range):
+        # Every path first passes a level k >= 1 exactly at k, so those
+        # entries are exact; the first step can overshoot a level k <= 0.
         step = step_from_env(FIX_F) if law == "fix-f" else SKIP_FREE
-        scan = overshoot_constant(step, k_range, n=1500, seed=3, workers=workers)
-        assert scan == _per_level_scan(step, k_range, 1500, seed=3, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_jumpy_top_level_wald_and_pmf_equal_per_level_walks(self, workers):
-        assert JUMPY.units == (2, 1, -3) and JUMPY.lattice == pytest.approx(1.0)
-        scan = overshoot_constant(JUMPY, range(1, 9), n=4000, seed=5, workers=workers)
-        ref = _per_level_scan(JUMPY, range(1, 9), 4000, seed=5, workers=workers)
-        assert scan.entries[-1] == ref.entries[-1]
-        assert scan.wald == ref.wald
+        scan = overshoot_constant(step, k_range, n=1500, seed=3)
+        ref = _per_level_scan(step, k_range, 1500, seed=3)
+        for e, r in zip(scan.entries, ref.entries):
+            if e.k >= 1:
+                assert e == r
+            else:
+                assert abs(e.scaled - r.scaled) <= 5.0 * math.hypot(e.scaled_se, r.scaled_se)
         assert scan.overshoot_pmf == ref.overshoot_pmf
-        assert scan.entries[:-1] != ref.entries[:-1]  # common-random-number estimates
+        w, r = scan.wald, ref.wald
+        exact = (w.k, w.mean_s_tau, w.se_s_tau, w.drift_q)
+        assert exact == (r.k, r.mean_s_tau, r.se_s_tau, r.drift_q)
+        assert abs(w.mean_tau - r.mean_tau) <= 5.0 * math.hypot(w.se_tau, r.se_tau)
 
     def test_jumpy_lower_levels_agree_in_distribution(self):
         worst = 0.0
@@ -260,85 +257,9 @@ class TestOvershootScan:
             scan = overshoot_constant(step, k_range, n=2000, seed=7, workers=2)
             assert [e.k for e in scan.entries] == [3, 3, 3, 5, 5, 9]
             assert scan.entries[0] == scan.entries[1] == scan.entries[2]
+            assert scan.entries[3] == scan.entries[4]
             if step is not JUMPY:
-                assert scan == _per_level_scan(step, k_range, 2000, seed=7, workers=2)
-
-    def test_one_map_of_shards_drawing_one_walk_to_the_top(self, monkeypatch):
-        step = step_from_env(FIX_F)
-        maps, drawn = [], []
-        real = ladder._map_shards
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size=None, out=None):
-                drawn.append(size if out is None else out.size)
-                return self.rng.random(size, out=out)
-
-        def spy(fn, seed, n, workers):
-            maps.append((seed, n, workers))
-            return real(lambda rng, n_w: fn(Counting(rng), n_w), seed, n, workers)
-
-        monkeypatch.setattr(ladder, "_map_shards", spy)
-        overshoot_constant(step, range(10, 21), n=3000, seed=4, workers=2)
-        assert maps == [(4, 3000, 2)]
-        cumw, incs = _thresholds(tilt(step, gamma_root(step)).q_weights), np.asarray(step.units)
-        path_steps = sum(  # the sum of tau over a walk to K = 20 alone
-            int(_per_path_first_exit(cumw, incs, 20, -math.inf, n_w, rng, True)[1].sum())
-            for rng, n_w in _busy_shards(4, 3000, 2)
-        )
-        assert sum(drawn) == path_steps
-
-    @pytest.mark.parametrize("levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4]])
-    @pytest.mark.parametrize("law", ["fix-f", "jumpy"])
-    def test_level_counts_match_the_walk_to_the_top(self, law, levels):
-        step = step_from_env(FIX_F) if law == "fix-f" else JUMPY
-        cumw = _thresholds(tilt(step, gamma_root(step)).q_weights)
-        incs, top = np.asarray(step.units), levels[-1]
-        ref_rng, new_rng = (_busy_shards(11, 1, 1)[0][0] for _ in range(2))
-        s, tau = _per_path_first_exit(cumw, incs, top, -math.inf, 2500, ref_rng, True)
-        counts, exits = ladder._first_exit(
-            cumw, incs, top, -math.inf, 2500, new_rng, True, np.array(levels)
-        )
-        assert counts.dtype == exits.dtype == np.int64
-        assert counts.sum(axis=1).tolist() == [2500] * len(levels)
-        np.testing.assert_array_equal(exits, np.bincount(tau)[1:])
-        np.testing.assert_array_equal(counts[-1][: np.max(s) - top + 1], np.bincount(s - top))
-        assert not counts[-1][np.max(s) - top + 1 :].any()
-        assert new_rng.random() == ref_rng.random()  # the same draws were made
-
-    @pytest.mark.parametrize(
-        "levels", [[4], [1, 2, 3, 4], [-3, 0, 4], [-6, -4], [2, 5, 6, 9], list(range(-8, 7))]
-    )
-    @pytest.mark.parametrize("law", ["fix-f", "jumpy"])
-    def test_every_level_count_matches_per_path_first_passages(self, law, levels):
-        step = step_from_env(FIX_F) if law == "fix-f" else JUMPY
-        cumw = _thresholds(tilt(step, gamma_root(step)).q_weights)
-        incs, n = np.asarray(step.units), 2500
-        ref_rng, new_rng = (_busy_shards(13, 1, 1)[0][0] for _ in range(2))
-        # Each path's partial sums at steps 1, 2, ... until it reaches the top
-        # level, one draw per path still below it, in path order; first[i, p]
-        # is the first sum of path p at or above levels[i].
-        s, first = np.zeros(n, dtype=np.int64), np.full((len(levels), n), np.iinfo(np.int64).min)
-        idx = np.arange(n)
-        while idx.size:
-            s[idx] += incs[ladder._categories(cumw, ref_rng.random(idx.size))]
-            for i, level in enumerate(levels):
-                new = idx[(s[idx] >= level) & (first[i, idx] == np.iinfo(np.int64).min)]
-                first[i, new] = s[new]
-            idx = idx[s[idx] < levels[-1]]
-        counts, _ = ladder._first_exit(
-            cumw, incs, levels[-1], -math.inf, n, new_rng, True, np.array(levels)
-        )
-        for i, level in enumerate(levels):
-            expected = np.bincount(first[i] - level)
-            assert expected.size <= counts.shape[1]
-            np.testing.assert_array_equal(counts[i][: expected.size], expected)
-            assert not counts[i][expected.size :].any()
-        if law == "jumpy" and 1 in np.diff(levels):  # some step crosses two adjacent levels
-            assert any((first[i] >= levels[i + 1]).any() for i in range(len(levels) - 1))
-        assert new_rng.random() == ref_rng.random()
+                assert scan.entries == _per_level_scan(step, k_range, 2000, seed=7).entries
 
 
 class TestPhi:

@@ -1,23 +1,26 @@
 """Ladder worker shards on the thread pool (``rng._map_shards``), the
-exit-order first-exit kernel they run, its chunked draws, and the
-block-wise exact sum behind ``Tally`` and ``ratio_of_samples``.
+exit-order first-exit kernel they run, its chunked draws, the
+occupation-count kernel of lattice estimates, and the block-wise exact sum
+behind ``Tally`` and ``ratio_of_samples``.
 
-The shards of ``sup_tail``, ``overshoot_constant`` and ``phi_estimate`` run
-on up to usable-CPU threads.  Results must not depend on whether the pool
-runs, the pool must never be larger than the usable CPUs nor exist for one
-busy shard, and pool threads must run no public ``rwre`` function (the
-benchmark tracer keeps one span stack and wraps public functions only).
-``_first_exit`` is checked against the per-path kernel it replaced, which
-kept S and tau in path order (``walks._per_path_first_exit``): float exits
-in exit order, and narrow lattice partial sums that widen when they must;
-phi's per-path totals against the loop ``phi_estimate`` ran before
-(``walks._per_path_phi``).  Lattice ``sup_tail`` walks run on occupation
-counts (``ladder._count_exit``), which draw the same law from other draws,
-so they are checked in law: against the exact exit law of a band, solved
-from its absorbing chain, against per-path exits in a two-sample test,
-and as ``sup_tail`` estimates against per-path tallies.  The per-path walks
-draw each step's uniforms ``ladder._STEP_CHUNK`` paths at a time, and no
-chunk size may change a result.
+The shards of float ``sup_tail`` and of ``phi_estimate`` run on up to
+usable-CPU threads.  Results must not depend on whether the pool runs, the
+pool must never be larger than the usable CPUs nor exist for one busy shard,
+and pool threads must run no public ``rwre`` function (the benchmark tracer
+keeps one span stack and wraps public functions only).  ``_first_exit`` is
+checked against the per-path kernel it replaced, which kept S and tau in
+path order (``walks._per_path_first_exit``): float exits in exit order, and
+narrow lattice partial sums that widen when they must; phi's per-path totals
+against the loop ``phi_estimate`` ran before (``walks._per_path_phi``).
+Lattice ``sup_tail`` and ``overshoot_constant`` walk one chain of
+occupation counts (``ladder._count_exit``) on the caller's thread, so their
+results depend on the seed alone.  The chain draws the law of per-path walks
+from other draws, so it is checked in law, by G-tests against the exact laws
+of ``tests/chains.py`` (the exit law of a band, each level's tilted
+first-passage law and the exit-step law), against per-path exits in a
+two-sample test, and as ``sup_tail`` estimates against per-path tallies.
+The per-path walks draw each step's uniforms ``ladder._STEP_CHUNK`` paths at
+a time, and no chunk size may change a result.
 """
 
 import concurrent.futures
@@ -52,12 +55,14 @@ from rwre.env import _thresholds
 from rwre.estimate import Tally, ratio_of_means, ratio_of_samples
 from rwre.rng import worker_streams
 
+import chains
 from laws import FIX_A, FIX_C, FIX_F
 from walks import _per_path_first_exit, _per_path_phi
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
 JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])  # units (2, 1, -3)
+PLUS2_MINUS1 = StepLaw.of([(0.25, 2.0), (0.75, -1.0)])
 FIX_F_STEP = step_from_env(FIX_F)
 
 
@@ -202,10 +207,8 @@ def test_first_exit_totals_equal_per_path_phi(case, n):
 def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, widest):
     if case in PHI_CASES:
         cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
-        levels = None
-    else:  # the level walk of ``overshoot_constant``, to the one level ``up``
+    else:  # a lattice walk up, its floor falling with each step
         (cumw, incs, up, down, lattice), scale = _kernel_args(*KERNEL_CASES[case]), None
-        levels = np.array([up])
     seen = []
     advance = ladder._advance
 
@@ -214,7 +217,7 @@ def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, w
         return advance(live, *args)
 
     monkeypatch.setattr(ladder, "_advance", spy)
-    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, levels, scale)
+    ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, scale)
     assert seen[0] == np.int8 and max(seen, key=lambda dt: dt.itemsize) == widest
     assert seen[: seen.index(widest)] == [np.int8] * seen.index(widest)
     if case in PHI_CASES:  # widened just before the ceiling 2k + 2 passes 127
@@ -249,48 +252,38 @@ def _g_pvalue(observed, expected):
     return chi2.sf(g, dof) if dof else float(abs(g) < 1e-9)
 
 
-def _band_exit_law(step, up, down):
-    """Exit values of the walk from 0 in ``step``'s units, absorbed at
-    S >= up or S <= down, with their probabilities: row 0 of N, where
-    (I - Q) N = R over the values inside (down, up)."""
-    units = step.units
-    inside = range(down + 1, up)
-    exits = [*range(down + 1 + min(units), down + 1), *range(up, up + max(units))]
-    q, r = np.zeros((len(inside), len(inside))), np.zeros((len(inside), len(exits)))
-    for i, x in enumerate(inside):
-        for w, d in zip(step.weights, units):
-            if down < x + d < up:
-                q[i, x + d - down - 1] += w
-            else:
-                r[i, exits.index(x + d)] += w
-    law = np.linalg.solve(np.eye(len(inside)) - q, r)[-down - 1]
-    return np.array(exits), law
+def _count_up(case, n, seed):
+    """``_count_exit`` on a lattice kernel case, with its one level ``up``."""
+    cumw, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
+    return ladder._count_exit(cumw, incs, np.array([up]), down, n, worker_streams(seed, 1)[0])
 
 
 @pytest.mark.parametrize("n", [1, 7, 3000])
 @pytest.mark.parametrize("case", LATTICE_CASES)
 def test_count_exit_counts_every_path_once_where_it_can_leave(case, n):
-    cumw, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
-    lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(17, 1)[0])
-    assert left.dtype == np.int64 and left.sum() == n and (left >= 0).all()
-    values = np.arange(lo, lo + left.size)
-    above = (up <= values) & (values <= up - 1 + incs.max())
-    below = (down + incs.min() <= values) & (values <= down)
-    assert not left[~(above | below)].any()
+    _, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
+    counts, exits, below = _count_up(case, n, 17)
+    assert counts.dtype == exits.dtype == np.int64 and (counts >= 0).all() and (exits >= 0).all()
+    assert counts.sum() + below == n and exits.sum() == counts.sum()
+    assert not below or down > -math.inf
+    # every path at up leaves from a value below it, by one step
+    assert not counts[0, incs.max() :].any()
 
 
+@pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("case", BAND_CASES)
-def test_count_exit_follows_the_exact_exit_law_of_a_band(case):
+def test_count_exit_follows_the_exact_exit_law_of_a_band(case, seed):
     step, tilted, up, down = KERNEL_CASES[case]
     assert not tilted
-    cumw, incs, *_ = _kernel_args(*KERNEL_CASES[case])
-    values, law = _band_exit_law(step, up, down)
+    values, law = chains.exit_law(step.weights, step.units, up, down)
     assert abs(law.sum() - 1.0) <= 1e-12 and law.min() > 1e-4
+    # the lower exits pooled, then the overshoots at up
+    expected = np.append(law[values <= down].sum(), law[values >= up])
     n = 20_000
-    for seed in range(6):
-        lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(seed, 1)[0])
-        assert left[values - lo].sum() == n  # no path left anywhere else
-        assert _g_pvalue(left[values - lo], n * law) > 1e-6
+    counts, _, below = _count_up(case, n, seed)
+    observed = np.append(below, counts[0, : expected.size - 1])
+    assert observed.sum() == n  # no path left anywhere else
+    assert _g_pvalue(observed, n * expected) > 1e-6
 
 
 @pytest.mark.parametrize("case", UP_CASES)
@@ -298,13 +291,64 @@ def test_count_exit_matches_per_path_exits_in_law(case):
     cumw, incs, up, down, _ = _kernel_args(*KERNEL_CASES[case])
     n = 5000
     for seed in range(4):
-        lo, left = ladder._count_exit(cumw, incs, up, down, n, worker_streams(seed, 1)[0])
+        counts, _, _ = _count_up(case, n, seed)
         s, _ = _per_path_first_exit(cumw, incs, up, down, n, worker_streams(seed + 100, 1)[0], True)
-        ref = np.bincount(s - lo, minlength=left.size)
-        assert ref.size == left.size  # the per-path exits lie in the kernel's range too
-        table = np.array([left, ref])[:, (left + ref) > 0]
+        ref = np.bincount(s - up, minlength=counts.shape[1])
+        assert ref.size == counts.shape[1]  # the per-path exits lie in the kernel's range too
+        table = np.array([counts[0], ref])[:, (counts[0] + ref) > 0]
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / (2 * n)
         assert _g_pvalue(table, expected) > 1e-6
+
+
+# Tilted walks on laws with up-jumps of 2 (a level can be passed without
+# landing on it) and a skip-free one, over levels from 0 and below to above
+# the start, adjacent levels included.
+CHAIN_LAWS = {
+    "jumpy": (JUMPY, [-3, 0, 1, 2, 5, 9]),
+    "plus2-minus1": (PLUS2_MINUS1, [-1, 1, 2, 3, 6, 10]),
+    "fix-f": (FIX_F_STEP, [1, 2, 4, 7]),
+}
+
+
+def _tilted_chain(law):
+    step, levels = CHAIN_LAWS[law]
+    gamma = gamma_root(step)
+    q = tilt(step, gamma).q_weights
+    return step, np.array(levels), q, gamma * step.lattice  # the root in lattice units
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("law", sorted(CHAIN_LAWS))
+def test_count_exit_level_counts_follow_the_first_passage_law(law, seed):
+    step, levels, q, gamma = _tilted_chain(law)
+    n = 20_000
+    counts, exits, below = ladder._count_exit(
+        _thresholds(q), np.asarray(step.units), levels, -math.inf, n, worker_streams(seed, 1)[0]
+    )
+    assert below == 0 and exits.sum() == n
+    for level, row in zip(levels.tolist(), counts):
+        passage, lost = chains.first_passage_law(q, step.units, level, gamma)
+        assert lost <= 1e-12 and abs(passage.sum() + lost - 1.0) <= 1e-12
+        assert row.sum() == n and not row[passage.size :].any()
+        # the law is exact within ``lost``
+        assert _g_pvalue(row[: passage.size], n * passage / passage.sum()) > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("law", sorted(CHAIN_LAWS))
+def test_count_exit_exit_steps_follow_the_exit_step_law(law, seed):
+    step, levels, q, gamma = _tilted_chain(law)
+    steps = 80  # the steps 1..79, then the tail pooled
+    expected, lost = chains.exit_step_law(q, step.units, int(levels[-1]), steps, gamma)
+    assert lost <= 1e-12 and 1e-4 < expected[-1] < 0.2
+    n = 20_000
+    _, exits, _ = ladder._count_exit(
+        _thresholds(q), np.asarray(step.units), levels, -math.inf, n, worker_streams(seed, 1)[0]
+    )
+    observed = np.zeros(steps, dtype=np.int64)
+    observed[: min(exits.size, steps - 1)] = exits[: steps - 1]
+    observed[-1] = exits[steps - 1 :].sum()
+    assert _g_pvalue(observed, n * expected) > 1e-6
 
 
 def _per_path_sup_tail(step, t, n, method, seed, workers, censor_eps=1e-12):
@@ -349,31 +393,40 @@ def test_count_exit_takes_a_last_weight_lost_to_rounding_as_zero():
     # The weights sum to 1 within 1e-12, but the thresholds pass 1 before
     # the last one: no uniform in [0, 1) picks it, and a step weight of
     # -5e-13 would make ``rng.multinomial`` raise.
-    step = StepLaw.of([(0.3, 1.0), (0.7 + 5e-13, -1.0), (1e-13, -2.0)])
+    step = StepLaw.of([(0.7, -1.0), (0.3 + 5e-13, 1.0), (1e-13, 3.0)])
     cumw = _thresholds(step.weights)
     assert cumw[-2] > 1.0
-    lo, left = ladder._count_exit(cumw, np.asarray(step.units), 4, -12, 3000,
-                                  worker_streams(2, 1)[0])
-    assert left.sum() == 3000 and left[-13 - lo] == 0  # -13 only by a step of -2
+    counts, _, below = ladder._count_exit(cumw, np.asarray(step.units), np.array([4]), -12,
+                                          3000, worker_streams(2, 1)[0])
+    assert counts.sum() + below == 3000
+    assert not counts[0, 1:].any()  # an overshoot only by a step of 3
 
 
 def test_count_exit_step_guard_still_trips(monkeypatch):
     monkeypatch.setattr(ladder, "_STEP_GUARD", 500)
     cumw, incs, _, down, _ = _kernel_args(*KERNEL_CASES["lattice-up"])
     with pytest.raises(RuntimeError, match="step budget"):
-        ladder._count_exit(cumw, incs, 40, down, 100, worker_streams(1, 1)[0])
+        ladder._count_exit(cumw, incs, np.array([40]), down, 100, worker_streams(1, 1)[0])
 
 
 # ------------------------------------------------------------------- pool
 
-ESTIMATORS = {
-    "sup-naive": lambda n, w: sup_tail(SKIP_FREE, 4, n, "naive", seed=5, workers=w),
-    "sup-importance": lambda n, w: sup_tail(SKIP_FREE, 4, n, "importance", seed=5, workers=w),
+# The estimators that walk path by path, in worker shards on the pool.
+POOLED = {
     "sup-float": lambda n, w: sup_tail(GENERAL, 6.0, n, "importance", seed=5, workers=w),
     "sup-float-naive": lambda n, w: sup_tail(GENERAL, 6.0, n, "naive", seed=5, workers=w),
-    "overshoot": lambda n, w: overshoot_constant(FIX_F_STEP, range(3, 6), n, seed=5, workers=w),
     "phi": lambda n, w: phi_estimate(FIX_F_STEP, 2.0, n, seed=5, workers=w),
 }
+# The lattice estimates, one chain of occupation counts on the caller's thread.
+CHAINED = {
+    "sup-naive": lambda n, w: sup_tail(SKIP_FREE, 4, n, "naive", seed=5, workers=w),
+    "sup-importance": lambda n, w: sup_tail(SKIP_FREE, 4, n, "importance", seed=5, workers=w),
+    "sup-jumpy-naive": lambda n, w: sup_tail(JUMPY, 4, n, "naive", seed=5, workers=w),
+    "sup-jumpy-importance": lambda n, w: sup_tail(JUMPY, 4, n, "importance", seed=5, workers=w),
+    "overshoot": lambda n, w: overshoot_constant(FIX_F_STEP, range(3, 6), n, seed=5, workers=w),
+    "overshoot-jumpy": lambda n, w: overshoot_constant(JUMPY, range(1, 6), n, seed=5, workers=w),
+}
+ESTIMATORS = {**POOLED, **CHAINED}
 
 
 def _pools(monkeypatch, cpus):
@@ -391,9 +444,9 @@ def _pools(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("n, workers", [(1500, 1), (1500, 2), (1500, 3), (1500, 4), (3, 5)])
-@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+@pytest.mark.parametrize("name", sorted(POOLED))
 def test_pool_on_equals_pool_off(monkeypatch, name, n, workers):
-    run = ESTIMATORS[name]
+    run = POOLED[name]
     made = _pools(monkeypatch, 1)
     serial = run(n, workers)
     assert made == []
@@ -407,6 +460,17 @@ def test_pool_on_equals_pool_off(monkeypatch, name, n, workers):
     busy = min(n, workers)
     assert set(made) == ({busy} if busy > 1 else set())
     assert threaded == serial
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_lattice_estimates_depend_on_the_seed_alone(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("a lattice estimate mapped worker shards")
+
+    monkeypatch.setattr(ladder, "_map_shards", refuse)
+    run = CHAINED[name]
+    one, two, three = (run(1500, workers) for workers in (1, 2, 3))
+    assert one == two == three
 
 
 class _FakePool:
@@ -433,7 +497,7 @@ def test_pool_never_exceeds_usable_cpus_or_busy_shards(monkeypatch, cpus, n, exp
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
     monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: cpus)
     threads_before = threading.active_count()
-    est = sup_tail(SKIP_FREE, 4, n, "importance", seed=2, workers=64)
+    est = sup_tail(GENERAL, 6.0, n, "importance", seed=2, workers=64)
     assert _FakePool.made == [expected]
     assert threading.active_count() == threads_before
     assert est.n == n
@@ -462,7 +526,7 @@ def test_step_guard_error_from_a_pool_thread_reaches_the_caller(monkeypatch, tmp
     made = _pools(monkeypatch, 2)
     monkeypatch.setattr(ladder, "_STEP_GUARD", 100)
     raised = []
-    kernel = ladder._count_exit
+    kernel = ladder._first_exit
 
     def spy(*args):
         try:
@@ -471,14 +535,14 @@ def test_step_guard_error_from_a_pool_thread_reaches_the_caller(monkeypatch, tmp
             raised.append((threading.current_thread(), exc))
             raise
 
-    monkeypatch.setattr(ladder, "_count_exit", spy)
+    monkeypatch.setattr(ladder, "_first_exit", spy)
     with pytest.raises(RuntimeError, match="step budget") as info:
-        sup_tail(SKIP_FREE, 50, 1000, "importance", seed=1, workers=2)
+        sup_tail(GENERAL, 50.0, 1000, "importance", seed=1, workers=2)
     assert made == [2]
     assert raised and all(t is not threading.main_thread() for t, _ in raised)
     assert any(info.value is exc for _, exc in raised)
     out = str(tmp_path / "guard")
-    argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--sup-tail", "50",
+    argv = ["ladder", "--step", "general:0.5@-1.7,0.5@0.9", "--sup-tail", "50",
             "-n", "1000", "--seed", "1", "--workers", "2", "--out", out]
     assert main(argv) == 2
 
@@ -517,13 +581,12 @@ def test_pool_threads_run_no_public_function(monkeypatch):
 
     threading.setprofile(profile)  # new threads only; this thread is not profiled
     try:
-        for run in ESTIMATORS.values():
+        for run in POOLED.values():
             run(1500, 3)
     finally:
         threading.setprofile(None)
     assert made and set(made) == {3}
-    assert ladder._first_exit.__code__ in seen  # the kernels did run in the pool
-    assert ladder._count_exit.__code__ in seen
+    assert ladder._first_exit.__code__ in seen  # the kernel did run in the pool
     leaked = {f"{c.co_filename}:{c.co_name}" for c in seen & public}
     assert not leaked
 
@@ -559,7 +622,7 @@ def test_ladder_run_builds_no_stream_for_an_empty_shard(monkeypatch, tmp_path):
     csvs = []
     for workers in ("1000", "100000"):
         out = str(tmp_path / f"w{workers}")
-        argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--overshoot", "1", "3",
+        argv = ["ladder", "--step", "lattice:0.3@+1,0.7@-1", "--phi", "2",
                 "-n", "1000", "--seed", "3", "--workers", workers, "--out", out]
         assert main(argv) == 0
         with open(out + ".csv", newline="") as fh:
@@ -605,7 +668,7 @@ def test_step_chunk_never_changes_a_result(monkeypatch, name, chunk):
     monkeypatch.setattr(ladder, "_STEP_CHUNK", chunk)
     monkeypatch.setattr(ladder, "_advance", spy)
     assert run(3000, 2) == expected
-    if name in ("sup-naive", "sup-importance"):  # lattice walks on _count_exit draw no uniforms
+    if name in CHAINED:  # count chains draw no uniforms
         assert sizes == []
     else:
         assert max(sizes) == chunk
@@ -613,34 +676,36 @@ def test_step_chunk_never_changes_a_result(monkeypatch, name, chunk):
 
 # ----------------------------------------------------------------- memory
 
-def test_count_exit_peak_memory_of_a_sup_naive_shard():
-    # One 5x10^5-path shard of the benchmark's sup_naive: 5.2 MiB traced with
-    # an n-float uniform buffer, 1.9 MiB with chunk-sized draws, and a few
-    # KiB as occupation counts, which do not grow with the paths.
+def test_count_exit_peak_memory_of_the_sup_naive_chain():
+    # The benchmark's sup_naive, 10^6 paths: 5.2 MiB traced for one of its
+    # two 5x10^5-path shards with an n-float uniform buffer, 1.9 MiB with
+    # chunk-sized draws, and a few KiB as occupation counts, which do not
+    # grow with the paths.
     step = SKIP_FREE
     m = -math.log(1e-12) / gamma_root(step) - 4.0
     cumw, incs, up, down, _ = _kernel_args(step, False, 4, math.floor(-m + 1e-9))
     tracemalloc.start()
     try:
-        _, counts = ladder._count_exit(cumw, incs, up, down, 500_000, worker_streams(3, 1)[0])
+        counts, _, below = ladder._count_exit(cumw, incs, np.array([up]), down, 10**6,
+                                              worker_streams(3, 1)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.sum() == 500_000
+    assert counts.sum() + below == 10**6
     assert peak < 0.1 * 2**20
 
 
-@pytest.mark.parametrize("method, limit_mib", [("naive", 12), ("importance", 15)])
-def test_sup_tail_peak_memory_with_both_shards_live(monkeypatch, method, limit_mib):
-    # The per-path kernel peaked at 12.6 MiB (naive) and 15.6 MiB
-    # (importance) here, running its two shards one after the other.
+@pytest.mark.parametrize("method", ["naive", "importance"])
+def test_sup_tail_peak_memory_with_both_shards_live(monkeypatch, method):
+    # Float walks on two threads, each shard with 2x10^5 live partial sums
+    # (1.6 MB), its exit values and a bool buffer: 7.5-8.1 MiB traced over
+    # seeds 0..7 on either method.
     monkeypatch.setattr(rng_mod, "_usable_cpus", lambda: 2)
     tracemalloc.start()
     try:
-        est = sup_tail(SKIP_FREE, 4, 400_000, method, seed=3, workers=2)
+        est = sup_tail(GENERAL, 6.0, 400_000, method, seed=3, workers=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert isinstance(est, Estimate) and est.n == 400_000
-    assert peak < limit_mib * 2**20
-
+    assert peak < 10 * 2**20

@@ -284,15 +284,15 @@ def _first_exit(
     which, like the tallies and the compaction, runs over the whole live
     array.
 
-    Integer partial sums are held in the smallest signed dtype that holds
-    every position reachable at the next step, and every difference of
-    increments the compare passes add.  After step k >= 1 a live path lies
-    in [max(down + 1, k min_inc), min(up - 1, k max_inc)], and every path
-    starts at 0, so the next step lies in that range (with 0) widened by
-    [min_inc, max_inc]; ``range_at(k)`` gives both bounds.  With down = -inf
-    the floor falls with k, with up = +inf the ceiling rises, and one
-    ``astype`` widens the sums just before either bound would leave the
-    dtype.
+    Integer partial sums are phi's walk: up = +inf and a finite down.  They
+    are held in the smallest signed dtype that holds every position
+    reachable at the next step, and every difference of increments the
+    compare passes add.  After step k >= 1 a live path lies in
+    [down + 1, k max_inc], and every path starts at 0, so the next step lies
+    in that range (with 0) widened by [min_inc, max_inc]; ``range_at(k)``
+    gives both bounds.  The ceiling rises with k, and one ``astype`` widens
+    the sums just before it would leave the dtype.  A walk without a floor
+    raises ``OverflowError``.
 
     ``scale`` gives each path one float total, started at 1 (S_0 = 0) and
     compacted with its partial sum; after each exit test the paths still
@@ -306,8 +306,8 @@ def _first_exit(
         spread = hi_inc - lo_inc  # bounds the differences the compare passes add
 
         def range_at(k):  # lowest and highest values held at step k + 1
-            return (min(min(0, max(down + 1, k * lo_inc)) + lo_inc, -spread),
-                    max(max(0, min(up - 1, k * hi_inc)) + hi_inc, spread))
+            return (min(min(0, down + 1) + lo_inc, -spread),
+                    max(max(0, k * hi_inc) + hi_inc, spread))
 
         live = np.zeros(n, dtype=_sum_dtype(*range_at(0)))
     else:

@@ -23,12 +23,14 @@ shard drawing for its own live paths in order, so the result equals
 separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
 are its n = 1 wrappers, and a lone live path steps on scalar draws (a
 scalar draw and a length-1 draw give the same uniform);
-``_first_return_batch`` and ``conditioned_sampler`` call it with many
-paths, which step on buffers made once per call.  Steps are +-1 and both
-end sites stop paths, so no path leaves the array and no range check is
-made: ``simulate_until`` takes a step off a window end that is no target
-by hand, and ``_first_return_batch`` stops paths at its certified guard
-depth and raises when one ends there.
+``_first_return_batch`` and the h-transform ``conditioned_sampler`` call it
+with many paths, which step on buffers made once per call.  Rejection
+sampling steps counts of paths per window site (``_rejection_batch``), one
+binomial split a step, and hands its last few paths to ``_walk``.  Steps
+are +-1 and both end sites stop paths, so no path leaves the array and no
+range check is made: ``simulate_until`` takes a step off a window end that
+is no target by hand, and ``_first_return_batch`` stops paths at its
+certified guard depth and raises when one ends there.
 Speed walks have no stop sites and run in ``_free_walk`` on the same
 stream, a block of steps per draw with the step categories found once per
 block.  Their sites live in ``_Rows``, one row per replicate, site-major:
@@ -114,6 +116,17 @@ _ROW_GROWTH = 4  # a side of rows that grows gains at least 1/_ROW_GROWTH of its
 _STRIP_SITES = 1 << 14  # most values realized per block of sites (one site of every row at least)
 _CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
 _SIGN = np.array([-1, 1], dtype=np.int64)  # the step of a path, indexed by "it steps up"
+# Live paths at which a rejection batch leaves its count chain for ``_walk``.
+# ``conditioned_sampler`` on FIX-C environment 101 at n = 10^4 (one batch of
+# 3 x 10^4 paths; in-process best of 5 at seeds 32, 1032 and 5032, 2-core
+# box): 90-106 ms as a pure chain (0), 85-88 ms at 16, 79-83 at 64, 70-73 at
+# 256, 70-73 at 1024, 77-84 at 4096, and 213-225 ms walking every path in
+# ``_walk`` (3 x 10^4).  A chain step costs about 20 us whatever the count,
+# mostly one binomial call over the window; a ``_walk`` step of 16, 256, 1024
+# and 4096 paths took 5, 7, 11 and 28 us, and a lone path's about 1 us.
+_HANDOFF = 256
+# multivariate_hypergeometric's "marginals" method needs fewer than 10^9 items.
+_MAX_BATCH = 10**9 - 1
 
 
 @dataclass(frozen=True)
@@ -567,6 +580,61 @@ def _first_return_batch(
     return status, steps + 1, first
 
 
+def _rejection_batch(
+    omega: np.ndarray, stop: np.ndarray, batch: int, cap: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk ``batch`` paths from site 1 of the rejection window ``omega``
+    (sites 0..M, both ends stopping) and return (times, counts): counts[i]
+    paths returned to 0 at step times[i], the escapes to M dropped.  A time
+    may repeat; only returned paths are counted.
+
+    Every path walks the same sites, so the number of paths at each interior
+    site is a Markov chain: a step draws ``rng.binomial(occ, omega)`` over
+    the occupied sites only (n = 0 draws nothing), the paths that step up,
+    and the rest step down.  Site 1's down count returns at this step and
+    site M-1's up count escapes.  Per-path walks give the same joint law of
+    return counts, from other draws.  Once at most ``_HANDOFF`` paths are
+    live they are laid out by site, in site order, and walked once by
+    ``_walk`` with the steps left: a trapped path would keep the chain
+    stepping for thousands of steps, at the cost of one binomial call each.
+    Raises when paths are still live after ``cap`` steps.
+    """
+    m = omega.size - 1
+    occ = np.zeros(m + 1, dtype=np.int64)  # occ[x]: paths at site x; 0 and M only in passing
+    occ[1] = live = batch
+    lo = hi = 1  # the occupied sites lie in lo..hi
+    back = []  # back[k - 1]: paths returned at step k
+    step = 0
+    while live > _HANDOFF and step < cap:
+        step += 1
+        here = occ[lo : hi + 1]
+        up = rng.binomial(here, omega[lo : hi + 1])
+        here -= up
+        occ[lo - 1 : hi] = here  # the down steps, one site left (numpy copies the overlap)
+        occ[hi] = 0
+        occ[lo + 1 : hi + 2] += up
+        returned, escaped = int(occ[0]), int(occ[m])
+        back.append(returned)
+        occ[0] = occ[m] = 0
+        live -= returned + escaped
+        lo, hi = max(lo - 1, 1), min(hi + 1, m - 1)
+        while live and not occ[lo]:
+            lo += 1
+        while live and not occ[hi]:
+            hi -= 1
+    back = np.array(back, dtype=np.int64)
+    first = np.flatnonzero(back)
+    times, counts = first + 1, back[first]
+    if live:
+        starts = np.repeat(np.arange(lo, hi + 1), occ[lo : hi + 1])
+        end, steps, stopped = _walk(omega, starts, stop, cap - step, [(rng, live)])
+        if not stopped.all():
+            raise RuntimeError(f"path cap {cap} exhausted")
+        late = step + steps[end == 0]
+        times, counts = np.append(times, late), np.append(counts, np.ones(late.size, np.int64))
+    return times, counts
+
+
 def conditioned_sampler(
     env_or_law: Union[EnvWindow, tuple[EnvLaw, int]],
     mode: str,
@@ -581,7 +649,10 @@ def conditioned_sampler(
 
     mode="h_transform" walks the conditioned environment, where the return
     happens almost surely: every sample is exact, and escape_eps bounds the
-    chance that a path reaches the certified edge and ends the run.
+    chance that a path reaches the certified edge and ends the run.  Its
+    paths walk one by one in ``workers`` stream shards, so its samples
+    depend on (seed, workers).
+
     mode="rejection" walks the original environment and keeps paths that
     reach 0 before the certified escape level M.  Discarding escapes biases
     the kept law by at most escape_eps in total variation only: the few
@@ -589,7 +660,17 @@ def conditioned_sampler(
     mean is far larger.  On FIX-C environment 101 (M = 75, where Q's
     spectral radius is 0.99838) the kept mean E[T_0 | T_0 < T_M] is 56.455
     against the target 56.512, about 10^3 times escape_eps relative, which
-    is 0.02 SE at n = 10^4.  Exhausting the path cap raises.
+    is 0.02 SE at n = 10^4.  Rejection walks a chain of how many paths sit
+    at each window site (``_rejection_batch``) on the one stream
+    ``worker_streams(seed, 1)[0]``, so its samples depend on the seed alone;
+    ``workers`` is accepted and not read.  The first batch walks 3n paths,
+    and each later one twice as many paths per sample still needed as the
+    batch before it.  A batch with more returns than needed keeps a uniform
+    random subset of them (``rng.multivariate_hypergeometric`` over the
+    return times), and the kept samples are returned in an order permuted
+    by the same stream, so they are i.i.d. in the order given.
+
+    Exhausting the path cap raises in both modes.
     """
     if n < 1 or cap < 1:
         raise ValueError(f"conditioned_sampler needs n >= 1 and cap >= 1, got n={n}, cap={cap}")
@@ -610,24 +691,24 @@ def conditioned_sampler(
     stop = np.zeros(window.omega.size, dtype=bool)
     stop[[0, window.hi]] = True
 
-    # Each round walks every worker's shard in one lockstep: shard w draws its
-    # own paths and keeps its first need[w] returns (none once it is full).
-    rngs, need = zip(*_busy_shards(seed, n, workers))
-    need = np.array(need)
-    got: list[list[np.ndarray]] = [[] for _ in rngs]
-    while need.any():
-        batch = need.copy() if mode == "h_transform" else np.maximum(64, 2 * need) * (need > 0)
-        paths, shards = np.ones(batch.sum(), dtype=np.int64), list(zip(rngs, batch.tolist()))
-        end, steps, stopped = _walk(window.omega, paths, stop, cap, shards)
-        for w, part in enumerate(np.split(np.arange(end.size), np.cumsum(batch)[:-1])):
-            if not stopped[part].all():
-                raise RuntimeError(f"worker {w}: path cap {cap} exhausted")
-            if mode == "h_transform" and np.any(end[part] != 0):
-                raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
-            kept = steps[part][end[part] == 0][: need[w]]
-            got[w].append(kept)
-            need[w] -= kept.size
-    return np.concatenate([k for parts in got for k in parts])
+    if mode == "h_transform":  # every path returns, so one walk of n paths
+        shards = _busy_shards(seed, n, workers)
+        end, steps, stopped = _walk(window.omega, np.ones(n, dtype=np.int64), stop, cap, shards)
+        if not stopped.all():
+            raise RuntimeError(f"path cap {cap} exhausted")
+        if np.any(end != 0):
+            raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
+        return steps
+
+    rng = worker_streams(seed, 1)[0]
+    kept, need, per = [], n, 3  # per: paths walked per sample still needed
+    while need:
+        times, counts = _rejection_batch(window.omega, stop, min(per * need, _MAX_BATCH), cap, rng)
+        if counts.sum() > need:
+            counts = rng.multivariate_hypergeometric(counts, need)
+        kept.append(np.repeat(times, counts))
+        need, per = need - kept[-1].size, 2 * per
+    return rng.permutation(np.concatenate(kept))
 
 
 def estimate_return_conditional(

@@ -43,9 +43,14 @@ The escape and guard bounds that size first-return windows, and the
 conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
 and the window edges are checked to be the least certified ones.  The
-lockstep ``conditioned_sampler`` is checked against a per-worker reference
-loop, and the stop-site walk, whose array must end in stop sites at both
-sides, against scalar draws in lockstep.
+h-transform ``conditioned_sampler`` is checked against a per-worker
+reference loop, its rejection mode against a plain count chain over the
+whole window on one stream, and the stop-site walk, whose array must end in
+stop sites at both sides, against scalar draws in lockstep.  The rejection
+literal was re-recorded once, when rejection moved from per-path walks in
+worker shards to one count chain keyed by the seed alone: the same law from
+other draws, checked by G-tests against the exact return-time law in
+``tests/test_shards.py``.
 """
 
 import hashlib
@@ -177,7 +182,7 @@ def test_conditioned_sampler_golden():
     h = conditioned_sampler((FIX_C, 101), "h_transform", n=16, seed=5, workers=2)
     r = conditioned_sampler((FIX_C, 101), "rejection", n=16, seed=5, workers=2)
     assert h.tolist() == [1, 1, 1, 7, 3, 3, 7, 69, 1, 11, 1, 1, 1, 1, 9, 7]
-    assert r.tolist() == [1, 1, 77, 3, 11, 1, 449, 1, 1, 1, 1, 1, 1, 5, 1571, 13]
+    assert r.tolist() == [71, 1, 1, 7, 1, 1, 1, 1, 1, 925, 1, 9, 1, 1, 3, 1]
 
 
 def test_speed_estimate_golden():
@@ -488,26 +493,59 @@ def test_h_transform_window_is_least_certified(monkeypatch, law, seed):
         assert hi == 32 or n * _h_escape_oracle(law, seed, hi - 1) > eps
 
 
-def _per_worker_sampler(window, mode, n, cap, seed, workers):
-    """Reference for ``conditioned_sampler``: each worker walks alone, round
-    after round until its quota is met.  Returns the samples and each
-    worker's number of rounds."""
+def _stops(window):
     stop = np.zeros(window.omega.size, dtype=bool)
     stop[[0, window.hi]] = True
-    out, rounds = [], []
+    return stop
+
+
+def _per_worker_sampler(window, n, cap, seed, workers):
+    """Reference for the h-transform ``conditioned_sampler``: each worker
+    walks its own paths alone, and every path returns."""
+    out = []
     for rng, quota in zip(worker_streams(seed, workers), shard_sizes(n, workers)):
-        have = k = 0
-        while have < quota:
-            batch = quota - have if mode == "h_transform" else max(64, 2 * (quota - have))
-            end, steps, stopped = _walk(
-                window.omega, np.ones(batch, dtype=np.int64), stop, cap, [(rng, batch)]
-            )
-            assert stopped.all()
-            kept = (steps if mode == "h_transform" else steps[end == 0])[: quota - have]
-            out.append(kept)
-            have, k = have + kept.size, k + 1
-        rounds.append(k)
-    return np.concatenate(out), rounds
+        end, steps, stopped = _walk(
+            window.omega, np.ones(quota, dtype=np.int64), _stops(window), cap, [(rng, quota)]
+        )
+        assert stopped.all() and not end.any()
+        out.append(steps)
+    return np.concatenate(out)
+
+
+def _count_chain_sampler(window, n, cap, seed):
+    """Reference for the rejection ``conditioned_sampler``, whatever the
+    workers: on the seed's first stream, batches of 3, 6, 12, ... paths per
+    sample still needed.  A batch steps the counts of paths at every site of
+    the window, every interior site drawing its binomial split (a site with
+    no paths draws nothing), until at most ``mc._HANDOFF`` paths are live;
+    ``_walk`` takes the rest, laid out site by site.  A uniform subset of
+    the batch's returns is kept by one multivariate hypergeometric draw over
+    the return steps in step order, then the handed-off returns in path
+    order; the kept samples are permuted at the end.  Returns the samples
+    and the number of batches."""
+    omega, m = window.omega, window.hi
+    rng = worker_streams(seed, 1)[0]
+    kept, need, per, rounds = [], n, 3, 0
+    while need:
+        occ = np.zeros(m + 1, dtype=np.int64)
+        occ[1] = per * need
+        back, step = [], 0
+        while occ.sum() > mc._HANDOFF and step < cap:
+            step += 1
+            up = rng.binomial(occ[1:m], omega[1:m])
+            occ = np.concatenate([occ[1:m] - up, [0, 0]]) + np.concatenate([[0, 0], up])
+            back.append(occ[0])
+            occ[0] = occ[m] = 0
+        starts = np.repeat(np.arange(m + 1), occ)
+        end, steps, stopped = _walk(omega, starts, _stops(window), cap - step, [(rng, starts.size)])
+        assert stopped.all()
+        times = [k + 1 for k, b in enumerate(back) if b] + (step + steps[end == 0]).tolist()
+        counts = [b for b in back if b] + [1] * int((end == 0).sum())
+        if sum(counts) > need:
+            counts = rng.multivariate_hypergeometric(counts, need)
+        kept.append(np.repeat(times, counts))
+        need, per, rounds = need - kept[-1].size, 2 * per, rounds + 1
+    return rng.permutation(np.concatenate(kept)), rounds
 
 
 @pytest.mark.parametrize("law,env_seed,mode,n", [
@@ -515,7 +553,7 @@ def _per_worker_sampler(window, mode, n, cap, seed, workers):
     (FIX_C, 101, "rejection", 40),
     (FIX_A, 2, "h_transform", 2),  # fewer paths than 3 workers: an empty shard
     (FIX_A, 2, "rejection", 2),
-    (FIX_A, 2, "rejection", 121),  # returns ~46%: shards need 2 or 3 rounds
+    (FIX_A, 2, "rejection", 121),  # 363 paths: the count chain runs before the hand-off
 ], ids=["FIX-C-h", "FIX-C-rej", "FIX-A-h-empty-shard", "FIX-A-rej-empty-shard", "FIX-A-rej-rounds"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, workers):
@@ -523,15 +561,28 @@ def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, wor
     if mode == "h_transform":
         hi = mc._least_certified(_log_h_escape_bounds, law, env_seed, eps / n)
         window = conditioned_env(law, env_seed, hi, tol=1e-12)
+        expected = _per_worker_sampler(window, n, cap, seed, workers)
     else:
         window = sample_window(
             law, env_seed, 0, mc._least_certified(_log_escape_bounds, law, env_seed, eps)
         )
-    expected, rounds = _per_worker_sampler(window, mode, n, cap, seed, workers)
+        expected, _ = _count_chain_sampler(window, n, cap, seed)
     got = conditioned_sampler((law, env_seed), mode, n=n, cap=cap, seed=seed, workers=workers)
     assert got.tolist() == expected.tolist()
-    if n == 121 and workers > 1:
-        assert len(set(rounds)) > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_rejection_count_batches_equal_the_reference(monkeypatch, n):
+    monkeypatch.setattr(mc, "_HANDOFF", 4)  # the chain runs in every batch above 4 paths
+    window = sample_window(FIX_A, 2, 0, mc._least_certified(_log_escape_bounds, FIX_A, 2, 1e-6))
+    rounds = []
+    for seed in range(12):
+        expected, k = _count_chain_sampler(window, n, 10**6, seed)
+        got = conditioned_sampler((FIX_A, 2), "rejection", n=n, seed=seed)
+        assert got.tolist() == expected.tolist()
+        rounds.append(k)
+    if n < 40:  # batches of 3n and 6n paths: some seed needs a second one
+        assert max(rounds) > 1
 
 
 def _scalar_walk(env, start, targets, cap, rng):

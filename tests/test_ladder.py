@@ -1,4 +1,9 @@
-"""Tilting machinery, level-crossing estimators, overshoot, phi functional."""
+"""Tilting machinery, level-crossing estimators, overshoot, phi functional.
+
+phi(t) on the log rho law of FIX-F and the sup-tail on a law that can jump
+over a level are checked within 4 SE of their exact values from
+``tests/chains.py``.
+"""
 
 import math
 
@@ -21,10 +26,12 @@ from rwre.estimate import Tally, merge_mean
 from rwre.ladder import OvershootEntry, OvershootScan, WaldCheck
 from rwre.rng import worker_streams
 
+import chains
 from laws import FIX_C, FIX_D, FIX_F
 from walks import _per_path_first_exit
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
+JUMPY = StepLaw.of([(0.3, 2.0), (0.2, 1.0), (0.5, -3.0)])  # units (2, 1, -3): it can jump a level
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -158,6 +165,16 @@ class TestSupTail:
         assert c == a  # a lattice walk is one chain, whatever the workers
         assert sup_tail(SKIP_FREE, t=6, n=4000, method="naive", seed=10).value != a.value
 
+    @pytest.mark.parametrize("method", ["importance", "naive"])
+    @pytest.mark.parametrize("t", [4, 9])
+    def test_jumpy_within_4_se_of_the_exact_value(self, t, method):
+        exact, lost = chains.sup_law(JUMPY.weights, JUMPY.units, t, gamma_root(JUMPY))
+        assert lost <= 1e-12 and 0.05 < exact < 0.5
+        for seed in range(5):
+            est = sup_tail(JUMPY, t=t, n=20000, method=method, seed=seed)
+            assert est.std_error > 0.0
+            assert abs(est.value - exact) <= 4.0 * est.std_error + est.error_budget + lost
+
 
 class TestOvershoot:
     def test_skip_free_scaled_exactly_one(self):
@@ -282,6 +299,18 @@ class TestPhi:
                 + math.exp(2 * k) * phis[1].std_error ** 2
             )
             assert phis[k].value <= phis[k - 1].value + math.exp(k) * phis[1].value + 3.0 * se
+
+    @pytest.mark.parametrize("t,value", [
+        (1, 3.155417528), (2, 8.621670112), (4, 68.86680448), (6, 567.3115177),
+    ])
+    def test_fix_f_within_4_se_of_the_exact_value(self, t, value):
+        step = step_from_env(FIX_F)  # units (-2, 1), spacing log 2
+        exact, lost = chains.phi_law(step.weights, step.units, step.lattice, t, 200,
+                                     gamma_root(step) * step.lattice)
+        assert lost <= 1e-30 and exact == pytest.approx(value, rel=1e-9)
+        for seed in range(5):
+            est = phi_estimate(step, t=t, n=20000, seed=seed)
+            assert abs(est.value - exact) <= 4.0 * est.std_error
 
     def test_deterministic(self):
         a = phi_estimate(SKIP_FREE, t=2.0, n=5000, seed=13, workers=3)

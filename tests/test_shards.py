@@ -21,6 +21,13 @@ first-passage law and the exit-step law), against per-path exits in a
 two-sample test, and as ``sup_tail`` estimates against per-path tallies.
 The per-path walks draw each step's uniforms ``ladder._STEP_CHUNK`` paths at
 a time, and no chunk size may change a result.
+
+The rejection mode of ``conditioned_sampler`` walks a chain of how many
+paths sit at each site of its window (``mc._rejection_batch``) on one
+stream, so its samples depend on the seed alone.  Its samples, and the
+h-transform sampler's, are G-tested against the exact law of the return
+time on their windows (``chains.return_time_law``), and the chain against
+per-path walks of the same window in a two-sample test.
 """
 
 import concurrent.futures
@@ -40,19 +47,22 @@ from scipy.stats import chi2
 from rwre import (
     Estimate,
     StepLaw,
+    conditioned_env,
     conditioned_sampler,
     gamma_root,
     overshoot_constant,
     phi_estimate,
+    sample_window,
     speed_estimate,
     step_from_env,
     sup_tail,
     tilt,
 )
-from rwre import estimate, ladder, rng as rng_mod
+from rwre import estimate, ladder, mc, rng as rng_mod
 from rwre.cli import main
 from rwre.env import _thresholds
 from rwre.estimate import Tally, ratio_of_means, ratio_of_samples
+from rwre.exact import _log_escape_bounds, _log_h_escape_bounds
 from rwre.rng import worker_streams
 
 import chains
@@ -186,6 +196,7 @@ PHI_CASES = {
     "phi-fix-f": (FIX_F_STEP, 2.0),
     "phi-jumpy": (JUMPY, 12.0),
     "phi-general": (GENERAL, 2.0),
+    "phi-long": (SKIP_FREE, 60.0),  # paths live past step 127, where +1 steps can pass 127
 }
 
 
@@ -202,13 +213,10 @@ def test_first_exit_totals_equal_per_path_phi(case, n):
 
 
 @pytest.mark.parametrize("case, widest", [
-    ("lattice-up", np.int8), ("lattice-long-up", np.int16), ("phi-jumpy", np.int16),
+    ("phi-fix-f", np.int8), ("phi-long", np.int16), ("phi-jumpy", np.int16),
 ])
 def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, widest):
-    if case in PHI_CASES:
-        cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
-    else:  # a lattice walk up, its floor falling with each step
-        (cumw, incs, up, down, lattice), scale = _kernel_args(*KERNEL_CASES[case]), None
+    cumw, incs, up, down, lattice, scale = _phi_args(*PHI_CASES[case])
     seen = []
     advance = ladder._advance
 
@@ -220,10 +228,8 @@ def test_first_exit_sums_start_narrow_and_widen_once_needed(monkeypatch, case, w
     ladder._first_exit(cumw, incs, up, down, 3000, worker_streams(17, 1)[0], lattice, scale)
     assert seen[0] == np.int8 and max(seen, key=lambda dt: dt.itemsize) == widest
     assert seen[: seen.index(widest)] == [np.int8] * seen.index(widest)
-    if case in PHI_CASES:  # widened just before the ceiling 2k + 2 passes 127
-        assert seen.index(widest) == 63
-    elif widest == np.int16:  # widened just before a position below -128 could occur
-        assert seen.index(widest) == 128
+    if widest == np.int16:  # widened at the first step k + 1 whose ceiling (k + 1) max_inc passes 127
+        assert seen.index(widest) == -(-128 // int(incs.max())) - 1
 
 
 def test_first_exit_step_guard_still_trips(monkeypatch):
@@ -407,6 +413,74 @@ def test_count_exit_step_guard_still_trips(monkeypatch):
     cumw, incs, _, down, _ = _kernel_args(*KERNEL_CASES["lattice-up"])
     with pytest.raises(RuntimeError, match="step budget"):
         ladder._count_exit(cumw, incs, np.array([40]), down, 100, worker_streams(1, 1)[0])
+
+
+# ------------------------------------------------- rejection count chain
+
+def _rejection_window(law, env_seed, eps=1e-6):
+    """The window ``conditioned_sampler``'s rejection mode walks: sites 0..M."""
+    m = mc._least_certified(_log_escape_bounds, law, env_seed, eps)
+    return sample_window(law, env_seed, 0, m)
+
+
+def _return_time_cells(samples, steps=2000):
+    """Counts of the odd return times below ``steps`` (even), then of the rest."""
+    assert steps % 2 == 0 and np.all(samples % 2 == 1)
+    return np.bincount(np.minimum(samples, steps) // 2, minlength=steps // 2 + 1)
+
+
+def _return_time_pvalue(samples, omega, steps=2000):
+    """G-test of return times against the exact law of T_0 from 1 given
+    T_0 < T_M on the window ``omega``: odd times below ``steps``, the tail
+    pooled into one cell."""
+    law, tail, p = chains.return_time_law(omega, steps)
+    expected = samples.size * np.append(law[::2], tail) / p  # law[k - 1], k = 1, 3, 5, ...
+    return _g_pvalue(_return_time_cells(samples, steps), expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rejection_count_samples_follow_the_exact_return_time_law(seed):
+    window = _rejection_window(FIX_C, 101)
+    law, tail, p = chains.return_time_law(window.omega, 2000)
+    assert window.hi == 75 and abs(p - 0.486265821387) <= 1e-11
+    assert abs(law.sum() + tail - p) <= 1e-12
+    samples = conditioned_sampler((FIX_C, 101), "rejection", n=10_000, seed=seed)
+    assert samples.size == 10_000
+    assert _return_time_pvalue(samples, window.omega) > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_h_transform_samples_follow_the_exact_return_time_law(seed):
+    n = 10_000
+    hi = mc._least_certified(_log_h_escape_bounds, FIX_C, 101, 1e-6 / n)
+    window = conditioned_env(FIX_C, 101, hi, tol=1e-12)
+    _, _, p = chains.return_time_law(window.omega, 2000)
+    assert window.lo == 0 and 1.0 - 1e-9 < p <= 1.0  # the walk returns before hi
+    samples = conditioned_sampler((FIX_C, 101), "h_transform", n=n, seed=seed)
+    assert _return_time_pvalue(samples, window.omega) > 1e-6
+
+
+def test_rejection_count_chain_matches_per_path_walks_in_law(monkeypatch):
+    n = 10_000
+    for seed in range(2):
+        rows = []
+        # 0: the chain walks every path to its end; 3n: ``_walk`` takes every path at once
+        for handoff in (0, 3 * n):
+            monkeypatch.setattr(mc, "_HANDOFF", handoff)
+            samples = conditioned_sampler((FIX_C, 101), "rejection", n=n, seed=seed)
+            rows.append(_return_time_cells(samples))
+        table = np.array(rows)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / (2 * n)
+        assert _g_pvalue(table, expected) > 1e-6
+
+
+@pytest.mark.parametrize("law,env_seed,n", [(FIX_C, 101, 2000), (FIX_C, 101, 5), (FIX_A, 2, 121)])
+def test_rejection_count_samples_depend_on_the_seed_alone(law, env_seed, n):
+    one, two, three = (conditioned_sampler((law, env_seed), "rejection", n=n, seed=3, workers=w)
+                       for w in (1, 2, 3))
+    assert one.size == n
+    np.testing.assert_array_equal(one, two)
+    np.testing.assert_array_equal(one, three)
 
 
 # ------------------------------------------------------------------- pool
@@ -594,7 +668,8 @@ def test_pool_threads_run_no_public_function(monkeypatch):
 # ---------------------------------------------------------------- streams
 
 def _count_generators(monkeypatch):
-    """Make ``rng.worker_streams`` record how many generators it builds."""
+    """Make ``rng.worker_streams``, also as ``mc`` imported it, record how
+    many generators it builds."""
     built = []
     real = rng_mod.worker_streams
 
@@ -603,6 +678,7 @@ def _count_generators(monkeypatch):
         return real(seed, workers)
 
     monkeypatch.setattr(rng_mod, "worker_streams", counting)
+    monkeypatch.setattr(mc, "worker_streams", counting)
     return built
 
 
@@ -641,10 +717,11 @@ def test_walk_estimators_build_no_stream_for_an_empty_shard(monkeypatch, name):
         "speed": lambda w: speed_estimate(FIX_A, horizon=300, reps=3, seed=4, workers=w),
     }[name]
     built = _count_generators(monkeypatch)
+    streams = 1 if name == "conditioned-rejection" else 3  # rejection: one stream for all paths
     busy = run(3)
-    assert built == [3]
+    assert built == [streams]
     many = run(5000)
-    assert built == [3, 3]
+    assert built == [streams, streams]
     if name == "speed":
         assert many == busy
     else:

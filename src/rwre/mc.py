@@ -25,12 +25,14 @@ are its n = 1 wrappers, and a lone live path steps on scalar draws (a
 scalar draw and a length-1 draw give the same uniform);
 ``_first_return_batch`` and the h-transform ``conditioned_sampler`` call it
 with many paths, which step on buffers made once per call.  Rejection
-sampling steps counts of paths per window site (``_rejection_batch``), one
-binomial split a step, and hands its last few paths to ``_walk``.  Steps
-are +-1 and both end sites stop paths, so no path leaves the array and no
-range check is made: ``simulate_until`` takes a step off a window end that
-is no target by hand, and ``_first_return_batch`` stops paths at its
-certified guard depth and raises when one ends there.
+sampling walks no path through it: it leaps counts of paths per window
+site (``_rejection_batch``) ``_LEAP`` steps at a time, one multinomial
+split of each site's count over the window's k-step law (``_leap_table``)
+a leap, until no path is left.  Steps are +-1 and both end sites stop
+paths, so no path leaves the array and no range check is made:
+``simulate_until`` takes a step off a window end that is no target by
+hand, and ``_first_return_batch`` stops paths at its certified guard depth
+and raises when one ends there.
 Speed walks have no stop sites and run in ``_free_walk`` on the same
 stream, a block of steps per draw with the step categories found once per
 block.  Their sites live in ``_Rows``, one row per replicate, site-major:
@@ -116,15 +118,21 @@ _ROW_GROWTH = 4  # a side of rows that grows gains at least 1/_ROW_GROWTH of its
 _STRIP_SITES = 1 << 14  # most values realized per block of sites (one site of every row at least)
 _CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
 _SIGN = np.array([-1, 1], dtype=np.int64)  # the step of a path, indexed by "it steps up"
-# Live paths at which a rejection batch leaves its count chain for ``_walk``.
-# ``conditioned_sampler`` on FIX-C environment 101 at n = 10^4 (one batch of
-# 3 x 10^4 paths; in-process best of 5 at seeds 32, 1032 and 5032, 2-core
-# box): 90-106 ms as a pure chain (0), 85-88 ms at 16, 79-83 at 64, 70-73 at
-# 256, 70-73 at 1024, 77-84 at 4096, and 213-225 ms walking every path in
-# ``_walk`` (3 x 10^4).  A chain step costs about 20 us whatever the count,
-# mostly one binomial call over the window; a ``_walk`` step of 16, 256, 1024
-# and 4096 paths took 5, 7, 11 and 28 us, and a lone path's about 1 us.
-_HANDOFF = 256
+# Steps a rejection batch's count chain advances per multinomial call (one
+# leap).  ``conditioned_sampler`` on FIX-C environment 101 at n = 10^4 (a
+# batch of 3 x 10^4 paths, 6 400-8 300 steps until the last one is absorbed;
+# in-process best of 5 at seeds 32, 1032 and 5032, 2-core box), by leap:
+# 8: 30-35 ms, 16: 18-20, 24: 15-17, 32: 13-14, 48: 12, 64: 11-12, 128:
+# 11-14, 256: 15; one binomial split a step, with ``_walk`` for the last
+# 256 paths, took 66-67 ms.  A leap draws about one binomial per occupied
+# site and outcome it can reach, so short leaps pay numpy's per-call cost
+# and long ones draw for ever less likely end sites.  48 and 64 read 1-2 ms
+# faster than 32, under 1% of the bench's path-short; 32 keeps the table,
+# (M - 1) (2k + 2) floats, at half the size it has at 64.  A first version
+# on dense (M + 1)^2 tables, on a box where the binomial chain took 91-99
+# ms, read 52-54, 26-27, 17-18, 15-21, 20-21, 21-22 and 27-28 ms at leaps
+# of 8, 16, 32, 48, 64, 128 and 256.
+_LEAP = 32
 # multivariate_hypergeometric's "marginals" method needs fewer than 10^9 items.
 _MAX_BATCH = 10**9 - 1
 
@@ -580,59 +588,101 @@ def _first_return_batch(
     return status, steps + 1, first
 
 
+def _leap_table(omega: np.ndarray, k: int) -> np.ndarray:
+    """The k-step law of the walk on the window ``omega`` (sites 0..M, both
+    end sites absorbing), one row a start site: row x - 1 of the
+    (M - 1) x (2k + 2) table holds, for a walk from x = 1..M-1, the chance
+    that it reaches 0 at step s (column s - 1, s = 1..k), that it sits at
+    x - k + 2j after k steps (column k + j, j = 0..k) and that it has
+    reached M (the last column).  An end column whose site lies off the
+    interior holds exactly 0, as does a return at a step s of the other
+    parity than x.
+
+    Forward recursion over the band: after t steps a walk from x sits at
+    x - t + 2j, j = 0..t, so the table's k + 1 end columns hold every start's
+    law as it goes, and a step is two products with zero-copy views of the
+    up and down chances along the band's diagonals.  Mass that reaches an
+    end site is moved to its column at once.  Memory is O(M k): the table
+    and one band-sized scratch array, both column-major, so that a step's
+    products run over contiguous columns without numpy's iteration buffers.
+    """
+    m = omega.size - 1
+    rows = m - 1
+    table = np.zeros((rows, 2 * k + 2), order="F")
+    band = table[:, k : 2 * k + 1]  # band[r, j]: at site r + 1 - t + 2j after t steps
+    band[:, 0] = 1.0
+    # chance[i]: the up (down) chance at site i - k, 0 off the interior sites
+    up, down = np.zeros(m + 2 * k - 1), np.zeros(m + 2 * k - 1)
+    up[k + 1 : k + m] = omega[1:m]
+    down[k + 1 : k + m] = 1.0 - omega[1:m]
+    # diagonals[r, c] = chance[r + c]: site r + 1 - t + 2j sits at c = k + 1 - t + 2j
+    ups, downs = (np.lib.stride_tricks.sliding_window_view(a, 2 * k + 1) for a in (up, down))
+    scratch = np.empty((rows, k), order="F")
+    for t in range(k):
+        cols = slice(k + 1 - t, k + 2 + t, 2)
+        here, moved = band[:, : t + 1], scratch[:, : t + 1]
+        np.multiply(here, ups[:rows, cols], out=moved)
+        here *= downs[:rows, cols]
+        band[:, 1 : t + 2] += moved
+        s = t + 1  # mass at site 0 (j = (s - 1 - r) / 2) and at M (r = M - 1 + s - 2j)
+        r = np.arange(s - 1, -1, -2)
+        r = r[r < rows]
+        j = (s - 1 - r) // 2
+        table[r, s - 1] = band[r, j]
+        band[r, j] = 0.0
+        j = np.arange((s + 2) // 2, min(s, (m - 1 + s) // 2) + 1)
+        r = m - 1 + s - 2 * j
+        table[r, -1] += band[r, j]
+        band[r, j] = 0.0
+    return table
+
+
 def _rejection_batch(
-    omega: np.ndarray, stop: np.ndarray, batch: int, cap: int, rng: np.random.Generator
+    omega: np.ndarray, table: np.ndarray, batch: int, cap: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk ``batch`` paths from site 1 of the rejection window ``omega``
     (sites 0..M, both ends stopping) and return (times, counts): counts[i]
-    paths returned to 0 at step times[i], the escapes to M dropped.  A time
-    may repeat; only returned paths are counted.
+    paths returned to 0 at step times[i], the escapes to M dropped.  Only
+    returned paths are counted.
 
     Every path walks the same sites, so the number of paths at each interior
-    site is a Markov chain: a step draws ``rng.binomial(occ, omega)`` over
-    the occupied sites only (n = 0 draws nothing), the paths that step up,
-    and the rest step down.  Site 1's down count returns at this step and
-    site M-1's up count escapes.  Per-path walks give the same joint law of
-    return counts, from other draws.  Once at most ``_HANDOFF`` paths are
-    live they are laid out by site, in site order, and walked once by
-    ``_walk`` with the steps left: a trapped path would keep the chain
-    stepping for thousands of steps, at the cost of one binomial call each.
-    Raises when paths are still live after ``cap`` steps.
+    site is a Markov chain, and ``table`` (``_leap_table(omega, k)``) is its
+    k-step law with the step of each return.  A leap splits the count at
+    each occupied site over its row in one ``rng.multinomial`` call: the
+    return columns, summed over rows, are the returns at the next k steps,
+    the end columns go back into the counts by one ``np.bincount``, and the
+    escapes are dropped.  All paths start at one site and step together, so
+    the occupied sites share one parity and only every other row is drawn.
+    Per-path walks give the same joint law of return counts, from other
+    draws.  When fewer than k steps of ``cap`` are left, one table of the
+    steps left finishes the walk; paths still live after ``cap`` steps raise.
     """
-    m = omega.size - 1
-    occ = np.zeros(m + 1, dtype=np.int64)  # occ[x]: paths at site x; 0 and M only in passing
-    occ[1] = live = batch
-    lo = hi = 1  # the occupied sites lie in lo..hi
-    back = []  # back[k - 1]: paths returned at step k
+    k = (table.shape[1] - 2) // 2
+    at = np.array([batch], dtype=np.int64)  # at[i]: paths at site lo + 2i, none at the ends
+    lo = 1
+    back = []  # each leap's returns, one count a step: step s is entry s - 1 of them joined
     step = 0
-    while live > _HANDOFF and step < cap:
-        step += 1
-        here = occ[lo : hi + 1]
-        up = rng.binomial(here, omega[lo : hi + 1])
-        here -= up
-        occ[lo - 1 : hi] = here  # the down steps, one site left (numpy copies the overlap)
-        occ[hi] = 0
-        occ[lo + 1 : hi + 2] += up
-        returned, escaped = int(occ[0]), int(occ[m])
-        back.append(returned)
-        occ[0] = occ[m] = 0
-        live -= returned + escaped
-        lo, hi = max(lo - 1, 1), min(hi + 1, m - 1)
-        while live and not occ[lo]:
-            lo += 1
-        while live and not occ[hi]:
-            hi -= 1
-    back = np.array(back, dtype=np.int64)
-    first = np.flatnonzero(back)
-    times, counts = first + 1, back[first]
-    if live:
-        starts = np.repeat(np.arange(lo, hi + 1), occ[lo : hi + 1])
-        end, steps, stopped = _walk(omega, starts, stop, cap - step, [(rng, live)])
-        if not stopped.all():
+    while at.size:
+        if step == cap:
             raise RuntimeError(f"path cap {cap} exhausted")
-        late = step + steps[end == 0]
-        times, counts = np.append(times, late), np.append(counts, np.ones(late.size, np.int64))
-    return times, counts
+        if cap - step < k:
+            k = cap - step
+            table = _leap_table(omega, k)
+        moves = rng.multinomial(at, table[lo - 1 : lo - 1 + 2 * at.size : 2])
+        back.append(moves[:, :k].sum(axis=0))
+        # the path from site lo + 2i to end column j sits at lo - k + 2 (i + j)
+        sites = np.add.outer(np.arange(at.size), np.arange(k + 1)).ravel()
+        ends = np.bincount(sites, moves[:, k : 2 * k + 1].ravel(), at.size + k)
+        live = np.flatnonzero(ends)
+        if live.size:
+            lo += 2 * int(live[0]) - k
+            at = ends[live[0] : live[-1] + 1].astype(np.int64)
+        else:
+            at = live
+        step += k
+    back = np.concatenate(back)
+    first = np.flatnonzero(back)
+    return first + 1, back[first]
 
 
 def conditioned_sampler(
@@ -660,12 +710,14 @@ def conditioned_sampler(
     mean is far larger.  On FIX-C environment 101 (M = 75, where Q's
     spectral radius is 0.99838) the kept mean E[T_0 | T_0 < T_M] is 56.455
     against the target 56.512, about 10^3 times escape_eps relative, which
-    is 0.02 SE at n = 10^4.  Rejection walks a chain of how many paths sit
-    at each window site (``_rejection_batch``) on the one stream
-    ``worker_streams(seed, 1)[0]``, so its samples depend on the seed alone;
-    ``workers`` is accepted and not read.  The first batch walks 3n paths,
-    and each later one twice as many paths per sample still needed as the
-    batch before it.  A batch with more returns than needed keeps a uniform
+    is 0.02 SE at n = 10^4.  Rejection steps no path on its own: it leaps
+    a chain of how many paths sit at each window site ``_LEAP`` steps at a
+    time (``_rejection_batch``), over the window's k-step law with the step
+    of each return, built once a call (``_leap_table``).  It runs on the one
+    stream ``worker_streams(seed, 1)[0]``, so its samples depend on the seed
+    alone; ``workers`` is accepted and not read.  The first batch walks 3n
+    paths, and each later one twice as many paths per sample still needed
+    as the batch before it.  A batch with more returns than needed keeps a uniform
     random subset of them (``rng.multivariate_hypergeometric`` over the
     return times), and the kept samples are returned in an order permuted
     by the same stream, so they are i.i.d. in the order given.
@@ -687,11 +739,9 @@ def conditioned_sampler(
     else:
         raise ValueError("mode must be 'h_transform' or 'rejection'")
 
-    # Reaching hi stops a path in both modes: a rejection escape, an h-transform edge hit.
-    stop = np.zeros(window.omega.size, dtype=bool)
-    stop[[0, window.hi]] = True
-
     if mode == "h_transform":  # every path returns, so one walk of n paths
+        stop = np.zeros(window.omega.size, dtype=bool)
+        stop[[0, window.hi]] = True  # reaching hi ends the run
         shards = _busy_shards(seed, n, workers)
         end, steps, stopped = _walk(window.omega, np.ones(n, dtype=np.int64), stop, cap, shards)
         if not stopped.all():
@@ -701,9 +751,10 @@ def conditioned_sampler(
         return steps
 
     rng = worker_streams(seed, 1)[0]
+    table = _leap_table(window.omega, _LEAP)
     kept, need, per = [], n, 3  # per: paths walked per sample still needed
     while need:
-        times, counts = _rejection_batch(window.omega, stop, min(per * need, _MAX_BATCH), cap, rng)
+        times, counts = _rejection_batch(window.omega, table, min(per * need, _MAX_BATCH), cap, rng)
         if counts.sum() > need:
             counts = rng.multivariate_hypergeometric(counts, need)
         kept.append(np.repeat(times, counts))

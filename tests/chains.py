@@ -2,8 +2,8 @@
 goodness-of-fit tests of the occupation-count kernels and the checks of
 the Monte Carlo estimators against their exact values (numpy only): the
 exit law of a band, the first-passage and exit-step laws under the tilt,
-phi(t), the sup-tail, and the return time of a nearest-neighbour walk on a
-window of sites.
+phi(t), the sup-tail, and the return time and k-step law of a
+nearest-neighbour walk on a window of sites.
 
 Every walk starts at S_0 = 0 and takes its first step whatever the levels,
 so a first passage is the first step k >= 1 with S_k >= level, as in
@@ -117,6 +117,36 @@ def return_time_law(omega, steps):
         moved[:-1] += v[1:] * down[1:]
         v = moved
     return law, float(v @ h), float(h[0])
+
+
+def leap_law(omega, k):
+    """The k-step law of the nearest-neighbour walk on the window
+    omega[0..M], whose end sites 0 and M absorb it, in the layout of
+    ``mc._leap_table``: row x - 1 holds, for the walk from x = 1..M-1, the
+    chance of reaching 0 at step s (column s - 1, s = 1..k), of sitting at
+    x - k + 2j after k steps (column k + j, j = 0..k; 0 for a site off the
+    interior) and of having reached M (the last column).  A forward
+    recursion of where the walk from x sits among 0..M, one start at a time,
+    its mass at an end site taken off after each step."""
+    omega = np.asarray(omega, dtype=np.float64)
+    m = omega.size - 1
+    up, down = omega[1:m], 1.0 - omega[1:m]
+    law = np.zeros((m - 1, 2 * k + 2))
+    for x in range(1, m):
+        v = np.zeros(m + 1)
+        v[x] = 1.0
+        for s in range(1, k + 1):
+            moved = np.zeros(m + 1)
+            moved[2:] += v[1:m] * up
+            moved[: m - 1] += v[1:m] * down
+            law[x - 1, s - 1] = moved[0]
+            law[x - 1, -1] += moved[m]
+            moved[0] = moved[m] = 0.0
+            v = moved
+        ends = x - k + 2 * np.arange(k + 1)
+        inside = (ends > 0) & (ends < m)
+        law[x - 1, k : 2 * k + 1][inside] = v[ends[inside]]
+    return law
 
 
 def phi_law(weights, units, a, t, top, gamma):

@@ -226,7 +226,7 @@ class TestConditionedCommand:
 
     @pytest.mark.parametrize("mode,samples", [
         ("h_transform", [1, 1, 1, 7, 11, 5, 1, 1269, 1, 1, 1, 1]),
-        ("rejection", [3, 1, 1, 1, 5, 1, 1, 1, 5, 1, 1, 5]),
+        ("rejection", [3, 3, 1, 1, 1, 19, 1, 27, 437, 19, 407, 199]),
     ])
     def test_sample_rows_pinned(self, tmp_path, mode, samples):
         out = tmp_path / "c"

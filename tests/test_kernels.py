@@ -44,13 +44,15 @@ conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
 and the window edges are checked to be the least certified ones.  The
 h-transform ``conditioned_sampler`` is checked against a per-worker
-reference loop, its rejection mode against a plain count chain over the
-whole window on one stream, and the stop-site walk, whose array must end in
-stop sites at both sides, against scalar draws in lockstep.  The rejection
-literal was re-recorded once, when rejection moved from per-path walks in
-worker shards to one count chain keyed by the seed alone: the same law from
-other draws, checked by G-tests against the exact return-time law in
-``tests/test_shards.py``.
+reference loop, its rejection mode against a plain loop of leaps over the
+whole window on one stream, driven by the k-step law of ``tests/chains.py``,
+and the stop-site walk, whose array must end in stop sites at both sides,
+against scalar draws in lockstep.  The rejection literal was re-recorded
+twice, each time the same law from other draws, checked by G-tests against
+the exact return-time law in ``tests/test_shards.py``: when rejection moved
+from per-path walks in worker shards to one count chain keyed by the seed
+alone, and when that chain moved from one binomial split a step to one
+multinomial split a leap of ``mc._LEAP`` steps.
 """
 
 import hashlib
@@ -103,6 +105,7 @@ from rwre.rng import (
     worker_streams,
 )
 
+import chains
 from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
@@ -182,7 +185,7 @@ def test_conditioned_sampler_golden():
     h = conditioned_sampler((FIX_C, 101), "h_transform", n=16, seed=5, workers=2)
     r = conditioned_sampler((FIX_C, 101), "rejection", n=16, seed=5, workers=2)
     assert h.tolist() == [1, 1, 1, 7, 3, 3, 7, 69, 1, 11, 1, 1, 1, 1, 9, 7]
-    assert r.tolist() == [71, 1, 1, 7, 1, 1, 1, 1, 1, 925, 1, 9, 1, 1, 3, 1]
+    assert r.tolist() == [27, 193, 1, 1093, 1, 19, 1, 1, 1, 1243, 1, 1, 3, 3, 1, 1]
 
 
 def test_speed_estimate_golden():
@@ -512,35 +515,40 @@ def _per_worker_sampler(window, n, cap, seed, workers):
     return np.concatenate(out)
 
 
-def _count_chain_sampler(window, n, cap, seed):
+def _leap_chain_sampler(window, n, cap, seed):
     """Reference for the rejection ``conditioned_sampler``, whatever the
     workers: on the seed's first stream, batches of 3, 6, 12, ... paths per
-    sample still needed.  A batch steps the counts of paths at every site of
-    the window, every interior site drawing its binomial split (a site with
-    no paths draws nothing), until at most ``mc._HANDOFF`` paths are live;
-    ``_walk`` takes the rest, laid out site by site.  A uniform subset of
-    the batch's returns is kept by one multivariate hypergeometric draw over
-    the return steps in step order, then the handed-off returns in path
-    order; the kept samples are permuted at the end.  Returns the samples
-    and the number of batches."""
+    sample still needed.  A batch leaps the counts of paths at every
+    interior site of the window ``mc._LEAP`` steps at a time: each site
+    splits its count over its row of ``chains.leap_law`` (a site with no
+    paths draws nothing), and a law of the steps left makes the last leap
+    before ``cap``.  A uniform subset of the batch's returns is kept by one
+    multivariate hypergeometric draw over the return steps in step order;
+    the kept samples are permuted at the end.  Returns the samples and the
+    number of batches."""
     omega, m = window.omega, window.hi
     rng = worker_streams(seed, 1)[0]
+    laws = {}
     kept, need, per, rounds = [], n, 3, 0
     while need:
         occ = np.zeros(m + 1, dtype=np.int64)
         occ[1] = per * need
         back, step = [], 0
-        while occ.sum() > mc._HANDOFF and step < cap:
-            step += 1
-            up = rng.binomial(occ[1:m], omega[1:m])
-            occ = np.concatenate([occ[1:m] - up, [0, 0]]) + np.concatenate([[0, 0], up])
-            back.append(occ[0])
-            occ[0] = occ[m] = 0
-        starts = np.repeat(np.arange(m + 1), occ)
-        end, steps, stopped = _walk(omega, starts, _stops(window), cap - step, [(rng, starts.size)])
-        assert stopped.all()
-        times = [k + 1 for k, b in enumerate(back) if b] + (step + steps[end == 0]).tolist()
-        counts = [b for b in back if b] + [1] * int((end == 0).sum())
+        while occ.any():
+            assert step < cap
+            k = min(mc._LEAP, cap - step)
+            if k not in laws:
+                laws[k] = chains.leap_law(omega, k)
+            moves = rng.multinomial(occ[1:m], laws[k])
+            back.extend(moves[:, :k].sum(axis=0).tolist())
+            sites = np.arange(1, m)[:, None] - k + 2 * np.arange(k + 1)
+            inside = (sites > 0) & (sites < m)
+            ends = moves[:, k : 2 * k + 1]
+            assert not ends[~inside].any()
+            occ = np.bincount(sites[inside], ends[inside], m + 1).astype(np.int64)
+            step += k
+        times = [k + 1 for k, b in enumerate(back) if b]
+        counts = [b for b in back if b]
         if sum(counts) > need:
             counts = rng.multivariate_hypergeometric(counts, need)
         kept.append(np.repeat(times, counts))
@@ -553,7 +561,7 @@ def _count_chain_sampler(window, n, cap, seed):
     (FIX_C, 101, "rejection", 40),
     (FIX_A, 2, "h_transform", 2),  # fewer paths than 3 workers: an empty shard
     (FIX_A, 2, "rejection", 2),
-    (FIX_A, 2, "rejection", 121),  # 363 paths: the count chain runs before the hand-off
+    (FIX_A, 2, "rejection", 121),  # 363 paths
 ], ids=["FIX-C-h", "FIX-C-rej", "FIX-A-h-empty-shard", "FIX-A-rej-empty-shard", "FIX-A-rej-rounds"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, workers):
@@ -566,18 +574,17 @@ def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, wor
         window = sample_window(
             law, env_seed, 0, mc._least_certified(_log_escape_bounds, law, env_seed, eps)
         )
-        expected, _ = _count_chain_sampler(window, n, cap, seed)
+        expected, _ = _leap_chain_sampler(window, n, cap, seed)
     got = conditioned_sampler((law, env_seed), mode, n=n, cap=cap, seed=seed, workers=workers)
     assert got.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
-def test_rejection_count_batches_equal_the_reference(monkeypatch, n):
-    monkeypatch.setattr(mc, "_HANDOFF", 4)  # the chain runs in every batch above 4 paths
+def test_rejection_count_batches_equal_the_reference(n):
     window = sample_window(FIX_A, 2, 0, mc._least_certified(_log_escape_bounds, FIX_A, 2, 1e-6))
     rounds = []
     for seed in range(12):
-        expected, k = _count_chain_sampler(window, n, 10**6, seed)
+        expected, k = _leap_chain_sampler(window, n, 10**6, seed)
         got = conditioned_sampler((FIX_A, 2), "rejection", n=n, seed=seed)
         assert got.tolist() == expected.tolist()
         rounds.append(k)

@@ -22,12 +22,16 @@ two-sample test, and as ``sup_tail`` estimates against per-path tallies.
 The per-path walks draw each step's uniforms ``ladder._STEP_CHUNK`` paths at
 a time, and no chunk size may change a result.
 
-The rejection mode of ``conditioned_sampler`` walks a chain of how many
+The rejection mode of ``conditioned_sampler`` leaps a chain of how many
 paths sit at each site of its window (``mc._rejection_batch``) on one
 stream, so its samples depend on the seed alone.  Its samples, and the
 h-transform sampler's, are G-tested against the exact law of the return
 time on their windows (``chains.return_time_law``), and the chain against
-per-path walks of the same window in a two-sample test.
+per-path ``mc._walk`` walks of the same window in a two-sample test.  A
+coarse test, a few cells of equal exact mass and the tail T_0 >= 2000 on
+its own, sees the tail faults that the fine test spreads too thin.  The
+chain's k-step table is checked against ``chains.leap_law``, and its cap at
+the edges of a leap.
 """
 
 import concurrent.futures
@@ -42,9 +46,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binomtest, chi2
 
 from rwre import (
+    EnvLaw,
     Estimate,
     StepLaw,
     conditioned_env,
@@ -460,18 +465,101 @@ def test_h_transform_samples_follow_the_exact_return_time_law(seed):
     assert _return_time_pvalue(samples, window.omega) > 1e-6
 
 
-def test_rejection_count_chain_matches_per_path_walks_in_law(monkeypatch):
+def _equal_mass_cells(samples, omega, cells=8, steps=2000):
+    """(observed, expected) counts of return times in ``cells`` runs of odd
+    times below ``steps`` of about equal exact mass, then the tail T_0 >=
+    ``steps``, under the exact law of T_0 from 1 given T_0 < T_M."""
+    law, tail, p = chains.return_time_law(omega, steps)
+    mass = law[::2] / p  # times 1, 3, ..., steps - 1
+    before = np.cumsum(mass) - mass  # the mass of the earlier times
+    cell = np.minimum((cells * before / mass.sum()).astype(np.int64), cells - 1)
+    cell = np.unique(cell, return_inverse=True)[1]  # one label a run, numbered from 0
+    observed = np.bincount(cell, _return_time_cells(samples, steps)[:-1])
+    return (np.append(observed, (samples >= steps).sum()),
+            samples.size * np.append(np.bincount(cell, mass), tail / p))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rejection_count_tail_follows_the_exact_return_time_law(seed):
+    # The fine G-test above spreads the tail cell's share over hundreds of
+    # degrees of freedom: a fault confined to the returns after 2000 steps
+    # moves too few samples to show there.
+    window = _rejection_window(FIX_C, 101)
+    n = 100_000
+    samples = conditioned_sampler((FIX_C, 101), "rejection", n=n, seed=seed)
+    observed, expected = _equal_mass_cells(samples, window.omega)
+    assert expected[-1] > 250  # about 275 returns after step 2000
+    assert binomtest(int(observed[-1]), n, expected[-1] / n).pvalue > 1e-6
+    assert _g_pvalue(observed, expected) > 1e-6
+
+
+def test_rejection_count_chain_matches_per_path_walks_in_law():
+    window = _rejection_window(FIX_C, 101)
+    stop = np.zeros(window.omega.size, dtype=bool)
+    stop[[0, window.hi]] = True
     n = 10_000
     for seed in range(2):
-        rows = []
-        # 0: the chain walks every path to its end; 3n: ``_walk`` takes every path at once
-        for handoff in (0, 3 * n):
-            monkeypatch.setattr(mc, "_HANDOFF", handoff)
-            samples = conditioned_sampler((FIX_C, 101), "rejection", n=n, seed=seed)
-            rows.append(_return_time_cells(samples))
-        table = np.array(rows)
-        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / (2 * n)
+        chain = conditioned_sampler((FIX_C, 101), "rejection", n=n, seed=seed)
+        # per-path walks of the same window on another stream: every return kept
+        rng = worker_streams(seed + 100, 1)[0]
+        end, steps, stopped = mc._walk(window.omega, np.ones(3 * n, np.int64), stop, 10**7,
+                                       [(rng, 3 * n)])
+        assert stopped.all()
+        table = np.array([_return_time_cells(chain), _return_time_cells(steps[end == 0])])
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
         assert _g_pvalue(table, expected) > 1e-6
+
+
+LEAP_WINDOWS = {"FIX-C-101": (FIX_C, 101), "FIX-A-2": (FIX_A, 2),
+                "constant-0.51": (EnvLaw.constant(0.51), 0)}
+
+
+@pytest.mark.parametrize("k", [1, 7, mc._LEAP])
+@pytest.mark.parametrize("name", LEAP_WINDOWS)
+def test_rejection_count_leap_table_is_the_exact_k_step_law(name, k):
+    window = _rejection_window(*LEAP_WINDOWS[name])
+    m = window.hi
+    tracemalloc.start()
+    table = mc._leap_table(window.omega, k)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    law = chains.leap_law(window.omega, k)
+    assert table.shape == law.shape == (m - 1, 2 * k + 2)
+    assert np.abs(table - law).max() <= 1e-13
+    assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-12
+    x = np.arange(1, m)[:, None]
+    assert not table[:, :k][(np.arange(1, k + 1) - x) % 2 == 1].any()  # a return at odd s - x
+    sites = x - k + 2 * np.arange(k + 1)
+    assert not table[:, k : 2 * k + 1][(sites <= 0) | (sites >= m)].any()
+    # M = 346: the table and one band-sized scratch array; at a short leap,
+    # numpy's fixed iteration buffer (up to 64 KiB) would outweigh them
+    if name == "constant-0.51" and k == mc._LEAP:
+        assert m == 346 and peak <= 2 * table.nbytes
+
+
+@pytest.mark.parametrize("cap", [1, mc._LEAP - 1, mc._LEAP, mc._LEAP + 1, 2 * mc._LEAP + 1])
+def test_rejection_count_batch_raises_exactly_when_paths_outlive_the_cap(cap):
+    k, rng = mc._LEAP, worker_streams(0, 1)[0]
+    # omega_1 = 0: every path returns at step 1
+    omega = np.full(40, 0.5)
+    omega[1] = 0.0
+    times, counts = mc._rejection_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
+    assert times.tolist() == [1] and counts.tolist() == [50]
+    # half the paths return at step 1, the rest climb to M = k + 2 at step k + 1
+    omega = np.ones(k + 3)
+    omega[1] = 0.5
+    table = mc._leap_table(omega, k)
+    if cap < k + 1:
+        with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
+            mc._rejection_batch(omega, table, 50, cap, rng)
+    else:
+        times, counts = mc._rejection_batch(omega, table, 50, cap, rng)
+        assert times.tolist() == [1] and 0 < counts[0] < 50
+    # a trap: site 1 sends every path up and site 2 sends it back
+    omega = np.full(40, 0.5)
+    omega[1], omega[2] = 1.0, 0.0
+    with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
+        mc._rejection_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
 
 
 @pytest.mark.parametrize("law,env_seed,n", [(FIX_C, 101, 2000), (FIX_C, 101, 5), (FIX_A, 2, 121)])

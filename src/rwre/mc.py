@@ -16,23 +16,19 @@ worker streams enter it, so these results do not depend on ``workers``.
 
 Every walk with stop sites steps in one lockstep kernel, ``_walk``: paths
 live on a flat omega array whose two end sites stop them, and step k draws
-one uniform per live path, in path order.
-Worker shards are stream shards: each worker's generator drives its own
-consecutive block of paths, and all blocks are walked in one lockstep, each
-shard drawing for its own live paths in order, so the result equals
-separate per-worker walks.  ``simulate_until`` and ``sample_first_return``
-are its n = 1 wrappers, and a lone live path steps on scalar draws (a
-scalar draw and a length-1 draw give the same uniform);
-``_first_return_batch`` and the h-transform ``conditioned_sampler`` call it
-with many paths, which step on buffers made once per call.  Rejection
-sampling walks no path through it: it leaps counts of paths per window
-site (``_rejection_batch``) ``_LEAP`` steps at a time, one multinomial
+one uniform per live path, in path order, from the one generator it is
+given.  ``simulate_until`` and ``sample_first_return`` are its n = 1
+wrappers, and a lone live path steps on scalar draws (a scalar draw and a
+length-1 draw give the same uniform); ``_first_return_batch`` calls it with
+many paths, which step on buffers made once per call.  Conditioned sampling
+walks no path through it, in either mode: it leaps counts of paths per
+window site (``_leap_batch``) ``_LEAP`` steps at a time, one multinomial
 split of each site's count over the window's k-step law (``_leap_table``)
-a leap, until no path is left.  Steps are +-1 and both end sites stop
-paths, so no path leaves the array and no range check is made:
-``simulate_until`` takes a step off a window end that is no target by
-hand, and ``_first_return_batch`` stops paths at its certified guard depth
-and raises when one ends there.
+a leap, until no path is left, on the seed's first stream.  Steps are +-1
+and both end sites stop paths, so no path leaves the array and no range
+check is made: ``simulate_until`` takes a step off a window end that is no
+target by hand, and ``_first_return_batch`` stops paths at its certified
+guard depth and raises when one ends there.
 Speed walks have no stop sites and run in ``_free_walk`` on the same
 stream, a block of steps per draw with the step categories found once per
 block.  Their sites live in ``_Rows``, one row per replicate, site-major:
@@ -118,7 +114,7 @@ _ROW_GROWTH = 4  # a side of rows that grows gains at least 1/_ROW_GROWTH of its
 _STRIP_SITES = 1 << 14  # most values realized per block of sites (one site of every row at least)
 _CODED_LEVELS = 1 << 9  # most levels stored as codes: the one-step table has (L+1) L entries
 _SIGN = np.array([-1, 1], dtype=np.int64)  # the step of a path, indexed by "it steps up"
-# Steps a rejection batch's count chain advances per multinomial call (one
+# Steps a conditioned batch's count chain advances per multinomial call (one
 # leap).  ``conditioned_sampler`` on FIX-C environment 101 at n = 10^4 (a
 # batch of 3 x 10^4 paths, 6 400-8 300 steps until the last one is absorbed;
 # in-process best of 5 at seeds 32, 1032 and 5032, 2-core box), by leap:
@@ -168,55 +164,46 @@ def _walk(
     starts,
     stop: np.ndarray,
     cap: int,
-    shards: Sequence[tuple[np.random.Generator, int]],
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step independent paths on the site array ``omega`` until a stop site or ``cap``.
 
     Positions are indices into ``omega``, and ``stop`` (one flag a site)
     must stop paths at both end sites: steps are +-1, so no live path can
-    leave the array, and no range check is made.  ``shards`` pairs each
-    generator with the number of paths it drives: shard w owns the w-th
-    consecutive block of ``starts``.  The live paths are kept in a compact
-    array in path order, and at step k each shard draws one uniform per
-    live path of its own, in that order; a k-shard walk is therefore
-    bit-identical to k separate walks.  Once one path is left it steps on
-    scalar ``rng.random()`` draws from its shard, the same uniforms, so a
-    lone path is exactly a scalar loop.
+    leave the array, and no range check is made.  The live paths are kept
+    in a compact array in path order, and at step k ``rng`` draws one
+    uniform per live path, in that order.  Once one path is left it steps
+    on scalar ``rng.random()`` draws, the same uniforms, so a lone path is
+    exactly a scalar loop.
 
     Buffers of two floats, one bool and one int64 per path are made at the
-    first step with more than one live path: each shard with live paths
-    draws into its slice of the first float buffer with
-    ``rng.random(out=...)``, the draws of ``rng.random(k)``; the step is one
-    ``np.less`` against omega gathered into the second and one gather of
-    +-1, and the stop test gathers ``stop`` into the bool buffer.  Shard
-    slices are found again only on steps where paths stop.  Returns (final
-    index, steps taken, stopped); a path that starts on a stop site takes 0
-    steps, one that runs out of steps reports ``cap``.
+    first step with more than one live path: ``rng.random(out=...)`` draws
+    into the first float buffer, the draws of ``rng.random(k)``; the step is
+    one ``np.less`` against omega gathered into the second and one gather
+    of +-1, and the stop test gathers ``stop`` into the bool buffer.  Their
+    live-sized views are cut again only on steps where paths stop.  Returns
+    (final index, steps taken, stopped); a path that starts on a stop site
+    takes 0 steps, one that runs out of steps reports ``cap``.
     """
     pos = np.array(starts, dtype=np.int64)
-    ends = np.cumsum([n for _, n in shards])
-    if ends[-1] != pos.size:
-        raise ValueError("shard sizes must add up to the number of paths")
     # The gathers below use mode="clip", which would quietly read an end
     # site for an index off the array: this check keeps every index on it.
     if not (stop.size == omega.size > 0 and stop[0] and stop[-1]):
         raise ValueError("a walk needs one stop flag a site, set at both end sites")
     if pos.size and (pos.min() < 0 or pos.max() >= omega.size):
         raise IndexError("walk starts outside the site array")
-    rngs = [r for r, _ in shards]
     steps = np.full(pos.size, cap, dtype=np.int64)
     stopped = stop[pos]
     steps[stopped] = 0
     idx = np.flatnonzero(~stopped)
     live = pos[idx]
-    buffers = cuts = None  # made once more than one path is live
+    buffers = views = None  # made once more than one path is live
     for step in range(1, cap + 1):
         k = idx.size
         if not k:
             break
-        if k == 1:  # a lone path steps on scalar draws from its shard: the same uniforms
+        if k == 1:  # a lone path steps on scalar draws: the same uniforms
             i, x = int(idx[0]), int(live[0])
-            rng = rngs[int(np.searchsorted(ends, i, side="right"))]
             for step in range(step, cap + 1):
                 x += 1 if rng.random() < omega[x] else -1
                 if stop[x]:
@@ -224,14 +211,11 @@ def _walk(
                     break
             pos[i] = x
             return pos, steps, stopped
-        if cuts is None:  # the first step of many paths, or paths stopped at the last one
+        if views is None:  # the first step of many paths, or paths stopped at the last one
             if buffers is None:
                 buffers = np.empty(k), np.empty(k), np.empty(k, dtype=bool), np.empty(k, np.int64)
-            cuts = [0, *np.searchsorted(idx, ends).tolist()]  # shard w: live[cuts[w]:cuts[w+1]]
-            u, at, hit, move = (b[:k] for b in buffers)
-        for r, a, b in zip(rngs, cuts, cuts[1:]):
-            if a < b:
-                r.random(out=u[a:b])
+            views = u, at, hit, move = [b[:k] for b in buffers]
+        rng.random(out=u)
         # mode="clip" skips take's buffered copy; every live index is on the array.
         np.less(u, omega.take(live, out=at, mode="clip"), out=hit)
         live += _SIGN.take(hit.view(np.uint8), out=move, mode="clip")
@@ -242,7 +226,7 @@ def _walk(
             steps[out] = step
             stopped[out] = True
             keep = np.logical_not(done, out=hit)
-            idx, live, cuts = idx[keep], live[keep], None
+            idx, live, views = idx[keep], live[keep], None
     pos[idx] = live
     return pos, steps, stopped
 
@@ -485,7 +469,7 @@ def simulate_until(
     stop[[0, -1, *(t - a for t in targets if a <= t <= b)]] = True
     x, left = start - a, cap
     while True:
-        pos, steps, stopped = _walk(omega, [x], stop, left, [(stream, 1)])
+        pos, steps, stopped = _walk(omega, [x], stop, left, stream)
         x, left = int(pos[0]), left - int(steps[0])
         if stopped[0] and x + a in targets:
             return x + a, cap - left
@@ -577,7 +561,7 @@ def _first_return_batch(
     origin, edge = -env.lo, env.hi - env.lo
     stop = np.zeros(env.omega.size, dtype=bool)
     stop[[0, origin, edge]] = True
-    end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, [(rng, n)])
+    end, steps, _ = _walk(env.omega, first + origin, stop, cap - 1, rng)
     if (end == 0).any():
         raise RuntimeError(
             f"first-return walk reached the guard end {env.lo} of its window; deepen the guard"
@@ -637,13 +621,12 @@ def _leap_table(omega: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _rejection_batch(
+def _leap_batch(
     omega: np.ndarray, table: np.ndarray, batch: int, cap: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk ``batch`` paths from site 1 of the rejection window ``omega``
-    (sites 0..M, both ends stopping) and return (times, counts): counts[i]
-    paths returned to 0 at step times[i], the escapes to M dropped.  Only
-    returned paths are counted.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk ``batch`` paths from site 1 of the window ``omega`` (sites 0..M,
+    both ends stopping) and return (times, counts, escapes): counts[i] paths
+    returned to 0 at step times[i], and ``escapes`` paths reached M.
 
     Every path walks the same sites, so the number of paths at each interior
     site is a Markov chain, and ``table`` (``_leap_table(omega, k)``) is its
@@ -651,17 +634,18 @@ def _rejection_batch(
     each occupied site over its row in one ``rng.multinomial`` call: the
     return columns, summed over rows, are the returns at the next k steps,
     the end columns go back into the counts by one ``np.bincount``, and the
-    escapes are dropped.  All paths start at one site and step together, so
-    the occupied sites share one parity and only every other row is drawn.
-    Per-path walks give the same joint law of return counts, from other
-    draws.  When fewer than k steps of ``cap`` are left, one table of the
-    steps left finishes the walk; paths still live after ``cap`` steps raise.
+    escape column is summed into the escapes.  All paths start at one site
+    and step together, so the occupied sites share one parity and only
+    every other row is drawn.  Per-path walks give the same joint law of
+    return and escape counts, from other draws.  When fewer than k steps of
+    ``cap`` are left, one table of the steps left finishes the walk; paths
+    still live after ``cap`` steps raise.
     """
     k = (table.shape[1] - 2) // 2
     at = np.array([batch], dtype=np.int64)  # at[i]: paths at site lo + 2i, none at the ends
     lo = 1
     back = []  # each leap's returns, one count a step: step s is entry s - 1 of them joined
-    step = 0
+    step = escapes = 0
     while at.size:
         if step == cap:
             raise RuntimeError(f"path cap {cap} exhausted")
@@ -670,6 +654,7 @@ def _rejection_batch(
             table = _leap_table(omega, k)
         moves = rng.multinomial(at, table[lo - 1 : lo - 1 + 2 * at.size : 2])
         back.append(moves[:, :k].sum(axis=0))
+        escapes += int(moves[:, -1].sum())
         # the path from site lo + 2i to end column j sits at lo - k + 2 (i + j)
         sites = np.add.outer(np.arange(at.size), np.arange(k + 1)).ravel()
         ends = np.bincount(sites, moves[:, k : 2 * k + 1].ravel(), at.size + k)
@@ -682,7 +667,7 @@ def _rejection_batch(
         step += k
     back = np.concatenate(back)
     first = np.flatnonzero(back)
-    return first + 1, back[first]
+    return first + 1, back[first], escapes
 
 
 def conditioned_sampler(
@@ -697,11 +682,18 @@ def conditioned_sampler(
 ) -> np.ndarray:
     """i.i.d. samples of (T_0 from 1 | T_0 < inf) on one environment.
 
+    Both modes walk no path on its own.  They leap a chain of how many paths
+    sit at each window site ``_LEAP`` steps at a time (``_leap_batch``),
+    over the window's k-step law with the step of each return, built once a
+    call (``_leap_table``).  Each runs on the one stream
+    ``worker_streams(seed, 1)[0]``, so its samples depend on the seed
+    alone; ``workers`` is accepted and not read.
+
     mode="h_transform" walks the conditioned environment, where the return
     happens almost surely: every sample is exact, and escape_eps bounds the
-    chance that a path reaches the certified edge and ends the run.  Its
-    paths walk one by one in ``workers`` stream shards, so its samples
-    depend on (seed, workers).
+    chance that one of the n paths reaches the certified edge hi, which
+    raises.  One batch of n paths is walked, and its return times are
+    returned in an order permuted by the stream.
 
     mode="rejection" walks the original environment and keeps paths that
     reach 0 before the certified escape level M.  Discarding escapes biases
@@ -710,17 +702,12 @@ def conditioned_sampler(
     mean is far larger.  On FIX-C environment 101 (M = 75, where Q's
     spectral radius is 0.99838) the kept mean E[T_0 | T_0 < T_M] is 56.455
     against the target 56.512, about 10^3 times escape_eps relative, which
-    is 0.02 SE at n = 10^4.  Rejection steps no path on its own: it leaps
-    a chain of how many paths sit at each window site ``_LEAP`` steps at a
-    time (``_rejection_batch``), over the window's k-step law with the step
-    of each return, built once a call (``_leap_table``).  It runs on the one
-    stream ``worker_streams(seed, 1)[0]``, so its samples depend on the seed
-    alone; ``workers`` is accepted and not read.  The first batch walks 3n
-    paths, and each later one twice as many paths per sample still needed
-    as the batch before it.  A batch with more returns than needed keeps a uniform
-    random subset of them (``rng.multivariate_hypergeometric`` over the
-    return times), and the kept samples are returned in an order permuted
-    by the same stream, so they are i.i.d. in the order given.
+    is 0.02 SE at n = 10^4.  The first batch walks 3n paths, and each later
+    one twice as many paths per sample still needed as the batch before it.
+    A batch with more returns than needed keeps a uniform random subset of
+    them (``rng.multivariate_hypergeometric`` over the return times), and
+    the kept samples are returned in an order permuted by the same stream,
+    so they are i.i.d. in the order given.
 
     Exhausting the path cap raises in both modes.
     """
@@ -739,22 +726,18 @@ def conditioned_sampler(
     else:
         raise ValueError("mode must be 'h_transform' or 'rejection'")
 
-    if mode == "h_transform":  # every path returns, so one walk of n paths
-        stop = np.zeros(window.omega.size, dtype=bool)
-        stop[[0, window.hi]] = True  # reaching hi ends the run
-        shards = _busy_shards(seed, n, workers)
-        end, steps, stopped = _walk(window.omega, np.ones(n, dtype=np.int64), stop, cap, shards)
-        if not stopped.all():
-            raise RuntimeError(f"path cap {cap} exhausted")
-        if np.any(end != 0):
-            raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
-        return steps
-
     rng = worker_streams(seed, 1)[0]
     table = _leap_table(window.omega, _LEAP)
+    if mode == "h_transform":  # every path returns, so one batch of n paths
+        times, counts, escapes = _leap_batch(window.omega, table, n, cap, rng)
+        if escapes:
+            raise RuntimeError("conditioned walk reached the window edge; enlarge hi")
+        return rng.permutation(np.repeat(times, counts))
+
     kept, need, per = [], n, 3  # per: paths walked per sample still needed
     while need:
-        times, counts = _rejection_batch(window.omega, table, min(per * need, _MAX_BATCH), cap, rng)
+        batch = min(per * need, _MAX_BATCH)
+        times, counts, _ = _leap_batch(window.omega, table, batch, cap, rng)
         if counts.sum() > need:
             counts = rng.multivariate_hypergeometric(counts, need)
         kept.append(np.repeat(times, counts))

@@ -3,9 +3,9 @@
 against the gathered steps), the truncated-series scan, the moment-root
 bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
-ladder first-exit walk (phi included), and the ``mc`` lockstep walk behind
-``simulate_until``, ``sample_first_return``, ``conditioned_sampler`` and
-``speed_estimate``, with its worker shards and rows that grow on demand;
+ladder first-exit walk (phi included), the ``mc`` lockstep walk behind
+``simulate_until`` and ``sample_first_return``, on one generator, and
+``speed_estimate`` with its worker shards and rows that grow on demand;
 the free kernel of speed walks, which advances several steps per table
 lookup on neighbourhood codes, is checked against per-step walks on full
 windows, its step tables entry by entry against single steps, the
@@ -42,17 +42,19 @@ checked against an exact rational recursion, on both of its branches.
 The escape and guard bounds that size first-return windows, and the
 conditioned-walk edge bound that sizes the h-transform window, are also
 pinned against the banded-LU ``absorption_oracle``, an independent solver,
-and the window edges are checked to be the least certified ones.  The
-h-transform ``conditioned_sampler`` is checked against a per-worker
-reference loop, its rejection mode against a plain loop of leaps over the
-whole window on one stream, driven by the k-step law of ``tests/chains.py``,
-and the stop-site walk, whose array must end in stop sites at both sides,
-against scalar draws in lockstep.  The rejection literal was re-recorded
-twice, each time the same law from other draws, checked by G-tests against
-the exact return-time law in ``tests/test_shards.py``: when rejection moved
-from per-path walks in worker shards to one count chain keyed by the seed
-alone, and when that chain moved from one binomial split a step to one
-multinomial split a leap of ``mc._LEAP`` steps.
+and the window edges are checked to be the least certified ones.  Both
+modes of ``conditioned_sampler`` are checked against a plain loop of leaps
+over the whole window on one stream, driven by the k-step law of
+``tests/chains.py``, and the stop-site walk, whose array must end in stop
+sites at both sides, against scalar draws in lockstep.  The rejection
+literal was re-recorded twice, each time the same law from other draws,
+checked by G-tests against the exact return-time law in
+``tests/test_shards.py``: when rejection moved from per-path walks in
+worker shards to one count chain keyed by the seed alone, and when that
+chain moved from one binomial split a step to one multinomial split a leap
+of ``mc._LEAP`` steps.  The h-transform literal was re-recorded once, the
+same law from other draws checked the same way, when it moved from
+per-path walks in worker shards onto that leap chain.
 """
 
 import hashlib
@@ -184,7 +186,7 @@ def test_sample_first_return_golden():
 def test_conditioned_sampler_golden():
     h = conditioned_sampler((FIX_C, 101), "h_transform", n=16, seed=5, workers=2)
     r = conditioned_sampler((FIX_C, 101), "rejection", n=16, seed=5, workers=2)
-    assert h.tolist() == [1, 1, 1, 7, 3, 3, 7, 69, 1, 11, 1, 1, 1, 1, 9, 7]
+    assert h.tolist() == [1, 3, 3, 19, 1, 1493, 5, 1, 3, 1, 19, 1, 1, 1, 27, 19]
     assert r.tolist() == [27, 193, 1, 1093, 1, 19, 1, 1, 1, 1243, 1, 1, 3, 3, 1, 1]
 
 
@@ -496,59 +498,52 @@ def test_h_transform_window_is_least_certified(monkeypatch, law, seed):
         assert hi == 32 or n * _h_escape_oracle(law, seed, hi - 1) > eps
 
 
-def _stops(window):
-    stop = np.zeros(window.omega.size, dtype=bool)
-    stop[[0, window.hi]] = True
-    return stop
+def _leap_chain_batch(omega, batch, cap, rng, laws):
+    """One batch of the reference chain: ``batch`` paths from site 1 of the
+    window ``omega`` leap as counts of paths at every interior site
+    ``mc._LEAP`` steps at a time: each site splits its count over its row of
+    ``chains.leap_law`` (a site with no paths draws nothing), and a law of
+    the steps left makes the last leap before ``cap``.  ``laws`` caches the
+    laws by leap.  Returns (return steps, their counts, escapes)."""
+    m = omega.size - 1
+    occ = np.zeros(m + 1, dtype=np.int64)
+    occ[1] = batch
+    back, step, escapes = [], 0, 0
+    while occ.any():
+        assert step < cap
+        k = min(mc._LEAP, cap - step)
+        if k not in laws:
+            laws[k] = chains.leap_law(omega, k)
+        moves = rng.multinomial(occ[1:m], laws[k])
+        back.extend(moves[:, :k].sum(axis=0).tolist())
+        escapes += int(moves[:, -1].sum())
+        sites = np.arange(1, m)[:, None] - k + 2 * np.arange(k + 1)
+        inside = (sites > 0) & (sites < m)
+        ends = moves[:, k : 2 * k + 1]
+        assert not ends[~inside].any()
+        occ = np.bincount(sites[inside], ends[inside], m + 1).astype(np.int64)
+        step += k
+    times = [k + 1 for k, b in enumerate(back) if b]
+    return times, [b for b in back if b], escapes
 
 
-def _per_worker_sampler(window, n, cap, seed, workers):
-    """Reference for the h-transform ``conditioned_sampler``: each worker
-    walks its own paths alone, and every path returns."""
-    out = []
-    for rng, quota in zip(worker_streams(seed, workers), shard_sizes(n, workers)):
-        end, steps, stopped = _walk(
-            window.omega, np.ones(quota, dtype=np.int64), _stops(window), cap, [(rng, quota)]
-        )
-        assert stopped.all() and not end.any()
-        out.append(steps)
-    return np.concatenate(out)
-
-
-def _leap_chain_sampler(window, n, cap, seed):
-    """Reference for the rejection ``conditioned_sampler``, whatever the
-    workers: on the seed's first stream, batches of 3, 6, 12, ... paths per
-    sample still needed.  A batch leaps the counts of paths at every
-    interior site of the window ``mc._LEAP`` steps at a time: each site
-    splits its count over its row of ``chains.leap_law`` (a site with no
-    paths draws nothing), and a law of the steps left makes the last leap
-    before ``cap``.  A uniform subset of the batch's returns is kept by one
-    multivariate hypergeometric draw over the return steps in step order;
-    the kept samples are permuted at the end.  Returns the samples and the
-    number of batches."""
-    omega, m = window.omega, window.hi
+def _leap_chain_sampler(window, n, cap, seed, mode="rejection"):
+    """Reference for ``conditioned_sampler``, whatever the workers, on the
+    seed's first stream.  h-transform: one batch of n paths, none of which
+    may escape, its return steps permuted.  Rejection: batches of 3, 6, 12,
+    ... paths per sample still needed, each keeping a uniform subset of its
+    returns by one multivariate hypergeometric draw over the return steps
+    in step order, the kept samples permuted at the end.  Returns the
+    samples and the number of batches."""
     rng = worker_streams(seed, 1)[0]
     laws = {}
+    if mode == "h_transform":
+        times, counts, escapes = _leap_chain_batch(window.omega, n, cap, rng, laws)
+        assert not escapes
+        return rng.permutation(np.repeat(times, counts)), 1
     kept, need, per, rounds = [], n, 3, 0
     while need:
-        occ = np.zeros(m + 1, dtype=np.int64)
-        occ[1] = per * need
-        back, step = [], 0
-        while occ.any():
-            assert step < cap
-            k = min(mc._LEAP, cap - step)
-            if k not in laws:
-                laws[k] = chains.leap_law(omega, k)
-            moves = rng.multinomial(occ[1:m], laws[k])
-            back.extend(moves[:, :k].sum(axis=0).tolist())
-            sites = np.arange(1, m)[:, None] - k + 2 * np.arange(k + 1)
-            inside = (sites > 0) & (sites < m)
-            ends = moves[:, k : 2 * k + 1]
-            assert not ends[~inside].any()
-            occ = np.bincount(sites[inside], ends[inside], m + 1).astype(np.int64)
-            step += k
-        times = [k + 1 for k, b in enumerate(back) if b]
-        counts = [b for b in back if b]
+        times, counts, _ = _leap_chain_batch(window.omega, per * need, cap, rng, laws)
         if sum(counts) > need:
             counts = rng.multivariate_hypergeometric(counts, need)
         kept.append(np.repeat(times, counts))
@@ -559,7 +554,7 @@ def _leap_chain_sampler(window, n, cap, seed):
 @pytest.mark.parametrize("law,env_seed,mode,n", [
     (FIX_C, 101, "h_transform", 40),
     (FIX_C, 101, "rejection", 40),
-    (FIX_A, 2, "h_transform", 2),  # fewer paths than 3 workers: an empty shard
+    (FIX_A, 2, "h_transform", 2),  # fewer paths than 3 workers
     (FIX_A, 2, "rejection", 2),
     (FIX_A, 2, "rejection", 121),  # 363 paths
 ], ids=["FIX-C-h", "FIX-C-rej", "FIX-A-h-empty-shard", "FIX-A-rej-empty-shard", "FIX-A-rej-rounds"])
@@ -569,12 +564,11 @@ def test_conditioned_lockstep_equals_per_worker_loop(law, env_seed, mode, n, wor
     if mode == "h_transform":
         hi = mc._least_certified(_log_h_escape_bounds, law, env_seed, eps / n)
         window = conditioned_env(law, env_seed, hi, tol=1e-12)
-        expected = _per_worker_sampler(window, n, cap, seed, workers)
     else:
         window = sample_window(
             law, env_seed, 0, mc._least_certified(_log_escape_bounds, law, env_seed, eps)
         )
-        expected, _ = _leap_chain_sampler(window, n, cap, seed)
+    expected, _ = _leap_chain_sampler(window, n, cap, seed, mode)
     got = conditioned_sampler((law, env_seed), mode, n=n, cap=cap, seed=seed, workers=workers)
     assert got.tolist() == expected.tolist()
 
@@ -632,32 +626,6 @@ def test_simulate_until_matches_scalar_loop(case):
     assert rng.random() == ref_rng.random()  # one uniform per step, no more
 
 
-@st.composite
-def _shard_cases(draw):
-    size = draw(st.integers(1, 24))
-    law = draw(st.sampled_from([FIX_A, FIX_C, EnvLaw.constant(0.3), EnvLaw.constant(0.9)]))
-    omega = sample_window(law, draw(st.integers(0, 50)), 0, size - 1).omega
-    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
-    starts = draw(st.lists(st.integers(0, size - 1), min_size=sum(sizes), max_size=sum(sizes)))
-    stop = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
-    stop[[0, -1]] = True  # a closed window
-    return omega, sizes, starts, stop, draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_shard_cases())
-def test_shard_lockstep_equals_separate_walks(case):
-    omega, sizes, starts, stop, cap, seed = case
-    rngs, refs = worker_streams(seed, len(sizes)), worker_streams(seed, len(sizes))
-    offsets = np.cumsum([0] + sizes)
-    parts = [_walk(omega, starts[a:b], stop, cap, [(rng, b - a)])
-             for rng, a, b in zip(refs, offsets[:-1], offsets[1:])]
-    got = _walk(omega, starts, stop, cap, list(zip(rngs, sizes)))
-    for g, ref in zip(got, zip(*parts)):
-        assert np.array_equal(g, np.concatenate(ref))
-    assert [r.random() for r in rngs] == [r.random() for r in refs]
-
-
 def _closed(size):
     """A stop mask of ``size`` sites that stops paths at both end sites only."""
     stop = np.zeros(size, dtype=bool)
@@ -670,7 +638,7 @@ def test_walk_rejects_starts_off_the_array(start):
     # A negative index would otherwise read a site from the far end.
     omega = sample_window(FIX_A, 8, 0, 20).omega
     with pytest.raises(IndexError, match="starts outside"):
-        _walk(omega, [10, start], _closed(21), 5, [(stream(1), 2)])
+        _walk(omega, [10, start], _closed(21), 5, stream(1))
 
 
 @pytest.mark.parametrize("stops,size", [
@@ -684,7 +652,7 @@ def test_walk_needs_stop_sites_at_both_ends(stops, size):
     stop[list(stops)] = True
     rng, ref = stream(2), stream(2)
     with pytest.raises(ValueError, match="both end sites"):
-        _walk(omega, [10, 5], stop, 50, [(rng, 2)])
+        _walk(omega, [10, 5], stop, 50, rng)
     assert rng.random() == ref.random()
 
 
@@ -1050,17 +1018,16 @@ def test_seed_rows_take_lists_and_arrays_alike():
     assert exact._seed_rows([-1, 2**64 + 5]).tolist() == [MASK64, 5]
 
 
-def _scalar_lockstep(env, starts, stops, cap, shards):
+def _scalar_lockstep(env, starts, stops, cap, rng):
     """The step of ``_scalar_walk`` in lockstep: at each step every live
-    path, in path order, takes one scalar draw from its shard's stream.
-    Returns (final index, steps taken, stopped) in path order, as ``_walk``."""
-    owner = np.repeat(np.arange(len(shards)), [n for _, n in shards])
+    path, in path order, takes one scalar draw from ``rng``.  Returns
+    (final index, steps taken, stopped) in path order, as ``_walk``."""
     pos = list(starts)
     steps = [0 if x in stops else cap for x in pos]
     live = [i for i, x in enumerate(pos) if x not in stops]
     for step in range(1, cap + 1):
         for i in live:
-            pos[i] += 1 if shards[owner[i]][0].random() < env.omega[pos[i]] else -1
+            pos[i] += 1 if rng.random() < env.omega[pos[i]] else -1
             if not 0 <= pos[i] < env.omega.size:
                 raise RuntimeError("walked off the window")
             if pos[i] in stops:
@@ -1075,20 +1042,19 @@ def _stopped_window_cases(draw):
     law = draw(st.sampled_from([FIX_A, FIX_C, EnvLaw.constant(0.3), EnvLaw.constant(0.9)]))
     env = sample_window(law, draw(st.integers(0, 50)), 0, size - 1)
     stops = {0, size - 1} | draw(st.sets(st.integers(0, size - 1), max_size=3))
-    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
-    starts = draw(st.lists(st.integers(0, size - 1), min_size=sum(sizes), max_size=sum(sizes)))
-    return env, stops, sizes, starts, draw(st.integers(0, 60)), draw(st.integers(0, 2**32))
+    starts = draw(st.lists(st.integers(0, size - 1), max_size=20))
+    return env, stops, starts, draw(st.integers(0, 60)), draw(st.integers(0, 2**32))
 
 
-def _stopped_walk(env, stops, sizes, starts, cap, seed):
+def _stopped_walk(env, stops, starts, cap, seed):
     stop = np.zeros(env.omega.size, dtype=bool)
     stop[list(stops)] = True
-    rngs, refs = worker_streams(seed, len(sizes)), worker_streams(seed, len(sizes))
-    got = _walk(env.omega, starts, stop, cap, list(zip(rngs, sizes)))
-    ref = _scalar_lockstep(env, starts, stops, cap, list(zip(refs, sizes)))
-    for g, r in zip(got, ref):
+    rng, ref = stream(seed), stream(seed)
+    got = _walk(env.omega, starts, stop, cap, rng)
+    expected = _scalar_lockstep(env, starts, stops, cap, ref)
+    for g, r in zip(got, expected):
         assert g.tolist() == r.tolist()
-    assert [r.random() for r in rngs] == [r.random() for r in refs]  # as many uniforms
+    assert rng.random() == ref.random()  # as many uniforms
     return got
 
 
@@ -1098,11 +1064,12 @@ def test_walk_between_two_stop_sites_equals_scalar_walks(case):
     _stopped_walk(*case)
 
 
-def test_walk_between_two_stop_sites_with_shards_that_empty():
-    # Shard 1 drives no path and every path of shard 2 starts on a stop site;
-    # shard 3's paths start next to one and all stop while shard 0 walks on.
+def test_walk_between_two_stop_sites_with_paths_that_stop_early():
+    # Two paths start on a stop site, and the last three start next to one
+    # and all stop while the first four walk on: the live views are cut
+    # again at each step where paths stop.
     env = sample_window(FIX_C, 4, 0, 40)
     starts = [18, 25, 32, 21, 9, 40, 1, 10, 8]
-    _, steps, stopped = _stopped_walk(env, {0, 9, 40}, [4, 0, 2, 3], starts, 3000, 6)
+    _, steps, stopped = _stopped_walk(env, {0, 9, 40}, starts, 3000, 6)
     assert stopped.all() and steps[4:6].tolist() == [0, 0]
     assert 1 < steps[6:].max() < steps[:4].max()

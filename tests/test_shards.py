@@ -22,16 +22,16 @@ two-sample test, and as ``sup_tail`` estimates against per-path tallies.
 The per-path walks draw each step's uniforms ``ladder._STEP_CHUNK`` paths at
 a time, and no chunk size may change a result.
 
-The rejection mode of ``conditioned_sampler`` leaps a chain of how many
-paths sit at each site of its window (``mc._rejection_batch``) on one
-stream, so its samples depend on the seed alone.  Its samples, and the
-h-transform sampler's, are G-tested against the exact law of the return
-time on their windows (``chains.return_time_law``), and the chain against
-per-path ``mc._walk`` walks of the same window in a two-sample test.  A
-coarse test, a few cells of equal exact mass and the tail T_0 >= 2000 on
-its own, sees the tail faults that the fine test spreads too thin.  The
-chain's k-step table is checked against ``chains.leap_law``, and its cap at
-the edges of a leap.
+Both modes of ``conditioned_sampler`` leap a chain of how many paths sit
+at each site of their window (``mc._leap_batch``) on one stream, so their
+samples depend on the seed alone.  Their samples are G-tested against the
+exact law of the return time on their windows (``chains.return_time_law``),
+and the chain against per-path ``mc._walk`` walks of the same window in a
+two-sample test, its escapes included.  A coarse test, a few cells of equal
+exact mass and the tail T_0 >= 2000 on its own, sees the tail faults that
+the fine test spreads too thin.  The chain's k-step table is checked
+against ``chains.leap_law``, and its cap at the edges of a leap, in both
+modes.
 """
 
 import concurrent.futures
@@ -50,6 +50,7 @@ from scipy.stats import binomtest, chi2
 
 from rwre import (
     EnvLaw,
+    EnvWindow,
     Estimate,
     StepLaw,
     conditioned_env,
@@ -246,17 +247,27 @@ def test_first_exit_step_guard_still_trips(monkeypatch):
 
 # -------------------------------------------------- occupation-count kernel
 
-def _g_pvalue(observed, expected):
+def _g_pvalue(observed, expected, least=20.0):
     """p-value of the G statistic 2 sum O log(O / E) of counts against
     expected counts, both of shape (rows, cells), on cells - 1 degrees of
     freedom: one row fitted to a known law, or two rows tested for one law.
-    Cells whose smallest expected count is below 5 are pooled into one."""
+    Neighbouring cells are pooled, in order, until the smallest expected
+    count of each pooled cell is at least ``least``; a short run left at the
+    end joins the cell before it.  With 5 expected a cell, and most of the
+    return-time cells at 5-20, the statistic ran above its nominal rate."""
     observed = np.atleast_2d(observed).astype(np.float64)
     expected = np.atleast_2d(expected).astype(np.float64)
-    rare = expected.min(axis=0) < 5.0
-    if rare.any():
-        observed = np.column_stack([observed[:, ~rare], observed[:, rare].sum(axis=1)])
-        expected = np.column_stack([expected[:, ~rare], expected[:, rare].sum(axis=1)])
+    label, cell, run = [], 0, np.zeros(expected.shape[0])
+    for column in expected.T:
+        label.append(cell)
+        run += column
+        if run.min() >= least:
+            cell, run = cell + 1, np.zeros_like(run)
+    label = np.array(label)
+    if cell and label[-1] == cell:  # the last run is short
+        label[label == cell] = cell - 1
+    observed = np.array([np.bincount(label, row) for row in observed])
+    expected = np.array([np.bincount(label, row) for row in expected])
     seen = observed > 0
     g = 2.0 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
     dof = observed.shape[1] - 1
@@ -493,6 +504,19 @@ def test_rejection_count_tail_follows_the_exact_return_time_law(seed):
     assert _g_pvalue(observed, expected) > 1e-6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_h_transform_tail_follows_the_exact_return_time_law(seed):
+    n = 100_000
+    hi = mc._least_certified(_log_h_escape_bounds, FIX_C, 101, 1e-6 / n)
+    window = conditioned_env(FIX_C, 101, hi, tol=1e-12)
+    samples = conditioned_sampler((FIX_C, 101), "h_transform", n=n, seed=seed)
+    assert samples.size == n  # every path returns, and each is one sample
+    observed, expected = _equal_mass_cells(samples, window.omega)
+    assert expected[-1] > 250  # about 275 returns after step 2000
+    assert binomtest(int(observed[-1]), n, expected[-1] / n).pvalue > 1e-6
+    assert _g_pvalue(observed, expected) > 1e-6
+
+
 def test_rejection_count_chain_matches_per_path_walks_in_law():
     window = _rejection_window(FIX_C, 101)
     stop = np.zeros(window.omega.size, dtype=bool)
@@ -502,8 +526,7 @@ def test_rejection_count_chain_matches_per_path_walks_in_law():
         chain = conditioned_sampler((FIX_C, 101), "rejection", n=n, seed=seed)
         # per-path walks of the same window on another stream: every return kept
         rng = worker_streams(seed + 100, 1)[0]
-        end, steps, stopped = mc._walk(window.omega, np.ones(3 * n, np.int64), stop, 10**7,
-                                       [(rng, 3 * n)])
+        end, steps, stopped = mc._walk(window.omega, np.ones(3 * n, np.int64), stop, 10**7, rng)
         assert stopped.all()
         table = np.array([_return_time_cells(chain), _return_time_cells(steps[end == 0])])
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
@@ -537,34 +560,115 @@ def test_rejection_count_leap_table_is_the_exact_k_step_law(name, k):
         assert m == 346 and peak <= 2 * table.nbytes
 
 
-@pytest.mark.parametrize("cap", [1, mc._LEAP - 1, mc._LEAP, mc._LEAP + 1, 2 * mc._LEAP + 1])
-def test_rejection_count_batch_raises_exactly_when_paths_outlive_the_cap(cap):
-    k, rng = mc._LEAP, worker_streams(0, 1)[0]
-    # omega_1 = 0: every path returns at step 1
+CAPS = pytest.mark.parametrize("cap", [1, mc._LEAP - 1, mc._LEAP, mc._LEAP + 1, 2 * mc._LEAP + 1])
+
+
+def _one_step_window():
+    """omega_1 = 0: every path returns at step 1."""
     omega = np.full(40, 0.5)
     omega[1] = 0.0
-    times, counts = mc._rejection_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
-    assert times.tolist() == [1] and counts.tolist() == [50]
-    # half the paths return at step 1, the rest climb to M = k + 2 at step k + 1
-    omega = np.ones(k + 3)
+    return omega
+
+
+def _climb_window():
+    """Half the paths return at step 1, the rest climb to M = k + 2 at step
+    k + 1, k = ``mc._LEAP``."""
+    omega = np.ones(mc._LEAP + 3)
     omega[1] = 0.5
+    return omega
+
+
+def _trap_window():
+    """Site 1 sends every path up and site 2 sends it back: none ever ends."""
+    omega = np.full(40, 0.5)
+    omega[1], omega[2] = 1.0, 0.0
+    return omega
+
+
+@CAPS
+def test_rejection_count_batch_raises_exactly_when_paths_outlive_the_cap(cap):
+    k, rng = mc._LEAP, worker_streams(0, 1)[0]
+    omega = _one_step_window()
+    times, counts, escapes = mc._leap_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
+    assert times.tolist() == [1] and counts.tolist() == [50] and escapes == 0
+    omega = _climb_window()
     table = mc._leap_table(omega, k)
     if cap < k + 1:
         with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
-            mc._rejection_batch(omega, table, 50, cap, rng)
+            mc._leap_batch(omega, table, 50, cap, rng)
     else:
-        times, counts = mc._rejection_batch(omega, table, 50, cap, rng)
-        assert times.tolist() == [1] and 0 < counts[0] < 50
-    # a trap: site 1 sends every path up and site 2 sends it back
-    omega = np.full(40, 0.5)
-    omega[1], omega[2] = 1.0, 0.0
+        times, counts, escapes = mc._leap_batch(omega, table, 50, cap, rng)
+        assert times.tolist() == [1] and 0 < counts[0] < 50 and counts[0] + escapes == 50
+    omega = _trap_window()
     with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
-        mc._rejection_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
+        mc._leap_batch(omega, mc._leap_table(omega, k), 50, cap, rng)
+
+
+@CAPS
+def test_h_transform_raises_exactly_when_paths_outlive_the_cap(monkeypatch, cap):
+    k = mc._LEAP
+    window = {}
+    monkeypatch.setattr(mc, "conditioned_env", lambda law, seed, hi, tol: window["env"])
+
+    def sample(omega):
+        window["env"] = EnvWindow(lo=0, hi=omega.size - 1, omega=omega, law=FIX_C, seed=101)
+        return conditioned_sampler((FIX_C, 101), "h_transform", n=50, cap=cap, seed=3)
+
+    assert sample(_one_step_window()).tolist() == [1] * 50
+    # the climbers reach the edge at step k + 1: the cap raises first if it is shorter
+    if cap < k + 1:
+        with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
+            sample(_climb_window())
+    else:
+        with pytest.raises(RuntimeError, match="reached the window edge; enlarge hi"):
+            sample(_climb_window())
+    with pytest.raises(RuntimeError, match=f"path cap {cap} exhausted"):
+        sample(_trap_window())
+
+
+def test_count_chain_escapes_match_per_path_walks():
+    # Every path is counted once, as a return or an escape, and the escapes
+    # follow the law of per-path walks: a two-sample test of (returns,
+    # escapes) and each against P^1(T_M < T_0) from the exact law.
+    window = sample_window(FIX_C, 101, 0, 12)
+    omega, m = window.omega, window.hi
+    stop = np.zeros(m + 1, dtype=bool)
+    stop[[0, m]] = True
+    table = mc._leap_table(omega, mc._LEAP)
+    _, _, p = chains.return_time_law(omega, 2)
+    assert 0.1 < 1.0 - p < 0.9
+    n = 20_000
+    for seed in range(3):
+        _, counts, escapes = mc._leap_batch(omega, table, n, 10**7, worker_streams(seed, 1)[0])
+        assert counts.sum() + escapes == n
+        end, _, stopped = mc._walk(omega, np.ones(n, np.int64), stop, 10**7,
+                                   worker_streams(seed + 100, 1)[0])
+        assert stopped.all()
+        walked = int((end == m).sum())
+        for k in (escapes, walked):
+            assert binomtest(k, n, 1.0 - p).pvalue > 1e-6
+        split = np.array([[n - escapes, escapes], [n - walked, walked]])
+        expected = np.outer(split.sum(axis=1), split.sum(axis=0)) / split.sum()
+        assert _g_pvalue(split, expected) > 1e-6
+    # a window that every path climbs: all escape, at step M - 1, none return
+    omega = np.ones(m + 1)
+    _, counts, escapes = mc._leap_batch(omega, mc._leap_table(omega, mc._LEAP), n, 10**7,
+                                        worker_streams(0, 1)[0])
+    assert escapes == n and not counts.size
 
 
 @pytest.mark.parametrize("law,env_seed,n", [(FIX_C, 101, 2000), (FIX_C, 101, 5), (FIX_A, 2, 121)])
 def test_rejection_count_samples_depend_on_the_seed_alone(law, env_seed, n):
     one, two, three = (conditioned_sampler((law, env_seed), "rejection", n=n, seed=3, workers=w)
+                       for w in (1, 2, 3))
+    assert one.size == n
+    np.testing.assert_array_equal(one, two)
+    np.testing.assert_array_equal(one, three)
+
+
+@pytest.mark.parametrize("law,env_seed,n", [(FIX_C, 101, 2000), (FIX_C, 101, 2), (FIX_A, 2, 121)])
+def test_h_transform_samples_depend_on_the_seed_alone(law, env_seed, n):
+    one, two, three = (conditioned_sampler((law, env_seed), "h_transform", n=n, seed=3, workers=w)
                        for w in (1, 2, 3))
     assert one.size == n
     np.testing.assert_array_equal(one, two)
@@ -805,7 +909,7 @@ def test_walk_estimators_build_no_stream_for_an_empty_shard(monkeypatch, name):
         "speed": lambda w: speed_estimate(FIX_A, horizon=300, reps=3, seed=4, workers=w),
     }[name]
     built = _count_generators(monkeypatch)
-    streams = 1 if name == "conditioned-rejection" else 3  # rejection: one stream for all paths
+    streams = 1 if name.startswith("conditioned") else 3  # conditioned: one stream for all paths
     busy = run(3)
     assert built == [streams]
     many = run(5000)

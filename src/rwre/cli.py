@@ -154,10 +154,12 @@ def _fmt(x) -> str:
 
 
 class _Rows:
-    """Collects CSV rows and tracks non-convergence for the exit code."""
+    """Collects CSV rows and tracks non-convergence for the exit code.
+    ``text`` holds sample rows already rendered, written after ``rows``."""
 
     def __init__(self, seed: int):
         self.rows: list[list[str]] = []
+        self.text = ""
         self.seed = seed
         self.nonconverged = 0
 
@@ -193,13 +195,13 @@ class _Rows:
 
     def add_samples(self, quantity: str, samples: np.ndarray, method: str):
         """One row per integer sample, ``param`` its index: the rows that
-        ``add(quantity, param=i, value=int(t), method=method)`` appends, built
-        as one list."""
-        seed = _fmt(self.seed)
-        self.rows += [
-            [quantity, str(i), str(t), "", "", "", "", "", method, seed]
-            for i, t in enumerate(samples.tolist())
-        ]
+        ``add(quantity, param=i, value=int(t), method=method)`` appends,
+        rendered once as the text ``csv.writer`` writes for them.  Refuses a
+        quantity or method with a character that ``csv.writer`` may quote."""
+        if set(quantity + method) & set(',"\r\n'):
+            raise ValueError(f"sample rows take plain names, got {quantity!r}, {method!r}")
+        indexed = enumerate(samples.tolist())
+        self.text += "".join(f"{quantity},{i},{t},,,,,,{method},{self.seed}\n" for i, t in indexed)
 
     def add_series(self, quantity: str, sv: SeriesValue, param=""):
         self.add(
@@ -230,6 +232,7 @@ def _write_outputs(out: str, rows: _Rows, manifest: dict) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows.rows)
+        fh.write(rows.text)
     with open(out + ".manifest.json", "w") as fh:
         json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -29,8 +29,11 @@ and both end sites stop paths, so no path leaves the array and no range
 check is made: ``simulate_until`` takes a step off a window end that is no
 target by hand, and ``_first_return_batch`` stops paths at its certified
 guard depth and raises when one ends there.
-Speed walks have no stop sites and run in ``_free_walk`` on the same
-stream, a block of steps per draw with the step categories found once per
+In a one-level environment the speed walk is a simple random walk, so
+``speed_estimate`` draws X_h = 2B - h, B ~ Binomial(h, omega), one binomial
+per replicate from the seed's first stream, and walks nothing.  Other speed
+walks have no stop sites and run in ``_free_walk`` on their worker streams,
+a block of steps per draw with the step categories found once per
 block.  Their sites live in ``_Rows``, one row per replicate, site-major:
 a step moves a path by the number of rows.  A finite-support law with
 L = 2..6 levels stores at each site one byte, the neighbourhood code
@@ -250,19 +253,17 @@ def _free_walk(
     time into one index, and ``_step_table`` maps index plus neighbourhood
     code to the s-step displacement.  Fewer than s steps, as at the end of
     a block or of the walk, go one at a time on the table of single steps,
-    which reads only the code's centre digit.  When every site has the same
-    omega a block moves each path by its count of up-steps, and omega itself
-    is compared for continuous laws.  Steps run in stretches no longer than
-    the margin that the last ``_Rows.fit`` left, which covers the next s
-    steps (or all that remain), so no path leaves its row.
+    which reads only the code's centre digit.  Continuous laws compare
+    omega itself.  Steps run in stretches no longer than the margin that
+    the last ``_Rows.fit`` left, which covers the next s steps (or all that
+    remain), so no path leaves its row.
     """
     n = pos.size
     if not n:
         return
     depth = max(1, _DRAW_BLOCK // n)
     levels, span = rows.levels, rows.span
-    flat = levels is not None and levels.size == 1
-    coded = levels is not None and not flat
+    coded = levels is not None
     if coded:
         cum, base, codes = np.append(levels, 1.0), levels.size + 1, levels.size ** (2 * span - 1)
         tables = {s: n * _step_table(levels.size, span, s) for s in {1, span}}
@@ -281,9 +282,7 @@ def _free_walk(
         done = 0
         while done < steps:
             m = min(steps - done, slack)
-            if flat:
-                pos += n * (2 * np.count_nonzero(block[done : done + m] < levels[0], axis=0) - m)
-            elif not coded:
+            if not coded:
                 sites = rows.flat
                 for row in block[done : done + m]:
                     pos += sign.take(np.greater(sites.take(pos), row).view(np.uint8))
@@ -356,12 +355,12 @@ class _Rows:
     """Site windows [lo, hi] of n rows, one per env seed, site-major in one
     flat array: site x of row r is at index (x - cap_lo) * n + r.
 
-    Rows start at [-reach, reach].  Finite-support laws with 2 to
+    Rows start at [-reach, reach].  Finite-support laws with up to
     ``_CODED_LEVELS`` levels store each site's neighbourhood code
-    (``_encode``, of span ``_span(L)``), continuous laws omega, and one level
-    nothing.  Sites are realized in blocks of at most ``_STRIP_SITES``
-    values, with span - 1 sites of context on either side from the keyed
-    site RNG, so every stored code is complete.  The array holds
+    (``_encode``, of span ``_span(L)``, or 1 for one level), continuous laws
+    omega.  Sites are realized in blocks of at most ``_STRIP_SITES`` values,
+    with span - 1 sites of context on either side from the keyed site RNG,
+    so every stored code is complete.  The array holds
     sites [cap_lo, cap_hi]; a side that outgrows it doubles it toward that
     side in one copy, and positions shift only when cap_lo moves.
     """
@@ -370,12 +369,9 @@ class _Rows:
         self.law, self.levels, self.bound, self.n = law, levels, bound, len(seeds)
         self.seeds, self.lo, self.hi = np.asarray(seeds, dtype=np.uint64), -reach, reach
         self.span = _span(levels.size) if levels is not None and levels.size > 1 else 1
-        if levels is not None and levels.size == 1:
-            self.flat, self.cap_lo, self.cap_hi = None, -bound, bound
-        else:
-            self.flat = np.empty(self.n * (2 * reach + 1), dtype=_site_dtype(levels))
-            self.cap_lo, self.cap_hi = -reach, reach
-            self._fill(-reach, reach)
+        self.flat = np.empty(self.n * (2 * reach + 1), dtype=_site_dtype(levels))
+        self.cap_lo, self.cap_hi = -reach, reach
+        self._fill(-reach, reach)
 
     def _stored(self, a: int, b: int) -> np.ndarray:
         """The stored sites a..b of every row, a (sites, rows) view."""
@@ -420,10 +416,9 @@ class _Rows:
         """Add ``a`` sites on the left of every row or ``b`` on the right
         (one side per call); ``pos`` shifts in place if cap_lo moves."""
         lo, hi = self.lo - a, self.hi + b
-        if self.flat is not None:
-            if lo < self.cap_lo or hi > self.cap_hi:
-                self._double(pos, lo, hi)
-            self._fill(*((lo, self.lo - 1) if a else (self.hi + 1, hi)))
+        if lo < self.cap_lo or hi > self.cap_hi:
+            self._double(pos, lo, hi)
+        self._fill(*((lo, self.lo - 1) if a else (self.hi + 1, hi)))
         self.lo, self.hi = lo, hi
 
     def _double(self, pos: np.ndarray, lo: int, hi: int) -> None:
@@ -692,7 +687,12 @@ def conditioned_sampler(
     mode="h_transform" walks the conditioned environment, where the return
     happens almost surely: every sample is exact, and escape_eps bounds the
     chance that one of the n paths reaches the certified edge hi, which
-    raises.  One batch of n paths is walked, and its return times are
+    raises.  The certified window bounds escapes, not how long a returning
+    path can take: on FIX-C environment 101 (hi = 185) the window's Q has
+    spectral radius 1 - 2.0e-7, so P^1(T_0 >= 10^7 | T_0 < T_hi) = 1.45e-9
+    a path, and n = 10^4 at the default ``cap`` raises the path-cap error
+    about once in 7 x 10^4 runs.  Only ``cap`` covers such paths, not
+    escape_eps.  One batch of n paths is walked, and its return times are
     returned in an order permuted by the stream.
 
     mode="rejection" walks the original environment and keeps paths that
@@ -985,13 +985,10 @@ def _site_rows(
     With ``levels`` (``law.omega_levels()``) each site is stored as the
     index of its omega in ``levels``, the category of omega under the edges
     ``levels[1:]`` by the one categorical rule, so ``levels[flat]`` is
-    bitwise what ``omega_at_sites`` returns; a single level is a
-    deterministic environment and draws no site uniforms.  Without, the
-    array holds omega.  Sites are realized through ``omega_at_sites``, the
-    public draw that benchmark tracing counts, in one call.
+    bitwise what ``omega_at_sites`` returns.  Without, the array holds
+    omega.  Sites are realized through ``omega_at_sites``, the public draw
+    that benchmark tracing counts, in one call.
     """
-    if levels is not None and levels.size == 1:
-        return np.zeros((sites.size, len(seeds)), dtype=_site_dtype(levels))
     omega = omega_at_sites(law, np.asarray(seeds, dtype=np.uint64), sites[:, None])
     if levels is None:
         return omega
@@ -1016,6 +1013,29 @@ def _batches(ends: np.ndarray, rows: int):
         start = end
 
 
+def _speed_walks(law: EnvLaw, horizon: int, reps: int, seed: int, workers: int) -> list[Tally]:
+    """Tallies of X_horizon / horizon, one per worker shard, of walks on
+    ``_Rows`` by ``_free_walk`` (see ``speed_estimate``).  Any finite-support
+    law walks on the same level codes, a one-level law on code 0 everywhere,
+    although ``speed_estimate`` draws a one-level law's finals directly."""
+    levels = law.omega_levels()
+    rows = max(1, _SITE_BUDGET // ((2 * horizon + 1) * _site_dtype(levels).itemsize))
+    if levels is not None and levels.size > _CODED_LEVELS:
+        levels = None  # rows hold omega, in the batches of level codes
+    reach = min(_ROW_REACH, horizon)
+    rngs, sizes = zip(*_busy_shards(seed, reps, workers))
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    finals = np.empty(reps)
+    for start, end in _batches(ends, rows):
+        grid = _Rows(law, levels, _substream_seeds(seed, 11, start, end), reach, horizon)
+        pos = np.arange(grid.n) - grid.cap_lo * grid.n  # path r starts at site 0 of row r
+        in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
+        _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)
+        finals[start:end] = grid.sites(pos) / horizon
+    return [Tally.of(finals[b0:b1]) for b0, b1 in zip(begins, ends)]
+
+
 def speed_estimate(
     law: EnvLaw,
     horizon: int,
@@ -1025,9 +1045,14 @@ def speed_estimate(
 ) -> Estimate:
     """Averaged-law speed: mean of X_horizon / horizon over fresh environments.
 
-    Replicate i draws its own environment, keyed by its seed, on [-horizon,
-    horizon] (the walk cannot leave it in ``horizon`` steps), but realizes
-    only the part its batch's walk reaches: each row starts at
+    A law with one omega level is a simple random walk, X_horizon = 2B -
+    horizon with B ~ Binomial(horizon, omega) exactly: one binomial draw per
+    replicate from ``worker_streams(seed, 1)[0]``, with no sites and no walk,
+    so that result depends on the seed alone and ``workers`` is not read.
+
+    Otherwise replicate i draws its own environment, keyed by its seed, on
+    [-horizon, horizon] (the walk cannot leave it in ``horizon`` steps), but
+    realizes only the part its batch's walk reaches: each row starts at
     [-``_ROW_REACH``, ``_ROW_REACH``], clipped to the horizon, and a side
     whose margin runs short grows in every row of the batch (``_Rows``);
     each path starts at site 0 of its row.  Sites are keyed by (seed, x),
@@ -1048,20 +1073,10 @@ def speed_estimate(
     if reps < 1:
         raise ValueError(f"speed_estimate needs reps >= 1, got {reps}")
     levels = law.omega_levels()
-    rows = max(1, _SITE_BUDGET // ((2 * horizon + 1) * _site_dtype(levels).itemsize))
-    if levels is not None and levels.size > _CODED_LEVELS:
-        levels = None  # rows hold omega, in the batches of level codes
-    reach = min(_ROW_REACH, horizon)
-    rngs, sizes = zip(*_busy_shards(seed, reps, workers))
-    ends = np.cumsum(sizes)
-    begins = ends - sizes
-    finals = np.empty(reps)
-    for start, end in _batches(ends, rows):
-        grid = _Rows(law, levels, _substream_seeds(seed, 11, start, end), reach, horizon)
-        pos = np.arange(grid.n) - grid.cap_lo * grid.n  # path r starts at site 0 of row r
-        in_batch = np.clip(ends, start, end) - np.clip(begins, start, end)
-        _free_walk(pos, horizon, list(zip(rngs, in_batch.tolist())), grid)
-        finals[start:end] = grid.sites(pos) / horizon
-    tallies = [Tally.of(finals[b0:b1]) for b0, b1 in zip(begins, ends)]
+    if levels is not None and levels.size == 1:
+        ups = worker_streams(seed, 1)[0].binomial(horizon, levels[0], size=reps)
+        tallies = [Tally.of((2 * ups - horizon) / horizon)]
+    else:
+        tallies = _speed_walks(law, horizon, reps, seed, workers)
     n_tot, mean, se, _, _ = merge_mean(tallies)
     return Estimate(value=mean, std_error=se, n=n_tot, method="speed-mc", seed=seed)

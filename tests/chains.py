@@ -2,8 +2,9 @@
 goodness-of-fit tests of the occupation-count kernels and the checks of
 the Monte Carlo estimators against their exact values (numpy only): the
 exit law of a band, the first-passage and exit-step laws under the tilt,
-phi(t), the sup-tail, and the return time and k-step law of a
-nearest-neighbour walk on a window of sites.
+phi(t), the sup-tail, the return time and k-step law of a
+nearest-neighbour walk on a window of sites, and the law of a simple
+random walk after h steps.
 
 Every walk starts at S_0 = 0 and takes its first step whatever the levels,
 so a first passage is the first step k >= 1 with S_k >= level, as in
@@ -190,3 +191,9 @@ def sup_law(weights, units, up, gamma, eps=1e-12):
     down = up + lundberg_floor(gamma, eps)
     values, law = exit_law(weights, units, up, down)
     return float(law[values >= up].sum()), float(law[values <= down].sum()) * eps
+
+
+def simple_walk_law(p, h):
+    """law[b] = P(X_h = 2b - h), b = 0..h, of the simple random walk from 0
+    that steps up with chance p: the Binomial(h, p) pmf from ``math.comb``."""
+    return np.array([math.comb(h, b) * p**b * (1.0 - p) ** (h - b) for b in range(h + 1)])

@@ -18,3 +18,5 @@ FIX_F = EnvLaw.discrete([(0.5, 0.8), (0.5, 1 / 3)])
 CONST_7 = EnvLaw.constant(0.7)
 CONST_9 = EnvLaw.constant(0.9)
 CONST_HALF = EnvLaw.constant(0.5)
+ONE_ATOM_3 = EnvLaw.discrete([(1.0, 0.3)])  # one level, as a discrete law
+TWIN_6 = EnvLaw.discrete([(0.5, 0.6), (0.5, 0.6)])  # two atoms, one level

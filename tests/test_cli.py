@@ -1,6 +1,7 @@
 """Law grammar, command dispatch, CSV/manifest outputs, exit codes."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rwre
+from rwre import cli
 from rwre.cli import format_law, main, parse_law, parse_step
 from rwre.env import EnvLaw
 
@@ -238,6 +241,33 @@ class TestConditionedCommand:
                            "converged,n,method,seed"
         assert lines[1:] == [f"t0_sample,{i},{t},,,,,,{mode},5" for i, t in enumerate(samples)]
         assert read_manifest(tmp_path / "c.manifest.json")["nonconverged"] == 0
+
+    @pytest.mark.parametrize("mode", ["h_transform", "rejection"])
+    def test_sample_rows_are_what_csv_writer_writes(self, tmp_path, monkeypatch, mode):
+        # The sample rows are rendered as one text block; they must be the
+        # bytes csv.writer writes for the rows ``add`` would have made.
+        drawn, sampler = [], cli.conditioned_sampler
+        monkeypatch.setattr(cli, "conditioned_sampler",
+                            lambda *args, **kw: drawn.append(sampler(*args, **kw)) or drawn[-1])
+        out = tmp_path / "c"
+        assert main(["conditioned", "--law", format_law(FIX_C), "--mode", mode, "-n", "2000",
+                     "--seed", "7", "--env-seed", "101", "--out", str(out)]) == 0
+        rows = cli._Rows(7)
+        for i, t in enumerate(drawn[0].tolist()):
+            rows.add("t0_sample", param=i, value=t, method=mode)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(cli.CSV_HEADER)
+        writer.writerows(rows.rows)
+        assert (tmp_path / "c.csv").read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("quantity,method", [
+        ("t0,sample", "rejection"), ('t0"sample', "rejection"), ("t0_sample", "a\nb"),
+        ("t0_sample", "a\rb"), ("t0_sample", "a,b"),
+    ])
+    def test_sample_rows_refuse_names_csv_would_quote(self, quantity, method):
+        with pytest.raises(ValueError, match="plain names"):
+            cli._Rows(1).add_samples(quantity, np.arange(3), method)
 
 
 class TestSimulateCommand:

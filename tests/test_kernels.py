@@ -5,12 +5,14 @@ bisection, the anchored sweep behind ``conditioned_env`` and
 ``conditioned_return_expectation``, the first-return window edges, the
 ladder first-exit walk (phi included), the ``mc`` lockstep walk behind
 ``simulate_until`` and ``sample_first_return``, on one generator, and
-``speed_estimate`` with its worker shards and rows that grow on demand;
-the free kernel of speed walks, which advances several steps per table
-lookup on neighbourhood codes, is checked against per-step walks on full
-windows, its step tables entry by entry against single steps, the
-keyed site RNG against a pure-Python SplitMix64, and the vectorized
-environment seeds against ``substream_seed``.  The conditional rows' first
+``speed_estimate`` with its worker shards and rows that grow on demand,
+and on a one-level law its one binomial draw per replicate, which builds no
+rows; the free kernel of speed walks, which advances several steps per
+table lookup on neighbourhood codes, is checked against per-step walks on
+full windows (a one-level law too, which it walks on level code 0), its
+step tables entry by entry against single steps, the keyed site RNG
+against a pure-Python SplitMix64, and the vectorized environment seeds
+against ``substream_seed``.  The conditional rows' first
 sweep, sized by the law, is checked against a fixed 256-site one.
 
 The golden literals were recorded before these kernels were merged from
@@ -103,12 +105,13 @@ from rwre.exact import (
 from rwre.ladder import WaldCheck
 from rwre.mc import _encode, _site_rows, _span, _step_table, _walk
 from rwre.rng import (
-    MASK64, _avalanche, _substream_seeds, mix64, shard_sizes, site_uniforms, substream_seed,
+    MASK64, _avalanche, _substream_seeds, mix64, site_uniforms, substream_seed,
     worker_streams,
 )
 
 import chains
-from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F
+import walks
+from laws import CONST_7, FIX_A, FIX_C, FIX_D, FIX_E, FIX_F, ONE_ATOM_3, TWIN_6
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
@@ -759,23 +762,47 @@ def test_a_site_uniform_of_one_takes_the_last_category(monkeypatch):
 
 
 def _speed_per_worker(law, horizon, reps, seed, workers, sub):
-    """Each worker walks its own replicates alone, ``sub`` float64 windows at
-    a time: the reference for how ``speed_estimate`` batches its shards."""
-    sites = np.arange(-horizon, horizon + 1, dtype=np.int64)
-    tallies, rep0 = [], 0
-    for rng, n_w in zip(worker_streams(seed, workers), shard_sizes(reps, workers)):
-        finals = []
-        for done in range(0, n_w, sub):
-            b = min(sub, n_w - done)
-            omega = np.stack([omega_at_sites(law, substream_seed(seed, 11, rep0 + done + i), sites)
-                              for i in range(b)])
-            pos = np.full(b, horizon)
-            for _ in range(horizon):
-                pos += np.where(rng.random(b) < omega[np.arange(b), pos], 1, -1)
-            finals.extend((pos - horizon) / horizon)
-        tallies.append(Tally.of(np.array(finals)))
-        rep0 += n_w
-    return merge_mean(tallies)[:3]
+    """(n, mean, SE) of per-step walks, each worker's replicates alone,
+    ``sub`` float64 windows at a time: the reference for how speed walks
+    batch their shards."""
+    shards = walks._per_step_speed(law, horizon, reps, seed, workers, sub)
+    return merge_mean([Tally.of(finals) for finals in shards])[:3]
+
+
+def _walked_speed(law, horizon, reps, seed, workers):
+    """(n, mean, SE) of the speed walks (``mc._speed_walks``), which
+    ``speed_estimate`` runs for every law with two levels or more.  A
+    one-level law walks there on the same level codes, all 0."""
+    return merge_mean(mc._speed_walks(law, horizon, reps, seed, workers))[:3]
+
+
+ONE_LEVEL_LAWS = pytest.mark.parametrize("law", [CONST_7, ONE_ATOM_3, TWIN_6],
+                                        ids=["CONST-0.7", "one-atom-0.3", "twin-atoms-0.6"])
+
+
+@ONE_LEVEL_LAWS
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_level_speed_is_one_binomial_per_replicate(law, workers):
+    # One omega level makes the walk simple: X_h = 2B - h, B ~ Binomial(h,
+    # omega), one draw per replicate from the seed's first stream, tallied
+    # once, whatever ``workers`` is.
+    (p,) = law.omega_levels()
+    for horizon, reps, seed in [(1, 1, 0), (9, 23, 4), (40, 5, 11), (100_000, 100, 12)]:
+        ups = worker_streams(seed, 1)[0].binomial(horizon, p, reps)
+        expected = merge_mean([Tally.of((2 * ups - horizon) / horizon)])[:3]
+        est = speed_estimate(law, horizon=horizon, reps=reps, seed=seed, workers=workers)
+        assert (est.n, est.value, est.std_error) == expected
+        assert (est.method, est.seed) == ("speed-mc", seed)
+
+
+@ONE_LEVEL_LAWS
+def test_one_level_speed_builds_no_rows_and_draws_no_site_uniforms(monkeypatch, law):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-level speed walk needs no rows and no site uniforms")
+
+    monkeypatch.setattr(mc, "_Rows", refuse)
+    monkeypatch.setattr(env, "site_uniforms", refuse)
+    assert speed_estimate(law, horizon=100_000, reps=100, seed=12, workers=2).n == 100
 
 
 @SPEED_LAWS
@@ -795,9 +822,8 @@ def test_speed_batches_equal_per_worker_walks(monkeypatch, law, rows):
         return grow(self, pos, a, b)
 
     monkeypatch.setattr(mc._Rows, "_grow", spy)
-    est = speed_estimate(law, horizon=horizon, reps=23, seed=4, workers=3)
     sub = min(rows, 8)
-    assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 23, 4, 3, sub)
+    assert _walked_speed(law, horizon, 23, 4, 3) == _speed_per_worker(law, horizon, 23, 4, 3, sub)
     assert sum(a > 0 for a, _ in grown) >= 2 and sum(b > 0 for _, b in grown) >= 2
 
 
@@ -810,8 +836,7 @@ def test_free_walk_blocks_equal_per_step_walks(monkeypatch, law, depth, horizon)
     # go one at a time; rows start at [-2, 2] and grow as the walks spread.
     monkeypatch.setattr(mc, "_DRAW_BLOCK", depth * 5)
     monkeypatch.setattr(mc, "_ROW_REACH", 2)
-    est = speed_estimate(law, horizon=horizon, reps=5, seed=11, workers=3)
-    assert (est.n, est.value, est.std_error) == _speed_per_worker(law, horizon, 5, 11, 3, 5)
+    assert _walked_speed(law, horizon, 5, 11, 3) == _speed_per_worker(law, horizon, 5, 11, 3, 5)
 
 
 def _full_window(rows):
@@ -883,8 +908,7 @@ def test_grown_rows_hold_the_full_window(data):
             assert margin == min(sites.min() - rows.lo, rows.hi - sites.max()) >= need
             assert rows.sites(pos).tolist() == sites.tolist()
             assert rows.cap_lo <= rows.lo and rows.hi <= rows.cap_hi
-            if rows.flat is not None:
-                _assert_rows_hold_the_full_window(rows)
+            _assert_rows_hold_the_full_window(rows)
 
 
 @SPEED_LAWS
@@ -902,7 +926,7 @@ def test_rows_realize_little_beyond_the_walks(monkeypatch, law):
         return fit(self, pos, need)
 
     monkeypatch.setattr(mc._Rows, "fit", spy)
-    speed_estimate(law, horizon=3000, reps=12, seed=5, workers=2)
+    _walked_speed(law, 3000, 12, 5, 2)
     assert seen
     for rows, (first, last) in seen.items():
         quarter = -rows.lo // mc._ROW_GROWTH, rows.hi // mc._ROW_GROWTH

@@ -32,6 +32,11 @@ exact mass and the tail T_0 >= 2000 on its own, sees the tail faults that
 the fine test spreads too thin.  The chain's k-step table is checked
 against ``chains.leap_law``, and its cap at the edges of a leap, in both
 modes.
+
+``speed_estimate`` on a one-level law draws X_h as one binomial per
+replicate from the seed's first stream.  Its finals are G-tested against
+the exact Binomial(h, omega) law (``chains.simple_walk_law``) and against
+per-step walks (``walks._per_step_speed``) in a two-sample test.
 """
 
 import concurrent.futures
@@ -72,8 +77,8 @@ from rwre.exact import _log_escape_bounds, _log_h_escape_bounds
 from rwre.rng import worker_streams
 
 import chains
-from laws import FIX_A, FIX_C, FIX_F
-from walks import _per_path_first_exit, _per_path_phi
+from laws import CONST_7, FIX_A, FIX_C, FIX_F, ONE_ATOM_3, TWIN_6
+from walks import _per_path_first_exit, _per_path_phi, _per_step_speed
 
 SKIP_FREE = StepLaw.of([(0.3, 1.0), (0.7, -1.0)])
 GENERAL = StepLaw.of([(0.5, -1.7), (0.5, 0.9)], lattice=None)
@@ -673,6 +678,56 @@ def test_h_transform_samples_depend_on_the_seed_alone(law, env_seed, n):
     assert one.size == n
     np.testing.assert_array_equal(one, two)
     np.testing.assert_array_equal(one, three)
+
+
+# -------------------------------------------------------- one-level speed
+
+ONE_LEVEL_LAWS = pytest.mark.parametrize("law", [CONST_7, ONE_ATOM_3, TWIN_6],
+                                         ids=["CONST-0.7", "one-atom-0.3", "twin-atoms-0.6"])
+
+
+def _one_level_ups(law, horizon, reps, seed):
+    """The up-step counts B = (X_h + h) / 2 of ``speed_estimate``'s finals on
+    a one-level law, taken from the one ``Tally`` it makes of them."""
+    seen, of = [], Tally.of
+
+    def spy(samples):
+        seen.append(np.asarray(samples))
+        return of(samples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc.Tally, "of", staticmethod(spy))
+        speed_estimate(law, horizon=horizon, reps=reps, seed=seed)
+    (finals,) = seen
+    x = np.rint(finals * horizon).astype(np.int64)
+    assert x.size == reps and (abs(x) <= horizon).all() and ((x + horizon) % 2 == 0).all()
+    return (x + horizon) // 2
+
+
+@ONE_LEVEL_LAWS
+@pytest.mark.parametrize("horizon", [9, 40])
+def test_one_level_speed_follows_the_exact_binomial_law(law, horizon):
+    (p,) = law.omega_levels()
+    expected = chains.simple_walk_law(p, horizon)
+    assert abs(expected.sum() - 1.0) <= 1e-12
+    n = 100_000
+    for seed in range(5):
+        observed = np.bincount(_one_level_ups(law, horizon, n, seed), minlength=horizon + 1)
+        assert _g_pvalue(observed, n * expected) > 1e-6
+
+
+@pytest.mark.parametrize("law", [CONST_7, ONE_ATOM_3], ids=["CONST-0.7", "one-atom-0.3"])
+@pytest.mark.parametrize("horizon", [9, 40])
+def test_one_level_speed_matches_per_step_walks_in_law(law, horizon):
+    n = 100_000
+    ups = _one_level_ups(law, horizon, n, 0)
+    (finals,) = _per_step_speed(law, horizon, n, 100, 1, 10_000)
+    walked = (np.rint(finals * horizon).astype(np.int64) + horizon) // 2
+    table = np.array([np.bincount(ups, minlength=horizon + 1),
+                      np.bincount(walked, minlength=horizon + 1)])
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / (2 * n)
+    assert _g_pvalue(table, expected) > 1e-6
 
 
 # ------------------------------------------------------------------- pool
